@@ -1,0 +1,772 @@
+"""The nine classified cases, one record each.
+
+A record holds every stored fact about one case: parameter names and the
+parameter domain, rays, ray labels and primitive collections (rays in the
+printed order, so divisor indices are stable across the whole package),
+the Picard basis, nef and effective cone generators, the canonical
+reference coordinates, the encoded presentation matrix B and Markov move
+set, the connected-sections configurations and the reference verdict
+table.  Entries that depend on the family parameters are functions of
+them.
+
+Facts that follow from these are derived where they are used: surface
+classes and the ample reference class are combinations of the nef
+generators, and the table coefficient names follow from the Picard rank.
+The presentation matrix, canonical coordinates, cone generators and move
+sets stay stored because the package recomputes them from the fan and
+checks the two against each other.
+
+This module imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from itertools import permutations
+from typing import Callable, Mapping, Sequence
+
+Params = Mapping[str, int]
+Vec3 = tuple[int, int, int]
+
+HYPERBOLIC = "Hyperbolic"
+NOT_HYPERBOLIC = "NotHyperbolic"
+OPEN = "Open"
+
+
+# Connected-sections configurations: per case, the listed auxiliary nef
+# divisors E' (by parameter condition); the configuration splits the surface
+# class as D = E + E'.
+
+
+@dataclass(frozen=True)
+class SectionConfig:
+    name: str
+    applies: Callable[[Params], bool]
+    eprime_coeffs: Callable[[Params], dict[str, int]]
+
+
+# Reference verdict tables.  A row predicate per coefficient is one of
+# ("ge", n), ("le", n), ("eq", n), ("in", values) or ("any", None).
+
+
+def _ge(n):
+    return ("ge", n)
+
+
+def _le(n):
+    return ("le", n)
+
+
+def _eq(n):
+    return ("eq", n)
+
+
+def _in(*vals):
+    return ("in", tuple(vals))
+
+
+_ANY = ("any", None)
+
+
+def _match1(pred, value: int) -> bool:
+    op, arg = pred
+    if op == "ge":
+        return value >= arg
+    if op == "le":
+        return value <= arg
+    if op == "eq":
+        return value == arg
+    if op == "in":
+        return value in arg
+    return True
+
+
+@dataclass(frozen=True)
+class TableRow:
+    outcome: str
+    preds: tuple
+    permute: bool = False
+    uncertain_permutation: bool = False
+    cond: Callable[[Params], bool] | None = None
+
+    def matches(self, coeffs: Sequence[int], params: Params, allow_permute: bool) -> bool:
+        if self.cond is not None and not self.cond(params):
+            return False
+        tuples = [self.preds]
+        if self.permute and allow_permute:
+            tuples = list(set(permutations(self.preds)))
+        return any(all(_match1(p, c) for p, c in zip(t, coeffs)) for t in tuples)
+
+
+@dataclass(frozen=True)
+class TableBlock:
+    name: str
+    applies: Callable[[Params], bool]
+    rows: tuple[TableRow, ...]
+    imported: bool = False
+    # The general rank-3 splitting block lists its hyperbolic region as
+    # "everything with e,f >= 2 except the not-hyperbolic column"; the same
+    # proviso governs its parameter-dependent threshold rows, so in this
+    # block a not-hyperbolic match silences every hyperbolic row.
+    hyp_yields_to_nothyp: bool = False
+    # Rows whose thresholds depend on the parameters, built per lookup.
+    param_rows: Callable[[Params], list[TableRow]] | None = None
+
+
+def _rows(hyp, nothyp, open_):
+    rows = [TableRow(HYPERBOLIC, p) for p in hyp]
+    rows += [TableRow(NOT_HYPERBOLIC, p) for p in nothyp]
+    rows += [TableRow(OPEN, p) for p in open_]
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class Case:
+    """Everything stored about one case; see the module docstring.
+
+    The parameter-dependent entries rays ... markov take the parameters as
+    keyword arguments; predicates (requires, configurations, table blocks)
+    take the parameter mapping.
+    """
+
+    params: tuple[str, ...]
+    # (predicate, message) pairs, checked in order; the first failing one
+    # names the violation.
+    requires: tuple[tuple[Callable[[Params], bool], str], ...]
+    rays: Callable[..., list[Vec3]]
+    labels: tuple[str, ...]
+    collections: tuple[tuple[int, ...], ...]
+    pic_basis: tuple[str, ...]
+    nef: Callable[..., list[dict[str, int]]]
+    eff: Callable[..., tuple[str, ...]]
+    canonical: Callable[..., tuple[int, ...]]
+    gale_rows: Callable[..., list[list[int]]]
+    markov: Callable[..., list[list[int]]]
+    configs: tuple[SectionConfig, ...]
+    tables: tuple[TableBlock, ...]
+
+    @property
+    def coeff_names(self) -> tuple[str, ...]:
+        """Table coefficient names, one per nef generator."""
+        return ("a", "b") if len(self.pic_basis) == 2 else ("d", "e", "f")
+
+
+# Rank 2.
+
+_CASE_201 = Case(
+    params=("l",),
+    requires=((lambda p: p["l"] >= 0, "l >= 0 required"),),
+    rays=lambda l: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (l, -1, -1)],
+    labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
+    collections=((0, 1), (2, 3, 4)),
+    pic_basis=("D_2", "D_3"),
+    nef=lambda **_: [{"D_2": 1}, {"D_3": 1}],
+    eff=lambda **_: ("D_1", "D_3"),
+    canonical=lambda l: (-2, l - 3),
+    gale_rows=lambda l: [[1, 1, 0, 0, 0], [-l, 0, 1, 1, 1]],
+    markov=lambda l: [[1, -1, 0, 0, l], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]],
+    configs=(
+        SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
+        SectionConfig("D_2", lambda p: p["l"] >= 1, lambda p: {"D_2": 1}),
+    ),
+    tables=(
+        TableBlock(
+            "l=0",
+            lambda p: p["l"] == 0,
+            _rows(
+                [(_ge(3), _ge(4)), (_eq(2), _ge(5))],
+                [(_le(1), _ANY), (_ANY, _le(3)), (_eq(2), _eq(4))],
+                [],
+            ),
+            imported=True,
+        ),
+        TableBlock(
+            "l=1",
+            lambda p: p["l"] == 1,
+            _rows(
+                [(_ge(3), _ge(4)), (_eq(2), _ge(5)), (_ge(5), _eq(0))],
+                [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_le(4), _eq(0))],
+                [],
+            ),
+            imported=True,
+        ),
+        TableBlock(
+            "l=2",
+            lambda p: p["l"] == 2,
+            _rows(
+                [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
+                [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_eq(2), _eq(0))],
+                [(_eq(2), _in(4, 5, 6)), (_eq(3), _eq(0))],
+            ),
+        ),
+        TableBlock(
+            "l=3",
+            lambda p: p["l"] == 3,
+            _rows(
+                [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
+                [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
+                [(_eq(2), _in(4, 5, 6)), (_in(2, 3), _eq(0))],
+            ),
+        ),
+        TableBlock(
+            "l>=4",
+            lambda p: p["l"] >= 4,
+            _rows(
+                [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(3), _eq(0))],
+                [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
+                [(_eq(2), _in(4, 5, 6)), (_eq(2), _eq(0))],
+            ),
+        ),
+    ),
+)
+
+_CASE_202 = Case(
+    params=("l1", "l2"),
+    requires=(
+        (lambda p: p["l1"] >= 0, "l1 >= 0 required"),
+        (lambda p: p["l2"] >= p["l1"], "l2 >= l1 required"),
+    ),
+    rays=lambda l1, l2: [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (l1, l2, -1)],
+    labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
+    collections=((0, 1, 2), (3, 4)),
+    pic_basis=("D_3", "D_4"),
+    nef=lambda **_: [{"D_3": 1}, {"D_4": 1}],
+    eff=lambda **_: ("D_2", "D_4"),
+    canonical=lambda l1, l2: (-3, l1 + l2 - 2),
+    gale_rows=lambda l1, l2: [[1, 1, 1, 0, 0], [-l1, -l2, 0, 1, 1]],
+    markov=lambda l1, l2: [[1, -1, 0, 0, l1 - l2], [0, 1, -1, 0, l2], [0, 0, 0, 1, -1]],
+    configs=(
+        SectionConfig(
+            "D_3+D_4", lambda p: p["l1"] == 0 and p["l2"] == 0, lambda p: {"D_3": 1, "D_4": 1}
+        ),
+        SectionConfig("D_3", lambda p: p["l2"] >= 1, lambda p: {"D_3": 1}),
+    ),
+    tables=(
+        TableBlock(
+            "l1=l2=0",
+            lambda p: p["l1"] == 0 and p["l2"] == 0,
+            _rows(
+                [(_ge(4), _ge(3)), (_ge(5), _eq(2))],
+                [(_le(3), _ANY), (_ANY, _le(1)), (_eq(4), _eq(2))],
+                [],
+            ),
+            imported=True,
+        ),
+        TableBlock(
+            "l1=0,l2>=1",
+            lambda p: p["l1"] == 0 and p["l2"] >= 1,
+            _rows(
+                [(_ge(5), _ge(2))],
+                [(_le(3), _ANY), (_ANY, _le(1))],
+                [(_eq(4), _ge(2))],
+            ),
+        ),
+        TableBlock(
+            "l1>=1",
+            lambda p: p["l1"] >= 1,
+            _rows(
+                [(_ge(5), _ANY)],
+                [(_le(3), _ANY)],
+                [(_eq(4), _ANY)],
+            ),
+        ),
+    ),
+)
+
+
+# Rank 3 splitting fans: 3.0.1 (b >= 0) and 3.0.2 (b < 0) share the fan,
+# the basis, the canonical class and the presentation.
+
+
+def _general_301_hyp_rows(p: Params) -> list[TableRow]:
+    """Parameter-dependent hyperbolic thresholds of the general block.
+
+    The whole column is guarded by e, f >= 2, so the thresholds are
+    tightened to at least 2 coordinate-wise.
+    """
+    r, a, b = p["r"], p["a"], p["b"]
+    lo = lambda t: _ge(max(2, t))
+    return [
+        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(4 - b), lo(3))),
+        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(3 - b), lo(4))),
+        TableRow(HYPERBOLIC, (_ge(3 - a - r), lo(4 - b), lo(4))),
+    ]
+
+
+_REQUIRES_RA = (
+    (lambda p: p["r"] >= 0, "r >= 0 required"),
+    (lambda p: p["a"] >= 0, "a >= 0 required"),
+)
+
+_CASE_301 = Case(
+    params=("r", "a", "b"),
+    requires=_REQUIRES_RA + ((lambda p: p["b"] >= 0, "b >= 0 required in case 3.0.1"),),
+    rays=lambda r, a, b: [(1, 0, 0), (-1, r, a), (0, 1, 0), (0, -1, b), (0, 0, 1), (0, 0, -1)],
+    labels=("D_1", "D_2", "D_3", "D_4", "D_5", "D_6"),
+    collections=((0, 1), (2, 3), (4, 5)),
+    pic_basis=("D_1", "D_4", "D_6"),
+    nef=lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
+    eff=lambda **_: ("D_1", "D_3", "D_5"),
+    canonical=lambda r, a, b: (-2 + a + r, -2 + b, -2),
+    gale_rows=lambda r, a, b: [[1, 1, -r, 0, -a, 0], [0, 0, 1, 1, -b, 0], [0, 0, 0, 0, 1, 1]],
+    markov=lambda r, a, b: [
+        [1, -1, 0, 0, 0, 0], [0, r, 1, -1, 0, 0], [0, a + b * r, b, 0, 1, -1]
+    ],
+    configs=(
+        SectionConfig(
+            "D_1+D_4+D_6",
+            lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
+            lambda p: {"D_1": 1, "D_4": 1, "D_6": 1},
+        ),
+        SectionConfig(
+            "D_4+D_6",
+            lambda p: p["b"] == 0 and p["r"] + p["a"] >= 1,
+            lambda p: {"D_4": 1, "D_6": 1},
+        ),
+        SectionConfig(
+            "D_1+D_6",
+            lambda p: p["b"] >= 1 and p["r"] + p["a"] == 0,
+            lambda p: {"D_1": 1, "D_6": 1},
+        ),
+        SectionConfig(
+            "D_6", lambda p: p["b"] >= 1 and p["r"] + p["a"] >= 1, lambda p: {"D_6": 1}
+        ),
+    ),
+    tables=(
+        TableBlock(
+            "(0,0,0)",
+            lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
+            (
+                TableRow(HYPERBOLIC, (_ge(3), _ge(3), _ge(3)), permute=True),
+                TableRow(
+                    HYPERBOLIC, (_eq(2), _ge(4), _ge(4)), permute=True, uncertain_permutation=True
+                ),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
+                # The product symmetry extends the next row to all coordinate
+                # orders, matching the low-genus boundary locus exactly.
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _le(3), _ANY), permute=True),
+            ),
+            imported=True,
+        ),
+        TableBlock(
+            "(>=1,0,0)",
+            lambda p: p["r"] >= 1 and p["a"] == 0 and p["b"] == 0,
+            (
+                TableRow(HYPERBOLIC, (_ge(2), _ge(3), _ge(3))),
+                TableRow(HYPERBOLIC, (_ge(3), _ge(4), _eq(2))),
+                TableRow(
+                    HYPERBOLIC,
+                    (_ge(2), _eq(2), _ge(4)),
+                    cond=lambda p: p["r"] != 1,
+                ),
+                TableRow(
+                    HYPERBOLIC,
+                    (_ge(3), _eq(2), _ge(4)),
+                    cond=lambda p: p["r"] == 1,
+                ),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _in(2, 3))),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(3), _eq(2))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=lambda p: p["r"] == 1),
+            ),
+            imported=True,
+        ),
+        TableBlock(
+            "(>=3,>=3,>=1)",
+            lambda p: p["r"] >= 3 and p["a"] >= 3 and p["b"] >= 1,
+            (
+                TableRow(HYPERBOLIC, (_ANY, _ge(2), _ge(3))),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _le(1), _ANY)),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
+                TableRow(OPEN, (_ANY, _ge(2), _eq(2))),
+            ),
+        ),
+        TableBlock(
+            "general",
+            lambda p: True,
+            hyp_yields_to_nothyp=True,
+            param_rows=_general_301_hyp_rows,
+            rows=(
+                TableRow(NOT_HYPERBOLIC, (_le(0), _le(1), _ANY)),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=lambda p: p["b"] == 0),
+                TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=lambda p: p["a"] == 0),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=lambda p: p["a"] == 0),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=lambda p: p["a"] == 1),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=lambda p: p["a"] == 2),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=lambda p: p["r"] == 0),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=lambda p: p["r"] == 0),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=lambda p: p["r"] == 1),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=lambda p: p["r"] == 2),
+            ),
+        ),
+    ),
+)
+
+_CASE_302 = replace(
+    _CASE_301,
+    requires=_REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
+    nef=lambda r, a, b: [{"D_1": 1}, {"D_4": 1}, {"D_4": -b, "D_6": 1}],
+    eff=lambda r, a, b: ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6"),
+    configs=(
+        SectionConfig(
+            "D_1+D_6-bD_4",
+            lambda p: p["r"] + p["a"] == 0,
+            lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1},
+        ),
+        SectionConfig(
+            "D_6-bD_4",
+            lambda p: p["r"] + p["a"] >= 1,
+            lambda p: {"D_4": -p["b"], "D_6": 1},
+        ),
+    ),
+    tables=(
+        TableBlock(
+            "(0,0)",
+            lambda p: p["r"] == 0 and p["a"] == 0,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [
+                    (_ANY, _ANY, _le(1)),
+                    (_ANY, _le(1), _ANY),
+                    (_le(1), _ge(2), _ge(2)),
+                    (_eq(2), _eq(2), _ge(2)),
+                    (_eq(2), _ge(2), _eq(2)),
+                ],
+                [(_eq(2), _ge(3), _ge(3)), (_eq(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
+            ),
+        ),
+        TableBlock(
+            "(0,>=1)",
+            lambda p: p["r"] == 0 and p["a"] >= 1,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _ge(2))],
+                [(_in(2, 3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
+            ),
+        ),
+        TableBlock(
+            "(>=1,0)",
+            lambda p: p["r"] >= 1 and p["a"] == 0,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [
+                    (_ANY, _ANY, _le(1)),
+                    (_ANY, _le(1), _ANY),
+                    (_le(1), _ge(2), _ge(2)),
+                    (_eq(2), _ge(2), _eq(2)),
+                ],
+                [(_eq(2), _ge(2), _ge(3)), (_eq(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _eq(3))],
+            ),
+        ),
+        TableBlock(
+            "(>=1,1)",
+            lambda p: p["r"] >= 1 and p["a"] == 1,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _eq(2))],
+                [(_le(3), _ge(2), _ge(3)), (_ge(4), _ge(2), _in(2, 3))],
+            ),
+        ),
+        TableBlock(
+            "(>=1,2)",
+            lambda p: p["r"] >= 1 and p["a"] == 2,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_eq(0), _ge(2), _eq(2))],
+                [
+                    (_eq(0), _ge(2), _ge(3)),
+                    (_in(1, 2, 3), _ge(2), _ge(2)),
+                    (_ge(4), _ge(2), _in(2, 3)),
+                ],
+            ),
+        ),
+        TableBlock(
+            "(>=1,>=3)",
+            lambda p: p["r"] >= 1 and p["a"] >= 3,
+            _rows(
+                [(_ge(4), _ge(2), _ge(4))],
+                [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY)],
+                [(_le(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
+            ),
+        ),
+    ),
+)
+
+
+# Rank 3 with five primitive collections (3.1.1 - 3.1.5).  Parameters are
+# unrestricted integers; the basis, the nef generators and the shape of the
+# configuration list are shared.
+
+
+def _five_collection_configs(zero_cond, z1_cond) -> tuple[SectionConfig, ...]:
+    return (
+        SectionConfig("D_u1+D_z1", zero_cond, lambda p: {"D_u1": 1, "D_z1": 1}),
+        SectionConfig("D_v1+D_z1", zero_cond, lambda p: {"D_v1": 1, "D_z1": 1}),
+        SectionConfig("D_z1", z1_cond, lambda p: {"D_z1": 1}),
+    )
+
+
+_FIVE_COLLECTION = dict(
+    requires=(),
+    pic_basis=("D_v1", "D_u1", "D_z1"),
+    nef=lambda **_: [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}],
+)
+
+
+def _blocks_311():
+    hyp = [(_ge(4), _ge(3), _ge(2)), (_ge(4), _eq(2), _ge(3)), (_ge(4), _eq(0), _ge(5))]
+    nothyp = [(_in(1, 2, 3), _ANY, _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(1), _ANY)]
+    open_ = [(_ge(4), _eq(2), _eq(2)), (_ge(4), _eq(0), _in(2, 3, 4))]
+    return (
+        TableBlock(
+            "b1=0",
+            lambda p: p["b1"] == 0,
+            _rows(
+                hyp,
+                nothyp + [(_eq(0), _eq(0), _le(3)), (_eq(0), _ge(2), _le(3))],
+                open_ + [(_eq(0), _ge(2), _ge(4)), (_eq(0), _eq(0), _ge(4))],
+            ),
+        ),
+        TableBlock(
+            "b1=1",
+            lambda p: p["b1"] == 1,
+            _rows(
+                hyp,
+                nothyp + [(_eq(0), _eq(0), _le(2)), (_eq(0), _ge(2), _le(2))],
+                open_ + [(_eq(0), _ge(2), _ge(3)), (_eq(0), _eq(0), _ge(3))],
+            ),
+        ),
+        TableBlock(
+            "b1>=2",
+            lambda p: p["b1"] >= 2,
+            _rows(
+                hyp,
+                nothyp,
+                open_ + [(_eq(0), _ge(2), _ge(2)), (_eq(0), _eq(0), _ge(2))],
+            ),
+        ),
+    )
+
+
+def _blocks_312():
+    hyp = [(_ge(4), _ge(4), _ge(1))]
+    nothyp = [(_in(1, 2, 3), _ANY, _ANY), (_ANY, _in(1, 2, 3), _ANY)]
+    open_ = [(_ge(4), _ge(4), _eq(0)), (_ge(4), _eq(0), _ge(2))]
+    return (
+        TableBlock(
+            "b1=0",
+            lambda p: p["b1"] == 0,
+            _rows(
+                hyp,
+                nothyp
+                + [(_eq(0), _ge(4), _le(1)), (_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(3))],
+                open_ + [(_eq(0), _ge(4), _ge(2)), (_eq(0), _eq(0), _ge(4))],
+            ),
+        ),
+        TableBlock(
+            "b1=1",
+            lambda p: p["b1"] == 1,
+            _rows(
+                hyp,
+                nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(2))],
+                open_ + [(_eq(0), _ge(4), _ANY), (_eq(0), _eq(0), _ge(3))],
+            ),
+        ),
+        TableBlock(
+            "b1>=2",
+            lambda p: p["b1"] >= 2,
+            _rows(
+                hyp,
+                nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(1))],
+                open_ + [(_eq(0), _ge(4), _ANY), (_eq(0), _eq(0), _ge(2))],
+            ),
+        ),
+    )
+
+
+_CASE_311 = Case(
+    **_FIVE_COLLECTION,
+    params=("b1",),
+    rays=lambda b1: [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)],
+    labels=("D_v1", "D_v2", "D_u1", "D_y1", "D_t1", "D_z1"),
+    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
+    canonical=lambda b1: (b1 - 2, -1, -2),
+    gale_rows=lambda b1: [[1, 1, 0, 1, -b1 - 1, 0], [0, 0, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+    markov=lambda b1: [[1, 0, -1, -1, 0, 0], [0, 1, -1, -1, 0, 0], [0, 0, b1, b1 + 1, 1, -1]],
+    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
+    tables=_blocks_311(),
+)
+
+_CASE_312 = Case(
+    **_FIVE_COLLECTION,
+    params=("b1",),
+    rays=lambda b1: [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
+    labels=("D_v1", "D_u1", "D_y1", "D_y2", "D_t1", "D_z1"),
+    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
+    canonical=lambda b1: (b1 - 2, 0, -2),
+    gale_rows=lambda b1: [[1, 0, 1, 1, -b1 - 1, 0], [0, 1, -1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+    markov=lambda b1: [[1, -1, -1, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, b1, b1 + 1, 0, 1, -1]],
+    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
+    tables=_blocks_312(),
+)
+
+_CASE_313 = Case(
+    **_FIVE_COLLECTION,
+    params=("b1", "c2"),
+    rays=lambda b1, c2: [
+        (1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)
+    ],
+    labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"),
+    eff=lambda b1, c2: ("D_u1", "D_y1", "D_t1") if b1 >= c2 else ("D_u1", "D_y1", "D_z2"),
+    collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
+    canonical=lambda b1, c2: (b1 + c2 - 1, -1, -3),
+    gale_rows=lambda b1, c2: [[1, 0, 1, -b1 - 1, 0, -c2], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, 1, 1]],
+    markov=lambda b1, c2: [
+        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, -1, 0], [0, b1 - c2, b1 + 1 - c2, 1, 0, -1]
+    ],
+    configs=_five_collection_configs(
+        lambda p: p["b1"] == 0 and p["c2"] == 0,
+        lambda p: not (p["b1"] == 0 and p["c2"] == 0),
+    ),
+    tables=(
+        TableBlock(
+            "c2=0",
+            lambda p: p["c2"] == 0,
+            _rows(
+                [(_ge(2), _ge(4), _ge(2))],
+                [
+                    (_ANY, _in(1, 2, 3), _ANY),
+                    (_ANY, _ANY, _le(1)),
+                    (_le(1), _ge(4), _ge(2)),
+                    (_ANY, _eq(0), _le(3)),
+                    (_le(1), _eq(0), _ANY),
+                ],
+                [(_ge(2), _eq(0), _ge(4))],
+            ),
+        ),
+        TableBlock(
+            "b1=0,c2=1",
+            lambda p: p["b1"] == 0 and p["c2"] == 1,
+            _rows(
+                [(_ge(1), _ge(4), _ge(2))],
+                [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
+                [(_eq(0), _ge(4), _ge(2)), (_ANY, _eq(0), _ge(4))],
+            ),
+        ),
+        TableBlock(
+            "c2-positive",
+            lambda p: (p["b1"] == 0 and p["c2"] >= 2) or (p["b1"] >= 1 and p["c2"] >= 1),
+            _rows(
+                [(_ANY, _ge(4), _ge(2))],
+                [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
+                [(_ANY, _eq(0), _ge(4))],
+            ),
+        ),
+    ),
+)
+
+_CASE_314 = Case(
+    **_FIVE_COLLECTION,
+    params=("b1", "b2"),
+    rays=lambda b1, b2: [
+        (1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)
+    ],
+    labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"),
+    eff=lambda b1, b2: ("D_u1", "D_y1", "D_t1") if b1 >= b2 else ("D_u1", "D_y1", "D_t2"),
+    collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
+    canonical=lambda b1, b2: (b1 + b2, -2, -3),
+    gale_rows=lambda b1, b2: [
+        [1, 0, 1, -b1 - 1, -b2 - 1, 0], [0, 1, -1, 1, 1, 0], [0, 0, 0, 1, 1, 1]
+    ],
+    markov=lambda b1, b2: [
+        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, 0, -1], [0, b1 - b2, b1 - b2, 1, -1, 0]
+    ],
+    configs=_five_collection_configs(
+        lambda p: p["b1"] == 0 and p["b2"] == 0,
+        lambda p: not (p["b1"] == 0 and p["b2"] == 0),
+    ),
+    tables=(
+        TableBlock(
+            "b1=b2=0",
+            lambda p: p["b1"] == 0 and p["b2"] == 0,
+            _rows(
+                [(_ge(1), _ge(2), _ge(4))],
+                [
+                    (_ANY, _ANY, _in(1, 2, 3)),
+                    (_ANY, _le(1), _ANY),
+                    (_ANY, _le(3), _eq(0)),
+                    (_le(1), _ANY, _eq(0)),
+                ],
+                [(_eq(0), _ge(2), _ge(4)), (_ge(2), _ge(4), _eq(0))],
+            ),
+        ),
+        TableBlock(
+            "one-positive",
+            lambda p: (p["b1"] >= 1 and p["b2"] == 0) or (p["b1"] == 0 and p["b2"] >= 1),
+            _rows(
+                [(_ANY, _ge(2), _ge(4))],
+                [
+                    (_ANY, _ANY, _in(1, 2, 3)),
+                    (_ANY, _le(1), _ANY),
+                    (_ANY, _le(3), _eq(0)),
+                    (_le(1), _ANY, _eq(0)),
+                ],
+                [(_ge(2), _ge(4), _eq(0))],
+            ),
+        ),
+        TableBlock(
+            "both-positive",
+            lambda p: p["b1"] >= 1 and p["b2"] >= 1,
+            _rows(
+                [(_ANY, _ge(2), _ge(4))],
+                [(_ANY, _ANY, _in(1, 2, 3)), (_ANY, _le(1), _ANY), (_ANY, _le(3), _eq(0))],
+                [(_ANY, _ge(4), _eq(0))],
+            ),
+        ),
+    ),
+)
+
+_CASE_315 = Case(
+    **_FIVE_COLLECTION,
+    params=("b1",),
+    rays=lambda b1: [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)],
+    labels=("D_v1", "D_u1", "D_u2", "D_y1", "D_t1", "D_z1"),
+    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
+    canonical=lambda b1: (b1 - 1, -2, -2),
+    gale_rows=lambda b1: [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+    markov=lambda b1: [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]],
+    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
+    tables=(
+        TableBlock(
+            "all",
+            lambda p: True,
+            _rows(
+                [(_ge(2), _ANY, _ge(5)), (_ge(2), _ge(1), _eq(4))],
+                [
+                    (_ANY, _ANY, _in(1, 2, 3)),
+                    (_in(0, 1), _ANY, _ANY),
+                    (_in(2, 3), _ANY, _eq(0)),
+                    (_ANY, _in(0, 1), _eq(0)),
+                ],
+                [(_ge(2), _eq(0), _eq(4)), (_ge(4), _ge(2), _eq(0))],
+            ),
+        ),
+    ),
+)
+
+CASES: dict[str, Case] = {
+    "2.0.1": _CASE_201,
+    "2.0.2": _CASE_202,
+    "3.0.1": _CASE_301,
+    "3.0.2": _CASE_302,
+    "3.1.1": _CASE_311,
+    "3.1.2": _CASE_312,
+    "3.1.3": _CASE_313,
+    "3.1.4": _CASE_314,
+    "3.1.5": _CASE_315,
+}

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock
 from .divisors import (
     TDivisor,
     ample_reference,
@@ -27,28 +27,14 @@ from .divisors import (
     eff_generators,
     is_ample,
     is_nef,
+    nef_combination,
 )
-from .fans import FamilySpec, Fan, ParameterError, build_family_fan
+from .fans import FamilySpec, Fan, ParameterError, build_family_fan, family_record
 from .polytopes import dimension, interior_lattice_count, min_face, polytope_of, triple_intersection
 from .toric_ideal import DEFAULT_MARKOV_BOUND, FiberCertificate, markov_verify, section_difference_moves
 
-HYPERBOLIC = "Hyperbolic"
-NOT_HYPERBOLIC = "NotHyperbolic"
-OPEN = "Open"
 UNLISTED = "Unlisted"
 AMBIGUOUS = "Ambiguous"
-
-COEFF_NAMES: dict[str, tuple[str, ...]] = {
-    "2.0.1": ("a", "b"),
-    "2.0.2": ("a", "b"),
-    "3.0.1": ("d", "e", "f"),
-    "3.0.2": ("d", "e", "f"),
-    "3.1.1": ("d", "e", "f"),
-    "3.1.2": ("d", "e", "f"),
-    "3.1.3": ("d", "e", "f"),
-    "3.1.4": ("d", "e", "f"),
-    "3.1.5": ("d", "e", "f"),
-}
 
 
 def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
@@ -57,27 +43,13 @@ def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
     Coefficients are coordinates along the nef cone: nonnegative tuples are
     exactly the nef classes.
     """
-    case = fan.family.case_id
-    names = COEFF_NAMES[case]
+    record, _ = family_record(fan)
+    names = record.coeff_names
     if len(coeffs) != len(names):
-        raise ParameterError(f"case {case} takes coefficients {names}")
+        raise ParameterError(f"case {fan.family.case_id} takes coefficients {names}")
     if any(c < 0 for c in coeffs):
         raise ParameterError("table coefficients are nonnegative")
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        a, b = coeffs
-        return divisor(fan, {"D_2": a, "D_3": b})
-    if case == "2.0.2":
-        a, b = coeffs
-        return divisor(fan, {"D_3": a, "D_4": b})
-    if case == "3.0.1":
-        d, e, f = coeffs
-        return divisor(fan, {"D_1": d, "D_4": e, "D_6": f})
-    if case == "3.0.2":
-        d, e, f = coeffs
-        return divisor(fan, {"D_1": d, "D_4": e - p["b"] * f, "D_6": f})
-    d, e, f = coeffs
-    return divisor(fan, {"D_v1": d, "D_u1": f, "D_z1": e + f})
+    return nef_combination(fan, coeffs)
 
 
 # Boundary genus profiles.
@@ -154,94 +126,9 @@ def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
     return BoundaryProfile(d, big, tuple(entries))
 
 
-# Connected-sections configurations: per case, the listed auxiliary nef
-# divisors E' (by parameter condition); the configuration splits the surface
-# class as D = E + E'.
-
-
-@dataclass(frozen=True)
-class SectionConfig:
-    name: str
-    applies: Callable[[Mapping[str, int]], bool]
-    eprime_coeffs: Callable[[Mapping[str, int]], dict[str, int]]
-
-
-SECTION_CONFIGS: dict[str, tuple[SectionConfig, ...]] = {
-    "2.0.1": (
-        SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
-        SectionConfig("D_2", lambda p: p["l"] >= 1, lambda p: {"D_2": 1}),
-    ),
-    "2.0.2": (
-        SectionConfig(
-            "D_3+D_4", lambda p: p["l1"] == 0 and p["l2"] == 0, lambda p: {"D_3": 1, "D_4": 1}
-        ),
-        SectionConfig("D_3", lambda p: p["l2"] >= 1, lambda p: {"D_3": 1}),
-    ),
-    "3.0.1": (
-        SectionConfig(
-            "D_1+D_4+D_6",
-            lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
-            lambda p: {"D_1": 1, "D_4": 1, "D_6": 1},
-        ),
-        SectionConfig(
-            "D_4+D_6",
-            lambda p: p["b"] == 0 and p["r"] + p["a"] >= 1,
-            lambda p: {"D_4": 1, "D_6": 1},
-        ),
-        SectionConfig(
-            "D_1+D_6",
-            lambda p: p["b"] >= 1 and p["r"] + p["a"] == 0,
-            lambda p: {"D_1": 1, "D_6": 1},
-        ),
-        SectionConfig(
-            "D_6", lambda p: p["b"] >= 1 and p["r"] + p["a"] >= 1, lambda p: {"D_6": 1}
-        ),
-    ),
-    "3.0.2": (
-        SectionConfig(
-            "D_1+D_6-bD_4",
-            lambda p: p["r"] + p["a"] == 0,
-            lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1},
-        ),
-        SectionConfig(
-            "D_6-bD_4",
-            lambda p: p["r"] + p["a"] >= 1,
-            lambda p: {"D_4": -p["b"], "D_6": 1},
-        ),
-    ),
-}
-
-
-def _five_collection_configs(case: str, zero_cond) -> tuple[SectionConfig, ...]:
-    return (
-        SectionConfig("D_u1+D_z1", zero_cond, lambda p: {"D_u1": 1, "D_z1": 1}),
-        SectionConfig("D_v1+D_z1", zero_cond, lambda p: {"D_v1": 1, "D_z1": 1}),
-        SectionConfig("D_z1", _Z1_CONDS[case], lambda p: {"D_z1": 1}),
-    )
-
-
-_Z1_CONDS: dict[str, Callable[[Mapping[str, int]], bool]] = {
-    "3.1.1": lambda p: p["b1"] > 1,
-    "3.1.2": lambda p: p["b1"] > 1,
-    "3.1.3": lambda p: not (p["b1"] == 0 and p["c2"] == 0),
-    "3.1.4": lambda p: not (p["b1"] == 0 and p["b2"] == 0),
-    "3.1.5": lambda p: p["b1"] > 1,
-}
-
-SECTION_CONFIGS["3.1.1"] = _five_collection_configs("3.1.1", lambda p: p["b1"] == 0)
-SECTION_CONFIGS["3.1.2"] = _five_collection_configs("3.1.2", lambda p: p["b1"] == 0)
-SECTION_CONFIGS["3.1.3"] = _five_collection_configs(
-    "3.1.3", lambda p: p["b1"] == 0 and p["c2"] == 0
-)
-SECTION_CONFIGS["3.1.4"] = _five_collection_configs(
-    "3.1.4", lambda p: p["b1"] == 0 and p["b2"] == 0
-)
-SECTION_CONFIGS["3.1.5"] = _five_collection_configs("3.1.5", lambda p: p["b1"] == 0)
-
-
 def applicable_configs(fan: Fan) -> list[SectionConfig]:
-    p = fan.family.as_dict()
-    return [c for c in SECTION_CONFIGS[fan.family.case_id] if c.applies(p)]
+    record, p = family_record(fan)
+    return [c for c in record.configs if c.applies(p)]
 
 
 @lru_cache(maxsize=None)
@@ -313,484 +200,6 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityC
     return PositivityCertificate(tuple(alphas), tuple(betas), tuple(labels), epsilon)
 
 
-# Reference verdict tables.
-
-
-def _ge(n):
-    return ("ge", n)
-
-
-def _le(n):
-    return ("le", n)
-
-
-def _eq(n):
-    return ("eq", n)
-
-
-def _in(*vals):
-    return ("in", tuple(vals))
-
-
-_ANY = ("any", None)
-
-
-def _match1(pred, value: int) -> bool:
-    op, arg = pred
-    if op == "ge":
-        return value >= arg
-    if op == "le":
-        return value <= arg
-    if op == "eq":
-        return value == arg
-    if op == "in":
-        return value in arg
-    return True
-
-
-@dataclass(frozen=True)
-class TableRow:
-    outcome: str
-    preds: tuple
-    permute: bool = False
-    uncertain_permutation: bool = False
-    cond: Callable[[Mapping[str, int]], bool] | None = None
-
-    def matches(self, coeffs: Sequence[int], params: Mapping[str, int], allow_permute: bool) -> bool:
-        if self.cond is not None and not self.cond(params):
-            return False
-        tuples = [self.preds]
-        if self.permute and allow_permute:
-            tuples = list(set(permutations(self.preds)))
-        return any(all(_match1(p, c) for p, c in zip(t, coeffs)) for t in tuples)
-
-
-@dataclass(frozen=True)
-class TableBlock:
-    name: str
-    applies: Callable[[Mapping[str, int]], bool]
-    rows: tuple[TableRow, ...]
-    imported: bool = False
-    # The general rank-3 splitting block lists its hyperbolic region as
-    # "everything with e,f >= 2 except the not-hyperbolic column"; the same
-    # proviso governs its parameter-dependent threshold rows, so in this
-    # block a not-hyperbolic match silences every hyperbolic row.
-    hyp_yields_to_nothyp: bool = False
-
-
-def _rows(hyp, nothyp, open_):
-    rows = [TableRow(HYPERBOLIC, p) for p in hyp]
-    rows += [TableRow(NOT_HYPERBOLIC, p) for p in nothyp]
-    rows += [TableRow(OPEN, p) for p in open_]
-    return tuple(rows)
-
-
-VERDICT_TABLES: dict[str, tuple[TableBlock, ...]] = {}
-
-VERDICT_TABLES["2.0.1"] = (
-    TableBlock(
-        "l=0",
-        lambda p: p["l"] == 0,
-        _rows(
-            [(_ge(3), _ge(4)), (_eq(2), _ge(5))],
-            [(_le(1), _ANY), (_ANY, _le(3)), (_eq(2), _eq(4))],
-            [],
-        ),
-        imported=True,
-    ),
-    TableBlock(
-        "l=1",
-        lambda p: p["l"] == 1,
-        _rows(
-            [(_ge(3), _ge(4)), (_eq(2), _ge(5)), (_ge(5), _eq(0))],
-            [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_le(4), _eq(0))],
-            [],
-        ),
-        imported=True,
-    ),
-    TableBlock(
-        "l=2",
-        lambda p: p["l"] == 2,
-        _rows(
-            [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
-            [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_eq(2), _eq(0))],
-            [(_eq(2), _in(4, 5, 6)), (_eq(3), _eq(0))],
-        ),
-    ),
-    TableBlock(
-        "l=3",
-        lambda p: p["l"] == 3,
-        _rows(
-            [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
-            [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
-            [(_eq(2), _in(4, 5, 6)), (_in(2, 3), _eq(0))],
-        ),
-    ),
-    TableBlock(
-        "l>=4",
-        lambda p: p["l"] >= 4,
-        _rows(
-            [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(3), _eq(0))],
-            [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
-            [(_eq(2), _in(4, 5, 6)), (_eq(2), _eq(0))],
-        ),
-    ),
-)
-
-VERDICT_TABLES["2.0.2"] = (
-    TableBlock(
-        "l1=l2=0",
-        lambda p: p["l1"] == 0 and p["l2"] == 0,
-        _rows(
-            [(_ge(4), _ge(3)), (_ge(5), _eq(2))],
-            [(_le(3), _ANY), (_ANY, _le(1)), (_eq(4), _eq(2))],
-            [],
-        ),
-        imported=True,
-    ),
-    TableBlock(
-        "l1=0,l2>=1",
-        lambda p: p["l1"] == 0 and p["l2"] >= 1,
-        _rows(
-            [(_ge(5), _ge(2))],
-            [(_le(3), _ANY), (_ANY, _le(1))],
-            [(_eq(4), _ge(2))],
-        ),
-    ),
-    TableBlock(
-        "l1>=1",
-        lambda p: p["l1"] >= 1,
-        _rows(
-            [(_ge(5), _ANY)],
-            [(_le(3), _ANY)],
-            [(_eq(4), _ANY)],
-        ),
-    ),
-)
-
-VERDICT_TABLES["3.0.1"] = (
-    TableBlock(
-        "(0,0,0)",
-        lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
-        (
-            TableRow(HYPERBOLIC, (_ge(3), _ge(3), _ge(3)), permute=True),
-            TableRow(HYPERBOLIC, (_eq(2), _ge(4), _ge(4)), permute=True, uncertain_permutation=True),
-            TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
-            # The product symmetry extends the next row to all coordinate
-            # orders, matching the low-genus boundary locus exactly.
-            TableRow(NOT_HYPERBOLIC, (_eq(2), _le(3), _ANY), permute=True),
-        ),
-        imported=True,
-    ),
-    TableBlock(
-        "(>=1,0,0)",
-        lambda p: p["r"] >= 1 and p["a"] == 0 and p["b"] == 0,
-        (
-            TableRow(HYPERBOLIC, (_ge(2), _ge(3), _ge(3))),
-            TableRow(HYPERBOLIC, (_ge(3), _ge(4), _eq(2))),
-            TableRow(
-                HYPERBOLIC,
-                (_ge(2), _eq(2), _ge(4)),
-                cond=lambda p: p["r"] != 1,
-            ),
-            TableRow(
-                HYPERBOLIC,
-                (_ge(3), _eq(2), _ge(4)),
-                cond=lambda p: p["r"] == 1,
-            ),
-            TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _in(2, 3))),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _eq(3), _eq(2))),
-            TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2))),
-            TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=lambda p: p["r"] == 1),
-        ),
-        imported=True,
-    ),
-    TableBlock(
-        "(>=3,>=3,>=1)",
-        lambda p: p["r"] >= 3 and p["a"] >= 3 and p["b"] >= 1,
-        (
-            TableRow(HYPERBOLIC, (_ANY, _ge(2), _ge(3))),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _le(1), _ANY)),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
-            TableRow(OPEN, (_ANY, _ge(2), _eq(2))),
-        ),
-    ),
-    TableBlock(
-        "general",
-        lambda p: True,
-        hyp_yields_to_nothyp=True,
-        rows=(
-            TableRow(NOT_HYPERBOLIC, (_le(0), _le(1), _ANY)),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
-            TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=lambda p: p["b"] == 0),
-            TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=lambda p: p["a"] == 0),
-            TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=lambda p: p["a"] == 0),
-            TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=lambda p: p["a"] == 1),
-            TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=lambda p: p["a"] == 2),
-            TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=lambda p: p["r"] == 0),
-            TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=lambda p: p["r"] == 0),
-            TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=lambda p: p["r"] == 1),
-            TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=lambda p: p["r"] == 2),
-        ),
-    ),
-)
-
-
-VERDICT_TABLES["3.0.2"] = (
-    TableBlock(
-        "(0,0)",
-        lambda p: p["r"] == 0 and p["a"] == 0,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [
-                (_ANY, _ANY, _le(1)),
-                (_ANY, _le(1), _ANY),
-                (_le(1), _ge(2), _ge(2)),
-                (_eq(2), _eq(2), _ge(2)),
-                (_eq(2), _ge(2), _eq(2)),
-            ],
-            [(_eq(2), _ge(3), _ge(3)), (_eq(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
-        ),
-    ),
-    TableBlock(
-        "(0,>=1)",
-        lambda p: p["r"] == 0 and p["a"] >= 1,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _ge(2))],
-            [(_in(2, 3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
-        ),
-    ),
-    TableBlock(
-        "(>=1,0)",
-        lambda p: p["r"] >= 1 and p["a"] == 0,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [
-                (_ANY, _ANY, _le(1)),
-                (_ANY, _le(1), _ANY),
-                (_le(1), _ge(2), _ge(2)),
-                (_eq(2), _ge(2), _eq(2)),
-            ],
-            [(_eq(2), _ge(2), _ge(3)), (_eq(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _eq(3))],
-        ),
-    ),
-    TableBlock(
-        "(>=1,1)",
-        lambda p: p["r"] >= 1 and p["a"] == 1,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _eq(2))],
-            [(_le(3), _ge(2), _ge(3)), (_ge(4), _ge(2), _in(2, 3))],
-        ),
-    ),
-    TableBlock(
-        "(>=1,2)",
-        lambda p: p["r"] >= 1 and p["a"] == 2,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_eq(0), _ge(2), _eq(2))],
-            [(_eq(0), _ge(2), _ge(3)), (_in(1, 2, 3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
-        ),
-    ),
-    TableBlock(
-        "(>=1,>=3)",
-        lambda p: p["r"] >= 1 and p["a"] >= 3,
-        _rows(
-            [(_ge(4), _ge(2), _ge(4))],
-            [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY)],
-            [(_le(3), _ge(2), _ge(2)), (_ge(4), _ge(2), _in(2, 3))],
-        ),
-    ),
-)
-
-
-def _blocks_311():
-    hyp = [(_ge(4), _ge(3), _ge(2)), (_ge(4), _eq(2), _ge(3)), (_ge(4), _eq(0), _ge(5))]
-    nothyp = [(_in(1, 2, 3), _ANY, _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(1), _ANY)]
-    open_ = [(_ge(4), _eq(2), _eq(2)), (_ge(4), _eq(0), _in(2, 3, 4))]
-    return (
-        TableBlock(
-            "b1=0",
-            lambda p: p["b1"] == 0,
-            _rows(
-                hyp,
-                nothyp + [(_eq(0), _eq(0), _le(3)), (_eq(0), _ge(2), _le(3))],
-                open_ + [(_eq(0), _ge(2), _ge(4)), (_eq(0), _eq(0), _ge(4))],
-            ),
-        ),
-        TableBlock(
-            "b1=1",
-            lambda p: p["b1"] == 1,
-            _rows(
-                hyp,
-                nothyp + [(_eq(0), _eq(0), _le(2)), (_eq(0), _ge(2), _le(2))],
-                open_ + [(_eq(0), _ge(2), _ge(3)), (_eq(0), _eq(0), _ge(3))],
-            ),
-        ),
-        TableBlock(
-            "b1>=2",
-            lambda p: p["b1"] >= 2,
-            _rows(
-                hyp,
-                nothyp,
-                open_ + [(_eq(0), _ge(2), _ge(2)), (_eq(0), _eq(0), _ge(2))],
-            ),
-        ),
-    )
-
-
-VERDICT_TABLES["3.1.1"] = _blocks_311()
-
-
-def _blocks_312():
-    hyp = [(_ge(4), _ge(4), _ge(1))]
-    nothyp = [(_in(1, 2, 3), _ANY, _ANY), (_ANY, _in(1, 2, 3), _ANY)]
-    open_ = [(_ge(4), _ge(4), _eq(0)), (_ge(4), _eq(0), _ge(2))]
-    return (
-        TableBlock(
-            "b1=0",
-            lambda p: p["b1"] == 0,
-            _rows(
-                hyp,
-                nothyp
-                + [(_eq(0), _ge(4), _le(1)), (_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(3))],
-                open_ + [(_eq(0), _ge(4), _ge(2)), (_eq(0), _eq(0), _ge(4))],
-            ),
-        ),
-        TableBlock(
-            "b1=1",
-            lambda p: p["b1"] == 1,
-            _rows(
-                hyp,
-                nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(2))],
-                open_ + [(_eq(0), _ge(4), _ANY), (_eq(0), _eq(0), _ge(3))],
-            ),
-        ),
-        TableBlock(
-            "b1>=2",
-            lambda p: p["b1"] >= 2,
-            _rows(
-                hyp,
-                nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(1))],
-                open_ + [(_eq(0), _ge(4), _ANY), (_eq(0), _eq(0), _ge(2))],
-            ),
-        ),
-    )
-
-
-VERDICT_TABLES["3.1.2"] = _blocks_312()
-
-VERDICT_TABLES["3.1.3"] = (
-    TableBlock(
-        "c2=0",
-        lambda p: p["c2"] == 0,
-        _rows(
-            [(_ge(2), _ge(4), _ge(2))],
-            [
-                (_ANY, _in(1, 2, 3), _ANY),
-                (_ANY, _ANY, _le(1)),
-                (_le(1), _ge(4), _ge(2)),
-                (_ANY, _eq(0), _le(3)),
-                (_le(1), _eq(0), _ANY),
-            ],
-            [(_ge(2), _eq(0), _ge(4))],
-        ),
-    ),
-    TableBlock(
-        "b1=0,c2=1",
-        lambda p: p["b1"] == 0 and p["c2"] == 1,
-        _rows(
-            [(_ge(1), _ge(4), _ge(2))],
-            [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
-            [(_eq(0), _ge(4), _ge(2)), (_ANY, _eq(0), _ge(4))],
-        ),
-    ),
-    TableBlock(
-        "c2-positive",
-        lambda p: (p["b1"] == 0 and p["c2"] >= 2) or (p["b1"] >= 1 and p["c2"] >= 1),
-        _rows(
-            [(_ANY, _ge(4), _ge(2))],
-            [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
-            [(_ANY, _eq(0), _ge(4))],
-        ),
-    ),
-)
-
-VERDICT_TABLES["3.1.4"] = (
-    TableBlock(
-        "b1=b2=0",
-        lambda p: p["b1"] == 0 and p["b2"] == 0,
-        _rows(
-            [(_ge(1), _ge(2), _ge(4))],
-            [
-                (_ANY, _ANY, _in(1, 2, 3)),
-                (_ANY, _le(1), _ANY),
-                (_ANY, _le(3), _eq(0)),
-                (_le(1), _ANY, _eq(0)),
-            ],
-            [(_eq(0), _ge(2), _ge(4)), (_ge(2), _ge(4), _eq(0))],
-        ),
-    ),
-    TableBlock(
-        "one-positive",
-        lambda p: (p["b1"] >= 1 and p["b2"] == 0) or (p["b1"] == 0 and p["b2"] >= 1),
-        _rows(
-            [(_ANY, _ge(2), _ge(4))],
-            [
-                (_ANY, _ANY, _in(1, 2, 3)),
-                (_ANY, _le(1), _ANY),
-                (_ANY, _le(3), _eq(0)),
-                (_le(1), _ANY, _eq(0)),
-            ],
-            [(_ge(2), _ge(4), _eq(0))],
-        ),
-    ),
-    TableBlock(
-        "both-positive",
-        lambda p: p["b1"] >= 1 and p["b2"] >= 1,
-        _rows(
-            [(_ANY, _ge(2), _ge(4))],
-            [(_ANY, _ANY, _in(1, 2, 3)), (_ANY, _le(1), _ANY), (_ANY, _le(3), _eq(0))],
-            [(_ANY, _ge(4), _eq(0))],
-        ),
-    ),
-)
-
-VERDICT_TABLES["3.1.5"] = (
-    TableBlock(
-        "all",
-        lambda p: True,
-        _rows(
-            [(_ge(2), _ANY, _ge(5)), (_ge(2), _ge(1), _eq(4))],
-            [
-                (_ANY, _ANY, _in(1, 2, 3)),
-                (_in(0, 1), _ANY, _ANY),
-                (_in(2, 3), _ANY, _eq(0)),
-                (_ANY, _in(0, 1), _eq(0)),
-            ],
-            [(_ge(2), _eq(0), _eq(4)), (_ge(4), _ge(2), _eq(0))],
-        ),
-    ),
-)
-
-
-def _general_301_hyp_rows(p: Mapping[str, int]) -> list[TableRow]:
-    """Parameter-dependent hyperbolic thresholds of the general block.
-
-    The whole column is guarded by e, f >= 2, so the thresholds are
-    tightened to at least 2 coordinate-wise.
-    """
-    r, a, b = p["r"], p["a"], p["b"]
-    lo = lambda t: _ge(max(2, t))
-    return [
-        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(4 - b), lo(3))),
-        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(3 - b), lo(4))),
-        TableRow(HYPERBOLIC, (_ge(3 - a - r), lo(4 - b), lo(4))),
-    ]
-
-
 @dataclass(frozen=True)
 class TableOutcome:
     value: str
@@ -813,8 +222,8 @@ def _lookup_in_block(
     block: TableBlock, params: Mapping[str, int], coeffs: Sequence[int], allow_uncertain: bool
 ) -> tuple[str, ...]:
     rows = list(block.rows)
-    if block.name == "general":
-        rows += _general_301_hyp_rows(params)
+    if block.param_rows is not None:
+        rows += block.param_rows(params)
     matched = []
     nothyp_hit = any(
         r.matches(coeffs, params, allow_permute=True)
@@ -841,7 +250,7 @@ def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
     """
     params = spec.as_dict()
     coeffs = tuple(int(c) for c in coeffs)
-    block = next((b for b in VERDICT_TABLES[spec.case_id] if b.applies(params)), None)
+    block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
     if block is None:
         return TableOutcome(UNLISTED, (), None, False, False)
     matched = _lookup_in_block(block, params, coeffs, allow_uncertain=True)
@@ -969,7 +378,7 @@ def sweep(
     """Derived and reference verdicts over a coefficient grid."""
     from itertools import product
 
-    names = COEFF_NAMES[spec.case_id]
+    names = CASES[spec.case_id].coeff_names
     for coeffs in product(coeff_range, repeat=len(names)):
         verdict = derive_verdict(spec, coeffs, bound)
         row = {"case": spec.case_id}

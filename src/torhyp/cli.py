@@ -20,6 +20,7 @@ from . import divisors as _div
 from . import fans as _fans
 from . import polytopes as _poly
 from . import toric_ideal as _ti
+from .catalog import CASES
 
 SCHEMA = "torhyp/1"
 
@@ -52,19 +53,15 @@ def _json_default(obj):
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", help="family case id, e.g. 2.0.1")
     p.add_argument("--fan", help="path to a fan JSON file (generic input)")
-    for name in ("l", "l1", "l2", "r", "a", "b", "b1", "b2", "c2"):
+    for name in dict.fromkeys(n for record in CASES.values() for n in record.params):
         p.add_argument(f"--{name}", type=int, default=None)
 
 
 def _fan_from_args(args, need_catalog: bool = False) -> _fans.Fan:
     if args.case:
-        params = {
-            name: getattr(args, name)
-            for name in _fans.PARAM_NAMES[args.case]
-            if args.case in _fans.PARAM_NAMES
-        } if args.case in _fans.PARAM_NAMES else {}
-        if args.case not in _fans.CASE_IDS:
-            raise CliError(f"unknown case {args.case!r}; choose from {', '.join(_fans.CASE_IDS)}")
+        if args.case not in CASES:
+            raise CliError(f"unknown case {args.case!r}; choose from {', '.join(CASES)}")
+        params = {name: getattr(args, name) for name in CASES[args.case].params}
         missing = [n for n, v in params.items() if v is None]
         if missing:
             raise CliError(f"case {args.case} needs --{' --'.join(missing)}")
@@ -219,7 +216,7 @@ def cmd_classify(args) -> dict:
     coeffs = _coeffs_from_flag(fan, args.coeffs)
     verdict = _classify.derive_verdict(fan.family, coeffs, args.bound)
     out = {"case": fan.family.case_id, "params": fan.family.as_dict()}
-    out.update(dict(zip(_classify.COEFF_NAMES[fan.family.case_id], coeffs)))
+    out.update(dict(zip(CASES[fan.family.case_id].coeff_names, coeffs)))
     out.update(verdict.as_json())
     return out
 
@@ -228,9 +225,8 @@ def cmd_sweep(args) -> int:
     fan = _fan_from_args(args, need_catalog=True)
     lo, hi = (int(x) for x in args.range.split(".."))
     rows = _classify.sweep(fan.family, range(lo, hi + 1), args.bound)
-    names = ["case"] + list(_fans.PARAM_NAMES[fan.family.case_id]) + list(
-        _classify.COEFF_NAMES[fan.family.case_id]
-    ) + ["derived", "table", "agree"]
+    record = CASES[fan.family.case_id]
+    names = ["case", *record.params, *record.coeff_names, "derived", "table", "agree"]
     if args.out == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=names)
         writer.writeheader()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fans import Fan, find_containing_cone
+from .fans import Fan, family_record, find_containing_cone
 from .intlin import IntMat, smith_normal_form, solve_exact
 
 
@@ -115,21 +115,6 @@ def is_big(d: TDivisor) -> bool:
     return dimension(polytope_of(d)) == 3
 
 
-# Picard basis ray labels per case (row-label order of the presentation
-# matrix, which Tables elsewhere in the package follow).
-PIC_BASIS_LABELS: dict[str, tuple[str, ...]] = {
-    "2.0.1": ("D_2", "D_3"),
-    "2.0.2": ("D_3", "D_4"),
-    "3.0.1": ("D_1", "D_4", "D_6"),
-    "3.0.2": ("D_1", "D_4", "D_6"),
-    "3.1.1": ("D_v1", "D_u1", "D_z1"),
-    "3.1.2": ("D_v1", "D_u1", "D_z1"),
-    "3.1.3": ("D_v1", "D_u1", "D_z1"),
-    "3.1.4": ("D_v1", "D_u1", "D_z1"),
-    "3.1.5": ("D_v1", "D_u1", "D_z1"),
-}
-
-
 @dataclass(frozen=True)
 class PicBasis:
     """Chosen ray-divisor basis of the Picard group with its reduction map.
@@ -185,7 +170,7 @@ def picard_basis(fan: Fan) -> PicBasis:
     snf = smith_normal_form(a)
     if snf.diagonal() != (1, 1, 1):
         raise ValueError("ray matrix cokernel is not free; fan data corrupt")
-    basis = tuple(fan.label_index(lab) for lab in PIC_BASIS_LABELS[fan.family.case_id])
+    basis = tuple(fan.label_index(lab) for lab in family_record(fan)[0].pic_basis)
     others = tuple(i for i in range(fan.nrays) if i not in basis)
     k = fan.nrays - 3
     # Solve for the non-basis columns: B_T = -A_S (A_T)^{-1}, entrywise exact.
@@ -243,92 +228,40 @@ def canonical_class(fan: Fan) -> PicClass:
     return class_of(canonical_divisor(fan))
 
 
-# Reference data for the nine cases: nef and effective cone generators and
-# the canonical representative in the chosen basis.  Generators are given as
-# label -> coefficient maps; entries may depend on the family parameters.
+# Reference data from the case catalog: nef and effective cone generators
+# and the canonical representative in the chosen basis.
 
 
 def nef_generators(fan: Fan) -> list[TDivisor]:
-    case = _case(fan)
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        gens = [{"D_2": 1}, {"D_3": 1}]
-    elif case == "2.0.2":
-        gens = [{"D_3": 1}, {"D_4": 1}]
-    elif case == "3.0.1":
-        gens = [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}]
-    elif case == "3.0.2":
-        gens = [{"D_1": 1}, {"D_4": 1}, {"D_4": -p["b"], "D_6": 1}]
-    else:
-        gens = [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}]
-    return [divisor(fan, g) for g in gens]
+    record, p = family_record(fan)
+    return [divisor(fan, g) for g in record.nef(**p)]
 
 
 def eff_generators(fan: Fan) -> list[TDivisor]:
-    case = _case(fan)
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        labels = ["D_1", "D_3"]
-    elif case == "2.0.2":
-        labels = ["D_2", "D_4"]
-    elif case == "3.0.1":
-        labels = ["D_1", "D_3", "D_5"]
-    elif case == "3.0.2":
-        if p["a"] + p["b"] * p["r"] <= 0:
-            labels = ["D_1", "D_3", "D_6"]
-        else:
-            labels = ["D_1", "D_3", "D_5", "D_6"]
-    elif case == "3.1.3":
-        labels = ["D_u1", "D_y1", "D_t1"] if p["b1"] >= p["c2"] else ["D_u1", "D_y1", "D_z2"]
-    elif case == "3.1.4":
-        labels = ["D_u1", "D_y1", "D_t1"] if p["b1"] >= p["b2"] else ["D_u1", "D_y1", "D_t2"]
-    else:
-        labels = ["D_u1", "D_y1", "D_t1"]
-    return [ray_divisor(fan, lab) for lab in labels]
+    record, p = family_record(fan)
+    return [ray_divisor(fan, lab) for lab in record.eff(**p)]
 
 
 def canonical_reference_coords(fan: Fan) -> tuple[int, ...]:
     """Reference coordinates of the canonical class in the case basis."""
-    case = _case(fan)
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        return (-2, p["l"] - 3)
-    if case == "2.0.2":
-        return (-3, p["l1"] + p["l2"] - 2)
-    if case in ("3.0.1", "3.0.2"):
-        return (-2 + p["a"] + p["r"], -2 + p["b"], -2)
-    if case == "3.1.1":
-        return (p["b1"] - 2, -1, -2)
-    if case == "3.1.2":
-        return (p["b1"] - 2, 0, -2)
-    if case == "3.1.3":
-        return (p["b1"] + p["c2"] - 1, -1, -3)
-    if case == "3.1.4":
-        return (p["b1"] + p["b2"], -2, -3)
-    return (p["b1"] - 1, -2, -2)  # 3.1.5
+    record, p = family_record(fan)
+    return record.canonical(**p)
+
+
+def nef_combination(fan: Fan, combo: Sequence[int]) -> TDivisor:
+    """The divisor sum(c_i * N_i) over the nef cone generators N_i."""
+    record, p = family_record(fan)
+    coeffs = [0] * fan.nrays
+    for c, gen in zip(combo, record.nef(**p)):
+        for label, x in gen.items():
+            coeffs[fan.label_index(label)] += c * x
+    return TDivisor(fan, tuple(coeffs))
 
 
 def ample_reference(fan: Fan) -> TDivisor:
-    """The fixed ample class used for degree normalisation per case."""
-    case = _case(fan)
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        g = {"D_2": 1, "D_3": 1}
-    elif case == "2.0.2":
-        g = {"D_3": 1, "D_4": 1}
-    elif case == "3.0.1":
-        g = {"D_1": 1, "D_4": 1, "D_6": 1}
-    elif case == "3.0.2":
-        g = {"D_1": 1, "D_4": 1 - p["b"], "D_6": 1}
-    else:
-        g = {"D_v1": 1, "D_u1": 1, "D_z1": 2}
-    return divisor(fan, g)
-
-
-def _case(fan: Fan) -> str:
-    if fan.family is None:
-        raise ValueError("operation needs a catalog fan")
-    return fan.family.case_id
+    """The fixed ample class used for degree normalisation: the sum of the
+    nef cone generators."""
+    return nef_combination(fan, [1] * picard_basis(fan).rank)
 
 
 def nef_coordinates(fan: Fan, cls: PicClass) -> tuple[Fraction, ...]:

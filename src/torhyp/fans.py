@@ -1,9 +1,9 @@
 """Fans of the nine classified toric threefold families.
 
-A family is selected by a case id ("2.0.1" ... "3.1.5") together with its
-integer parameters.  Rays are primitive integer 3-vectors, maximal cones are
-3-element ray index sets, and primitive collections (the minimal ray sets not
-spanning a cone) are stored with their exact positive relations.
+A family is selected by a case id (a key of ``catalog.CASES``) together
+with its integer parameters.  Rays are primitive integer 3-vectors, maximal
+cones are 3-element ray index sets, and primitive collections (the minimal
+ray sets not spanning a cone) are stored with their exact positive relations.
 """
 
 from __future__ import annotations
@@ -13,23 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from .catalog import CASES, Case
 from .intlin import solve_3x3
 
 Vec3 = tuple[int, int, int]
 
-CASE_IDS = ("2.0.1", "2.0.2", "3.0.1", "3.0.2", "3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5")
-
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "2.0.1": ("l",),
-    "2.0.2": ("l1", "l2"),
-    "3.0.1": ("r", "a", "b"),
-    "3.0.2": ("r", "a", "b"),
-    "3.1.1": ("b1",),
-    "3.1.2": ("b1",),
-    "3.1.3": ("b1", "c2"),
-    "3.1.4": ("b1", "b2"),
-    "3.1.5": ("b1",),
-}
+CASE_IDS = tuple(CASES)
 
 
 class ParameterError(ValueError):
@@ -55,7 +44,7 @@ class FamilySpec:
     def make(cls, case_id: str, **params: int) -> "FamilySpec":
         if case_id not in CASE_IDS:
             raise ParameterError(f"unknown case id {case_id!r}")
-        names = PARAM_NAMES[case_id]
+        names = CASES[case_id].params
         missing = [n for n in names if n not in params]
         extra = [n for n in params if n not in names]
         if missing:
@@ -77,24 +66,9 @@ class FamilySpec:
 
     def validate(self) -> None:
         p = self.as_dict()
-        case = self.case_id
-        if case == "2.0.1" and p["l"] < 0:
-            raise ParameterError("l >= 0 required")
-        if case == "2.0.2":
-            if p["l1"] < 0:
-                raise ParameterError("l1 >= 0 required")
-            if p["l2"] < p["l1"]:
-                raise ParameterError("l2 >= l1 required")
-        if case in ("3.0.1", "3.0.2"):
-            if p["r"] < 0:
-                raise ParameterError("r >= 0 required")
-            if p["a"] < 0:
-                raise ParameterError("a >= 0 required")
-            if case == "3.0.1" and p["b"] < 0:
-                raise ParameterError("b >= 0 required in case 3.0.1")
-            if case == "3.0.2" and p["b"] >= 0:
-                raise ParameterError("b < 0 required in case 3.0.2")
-        # 3.1.x parameters are unrestricted integers.
+        for ok, violation in CASES[self.case_id].requires:
+            if not ok(p):
+                raise ParameterError(violation)
 
 
 @dataclass(frozen=True)
@@ -322,56 +296,11 @@ def is_splitting(collections: Sequence[PrimitiveCollection]) -> bool:
     return True
 
 
-# Catalog data: rays, labels and primitive collections per case (rays in the
-# printed order, so divisor indices are stable across the whole package).
-
-
-def _catalog_data(spec: FamilySpec):
-    p = spec.as_dict()
-    case = spec.case_id
-    if case == "2.0.1":
-        l = p["l"]
-        rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (l, -1, -1)]
-        labels = ["D_1", "D_2", "D_3", "D_4", "D_5"]
-        colls = [(0, 1), (2, 3, 4)]
-    elif case == "2.0.2":
-        l1, l2 = p["l1"], p["l2"]
-        rays = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (l1, l2, -1)]
-        labels = ["D_1", "D_2", "D_3", "D_4", "D_5"]
-        colls = [(0, 1, 2), (3, 4)]
-    elif case in ("3.0.1", "3.0.2"):
-        r, a, b = p["r"], p["a"], p["b"]
-        rays = [(1, 0, 0), (-1, r, a), (0, 1, 0), (0, -1, b), (0, 0, 1), (0, 0, -1)]
-        labels = ["D_1", "D_2", "D_3", "D_4", "D_5", "D_6"]
-        colls = [(0, 1), (2, 3), (4, 5)]
-    elif case == "3.1.1":
-        b1 = p["b1"]
-        rays = [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)]
-        labels = ["D_v1", "D_v2", "D_u1", "D_y1", "D_t1", "D_z1"]
-        colls = [(0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)]
-    elif case == "3.1.2":
-        b1 = p["b1"]
-        rays = [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)]
-        labels = ["D_v1", "D_u1", "D_y1", "D_y2", "D_t1", "D_z1"]
-        colls = [(0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)]
-    elif case == "3.1.3":
-        b1, c2 = p["b1"], p["c2"]
-        rays = [(1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)]
-        labels = ["D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"]
-        colls = [(0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)]
-    elif case == "3.1.4":
-        b1, b2 = p["b1"], p["b2"]
-        rays = [(1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)]
-        labels = ["D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"]
-        colls = [(0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)]
-    elif case == "3.1.5":
-        b1 = p["b1"]
-        rays = [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)]
-        labels = ["D_v1", "D_u1", "D_u2", "D_y1", "D_t1", "D_z1"]
-        colls = [(0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)]
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown case id {case!r}")
-    return rays, labels, colls
+def family_record(fan: Fan) -> tuple[Case, dict[str, int]]:
+    """The catalog record of a family fan, with the family's parameters."""
+    if fan.family is None:
+        raise ValueError("operation needs a catalog fan")
+    return CASES[fan.family.case_id], fan.family.as_dict()
 
 
 @lru_cache(maxsize=None)
@@ -383,11 +312,12 @@ def build_family_fan(spec: FamilySpec) -> Fan:
     minimal non-faces, serves as the consistency check.
     """
     spec.validate()
-    rays, labels, colls = _catalog_data(spec)
+    record = CASES[spec.case_id]
+    rays, labels, colls = tuple(record.rays(**spec.as_dict())), record.labels, record.collections
     cones = cones_from_collections(rays, colls)
-    fan = Fan(tuple(rays), cones, tuple(labels), family=spec)
+    fan = Fan(rays, cones, labels, family=spec)
     filled = tuple(primitive_relation(fan, c) for c in colls)
-    fan = Fan(tuple(rays), cones, tuple(labels), collections=filled, family=spec)
+    fan = Fan(rays, cones, labels, collections=filled, family=spec)
     if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
         raise FanGeometryError("stored collections disagree with recomputed minimal non-faces")
     return fan

@@ -15,10 +15,6 @@ from typing import Iterable, Sequence
 Vec = tuple[int, ...]
 
 
-class InconsistentSystemError(ValueError):
-    """The linear system has no solution at all."""
-
-
 class UnderdeterminedSystemError(ValueError):
     """The linear system has more than one solution."""
 

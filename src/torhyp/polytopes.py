@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Sequence
 
 from .divisors import (
-    PicClass,
     TDivisor,
     class_of,
     is_nef,
+    nef_combination,
     nef_coordinates,
     nef_generators,
 )
@@ -211,10 +211,6 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
             for z in range(z_lo, z_hi + 1):
                 out.append((x, y, z))
     return tuple(sorted(out))
-
-
-def lattice_count(p: HPolytope) -> int:
-    return len(lattice_points(p))
 
 
 @dataclass(frozen=True)
@@ -498,12 +494,7 @@ def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:
 
 @lru_cache(maxsize=None)
 def _nef_combo_volume(fan: Fan, combo: tuple[int, ...]) -> Fraction:
-    gens = nef_generators(fan)
-    coeffs = [0] * fan.nrays
-    for c, g in zip(combo, gens):
-        for i, x in enumerate(g.coeffs):
-            coeffs[i] += c * x
-    return volume(polytope_of(TDivisor(fan, tuple(coeffs))))
+    return volume(polytope_of(nef_combination(fan, combo)))
 
 
 @lru_cache(maxsize=None)
@@ -516,7 +507,7 @@ def intersection_tensor(fan: Fan) -> dict:
     """
     rank = len(nef_generators(fan))
     tensor: dict[tuple[int, int, int], int] = {}
-    for idx in combinations_with_replacement_range(rank):
+    for idx in combinations_with_replacement(range(rank), 3):
         i, j, k = idx
         total = Fraction(0)
         slots = (i, j, k)
@@ -531,12 +522,6 @@ def intersection_tensor(fan: Fan) -> dict:
             raise ValueError("non-integer generator triple product")
         tensor[idx] = int(total)
     return tensor
-
-
-def combinations_with_replacement_range(rank: int):
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(rank), 3)
 
 
 def _tensor_entry(tensor: dict, i: int, j: int, k: int) -> int:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .divisors import TDivisor, is_nef, picard_basis
-from .fans import Fan
+from .fans import Fan, family_record
 from .intlin import IntMat
 from .polytopes import lattice_points, offset_polytope
 
@@ -59,74 +59,14 @@ class FiberCertificate:
 
 def encoded_gale_rows(fan: Fan) -> list[list[int]]:
     """The package's reference B per case, parameters substituted."""
-    case = fan.family.case_id
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        l = p["l"]
-        return [[1, 1, 0, 0, 0], [-l, 0, 1, 1, 1]]
-    if case == "2.0.2":
-        l1, l2 = p["l1"], p["l2"]
-        return [[1, 1, 1, 0, 0], [-l1, -l2, 0, 1, 1]]
-    if case in ("3.0.1", "3.0.2"):
-        r, a, b = p["r"], p["a"], p["b"]
-        return [[1, 1, -r, 0, -a, 0], [0, 0, 1, 1, -b, 0], [0, 0, 0, 0, 1, 1]]
-    if case == "3.1.1":
-        b1 = p["b1"]
-        return [[1, 1, 0, 1, -b1 - 1, 0], [0, 0, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]]
-    if case == "3.1.2":
-        b1 = p["b1"]
-        return [[1, 0, 1, 1, -b1 - 1, 0], [0, 1, -1, -1, 1, 0], [0, 0, 0, 0, 1, 1]]
-    if case == "3.1.3":
-        b1, c2 = p["b1"], p["c2"]
-        return [[1, 0, 1, -b1 - 1, 0, -c2], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, 1, 1]]
-    if case == "3.1.4":
-        b1, b2 = p["b1"], p["b2"]
-        return [[1, 0, 1, -b1 - 1, -b2 - 1, 0], [0, 1, -1, 1, 1, 0], [0, 0, 0, 1, 1, 1]]
-    if case == "3.1.5":
-        b1 = p["b1"]
-        return [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]]
-    raise ValueError(f"no encoded matrix for case {case!r}")
+    record, p = family_record(fan)
+    return record.gale_rows(**p)
 
 
 def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     """The reference Markov move set per case, parameters substituted."""
-    case = fan.family.case_id
-    p = fan.family.as_dict()
-    if case == "2.0.1":
-        l = p["l"]
-        cols = [[1, -1, 0, 0, l], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]
-    elif case == "2.0.2":
-        l1, l2 = p["l1"], p["l2"]
-        cols = [[1, -1, 0, 0, l1 - l2], [0, 1, -1, 0, l2], [0, 0, 0, 1, -1]]
-    elif case in ("3.0.1", "3.0.2"):
-        r, a, b = p["r"], p["a"], p["b"]
-        cols = [[1, -1, 0, 0, 0, 0], [0, r, 1, -1, 0, 0], [0, a + b * r, b, 0, 1, -1]]
-    elif case == "3.1.1":
-        b1 = p["b1"]
-        cols = [[1, 0, -1, -1, 0, 0], [0, 1, -1, -1, 0, 0], [0, 0, b1, b1 + 1, 1, -1]]
-    elif case == "3.1.2":
-        b1 = p["b1"]
-        cols = [[1, -1, -1, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, b1, b1 + 1, 0, 1, -1]]
-    elif case == "3.1.3":
-        b1, c2 = p["b1"], p["c2"]
-        cols = [
-            [1, -1, -1, 0, 0, 0],
-            [0, b1, b1 + 1, 1, -1, 0],
-            [0, b1 - c2, b1 + 1 - c2, 1, 0, -1],
-        ]
-    elif case == "3.1.4":
-        b1, b2 = p["b1"], p["b2"]
-        cols = [
-            [1, -1, -1, 0, 0, 0],
-            [0, b1, b1 + 1, 1, 0, -1],
-            [0, b1 - b2, b1 - b2, 1, -1, 0],
-        ]
-    elif case == "3.1.5":
-        b1 = p["b1"]
-        cols = [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]]
-    else:
-        raise ValueError(f"no encoded move set for case {case!r}")
-    return tuple(tuple(c) for c in cols)
+    record, p = family_record(fan)
+    return tuple(tuple(c) for c in record.markov(**p))
 
 
 @lru_cache(maxsize=None)
@@ -176,33 +116,27 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-_PACK_BASE = 4096
-_PACK_OFFSET = 1024
-_PACK_LIMIT = 900
-
-
 def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
     """Connectivity of the fiber under the signed moves.
 
-    Elements are packed into single integers (offset digits in a base wide
-    enough that componentwise addition never carries), so each BFS step is
-    one integer addition and a set lookup.
+    Elements are packed into single integers, digit i of v being
+    v_i + offset in base 2 * offset + 1, so each BFS step is one integer
+    addition and a set lookup.  The offset is the largest |coordinate| of
+    the fiber plus that of the moves: every digit v_i + d_i + offset of a
+    reached element plus a signed move then lies in [0, base), so a packed
+    sum equals a packed member exactly when the vectors are equal.
     """
     if len(fiber) <= 1:
         return True
     if not moves:
         return False
-    small = all(
-        all(abs(x) <= _PACK_LIMIT for x in v) for v in fiber
-    ) and all(all(abs(x) <= _PACK_LIMIT for x in m) for m in moves)
-    if not small:  # pragma: no cover - desk-scale inputs never get here
-        return _connected_under_tuples(fiber, moves)
-    weights = [_PACK_BASE**i for i in range(len(fiber[0]))]
+    offset = max(abs(x) for v in fiber for x in v) + max(abs(x) for m in moves for x in m)
+    weights = [(2 * offset + 1) ** i for i in range(len(fiber[0]))]
 
-    def pack(v, offset):
-        return sum((x + offset) * w for x, w in zip(v, weights))
+    def pack(v, shift):
+        return sum((x + shift) * w for x, w in zip(v, weights))
 
-    members = {pack(v, _PACK_OFFSET) for v in fiber}
+    members = {pack(v, offset) for v in fiber}
     deltas = set()
     for m in moves:
         p = pack(m, 0)
@@ -223,22 +157,6 @@ def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
         if len(seen) == n:
             return True
     return len(seen) == n
-
-
-def _connected_under_tuples(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
-    members = set(fiber)
-    start = fiber[0]
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        for mv in moves:
-            for sgn in (1, -1):
-                w = tuple(x + sgn * y for x, y in zip(v, mv))
-                if w in members and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(seen) == len(members)
 
 
 def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) -> bool:

@@ -260,3 +260,35 @@ def test_verdict_contradiction_flag():
     assert v.contradicts_table
     low = v.evidence
     assert low["face_dim"] == 1 and low["genus"] == 0
+
+
+# Surface classes and the ample reference are combinations of the nef
+# generators; these values pin both to the case formulas they replaced,
+# including negative parameters.
+DERIVED_FACTS = [
+    ("2.0.1", {"l": 2}, (2, 3), {"D_2": 2, "D_3": 3}, {"D_2": 1, "D_3": 1}),
+    ("2.0.2", {"l1": 1, "l2": 3}, (2, 3), {"D_3": 2, "D_4": 3}, {"D_3": 1, "D_4": 1}),
+    ("3.0.1", {"r": 1, "a": 2, "b": 3}, (1, 2, 3),
+     {"D_1": 1, "D_4": 2, "D_6": 3}, {"D_1": 1, "D_4": 1, "D_6": 1}),
+    ("3.0.2", {"r": 1, "a": 2, "b": -2}, (1, 2, 3),
+     {"D_1": 1, "D_4": 8, "D_6": 3}, {"D_1": 1, "D_4": 3, "D_6": 1}),
+    ("3.1.1", {"b1": -2}, (1, 2, 3),
+     {"D_v1": 1, "D_u1": 3, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+    ("3.1.2", {"b1": 3}, (2, 0, 1),
+     {"D_v1": 2, "D_u1": 1, "D_z1": 1}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+    ("3.1.3", {"b1": -1, "c2": 2}, (0, 4, 1),
+     {"D_u1": 1, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+    ("3.1.4", {"b1": 2, "b2": -1}, (3, 1, 0),
+     {"D_v1": 3, "D_z1": 1}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+    ("3.1.5", {"b1": 0}, (1, 2, 3),
+     {"D_v1": 1, "D_u1": 3, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "case,params,coeffs,surface,ample", DERIVED_FACTS, ids=[row[0] for row in DERIVED_FACTS]
+)
+def test_derived_surface_and_ample_classes(case, params, coeffs, surface, ample):
+    fan = family_fan(case, **params)
+    assert surface_divisor(fan, coeffs).label_dict() == surface
+    assert ample_reference(fan).label_dict() == ample

@@ -178,3 +178,17 @@ def test_connected_sections_requires_nef():
     fan = family_fan("2.0.1", l=1)
     with pytest.raises(ValueError):
         connected_sections_check(divisor(fan, {"D_2": -1}), ray_divisor(fan, "D_2"))
+
+
+def test_large_coordinates_pack_exactly():
+    # Coordinates near a thousand: the packed BFS must widen its digits
+    # rather than alias distinct fiber elements.
+    fan = family_fan("2.0.2", l1=0, l2=950)
+    cert = markov_verify(fan, markov_candidate(fan), bound=2)
+    assert cert.as_json() == {
+        "bound": 2, "fibers_checked": 10, "connected": True, "failing_fiber": None
+    }
+    fan = family_fan("3.1.3", b1=-950, c2=0)
+    cert = markov_verify(fan, markov_candidate(fan), bound=1)
+    assert not cert.connected
+    assert cert.failing_fiber == (0, 0, 1)
