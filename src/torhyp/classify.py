@@ -30,7 +30,7 @@ from .divisors import (
     nef_combination,
 )
 from .fans import FamilySpec, Fan, ParameterError, build_family_fan, family_record
-from .polytopes import dimension, interior_lattice_count, min_face, polytope_of, triple_intersection
+from .polytopes import intersection_matrix, triple_intersection
 from .toric_ideal import DEFAULT_MARKOV_BOUND, FiberCertificate, markov_verify, section_difference_moves
 
 UNLISTED = "Unlisted"
@@ -104,25 +104,36 @@ class BoundaryProfile:
 
 
 def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
-    """Per-ray minimum faces with their interior lattice counts.
+    """Per-ray minimum faces of P(D) with their interior lattice counts,
+    read off the intersection form.
 
-    For a big divisor every one-dimensional face yields a rational boundary
-    curve and every two-dimensional face a curve whose genus is the face's
-    interior count; zero-dimensional faces yield no curve.  A nontrivial
-    divisor that is not big always has a genus-zero boundary curve, which
-    the profile records by the big flag.
+    D is big iff D^3 > 0.  The face of ray rho is the polytope of the nef
+    restriction C = D|D_rho: it is 2-dimensional iff C^2 = D^2.D_rho > 0,
+    and a point iff C has degree D.D_rho.D_k = 0 on every boundary curve
+    D_rho.D_k of D_rho.  For a big D every one-dimensional face yields a
+    rational boundary curve and every two-dimensional face a curve whose
+    genus is the face's interior count, by adjunction on D_rho:
+    2g - 2 = D.D_rho.(D + D_rho + K).  Zero-dimensional faces yield no
+    curve.  A nontrivial divisor that is not big always has a genus-zero
+    boundary curve, which the profile records by the big flag; its faces
+    count zero interior points, P(D) being flat.
     """
     if class_of(d).is_zero():
         raise ValueError("the zero class has no boundary profile")
     if not is_nef(d):
         raise ValueError("boundary profiles assume a nef divisor")
-    big = dimension(polytope_of(d)) == 3
+    matrix = intersection_matrix(d)
+    squares = [sum(x * m for x, m in zip(d.coeffs, row)) for row in matrix]
+    big = sum(x * s for x, s in zip(d.coeffs, squares)) > 0
     entries = []
-    for i in range(d.fan.nrays):
-        face = min_face(d, i)
-        entries.append(
-            BoundaryEntry(i, d.fan.ray_labels[i], face.dim, interior_lattice_count(face))
-        )
+    for i, (row, square) in enumerate(zip(matrix, squares)):
+        if square > 0:
+            dim = 2
+        else:
+            dim = 1 if any(m for k, m in enumerate(row) if k != i) else 0
+        # K = -(sum of all D_k), so D.D_rho.(D + D_rho + K) reads off the row.
+        count = 1 + (square + row[i] - sum(row)) // 2 if big and dim == 2 else 0
+        entries.append(BoundaryEntry(i, d.fan.ray_labels[i], dim, count))
     return BoundaryProfile(d, big, tuple(entries))
 
 

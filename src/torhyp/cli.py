@@ -290,14 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "bound", None) is None and hasattr(args, "bound"):
-            args.bound = _bound_default()
+        if hasattr(args, "bound"):
+            if args.bound is None:
+                args.bound = _bound_default()
+            if args.bound < 1:
+                raise CliError(f"the Markov bound must be at least 1, got {args.bound}")
         if args.verb == "sweep":
             return cmd_sweep(args)
         out = args.fn(args)
         _emit(out, args.pretty)
         return 0
-    except (CliError, _fans.ParameterError, ValueError) as exc:
+    except (CliError, _fans.ParameterError, ValueError, _poly.EnumerationGuardError) as exc:
         _emit({"error": str(exc)}, getattr(args, "pretty", False))
         return 1
     except _ti.InternalInconsistencyError as exc:

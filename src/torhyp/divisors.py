@@ -107,12 +107,12 @@ def _positivity(d: TDivisor, strict: bool) -> bool:
 
 
 def is_big(d: TDivisor) -> bool:
-    """A nef divisor is big iff its polytope is full-dimensional."""
+    """A nef divisor is big iff its top self-intersection D^3 is positive."""
     if not is_nef(d):
-        raise ValueError("bigness via polytope dimension assumes a nef divisor")
-    from .polytopes import dimension, polytope_of
+        raise ValueError("bigness via D^3 assumes a nef divisor")
+    from .polytopes import triple_intersection
 
-    return dimension(polytope_of(d)) == 3
+    return triple_intersection(d, d, d) > 0
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 P(D) = {m : <m, u_rho> >= -a_rho for every ray}.  Vertex enumeration is by
 brute-force triples of inequalities (at most 6 inequalities here), lattice
-points by sliced integer scans, volumes by fan triangulation around the
-vertex centroid, and triple intersection numbers by polarisation of the
-Euclidean volume over the nef-cone generators.
+points by sliced integer scans and volumes by fan triangulation around the
+vertex centroid.  Triple intersection numbers come from the cones of the
+fan alone, as one cached integer tensor over the ray divisors.  Faces of
+P(D) and their interior lattice points, counted by a strict-inequality
+scan, are the independent check of the boundary genera that ``classify``
+reads off that tensor.
 """
 
 from __future__ import annotations
@@ -12,18 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import gcd
+from itertools import combinations
 from typing import Sequence
 
-from .divisors import (
-    TDivisor,
-    class_of,
-    is_nef,
-    nef_combination,
-    nef_coordinates,
-    nef_generators,
-)
+from .divisors import TDivisor, divisor_from_class, is_nef
 from .fans import Fan
 from .intlin import solve_3x3
 
@@ -244,9 +239,8 @@ class Face2:
 
     polytope: HPolytope
     ray_index: int
-    vertices: tuple[QVec3, ...]  # cyclic order for 2-dimensional faces
+    vertices: tuple[QVec3, ...]
     dim: int
-    plane_basis: tuple[Vec3, Vec3] | None
 
 
 @lru_cache(maxsize=None)
@@ -307,14 +301,10 @@ def min_face(d: TDivisor, ray_index: int) -> Face2:
     so the face is the subset where that inequality is tight.
     """
     p = polytope_of(d)
-    verts = vertices(p)
     normal = p.normals[ray_index]
     rhs = p.rhs[ray_index]
-    face_verts = [v for v in verts if _dot(v, normal) == rhs]
-    dim = _affine_dim(face_verts)
-    basis = _plane_lattice_basis(normal) if dim == 2 else None
-    ordered = _cyclic_order(face_verts, basis) if dim == 2 else tuple(sorted(face_verts))
-    return Face2(p, ray_index, ordered, dim, basis)
+    face_verts = tuple(v for v in vertices(p) if _dot(v, normal) == rhs)
+    return Face2(p, ray_index, face_verts, _affine_dim(face_verts))
 
 
 def _affine_dim(points: Sequence) -> int:
@@ -352,62 +342,11 @@ def _affine_dim(points: Sequence) -> int:
 
 
 def interior_lattice_count(face: Face2) -> int:
-    """Lattice points in the relative interior of the face.
+    """Lattice points of the face with every other inequality strict.
 
-    Faces of dimension 0 or 1 count zero.  Two-dimensional faces with
-    integral vertices are counted in their own plane lattice via Pick's
-    identity; non-integral faces fall back to the strict-inequality scan.
+    Points of faces of dimension 0 or 1 are tight on a second inequality,
+    and so are all points of a flat polytope, so those count zero.
     """
-    if face.dim < 2:
-        return 0
-    p = face.polytope
-    for i, (n, r) in enumerate(zip(p.normals, p.rhs)):
-        if i == face.ray_index:
-            continue
-        # Another inequality tight across the whole face (the polytope is
-        # flat there): no point can satisfy it strictly.
-        if all(_dot(v, n) == r for v in face.vertices):
-            return 0
-    if all(all(c.denominator == 1 for c in v) for v in face.vertices):
-        return _pick_interior(face)
-    return interior_lattice_count_by_scan(face)
-
-
-def _pick_interior(face: Face2) -> int:
-    b1, b2 = face.plane_basis  # type: ignore[misc]
-    v0 = face.vertices[0]
-    coords = []
-    for v in face.vertices:
-        d = (int(v[0] - v0[0]), int(v[1] - v0[1]), int(v[2] - v0[2]))
-        coords.append(_plane_coords(d, b1, b2))
-    area2 = 0
-    boundary = 0
-    n = len(coords)
-    for i in range(n):
-        x1, y1 = coords[i]
-        x2, y2 = coords[(i + 1) % n]
-        area2 += x1 * y2 - x2 * y1
-        boundary += gcd(abs(x2 - x1), abs(y2 - y1))
-    area2 = abs(area2)
-    # Pick: area = interior + boundary/2 - 1.
-    return (area2 - boundary + 2) // 2
-
-
-def _plane_coords(d: Vec3, b1: Vec3, b2: Vec3) -> tuple[int, int]:
-    """Integer coordinates of d in the plane lattice basis (b1, b2)."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = b1[i] * b2[j] - b1[j] * b2[i]
-        if det != 0:
-            alpha = d[i] * b2[j] - d[j] * b2[i]
-            beta = b1[i] * d[j] - b1[j] * d[i]
-            if alpha % det or beta % det:
-                raise ValueError("point not in the plane lattice")
-            return alpha // det, beta // det
-    raise ValueError("degenerate plane basis")
-
-
-def interior_lattice_count_by_scan(face: Face2) -> int:
-    """Independent interior count: every non-defining inequality strict."""
     p = face.polytope
     count = 0
     for m in lattice_points(p):
@@ -493,73 +432,74 @@ def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:
 
 
 @lru_cache(maxsize=None)
-def _nef_combo_volume(fan: Fan, combo: tuple[int, ...]) -> Fraction:
-    return volume(polytope_of(nef_combination(fan, combo)))
+def intersection_tensor(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Triple products D_a.D_b.D_c of the ray divisors of a smooth complete
+    fan, indexed [a][b][c].
 
-
-@lru_cache(maxsize=None)
-def intersection_tensor(fan: Fan) -> dict:
-    """Symmetric tensor of triple products of the nef-cone generators.
-
-    Each entry is obtained by polarising the volume: for divisor slots
-    (i, j, k), D_i.D_j.D_k = sum over nonempty slot subsets S of
-    (-1)^(3-|S|) vol(P(sum of the slots in S)).
+    Three distinct rays meet in one point when they span a maximal cone and
+    not at all otherwise.  A repeated factor D_a is traded for a linearly
+    equivalent sum: with sigma a maximal cone holding the other two factors
+    and m the dual vector of u_a in sigma (integral, sigma being
+    unimodular), div(chi^m) = D_a + sum(<m, u_rho> D_rho, rho outside sigma)
+    is principal, and each D_rho with rho outside sigma is distinct from the
+    other factors (Cox-Little-Schenck, Toric Varieties).
     """
-    rank = len(nef_generators(fan))
-    tensor: dict[tuple[int, int, int], int] = {}
-    for idx in combinations_with_replacement(range(rank), 3):
-        i, j, k = idx
-        total = Fraction(0)
-        slots = (i, j, k)
-        for size in (1, 2, 3):
-            sign = (-1) ** (3 - size)
-            for subset in combinations(range(3), size):
-                combo = [0] * rank
-                for s in subset:
-                    combo[slots[s]] += 1
-                total += sign * _nef_combo_volume(fan, tuple(combo))
-        if total.denominator != 1:
-            raise ValueError("non-integer generator triple product")
-        tensor[idx] = int(total)
-    return tensor
+    cones = {frozenset(c) for c in fan.max_cones}
+
+    @lru_cache(maxsize=None)
+    def product(key: tuple[int, int, int]) -> int:
+        if len(set(key)) == 3:
+            return 1 if frozenset(key) in cones else 0
+        a = key[1]  # sorted with a repeat: the middle index repeats
+        others = list(key)
+        others.remove(a)
+        sigma = next((c for c in fan.max_cones if set(others) <= set(c)), None)
+        if sigma is None:
+            return 0
+        m, det = solve_3x3([fan.rays[i] for i in sigma], [int(i == a) for i in sigma])
+        if det != 1:
+            raise ValueError(f"cone {sigma} is not unimodular")
+        return -sum(
+            _dot(m, u) * product(tuple(sorted((rho, *others))))
+            for rho, u in enumerate(fan.rays)
+            if rho not in sigma
+        )
+
+    n = range(fan.nrays)
+    return tuple(
+        tuple(tuple(product(tuple(sorted((a, b, c)))) for c in n) for b in n) for a in n
+    )
 
 
-def _tensor_entry(tensor: dict, i: int, j: int, k: int) -> int:
-    return tensor[tuple(sorted((i, j, k)))]
+def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
+    """The degrees D.D_a.D_b of D on the pairs of ray divisors, indexed [a][b]."""
+    tensor = intersection_tensor(d.fan)
+    n = range(d.fan.nrays)
+    rows = [[0] * d.fan.nrays for _ in n]
+    for c, x in enumerate(d.coeffs):
+        if x:
+            for a in n:
+                row, t = rows[a], tensor[c][a]
+                for b in n:
+                    row[b] += x * t[b]
+    return tuple(tuple(row) for row in rows)
 
 
 def triple_intersection(d1, d2, d3) -> int:
     """Triple intersection number of three divisors or classes.
 
-    Each argument is decomposed over the nef-cone generators and the cached
-    generator tensor is contracted multilinearly; the result must come out
-    an integer.
+    A class is represented by its divisor on the basis rays; the ray
+    coefficients are contracted with the fan's intersection tensor.
     """
-    fan = d1.fan if isinstance(d1, TDivisor) else d1.basis.fan
-    coords = []
-    for d in (d1, d2, d3):
-        cls = class_of(d) if isinstance(d, TDivisor) else d
-        if cls.basis.fan.rays != fan.rays:
-            raise ValueError("arguments live on different fans")
-        coords.append(nef_coordinates(fan, cls))
-    tensor = intersection_tensor(fan)
-    rank = len(coords[0])
-    total = 0
-    for i in range(rank):
-        if coords[0][i] == 0:
-            continue
-        for j in range(rank):
-            if coords[1][j] == 0:
-                continue
-            for k in range(rank):
-                if coords[2][k] == 0:
-                    continue
-                total += coords[0][i] * coords[1][j] * coords[2][k] * _tensor_entry(tensor, i, j, k)
-    if isinstance(total, Fraction):
-        if total.denominator != 1:
-            raise ValueError("non-integer intersection number; inconsistent input")
-        return int(total)
-    return total
+    divs = [d if isinstance(d, TDivisor) else divisor_from_class(d) for d in (d1, d2, d3)]
+    if any(d.fan.rays != divs[0].fan.rays for d in divs[1:]):
+        raise ValueError("arguments live on different fans")
+    matrix = intersection_matrix(divs[0])
+    return sum(
+        y * sum(z * m for z, m in zip(divs[2].coeffs, row))
+        for y, row in zip(divs[1].coeffs, matrix)
+        if y
+    )
 
 
 def polytope_json(p: HPolytope) -> dict:

@@ -199,8 +199,11 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     This certifies the move set up to the bound; it is exact but not a
     proof for all degrees.  Connectivity is first attempted with a small
     subset of short moves and falls back to the full set per fiber, which
-    never changes the verdict, only the running time.
+    never changes the verdict, only the running time.  A bound below one
+    would certify nothing, so it is rejected.
     """
+    if bound < 1:
+        raise ValueError(f"the Markov bound must be at least 1, got {bound}")
     b = gale_matrix(fan).b
     moves = []
     for mv in candidate:

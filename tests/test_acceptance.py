@@ -20,6 +20,7 @@ from torhyp.classify import (
     UNLISTED,
     _config_certificate,
     applicable_configs,
+    boundary_genus_profile,
     derive_verdict,
     positivity_certificate,
     surface_divisor,
@@ -42,7 +43,6 @@ from torhyp.intlin import IntMat, UnderdeterminedSystemError, rational_rank, smi
 from torhyp.polytopes import (
     idp_check,
     interior_lattice_count,
-    interior_lattice_count_by_scan,
     lattice_points,
     min_face,
     minkowski_sum_polytope,
@@ -201,7 +201,8 @@ def test_criterion_2_cone_table():
 
 def test_criterion_3_facet_count_closed_forms():
     """Interior counts of the five minimum faces match the closed forms
-    for 1 <= a,b <= 6 and 0 <= l <= 4, by direct enumeration."""
+    for 1 <= a,b <= 6 and 0 <= l <= 4, both in the boundary profile read
+    off the intersection form and by direct enumeration of each face."""
     t0 = time.time()
     cells = 0
     for l in range(0, 5):
@@ -216,16 +217,17 @@ def test_criterion_3_facet_count_closed_forms():
                     (a - 1) * (b - 1) + l * a * (a - 1) // 2,
                     (a - 1) * (b - 1) + l * a * (a - 1) // 2,
                 ]
-                for i in range(5):
+                profile = boundary_genus_profile(d)
+                for i, entry in enumerate(profile.entries):
                     face = min_face(d, i)
-                    scan = interior_lattice_count_by_scan(face)
-                    fast = interior_lattice_count(face)
-                    assert scan == fast == expected[i], (l, a, b, i)
+                    scan = interior_lattice_count(face)
+                    assert entry.interior_count == scan == expected[i], (l, a, b, i)
+                    assert entry.face_dim == face.dim, (l, a, b, i)
                 cells += 1
         vertices.cache_clear()
     print(
         f"\nACCEPTANCE 3 PASS: facet interior counts equal the closed forms on "
-        f"{cells} parameter cells, enumeration and fast path agreeing ({time.time() - t0:.1f}s)"
+        f"{cells} parameter cells, face enumeration and the intersection-form profile agreeing ({time.time() - t0:.1f}s)"
     )
 
 

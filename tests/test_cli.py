@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from torhyp.cli import main
 
@@ -109,6 +112,44 @@ def test_intersect_verb(capsys):
     )
     assert code == 0
     assert data["product"] == 1
+
+
+@pytest.mark.parametrize("case", ["3.1.1", "3.1.2", "3.1.5"])
+def test_intersect_out_of_domain_is_integral(capsys, case):
+    # At b1 = -1 the listed nef generators are not all nef; D^3 of an ample
+    # class is still an integer and equals six times the volume of P(D).
+    d = '{"coeffs": {"D_v1": 2, "D_u1": 1, "D_z1": 2}}'
+    code, data = run_json(capsys, "intersect", "--case", case, "--b1", "-1",
+                          "--d1", d, "--d2", d, "--d3", d)
+    assert code == 0, data
+    code, poly = run_json(capsys, "polytope", "--case", case, "--b1", "-1", "--D", d)
+    assert code == 0
+    assert data["product"] == 6 * Fraction(poly["volume"]) > 0
+
+
+def test_enumeration_guard_exit1(capsys):
+    code, data = run_json(capsys, "points", "--case", "2.0.1", "--l", "2",
+                          "--D", '{"class": [300, 400]}')
+    assert code == 1
+    assert "budget" in data["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "2.0.1", "--l", "2", "--coeffs", "3,4", "--bound", "0"],
+    ["markov", "--case", "2.0.1", "--l", "2", "--bound", "-3"],
+    ["sweep", "--case", "2.0.1", "--l", "2", "--range", "0..2", "--bound", "0"],
+])
+def test_bound_below_one_exit1(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert "at least 1" in json.loads(out)["error"]
+
+
+def test_env_bound_below_one_exit1(capsys, monkeypatch):
+    monkeypatch.setenv("TORHYP_MARKOV_BOUND", "0")
+    code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "2", "--coeffs", "3,4")
+    assert code == 1
+    assert "at least 1" in data["error"]
 
 
 def test_sweep_csv(capsys):

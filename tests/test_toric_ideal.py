@@ -122,6 +122,14 @@ def test_markov_candidates_verify_bound4(case, params):
     assert cert.connected, (case, params, cert)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_bound_below_one_rejected(bound):
+    # A bound below one checks at most the zero fiber and certifies nothing.
+    fan = family_fan("2.0.1", l=2)
+    with pytest.raises(ValueError):
+        markov_verify(fan, markov_candidate(fan), bound=bound)
+
+
 def test_dropping_essential_move_fails():
     fan = family_fan("2.0.1", l=1)
     full = markov_candidate(fan)
