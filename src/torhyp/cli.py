@@ -221,10 +221,19 @@ def cmd_classify(args) -> dict:
     return out
 
 
+def _range_from_flag(text: str) -> range:
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        raise CliError(f"--range wants LO..HI, e.g. 0..8, got {text!r}")
+    return range(lo, hi + 1)
+
+
 def cmd_sweep(args) -> int:
     fan = _fan_from_args(args, need_catalog=True)
-    lo, hi = (int(x) for x in args.range.split(".."))
-    rows = _classify.sweep(fan.family, range(lo, hi + 1), args.bound)
+    # Every row is derived before any is written, so an error leaves one
+    # JSON document on stdout rather than a partial CSV.
+    rows = list(_classify.sweep(fan.family, _range_from_flag(args.range), args.bound))
     record = CASES[fan.family.case_id]
     names = ["case", *record.params, *record.coeff_names, "derived", "table", "agree"]
     if args.out == "csv":
@@ -233,7 +242,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow(row)
     else:
-        print(json.dumps({"schema": SCHEMA, "rows": list(rows)}, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "rows": rows}, sort_keys=True))
     return 0
 
 

@@ -1,13 +1,16 @@
 """Divisor polytopes in H-representation, all arithmetic exact.
 
-P(D) = {m : <m, u_rho> >= -a_rho for every ray}.  Vertex enumeration is by
-brute-force triples of inequalities (at most 6 inequalities here), lattice
-points by sliced integer scans and volumes by fan triangulation around the
-vertex centroid.  Triple intersection numbers come from the cones of the
-fan alone, as one cached integer tensor over the ray divisors.  Faces of
-P(D) and their interior lattice points, counted by a strict-inequality
-scan, are the independent check of the boundary genera that ``classify``
-reads off that tensor.
+P(D) = {m : <m, u_rho> >= -a_rho for every ray}.  Every polytope over one
+fan shares that fan's normals, so each normal set is compiled once: its
+boundedness and the adjugate of every nonsingular inequality triple.  The
+vertices of a polytope are then integer dot products of its right-hand
+sides with those adjugates, filtered by the full feasibility test.  Lattice
+points come from sliced integer scans and volumes from fan triangulation
+around the vertex centroid.  Triple intersection numbers come from the
+cones of the fan alone, as one cached integer tensor over the ray
+divisors.  Faces of P(D) and their interior lattice points, counted by a
+strict-inequality scan, are the independent check of the boundary genera
+that ``classify`` reads off that tensor.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ Vec3 = tuple[int, int, int]
 QVec3 = tuple[Fraction, Fraction, Fraction]
 
 LATTICE_SCAN_GUARD = 10**6
+# Normal sets are one per fan; vertex sets one per polytope and rarely
+# asked for twice outside a face scan, so both caches stay small.
+COMPILED_CACHE_SIZE = 256
+VERTICES_CACHE_SIZE = 1024
 
 
 class UnboundedPolytopeError(ValueError):
@@ -58,67 +65,74 @@ def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
     return HPolytope(tuple(fan.rays), tuple(int(x) for x in rhs))
 
 
-def _is_bounded(p: HPolytope) -> bool:
-    """Bounded iff the recession cone {<m, n_i> >= 0} is {0}.
+@lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _compile(normals: tuple[Vec3, ...]) -> tuple[bool, tuple]:
+    """Boundedness of the normal set and its solved inequality triples.
 
-    A nonzero recession vector exists iff either all normals lie in a plane
-    or some cross product of two normals (up to sign) pairs nonnegatively
-    with every normal.
+    The system is bounded iff its recession cone {<m, n_i> >= 0} is {0}: a
+    nonzero recession vector exists iff no triple of normals is
+    nonsingular (they lie in a plane) or some cross product of two normals,
+    up to sign, pairs nonnegatively with every normal.  Each nonsingular
+    triple (i, j, k) is kept with the columns of its adjugate, the cross
+    products n_j x n_k, n_k x n_i, n_i x n_j, and its determinant, signs
+    normalised so the determinant is positive: the point where the three
+    inequalities are tight is (b_i c_i + b_j c_j + b_k c_k) / det.
     """
-    normals = p.normals
-    rows = [list(n) for n in normals]
-    from .intlin import IntMat, rational_rank
+    triples = []
+    for i, j, k in combinations(range(len(normals)), 3):
+        ci = _cross(normals[j], normals[k])
+        cj = _cross(normals[k], normals[i])
+        ck = _cross(normals[i], normals[j])
+        det = _dot(normals[i], ci)
+        if det < 0:
+            ci, cj, ck, det = _neg(ci), _neg(cj), _neg(ck), -det
+        if det:
+            triples.append((i, j, k, ci, cj, ck, det))
+    bounded = bool(triples) and not any(
+        all(_dot(n, w) >= 0 for n in normals)
+        for u, v in combinations(normals, 2)
+        for c in [_cross(u, v)]
+        if c != (0, 0, 0)
+        for w in (c, _neg(c))
+    )
+    return bounded, tuple(triples)
 
-    if rational_rank(IntMat.from_rows(rows)) < 3:
-        return False
-    for u, v in combinations(normals, 2):
-        c = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if c == (0, 0, 0):
-            continue
-        for w in (c, tuple(-x for x in c)):
-            if all(n[0] * w[0] + n[1] * w[1] + n[2] * w[2] >= 0 for n in normals):
-                return False
-    return True
+
+def _cross(u, v) -> Vec3:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-@lru_cache(maxsize=None)
+def _neg(u) -> Vec3:
+    return (-u[0], -u[1], -u[2])
+
+
+@lru_cache(maxsize=VERTICES_CACHE_SIZE)
 def vertices(p: HPolytope) -> tuple:
     """Exact rational vertex set, sorted; raises on unbounded input.
 
-    Coordinates are plain ints whenever the vertex is integral (always the
-    case for nef divisors on a smooth fan) and Fractions otherwise.
+    Every nonsingular triple of the compiled normal set is tight at one
+    candidate point, kept when it satisfies every inequality.  Coordinates
+    are plain ints whenever the vertex is integral (always the case for nef
+    divisors on a smooth fan) and Fractions otherwise.
     """
-    if not _is_bounded(p):
+    bounded, triples = _compile(p.normals)
+    if not bounded:
         raise UnboundedPolytopeError("inequality system is unbounded")
+    normals, rhs = p.normals, p.rhs
     seen = set()
-    n = len(p.normals)
-    normals = p.normals
-    rhs = p.rhs
-    for trip in combinations(range(n), 3):
-        rows = [normals[i] for i in trip]
-        sol = solve_3x3(rows, [rhs[i] for i in trip])
-        if sol is None:
+    for i, j, k, ci, cj, ck, den in triples:
+        bi, bj, bk = rhs[i], rhs[j], rhs[k]
+        x = bi * ci[0] + bj * cj[0] + bk * ck[0]
+        y = bi * ci[1] + bj * cj[1] + bk * ck[1]
+        z = bi * ci[2] + bj * cj[2] + bk * ck[2]
+        # Feasibility of (x, y, z) / den, cross-multiplied by den > 0.
+        if any(n[0] * x + n[1] * y + n[2] * z < r * den for n, r in zip(normals, rhs)):
             continue
-        (x, y, z), den = sol
         if x % den == 0 and y % den == 0 and z % den == 0:
-            cand = (x // den, y // den, z // den)
+            seen.add((x // den, y // den, z // den))
         else:
-            cand = (Fraction(x, den), Fraction(y, den), Fraction(z, den))
-        if cand in seen:
-            continue
-        ok = True
-        for i in range(n):
-            ni = normals[i]
-            if ni[0] * cand[0] + ni[1] * cand[1] + ni[2] * cand[2] < rhs[i]:
-                ok = False
-                break
-        if ok:
-            seen.add(cand)
-    return tuple(sorted(seen, key=lambda v: (Fraction(v[0]), Fraction(v[1]), Fraction(v[2]))))
+            seen.add((Fraction(x, den), Fraction(y, den), Fraction(z, den)))
+    return tuple(sorted(seen))
 
 
 def dimension(p: HPolytope) -> int:

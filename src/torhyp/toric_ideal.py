@@ -5,25 +5,38 @@ realised by the ray matrix A (rays as rows) and the class map B computed
 from the chosen Picard basis.  A finite move set in ker(B) is verified to
 be a Markov basis up to a degree bound: every fiber
 {v in Z^r_{>=0} : B v = t} touched by a vector of coordinate sum <= bound
-is enumerated in full (it is finite because the fan is complete, which
-makes the fiber an affine slice of a bounded polytope) and its move graph
-must be connected.
+is enumerated in full and its move graph must be connected.  A fiber is in
+bijection with the lattice points of a bounded polytope in the character
+lattice Z^3 (bounded because the fan is complete), and each move with one
+vector of Z^3, so the connectivity search runs there on 3-d points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from math import comb
+from operator import mul
 from typing import Sequence
 
 from .divisors import TDivisor, is_nef, picard_basis
 from .fans import Fan, family_record
 from .intlin import IntMat
-from .polytopes import lattice_points, offset_polytope
+from .polytopes import (
+    LATTICE_SCAN_GUARD,
+    EnumerationGuardError,
+    _compile,
+    lattice_points,
+    offset_polytope,
+)
 
 Vec = tuple[int, ...]
 
 DEFAULT_MARKOV_BOUND = 6
+# Fibers are enumerated for the public view and the tests; the Markov
+# check itself works on lattice points and keeps none of them.
+FIBER_CACHE_SIZE = 256
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -98,7 +111,7 @@ def _particular_solution(fan: Fan, image: Vec) -> Vec:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIBER_CACHE_SIZE)
 def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     """The full fiber {v >= 0 : B v = image}, via a bounded polytope slice.
 
@@ -117,46 +130,36 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
 
 
 def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
-    """Connectivity of the fiber under the signed moves.
+    """Connectivity of a finite point set under the signed moves.
 
-    Elements are packed into single integers, digit i of v being
-    v_i + offset in base 2 * offset + 1, so each BFS step is one integer
-    addition and a set lookup.  The offset is the largest |coordinate| of
-    the fiber plus that of the moves: every digit v_i + d_i + offset of a
-    reached element plus a signed move then lies in [0, base), so a packed
-    sum equals a packed member exactly when the vectors are equal.
+    The points are fiber elements in Z^r or, equally, their lattice points
+    in the character lattice Z^3 with the moves pulled back there.
+    Elements are packed into single integers sum(v_i * base^i), base
+    2 * offset + 1, so each BFS step is one integer addition and a set
+    lookup.  The offset is the largest |coordinate| of the fiber plus that
+    of the moves: every digit v_i + d_i + offset of a reached element plus
+    a signed move then lies in [0, base), so a packed sum equals a packed
+    member exactly when the vectors are equal (adding offset to every
+    digit shifts all packed values by one constant).
     """
     if len(fiber) <= 1:
         return True
     if not moves:
         return False
-    offset = max(abs(x) for v in fiber for x in v) + max(abs(x) for m in moves for x in m)
+    offset = max(map(abs, chain.from_iterable(fiber))) + max(map(abs, chain.from_iterable(moves)))
     weights = [(2 * offset + 1) ** i for i in range(len(fiber[0]))]
-
-    def pack(v, shift):
-        return sum((x + shift) * w for x, w in zip(v, weights))
-
-    members = {pack(v, offset) for v in fiber}
-    deltas = set()
-    for m in moves:
-        p = pack(m, 0)
-        deltas.add(p)
-        deltas.add(-p)
+    unseen = {sum(map(mul, v, weights)) for v in fiber}
+    deltas = {s * sum(map(mul, m, weights)) for m in moves for s in (1, -1)}
     deltas.discard(0)
-    start = next(iter(members))
-    stack = [start]
-    seen = {start}
-    n = len(members)
-    while stack:
+    stack = [unseen.pop()]
+    while stack and unseen:
         v = stack.pop()
         for dlt in deltas:
             w = v + dlt
-            if w in members and w not in seen:
-                seen.add(w)
+            if w in unseen:
+                unseen.remove(w)
                 stack.append(w)
-        if len(seen) == n:
-            return True
-    return len(seen) == n
+    return not unseen
 
 
 def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) -> bool:
@@ -174,9 +177,17 @@ def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) 
 
 
 def _degree_images(fan: Fan, bound: int) -> list[Vec]:
-    """Distinct images of nonnegative vectors with coordinate sum <= bound."""
+    """Distinct images of nonnegative vectors with coordinate sum <= bound.
+
+    There are C(bound + r, r) such vectors; past the lattice scan budget
+    the enumeration is refused before it starts.
+    """
     b = gale_matrix(fan).b
     r = fan.nrays
+    if comb(bound + r, r) > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
+        )
     cols = [b.col(j) for j in range(r)]
     k = len(cols[0])
     images: set[Vec] = set()
@@ -192,15 +203,42 @@ def _degree_images(fan: Fan, bound: int) -> list[Vec]:
     return sorted(images)
 
 
+def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
+    """The unique delta in Z^3 with <delta, u_rho> = move_rho for every ray,
+    one per move.
+
+    Moves in ker(B) lie in the image of the ray matrix because
+    0 -> M -> Z^r -> Pic -> 0 is exact.  delta solves the first nonsingular
+    triple of the fan's compiled inequality system (its normals are the
+    rays) with the move's entries as right-hand sides, and is then checked
+    on every ray.
+    """
+    i, j, k, ci, cj, ck, det = _compile(tuple(fan.rays))[1][0]
+    out = []
+    for mv in moves:
+        num = [mv[i] * ci[t] + mv[j] * cj[t] + mv[k] * ck[t] for t in range(3)]
+        if any(x % det for x in num):
+            raise InternalInconsistencyError(f"move {mv} has no integral pullback to Z^3")
+        delta = tuple(x // det for x in num)
+        if any(sum(map(mul, ray, delta)) != x for ray, x in zip(fan.rays, mv)):
+            raise InternalInconsistencyError(f"move {mv} is not in the image of the ray matrix")
+        out.append(delta)
+    return out
+
+
 def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
     """Bounded Markov verification: connectivity of every fiber reached by
     a vector of coordinate sum <= bound.
 
     This certifies the move set up to the bound; it is exact but not a
-    proof for all degrees.  Connectivity is first attempted with a small
-    subset of short moves and falls back to the full set per fiber, which
-    never changes the verdict, only the running time.  A bound below one
-    would certify nothing, so it is rejected.
+    proof for all degrees.  The fiber of an image t is in bijection with
+    the lattice points m of {<m, u_rho> >= -v0_rho}, v = v0 + A m, and a
+    move mv = A delta acts there as m -> m + delta, so each move is pulled
+    back to Z^3 once and the search runs on the lattice points.
+    Connectivity is first attempted with a small subset of short moves and
+    falls back to the full set per fiber, which never changes the verdict,
+    only the running time.  A bound below one would certify nothing, so it
+    is rejected.
     """
     if bound < 1:
         raise ValueError(f"the Markov bound must be at least 1, got {bound}")
@@ -213,15 +251,17 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
         if any(mv):
             moves.append(mv)
     primary = sorted(set(moves), key=lambda m: sum(abs(x) for x in m))[:8]
+    primary, moves = _character_moves(fan, primary), _character_moves(fan, moves)
     checked = 0
     for image in _degree_images(fan, bound):
-        fiber = fiber_elements(fan, image)
+        v0 = _particular_solution(fan, image)
+        points = lattice_points(offset_polytope(fan, tuple(-c for c in v0)))
         checked += 1
-        if len(fiber) <= 1:
+        if len(points) <= 1:
             continue
-        if _connected_under(fiber, primary):
+        if _connected_under(points, primary):
             continue
-        if not _connected_under(fiber, moves):
+        if not _connected_under(points, moves):
             return FiberCertificate(bound, checked, False, image)
     return FiberCertificate(bound, checked, True)
 

@@ -134,6 +134,29 @@ def test_enumeration_guard_exit1(capsys):
     assert "budget" in data["error"]
 
 
+def test_markov_degree_guard_exit1(capsys):
+    # C(100005, 5) degree vectors: refused before any is enumerated.
+    code, data = run_json(capsys, "markov", "--case", "2.0.1", "--l", "0", "--bound", "100000")
+    assert code == 1
+    assert "would enumerate" in data["error"]
+
+
+def test_sweep_error_prints_one_document(capsys):
+    # Outside the reference domain a later cell fails; no CSV row may be
+    # printed ahead of the error document.
+    code, data = run_json(capsys, "sweep", "--case", "3.1.1", "--b1", "-1", "--range", "0..3",
+                          "--bound", "2")
+    assert code == 1
+    assert set(data) == {"schema", "error"}
+
+
+@pytest.mark.parametrize("text", ["0-3", "0..3..4", "a..b", ""])
+def test_sweep_malformed_range_exit1(capsys, text):
+    code, data = run_json(capsys, "sweep", "--case", "2.0.1", "--l", "2", "--range", text)
+    assert code == 1
+    assert "LO..HI" in data["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--case", "2.0.1", "--l", "2", "--coeffs", "3,4", "--bound", "0"],
     ["markov", "--case", "2.0.1", "--l", "2", "--bound", "-3"],

@@ -7,6 +7,7 @@ import pytest
 from torhyp.classify import boundary_genus_profile
 from torhyp.divisors import class_of, divisor, is_nef, nef_generators, ray_divisor
 from torhyp.fans import build_family_fan, family_fan
+from torhyp.intlin import solve_3x3
 from torhyp.polytopes import (
     HPolytope,
     UnboundedPolytopeError,
@@ -16,11 +17,26 @@ from torhyp.polytopes import (
     lattice_points,
     min_face,
     minkowski_sum_polytope,
+    offset_polytope,
     polytope_of,
     triple_intersection,
     vertices,
     volume,
 )
+from torhyp.toric_ideal import _degree_images, _particular_solution
+
+# One member per case, nonnegative parameters.
+MEMBERS = [
+    ("2.0.1", {"l": 2}),
+    ("2.0.2", {"l1": 1, "l2": 3}),
+    ("3.0.1", {"r": 2, "a": 1, "b": 2}),
+    ("3.0.2", {"r": 1, "a": 2, "b": -3}),
+    ("3.1.1", {"b1": 1}),
+    ("3.1.2", {"b1": 2}),
+    ("3.1.3", {"b1": 2, "c2": 1}),
+    ("3.1.4", {"b1": 2, "b2": 1}),
+    ("3.1.5", {"b1": 1}),
+]
 
 
 def brute_lattice_points(p: HPolytope):
@@ -72,10 +88,67 @@ def test_dimension_two_when_a_zero():
     assert all(v[0] == 0 for v in vertices(p))
 
 
+def brute_vertices(p: HPolytope):
+    """Oracle: every inequality triple solved by Cramer's rule, the feasible
+    solutions kept."""
+    seen = set()
+    for trip in itertools.combinations(range(len(p.normals)), 3):
+        sol = solve_3x3([p.normals[i] for i in trip], [p.rhs[i] for i in trip])
+        if sol is not None:
+            cand = tuple(Fraction(x, sol[1]) for x in sol[0])
+            if p.contains(cand):
+                seen.add(cand)
+    return tuple(sorted(seen))
+
+
+def test_vertices_match_triple_enumeration_on_fibers():
+    """The compiled system against the triple oracle on every fiber
+    polytope of degree <= 4, one member per case."""
+    checked = fractional = 0
+    for case, params in MEMBERS:
+        fan = family_fan(case, **params)
+        for image in _degree_images(fan, 4):
+            p = offset_polytope(fan, [-c for c in _particular_solution(fan, image)])
+            got = vertices(p)
+            assert got == brute_vertices(p), (case, params, image)
+            for v in got:
+                integral = all(Fraction(c).denominator == 1 for c in v)
+                assert {type(c) for c in v} == {int if integral else Fraction}
+            fractional += any(type(v[0]) is Fraction for v in got)
+            checked += 1
+    assert checked == 858
+    assert fractional > 100, fractional
+
+
 def test_unbounded_signalled():
     p = HPolytope(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
     with pytest.raises(UnboundedPolytopeError):
         vertices(p)
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        ((1, 0, 0), (-1, 0, 0)),
+        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)),
+        # (1, 2, 3) pairs nonnegatively with each of the six normals.
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0), (3, 0, -1), (-1, -1, 1)),
+    ],
+    ids=["two-normals", "planar", "half-space-recession", "six-normals"],
+)
+def test_unbounded_generic_system_signalled(normals):
+    p = HPolytope(normals, tuple(-1 for _ in normals))
+    with pytest.raises(UnboundedPolytopeError):
+        vertices(p)
+
+
+def test_bounded_empty_system_has_no_vertices():
+    cube = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    assert vertices(HPolytope(cube, (1, 0, 0, 0, 0, 0))) == ()
+    assert vertices(HPolytope(cube, (0, -1, 0, -1, 0, -1))) == brute_vertices(
+        HPolytope(cube, (0, -1, 0, -1, 0, -1))
+    )
 
 
 def test_lattice_scan_guard():

@@ -3,7 +3,11 @@ import pytest
 from torhyp.divisors import divisor, ray_divisor
 from torhyp.fans import family_fan
 from torhyp.intlin import IntMat
+from torhyp.polytopes import EnumerationGuardError
 from torhyp.toric_ideal import (
+    InternalInconsistencyError,
+    _character_moves,
+    _degree_images,
     connected_sections_check,
     fiber_elements,
     fiber_graph_connected,
@@ -12,6 +16,8 @@ from torhyp.toric_ideal import (
     markov_verify,
     section_difference_moves,
 )
+
+from test_polytopes import MEMBERS
 
 GRID = [
     ("2.0.1", {"l": l}) for l in (0, 1, 2, 3)
@@ -200,3 +206,46 @@ def test_large_coordinates_pack_exactly():
     cert = markov_verify(fan, markov_candidate(fan), bound=1)
     assert not cert.connected
     assert cert.failing_fiber == (0, 0, 1)
+
+
+
+def fiber_graph_loop(fan, moves, bound):
+    """Oracle: the fibers in v-space, one fiber_graph_connected call each."""
+    checked = 0
+    for image in _degree_images(fan, bound):
+        checked += 1
+        if not fiber_graph_connected(fan, moves, image):
+            return checked, image
+    return checked, None
+
+
+@pytest.mark.parametrize("case,params", MEMBERS, ids=str)
+def test_markov_verify_matches_fiber_graph_loop(case, params):
+    # The reference set and every set with one move dropped: the search on
+    # lattice points of the character lattice must stop at the same fiber
+    # as the v-space loop, and some weakened set must fail.
+    fan = family_fan(case, **params)
+    full = markov_candidate(fan)
+    weakened = [full[:i] + full[i + 1:] for i in range(len(full))]
+    certs = [markov_verify(fan, moves, bound=4) for moves in [full, *weakened]]
+    for moves, cert in zip([full, *weakened], certs):
+        assert (cert.fibers_checked, cert.failing_fiber) == fiber_graph_loop(fan, moves, 4)
+    assert certs[0].connected
+    assert not all(cert.connected for cert in certs[1:])
+
+
+def test_move_outside_ray_image_is_inconsistent():
+    # A move off the image of the ray matrix has no pullback to Z^3; on it
+    # the pullback pairs with the rays (1,0,0), (-1,0,0), (0,1,0), (0,0,1),
+    # (1,-1,-1) to give the move back.
+    fan = family_fan("2.0.1", l=1)
+    assert _character_moves(fan, [(1, -1, 0, 0, 1)]) == [(1, 0, 0)]
+    with pytest.raises(InternalInconsistencyError):
+        _character_moves(fan, [(1, 0, 0, 0, 0)])
+
+
+def test_degree_images_guarded():
+    # C(100000 + 5, 5) vectors: refused before the enumeration starts.
+    fan = family_fan("2.0.1", l=0)
+    with pytest.raises(EnumerationGuardError):
+        _degree_images(fan, 100000)
