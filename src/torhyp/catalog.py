@@ -21,7 +21,7 @@ This module imports nothing from the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable, Mapping, Sequence
 
@@ -86,16 +86,28 @@ class TableRow:
     outcome: str
     preds: tuple
     permute: bool = False
+    # The printed row leaves open whether it holds in every coordinate
+    # order; a cell it matches only through a reordering stays unresolved.
     uncertain_permutation: bool = False
     cond: Callable[[Params], bool] | None = None
+    # The printed order first, then every other distinct order of a
+    # permuted row; built once with the row.
+    orders: tuple = field(init=False, repr=False, compare=False)
 
-    def matches(self, coeffs: Sequence[int], params: Params, allow_permute: bool) -> bool:
+    def __post_init__(self) -> None:
+        orders = dict.fromkeys(permutations(self.preds)) if self.permute else {}
+        orders.pop(self.preds, None)
+        object.__setattr__(self, "orders", (self.preds, *orders))
+
+    def match(self, coeffs: Sequence[int], params: Params) -> bool | None:
+        """None when the row does not hold at the cell; otherwise whether it
+        holds only through the unresolved permutation reading."""
         if self.cond is not None and not self.cond(params):
-            return False
-        tuples = [self.preds]
-        if self.permute and allow_permute:
-            tuples = list(set(permutations(self.preds)))
-        return any(all(_match1(p, c) for p, c in zip(t, coeffs)) for t in tuples)
+            return None
+        for i, order in enumerate(self.orders):
+            if all(map(_match1, order, coeffs)):
+                return i > 0 and self.uncertain_permutation
+        return None
 
 
 @dataclass(frozen=True)
@@ -497,7 +509,9 @@ _CASE_302 = replace(
 
 # Rank 3 with five primitive collections (3.1.1 - 3.1.5).  Parameters are
 # unrestricted integers; the basis, the nef generators and the shape of the
-# configuration list are shared.
+# configuration list are shared.  The tables cover nonnegative parameters
+# only: below zero the listed nef generators are no longer all nef, so no
+# block applies there and such cells are Unlisted.
 
 
 def _five_collection_configs(zero_cond, z1_cond) -> tuple[SectionConfig, ...]:
@@ -635,7 +649,7 @@ _CASE_313 = Case(
     tables=(
         TableBlock(
             "c2=0",
-            lambda p: p["c2"] == 0,
+            lambda p: p["c2"] == 0 and p["b1"] >= 0,
             _rows(
                 [(_ge(2), _ge(4), _ge(2))],
                 [
@@ -744,7 +758,7 @@ _CASE_315 = Case(
     tables=(
         TableBlock(
             "all",
-            lambda p: True,
+            lambda p: p["b1"] >= 0,
             _rows(
                 [(_ge(2), _ANY, _ge(5)), (_ge(2), _ge(1), _eq(4))],
                 [

@@ -8,6 +8,13 @@ pairing numbers), a NotHyperbolic verdict names a boundary curve of genus
 at most one (or a degenerate surface class), and everything else is Open.
 The reference tables record the sharper published classification; the
 comparator only demands that the two never contradict each other.
+
+Each job runs once per cell.  The surface class is solved only inside the
+boundary profile; the profile and the positivity certificate each read
+the one intersection matrix of D they need; the table block is read in a
+single pass over its rows, whose coordinate orders are built with the
+catalog.  Cells outside every block of their case (negative parameters
+of the five-collection cases, for instance) are Unlisted.
 """
 
 from __future__ import annotations
@@ -15,23 +22,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock
+from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig
 from .divisors import (
     TDivisor,
     ample_reference,
     canonical_divisor,
     class_of,
     divisor,
-    eff_generators,
     is_ample,
     is_nef,
     nef_combination,
 )
 from .fans import FamilySpec, Fan, ParameterError, build_family_fan, family_record
-from .polytopes import intersection_matrix, triple_intersection
-from .toric_ideal import DEFAULT_MARKOV_BOUND, FiberCertificate, markov_verify, section_difference_moves
+from .polytopes import intersection_matrix
+from .toric_ideal import (
+    DEFAULT_MARKOV_BOUND,
+    FiberCertificate,
+    InternalInconsistencyError,
+    markov_verify,
+    section_difference_moves,
+)
 
 UNLISTED = "Unlisted"
 AMBIGUOUS = "Ambiguous"
@@ -190,24 +202,31 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityC
     cone generators F_i.  When every alpha_i is at least one, epsilon is
     min(alpha_i / beta_i) capped at one, which bounds 2g - 2 from below by
     epsilon times the degree for every movable curve class.
+
+    Every F_i is a ray divisor D_j, so both numbers are read off column j
+    of the one matrix of D (symmetric, so column j is row j).  For a nef D
+    and an ample H, beta_i = 0 only when D restricts trivially to F_i,
+    and then alpha_i = 0 as well.
     """
+    if not is_nef(d):
+        raise ValueError("the positivity certificate assumes a nef divisor")
     if not is_ample(h):
         raise ValueError("the degree normaliser must be ample")
     fan = d.fan
-    ek = e + canonical_divisor(fan)
-    gens = eff_generators(fan)
-    labels = []
-    alphas = []
-    betas = []
-    for g in gens:
-        labels.append(next(iter(g.label_dict())))
-        alphas.append(triple_intersection(ek, d, g))
-        betas.append(triple_intersection(h, d, g))
+    ek = (e + canonical_divisor(fan)).coeffs
+    record, params = family_record(fan)
+    matrix = intersection_matrix(d)
+    labels, alphas, betas = [], [], []
+    for label in record.eff(**params):
+        j = fan.label_index(label)
+        labels.append(fan.ray_labels[j])
+        alphas.append(sum(x * m for x, m in zip(ek, matrix[j])))
+        betas.append(sum(x * m for x, m in zip(h.coeffs, matrix[j])))
     epsilon: Fraction | None = None
     if all(a >= 1 for a in alphas):
-        assert all(b >= 1 for b in betas), "positive pairing with degenerate degree"
-        epsilon = min(Fraction(a, b) for a, b in zip(alphas, betas))
-        epsilon = min(epsilon, Fraction(1))
+        if any(b < 1 for b in betas):
+            raise InternalInconsistencyError("positive pairing with a degenerate degree")
+        epsilon = min(min(Fraction(a, b) for a, b in zip(alphas, betas)), Fraction(1))
     return PositivityCertificate(tuple(alphas), tuple(betas), tuple(labels), epsilon)
 
 
@@ -229,50 +248,27 @@ class TableOutcome:
         }
 
 
-def _lookup_in_block(
-    block: TableBlock, params: Mapping[str, int], coeffs: Sequence[int], allow_uncertain: bool
-) -> tuple[str, ...]:
-    rows = list(block.rows)
-    if block.param_rows is not None:
-        rows += block.param_rows(params)
-    matched = []
-    nothyp_hit = any(
-        r.matches(coeffs, params, allow_permute=True)
-        for r in rows
-        if r.outcome == NOT_HYPERBOLIC
-    )
-    for row in rows:
-        allow_permute = True
-        if row.uncertain_permutation and not allow_uncertain:
-            allow_permute = False
-        if row.outcome == HYPERBOLIC and nothyp_hit and block.hyp_yields_to_nothyp:
-            continue
-        if row.matches(coeffs, params, allow_permute=allow_permute):
-            matched.append(row.outcome)
-    return tuple(dict.fromkeys(matched))
-
-
 def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
-    """Verdict of the encoded reference tables for one cell.
+    """Verdict of the encoded reference tables for one cell, in one pass
+    over the rows of its block.
 
-    Cells matching rows with conflicting outcomes, and cells whose outcome
-    depends on the unresolved permutation reading of one row, come back as
-    Ambiguous; cells matching nothing are Unlisted.
+    Cells matching rows with conflicting outcomes, and cells that every
+    matching row reaches only through its unresolved permutation reading,
+    come back as Ambiguous; cells matching nothing are Unlisted.
     """
     params = spec.as_dict()
     coeffs = tuple(int(c) for c in coeffs)
     block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
     if block is None:
         return TableOutcome(UNLISTED, (), None, False, False)
-    matched = _lookup_in_block(block, params, coeffs, allow_uncertain=True)
-    strict = _lookup_in_block(block, params, coeffs, allow_uncertain=False)
-    if len(set(matched)) > 1:
-        return TableOutcome(AMBIGUOUS, matched, block.name, block.imported, True)
-    val = matched[0] if matched else UNLISTED
-    val_strict = strict[0] if strict else UNLISTED
-    if val != val_strict:
-        return TableOutcome(AMBIGUOUS, tuple(set(matched + strict)), block.name, block.imported, True)
-    return TableOutcome(val, matched, block.name, block.imported, False)
+    rows = block.rows if block.param_rows is None else block.rows + tuple(block.param_rows(params))
+    hits = [(row.outcome, u) for row in rows if (u := row.match(coeffs, params)) is not None]
+    if block.hyp_yields_to_nothyp and any(o == NOT_HYPERBOLIC for o, _ in hits):
+        hits = [(o, u) for o, u in hits if o != HYPERBOLIC]
+    matched = tuple(dict.fromkeys(o for o, _ in hits))
+    ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
+    value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
+    return TableOutcome(value, matched, block.name, block.imported, ambiguous)
 
 
 # Verdict derivation.
@@ -316,7 +312,9 @@ def derive_verdict(
     fan = build_family_fan(spec)
     table = table_lookup(spec, coeffs)
     d = surface_divisor(fan, coeffs)
-    if class_of(d).is_zero():
+    # The nef generators are a basis of Pic (x) Q, so only the zero
+    # combination is the trivial class.
+    if not any(coeffs):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
     profile = boundary_genus_profile(d)
     if not profile.big:

@@ -69,8 +69,12 @@ def _fan_from_args(args, need_catalog: bool = False) -> _fans.Fan:
     if args.fan:
         if need_catalog:
             raise CliError("this verb needs a catalog fan (--case)")
-        with open(args.fan) as fh:
-            return _fans.fan_from_json_str(fh.read())
+        try:
+            with open(args.fan) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read fan file {args.fan!r}: {exc.strerror}")
+        return _fans.fan_from_json_str(text)
     raise CliError("give either --case with its parameters or --fan FILE")
 
 
@@ -298,6 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`torhyp sweep ... | head`).  Point
+        # the descriptor at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
     try:
         if hasattr(args, "bound"):
             if args.bound is None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fans import Fan, family_record, find_containing_cone
+from .fans import Fan, family_record, find_containing_cone, json_int
 from .intlin import IntMat, smith_normal_form, solve_exact
 
 
@@ -281,9 +281,20 @@ def _nef_coordinates_cached(fan: Fan, coords: tuple[int, ...]) -> tuple[Fraction
 
 
 def divisor_from_json(fan: Fan, data: Mapping) -> TDivisor:
-    """Parse {"coeffs": {label: int}} or {"class": [ints]}."""
+    """Parse {"coeffs": {label: int}} or {"class": [ints]}; input of any
+    other shape, or a value that is not an integer, is a ValueError."""
+    if not isinstance(data, Mapping):
+        raise ValueError("divisor JSON must be an object with a 'coeffs' or 'class' key")
     if "coeffs" in data:
-        return divisor(fan, {k: int(v) for k, v in data["coeffs"].items()})
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, Mapping):
+            raise ValueError("divisor JSON 'coeffs' must map ray labels to integers")
+        return divisor(fan, {k: json_int(v, f"coefficient {k}") for k, v in coeffs.items()})
     if "class" in data:
-        return divisor_from_class(class_from_coords(fan, [int(x) for x in data["class"]]))
+        coords = data["class"]
+        if not isinstance(coords, list):
+            raise ValueError("divisor JSON 'class' must be a list of integers")
+        return divisor_from_class(
+            class_from_coords(fan, [json_int(x, "class coordinate") for x in coords])
+        )
     raise ValueError("divisor JSON needs a 'coeffs' or 'class' key")

@@ -364,10 +364,42 @@ def fan_to_json(fan: Fan) -> dict:
     return out
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON input; floats, booleans and strings are
+    refused rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_triples(data: Mapping, key: str) -> list[Vec3]:
+    value = data.get(key)
+    if not isinstance(value, list) or not all(isinstance(t, list) and len(t) == 3 for t in value):
+        raise ValueError(f"fan JSON needs {key!r} as a list of integer triples")
+    return [tuple(json_int(x, f"an entry of {key!r}") for x in t) for t in value]
+
+
 def fan_from_json(data: Mapping) -> Fan:
+    """Fan from {"case", "params"} or {"rays", "max_cones", "ray_labels"?};
+    input of any other shape is a ValueError."""
+    if not isinstance(data, Mapping):
+        raise ValueError("fan JSON must be an object")
     if "case" in data:
-        return family_fan(data["case"], **{k: int(v) for k, v in data.get("params", {}).items()})
-    return generic_fan(data["rays"], data["max_cones"], data.get("ray_labels"))
+        params = data.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError("fan JSON 'params' must map parameter names to integers")
+        return family_fan(data["case"], **{k: json_int(v, k) for k, v in params.items()})
+    rays, cones = _json_triples(data, "rays"), _json_triples(data, "max_cones")
+    if any(not 0 <= i < len(rays) for cone in cones for i in cone):
+        raise ValueError(f"a maximal cone indexes a ray outside 0..{len(rays) - 1}")
+    labels = data.get("ray_labels")
+    if labels is not None and (
+        not isinstance(labels, list)
+        or len(labels) != len(rays)
+        or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("fan JSON 'ray_labels' must list one string per ray")
+    return generic_fan(rays, cones, labels)
 
 
 def fan_from_json_str(text: str) -> Fan:

@@ -22,11 +22,10 @@ from typing import Sequence
 
 from .divisors import TDivisor, is_nef, picard_basis
 from .fans import Fan, family_record
-from .intlin import IntMat
+from .intlin import IntMat, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
-    _compile,
     lattice_points,
     offset_polytope,
 )
@@ -208,18 +207,18 @@ def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
     one per move.
 
     Moves in ker(B) lie in the image of the ray matrix because
-    0 -> M -> Z^r -> Pic -> 0 is exact.  delta solves the first nonsingular
-    triple of the fan's compiled inequality system (its normals are the
-    rays) with the move's entries as right-hand sides, and is then checked
-    on every ray.
+    0 -> M -> Z^r -> Pic -> 0 is exact.  delta solves the three equations
+    of the fan's first maximal cone, whose rays are a lattice basis, and
+    is then checked on every ray.
     """
-    i, j, k, ci, cj, ck, det = _compile(tuple(fan.rays))[1][0]
+    cone = fan.max_cones[0]
+    rows = [fan.rays[i] for i in cone]
     out = []
     for mv in moves:
-        num = [mv[i] * ci[t] + mv[j] * cj[t] + mv[k] * ck[t] for t in range(3)]
-        if any(x % det for x in num):
-            raise InternalInconsistencyError(f"move {mv} has no integral pullback to Z^3")
-        delta = tuple(x // det for x in num)
+        sol = solve_3x3(rows, [mv[i] for i in cone])
+        if sol is None or sol[1] != 1:
+            raise InternalInconsistencyError(f"maximal cone {cone} is not unimodular")
+        delta = sol[0]
         if any(sum(map(mul, ray, delta)) != x for ray, x in zip(fan.rays, mv)):
             raise InternalInconsistencyError(f"move {mv} is not in the image of the ray matrix")
         out.append(delta)

@@ -1,8 +1,14 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import torhyp
+import torhyp.classify as classify_module
 from torhyp.classify import (
     AMBIGUOUS,
     HYPERBOLIC,
@@ -19,8 +25,18 @@ from torhyp.classify import (
     sweep,
     table_lookup,
 )
-from torhyp.divisors import ample_reference, canonical_divisor, divisor, is_nef
+from torhyp.catalog import CASES
+from torhyp.divisors import (
+    ample_reference,
+    canonical_divisor,
+    divisor,
+    eff_generators,
+    is_ample,
+    is_nef,
+)
 from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
+from torhyp.polytopes import triple_intersection
+from torhyp.toric_ideal import InternalInconsistencyError
 
 
 def spec_of(case, **params):
@@ -292,3 +308,220 @@ def test_derived_surface_and_ample_classes(case, params, coeffs, surface, ample)
     fan = family_fan(case, **params)
     assert surface_divisor(fan, coeffs).label_dict() == surface
     assert ample_reference(fan).label_dict() == ample
+
+
+# The table lookup as two passes over the block, the second reading no row
+# through its unresolved permutation, kept as the oracle of the one-pass
+# ``table_lookup``.  Each row's cells are enumerated over the whole
+# coefficient grid at once, as products of the values each coordinate
+# predicate admits, instead of testing the row cell by cell.
+GRID = range(9)
+
+
+def _admitted(pred):
+    op, arg = pred
+    tests = {
+        "ge": lambda v: v >= arg,
+        "le": lambda v: v <= arg,
+        "eq": lambda v: v == arg,
+        "in": lambda v: v in arg,
+        "any": lambda v: True,
+    }
+    return [v for v in GRID if tests[op](v)]
+
+
+def _row_cells(row, params, allow_permute):
+    if row.cond is not None and not row.cond(params):
+        return set()
+    orders = set(itertools.permutations(row.preds)) if row.permute and allow_permute else {row.preds}
+    return {c for order in orders for c in itertools.product(*map(_admitted, order))}
+
+
+def two_pass_lookups(spec):
+    """The reference outcome of every cell of the grid, keyed by cell, as
+    (value, matched, block, imported, ambiguous)."""
+    params = spec.as_dict()
+    ncoef = len(CASES[spec.case_id].coeff_names)
+    cells = list(itertools.product(GRID, repeat=ncoef))
+    block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
+    if block is None:
+        return {c: (UNLISTED, (), None, False, False) for c in cells}
+    rows = list(block.rows)
+    if block.param_rows is not None:
+        rows += block.param_rows(params)
+    loose = [_row_cells(r, params, True) for r in rows]
+    strict = [_row_cells(r, params, not r.uncertain_permutation) for r in rows]
+    nothyp = set().union(*(s for r, s in zip(rows, loose) if r.outcome == NOT_HYPERBOLIC))
+
+    def one_pass(c, row_cells):
+        silenced = block.hyp_yields_to_nothyp and c in nothyp
+        return tuple(dict.fromkeys(
+            r.outcome
+            for r, s in zip(rows, row_cells)
+            if c in s and not (silenced and r.outcome == HYPERBOLIC)
+        ))
+
+    out = {}
+    for c in cells:
+        matched, matched_strict = one_pass(c, loose), one_pass(c, strict)
+        head = (block.name, block.imported)
+        if len(set(matched)) > 1:
+            out[c] = (AMBIGUOUS, matched, *head, True)
+            continue
+        val = matched[0] if matched else UNLISTED
+        val_strict = matched_strict[0] if matched_strict else UNLISTED
+        if val != val_strict:
+            out[c] = (AMBIGUOUS, tuple(set(matched + matched_strict)), *head, True)
+        else:
+            out[c] = (val, matched, *head, False)
+    return out
+
+
+def _lookup_specs():
+    """Every criterion-6 member, and every member of every case with
+    parameters in -3..5."""
+    specs = {
+        FamilySpec.make(case, **params)
+        for case, grid in CRITERION_6_GRIDS.items()
+        for params in grid
+    }
+    for case, record in CASES.items():
+        for values in itertools.product(range(-3, 6), repeat=len(record.params)):
+            try:
+                specs.add(FamilySpec.make(case, **dict(zip(record.params, values))))
+            except ParameterError:
+                pass
+    return sorted(specs, key=lambda s: (s.case_id, s.params))
+
+
+CRITERION_6_GRIDS = {
+    "2.0.1": [{"l": l} for l in range(4)],
+    "2.0.2": [{"l1": l1, "l2": l2} for l1 in range(4) for l2 in range(4) if l2 >= l1],
+    "3.0.1": [{"r": r, "a": a, "b": b} for r in range(4) for a in range(4) for b in range(4)],
+    "3.0.2": [
+        {"r": r, "a": a, "b": b} for r in range(4) for a in range(4) for b in (-1, -2, -3, -4)
+    ],
+    "3.1.1": [{"b1": b1} for b1 in range(4)],
+    "3.1.2": [{"b1": b1} for b1 in range(4)],
+    "3.1.3": [{"b1": b1, "c2": c2} for b1 in range(4) for c2 in range(4)],
+    "3.1.4": [{"b1": b1, "b2": b2} for b1 in range(4) for b2 in range(4)],
+    "3.1.5": [{"b1": b1} for b1 in range(4)],
+}
+
+
+def test_table_lookup_matches_two_pass_reference():
+    checked = ambiguous = 0
+    for spec in _lookup_specs():
+        for coeffs, expected in two_pass_lookups(spec).items():
+            t = table_lookup(spec, coeffs)
+            assert (t.value, t.matched, t.block, t.imported, t.ambiguous) == expected, (
+                spec, coeffs
+            )
+            checked += 1
+            ambiguous += t.ambiguous
+    # Both kinds of ambiguity occur: conflicting rows and the unresolved
+    # permutation row of the product fan.
+    assert ambiguous > 0 and checked > 300_000
+
+
+def test_table_row_orders_built_once():
+    rows = [row for record in CASES.values() for block in record.tables for row in block.rows]
+    for row in rows:
+        expected = set(itertools.permutations(row.preds)) if row.permute else {row.preds}
+        assert row.orders[0] == row.preds
+        assert len(row.orders) == len(set(row.orders)) and set(row.orders) == expected
+
+
+# Positivity certificates read from one intersection matrix, against the
+# triple products one at a time.
+POSITIVITY_CELLS = [
+    ("2.0.1", {"l": 2}, (3, 4)),
+    ("2.0.1", {"l": 2}, (2, 7)),
+    ("2.0.1", {"l": 1}, (4, 5)),
+    ("2.0.2", {"l1": 1, "l2": 1}, (5, 0)),
+    ("3.0.1", {"r": 0, "a": 0, "b": 0}, (3, 3, 3)),
+    ("3.0.1", {"r": 1, "a": 1, "b": 1}, (2, 3, 3)),
+    ("3.0.1", {"r": 1, "a": 2, "b": 3}, (1, 2, 3)),
+    ("3.0.2", {"r": 1, "a": 1, "b": -1}, (4, 2, 4)),
+    ("3.1.1", {"b1": 0}, (4, 0, 5)),
+    ("3.1.2", {"b1": 3}, (2, 0, 1)),
+    ("3.1.3", {"b1": 1, "c2": 0}, (2, 4, 2)),
+    ("3.1.4", {"b1": 1, "b2": 1}, (0, 2, 4)),
+    ("3.1.5", {"b1": 0}, (2, 1, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "case,params,coeffs", POSITIVITY_CELLS, ids=[f"{c}-{k}" for c, _, k in POSITIVITY_CELLS]
+)
+def test_positivity_certificate_matches_triple_products(case, params, coeffs):
+    fan = family_fan(case, **params)
+    d = surface_divisor(fan, coeffs)
+    h = ample_reference(fan)
+    assert is_nef(d) and is_ample(h)
+    k = canonical_divisor(fan)
+    es = [d, -1 * k, d + d]
+    for config in applicable_configs(fan):
+        es.append(d - divisor(fan, config.eprime_coeffs(fan.family.as_dict())))
+    gens = eff_generators(fan)
+    for e in es:
+        cert = positivity_certificate(d, e, h)
+        assert cert.pairings == tuple(triple_intersection(e + k, d, g) for g in gens)
+        assert cert.degrees == tuple(triple_intersection(h, d, g) for g in gens)
+        assert cert.eff_labels == tuple(next(iter(g.label_dict())) for g in gens)
+
+
+NON_NEF_CERTIFICATE = """
+from torhyp.classify import positivity_certificate
+from torhyp.divisors import ample_reference, divisor
+from torhyp.fans import family_fan
+fan = family_fan("2.0.1", l=2)
+d = divisor(fan, {"D_2": -3, "D_3": -3})
+try:
+    positivity_certificate(d, d, ample_reference(fan))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+
+
+def test_positivity_certificate_rejects_non_nef():
+    fan = family_fan("2.0.1", l=2)
+    d = divisor(fan, {"D_2": -3, "D_3": -3})
+    with pytest.raises(ValueError, match="nef"):
+        positivity_certificate(d, d, ample_reference(fan))
+    # The check is code, not an assertion: it holds under python -O too.
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", NON_NEF_CERTIFICATE],
+        capture_output=True, text=True, check=True, env=child_env(),
+    ).stdout
+    assert out.startswith("ValueError:")
+
+
+def child_env():
+    """Environment for a child interpreter importing this torhyp."""
+    src = os.path.dirname(os.path.dirname(torhyp.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_positivity_degenerate_degree_is_inconsistent(monkeypatch):
+    # Every pairing is 1 but every degree 0: impossible for a nef D and an
+    # ample H, so a matrix giving it is an internal inconsistency.
+    fan = family_fan("2.0.1", l=2)
+    d = surface_divisor(fan, (3, 4))
+    e = divisor(fan, {"D_2": 2, "D_3": 4})
+    row = (-1, 0, 0, 0, 0)
+    monkeypatch.setattr(classify_module, "intersection_matrix", lambda _: (row,) * 5)
+    with pytest.raises(InternalInconsistencyError):
+        positivity_certificate(d, e, ample_reference(fan))
+
+
+@pytest.mark.parametrize("case,params,coeffs", [
+    ("3.1.5", {"b1": -1}, (2, 1, 4)),
+    ("3.1.3", {"b1": -1, "c2": 0}, (4, 4, 2)),
+])
+def test_tables_unlisted_below_reference_domain(case, params, coeffs):
+    # Below b1 = 0 a listed nef generator is not nef, so the printed rows
+    # say nothing about the cell.
+    v = derive_verdict(spec_of(case, **params), coeffs, bound=2)
+    assert v.table.value == UNLISTED and v.table.block is None
+    assert v.agree and not v.contradicts_table

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from torhyp.cli import main
+
+from test_classify import child_env
 
 
 def run(capsys, *argv):
@@ -235,3 +240,69 @@ def test_generic_fan_input(tmp_path, capsys):
     )
     assert code == 0
     assert data["count"] == 6
+
+
+P3_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("argv,fan_file,message", [
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", "5"], None, "must be an object"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"coeffs": [1, 2]}'], None, "'coeffs' must map"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"class": [1.5, 2]}'], None, "got 1.5"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"class": 2}'], None, "'class' must be a list"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"coeffs": {"D_2": 1.9}}'], None, "got 1.9"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"coeffs": {"D_2": true}}'], None, "got True"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"class": [1, false]}'], None, "got False"),
+    (["nef", "--case", "2.0.1", "--l", "2", "--D", '{"coeffs": {"D_2": "1"}}'], None, "got '1'"),
+    (["intersect", "--case", "2.0.1", "--l", "2", "--d1", "[]", "--d2", "{}", "--d3", "{}"],
+     None, "must be an object"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'], "missing", "cannot read fan file"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'], [1, 2], "must be an object"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'], {"rays": P3_RAYS}, "'max_cones'"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'], {"max_cones": P3_CONES}, "'rays'"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'],
+     {"rays": P3_RAYS, "max_cones": [[0, 1, 2], [0, 1, 7]]}, "outside 0..3"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'],
+     {"rays": [[1, 0, 0.5]] + P3_RAYS[1:], "max_cones": P3_CONES}, "got 0.5"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'],
+     {"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": ["x"]}, "one string per ray"),
+    (["polytope", "--D", '{"coeffs": {"D_1": 1}}'],
+     {"case": "2.0.1", "params": {"l": 1.5}}, "got 1.5"),
+])
+def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
+    # Each malformed input ends in one JSON error document with exit 1:
+    # no traceback, and no value silently truncated or coerced.
+    if fan_file is not None:
+        path = tmp_path / "fan.json"
+        if fan_file != "missing":
+            path.write_text(json.dumps(fan_file))
+        argv = [*argv, "--fan", str(path)]
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert set(data) == {"schema", "error"} and message in data["error"], data
+
+
+def test_well_formed_fan_file_still_reads(tmp_path, capsys):
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES,
+                                "ray_labels": ["x", "y", "z", "w"]}))
+    code, data = run_json(capsys, "points", "--fan", str(path), "--D", '{"coeffs": {"w": 1}}')
+    assert code == 0 and data["count"] == 4
+
+
+def test_closed_stdout_exits_without_traceback():
+    # A reader that closes the pipe early (`torhyp sweep ... | head -c0`):
+    # exit 1 and nothing on stderr.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torhyp.cli", "sweep", "--case", "2.0.1", "--l", "2",
+             "--range", "0..8", "--bound", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
