@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every verb prints a single JSON document (sorted keys) on stdout, or CSV
-for sweeps.  Exit status 0 on success, 1 on invalid input and 2 when an
+for sweeps.  Exit status 0 on success, 1 on invalid input (argument
+errors included) and 2 when an
 internal consistency check fails (the package's encoded tables disagreeing
 with a recomputation).
 """
@@ -27,6 +28,14 @@ SCHEMA = "torhyp/1"
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so they end in one JSON document with
+    exit 1 like every other invalid input; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _bound_default() -> int:
@@ -85,7 +94,10 @@ def _divisor_from_flag(fan: _fans.Fan, text: str) -> _div.TDivisor:
         raise CliError(f"divisor must be JSON ({exc})")
     try:
         return _div.divisor_from_json(fan, data)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message.
+        raise CliError(str(exc.args[0]))
+    except ValueError as exc:
         raise CliError(str(exc))
 
 
@@ -251,7 +263,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="torhyp",
         description="Exact computations on the nine classified toric threefold "
         "families: fans, divisor polytopes, move-set verification, and "
@@ -301,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -313,8 +324,10 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "bound"):
             if args.bound is None:
                 args.bound = _bound_default()

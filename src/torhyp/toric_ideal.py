@@ -2,27 +2,32 @@
 
 The short exact sequence 0 -> Z^3 -> Z^r -> Z^k -> 0 of a catalog fan is
 realised by the ray matrix A (rays as rows) and the class map B computed
-from the chosen Picard basis.  A finite move set in ker(B) is verified to
-be a Markov basis up to a degree bound: every fiber
-{v in Z^r_{>=0} : B v = t} touched by a vector of coordinate sum <= bound
-is enumerated in full and its move graph must be connected.  A fiber is in
-bijection with the lattice points of a bounded polytope in the character
-lattice Z^3 (bounded because the fan is complete), and each move with one
-vector of Z^3, so the connectivity search runs there on 3-d points.
+from the chosen Picard basis.  A move set M in L = ker(B) is a Markov
+basis when every fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The
+fan's reference move set is proven one by algebra: it spans L and its
+binomial ideal is saturated, checked by binomial Buchberger runs.  Every
+other set is decided by membership: it is a Markov basis iff it joins the
+two sides of each reference move inside that move's fiber.  Where neither
+settles the question, every fiber touched by a vector of coordinate sum
+<= bound is searched.  A fiber is in bijection with the lattice points of
+a bounded polytope in the character lattice Z^3 (bounded because the fan
+is complete), and each move with one vector of Z^3, so every search runs
+there on 3-d points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain
-from math import comb
-from operator import mul
+from math import comb, lcm
+from operator import le, mul
 from typing import Sequence
 
 from .divisors import TDivisor, is_nef, picard_basis
-from .fans import Fan, family_record
-from .intlin import IntMat, solve_3x3
+from .fans import Fan, family_record, find_containing_cone
+from .intlin import IntMat, smith_normal_form, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
@@ -36,6 +41,11 @@ DEFAULT_MARKOV_BOUND = 6
 # Fibers are enumerated for the public view and the tests; the Markov
 # check itself works on lattice points and keeps none of them.
 FIBER_CACHE_SIZE = 256
+# One proof per fan, like the per-fan compiled inequality systems.
+PROOF_CACHE_SIZE = 256
+# A Buchberger run that needs more reductions and S-pairs than this is
+# abandoned, and the move set goes to the bounded fiber search instead.
+BUCHBERGER_STEP_BUDGET = 20_000
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -128,13 +138,14 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
-    """Connectivity of a finite point set under the signed moves.
+def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec], ends: tuple[Vec, Vec] | None = None) -> bool:
+    """Connectivity of a finite point set under the signed moves, or, given
+    ends = (start, goal), whether the moves join start to goal in it.
 
     The points are fiber elements in Z^r or, equally, their lattice points
     in the character lattice Z^3 with the moves pulled back there.
     Elements are packed into single integers sum(v_i * base^i), base
-    2 * offset + 1, so each BFS step is one integer addition and a set
+    2 * offset + 1, so each search step is one integer addition and a set
     lookup.  The offset is the largest |coordinate| of the fiber plus that
     of the moves: every digit v_i + d_i + offset of a reached element plus
     a signed move then lies in [0, base), so a packed sum equals a packed
@@ -150,15 +161,23 @@ def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
     unseen = {sum(map(mul, v, weights)) for v in fiber}
     deltas = {s * sum(map(mul, m, weights)) for m in moves for s in (1, -1)}
     deltas.discard(0)
-    stack = [unseen.pop()]
+    if ends is None:
+        goal = None
+        stack = [unseen.pop()]
+    else:
+        start, goal = (sum(map(mul, v, weights)) for v in ends)
+        unseen.discard(start)
+        stack = [start]
     while stack and unseen:
         v = stack.pop()
         for dlt in deltas:
             w = v + dlt
             if w in unseen:
+                if w == goal:
+                    return True
                 unseen.remove(w)
                 stack.append(w)
-    return not unseen
+    return goal is None and not unseen
 
 
 def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) -> bool:
@@ -225,19 +244,179 @@ def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
     return out
 
 
-def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
-    """Bounded Markov verification: connectivity of every fiber reached by
-    a vector of coordinate sum <= bound.
+def _grading(fan: Fan) -> Vec:
+    """A positive grading omega >= 1 with omega . move = 0 on ker(B).
 
-    This certifies the move set up to the bound; it is exact but not a
-    proof for all degrees.  The fiber of an image t is in bijection with
-    the lattice points m of {<m, u_rho> >= -v0_rho}, v = v0 + A m, and a
-    move mv = A delta acts there as m -> m + delta, so each move is pulled
-    back to Z^3 once and the search runs on the lattice points.
-    Connectivity is first attempted with a small subset of short moves and
-    falls back to the full set per fiber, which never changes the verdict,
-    only the running time.  A bound below one would certify nothing, so it
-    is rejected.
+    The fan is complete, so each -u_rho lies in some maximal cone:
+    -u_rho = sum c_i u_i with c_i >= 0.  Each relation u_rho + sum c_i u_i = 0
+    (denominators cleared) pairs to zero with every move A delta, and their
+    sum has every coordinate at least one.
+    """
+    omega = [0] * fan.nrays
+    for rho, u in enumerate(fan.rays):
+        hit = find_containing_cone(fan, tuple(-x for x in u))
+        if hit is None:
+            raise InternalInconsistencyError(f"-u_{rho} lies in no maximal cone")
+        cone, coords = hit
+        den = lcm(*(c.denominator for c in coords))
+        omega[rho] += den
+        for i, c in zip(cone, coords):
+            omega[i] += int(c * den)
+    return tuple(omega)
+
+
+def _saturated_in(moves: Sequence[Vec], omega: Vec, i: int) -> bool | None:
+    """Whether I_M : x_i^inf = I_M, by one binomial Buchberger run.
+
+    The term order is omega-graded reverse lexicographic with x_i last.  The
+    ideal is omega-homogeneous, so a Groebner basis divided by the highest
+    powers of x_i is a Groebner basis of I_M : x_i^inf (Sturmfels, Groebner
+    Bases and Convex Polytopes, Lemma 12.1), and the two ideals agree iff no
+    leading term is divisible by x_i.  A binomial x^a - x^b is kept as the
+    pair (a, b) with x^a the leading term; common factors are never
+    cancelled, since that would saturate.  None when the run needs more
+    than BUCHBERGER_STEP_BUDGET reductions and S-pairs.
+    """
+    order = [i, *(k for k in reversed(range(len(omega))) if k != i)]
+
+    def key(a: Vec) -> tuple:
+        return (sum(map(mul, omega, a)), *(-a[k] for k in order))
+
+    basis: list[tuple[Vec, Vec]] = []
+    pairs: list[tuple[tuple, int, int]] = []
+    steps = 0
+
+    def add(a: Vec, b: Vec) -> bool:
+        # Top-reduce x^a - x^b by the basis; keep a nonzero remainder.
+        nonlocal steps
+        while a != b:
+            if key(a) < key(b):
+                a, b = b, a
+            for lead, trail in basis:
+                if all(map(le, lead, a)):
+                    steps += 1
+                    if steps > BUCHBERGER_STEP_BUDGET:
+                        return False
+                    a = tuple(x - y + z for x, y, z in zip(a, lead, trail))
+                    break
+            else:
+                n = len(basis)
+                for j, (lead, _) in enumerate(basis):
+                    # Coprime leading terms give an S-pair that reduces to 0.
+                    if any(map(min, lead, a)):
+                        heappush(pairs, (key(tuple(map(max, lead, a))), j, n))
+                basis.append((a, b))
+                return True
+        return True
+
+    for m in moves:
+        if not add(tuple(max(x, 0) for x in m), tuple(max(-x, 0) for x in m)):
+            return None
+    while pairs:
+        steps += 1
+        _, j, k = heappop(pairs)
+        (a1, b1), (a2, b2) = basis[j], basis[k]
+        c = tuple(map(max, a1, a2))
+        if steps > BUCHBERGER_STEP_BUDGET or not add(
+            tuple(x - y + z for x, y, z in zip(c, a1, b1)),
+            tuple(x - y + z for x, y, z in zip(c, a2, b2)),
+        ):
+            return None
+    return not any(lead[i] for lead, _ in basis)
+
+
+def _markov_proof(fan: Fan, moves: Sequence[Vec]) -> bool:
+    """Whether the moves, all in ker(B), provably form a Markov basis.
+
+    A set M spanning L = ker(B) is a Markov basis iff its binomial ideal
+    I_M equals I_M : (x_1 ... x_r)^inf (Diaconis-Sturmfels 1998, Thm 3.1,
+    with Sturmfels, Lemma 12.2), which holds iff I_M : x_i^inf = I_M for
+    every variable.  L is saturated of rank 3, so M spans it iff the
+    Smith invariants of M are three ones.  False also when a Buchberger
+    run exceeds its step budget: the proof is then left undone.
+    """
+    invariants = smith_normal_form(IntMat.from_rows(moves)).diagonal()
+    if [d for d in invariants if d] != [1, 1, 1]:
+        return False
+    omega = _grading(fan)
+    return all(_saturated_in(moves, omega, i) for i in range(fan.nrays))
+
+
+@lru_cache(maxsize=PROOF_CACHE_SIZE)
+def _proven_candidate(fan: Fan) -> tuple[Vec, ...] | None:
+    """The fan's reference move set if _markov_proof holds for it."""
+    moves = tuple(m for m in markov_candidate(fan) if any(m))
+    return moves if _markov_proof(fan, moves) else None
+
+
+def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
+    """Whether moves in ker(B) form a Markov basis, decided by membership.
+
+    With a proven basis M, I_{M'} is I_L iff every x^{m+} - x^{m-}, m in M,
+    lies in I_{M'}, i.e. iff m+ and m- are joined by M' inside their one
+    fiber.  The fiber of m+ is the lattice points of {<d, u_rho> >= -m+_rho}
+    with m+ at the origin and m- at -delta(m).  False when the fan's
+    reference set is not proven or a fiber exceeds the lattice scan
+    budget; the caller then searches the bounded fibers.
+    """
+    proven = _proven_candidate(fan)
+    if proven is None:
+        return False
+    given = set(moves) | {tuple(-x for x in m) for m in moves}
+    pending = [m for m in proven if m not in given]
+    if not pending:
+        return True
+    deltas = _character_moves(fan, moves)
+    for m, goal in zip(pending, _character_moves(fan, pending)):
+        try:
+            points = lattice_points(offset_polytope(fan, tuple(-max(x, 0) for x in m)))
+        except EnumerationGuardError:
+            return False
+        if not _connected_under(points, deltas, ((0, 0, 0), tuple(-x for x in goal))):
+            return False
+    return True
+
+
+def _bounded_search(fan: Fan, moves: Sequence[Vec], images: Sequence[Vec], bound: int) -> FiberCertificate:
+    """Connectivity of every fiber over the given images, in their order.
+
+    The fiber of an image t is in bijection with the lattice points m of
+    {<m, u_rho> >= -v0_rho}, v = v0 + A m, and a move mv = A delta acts
+    there as m -> m + delta, so each move is pulled back to Z^3 once and
+    the search runs on the lattice points.  Connectivity is first
+    attempted with a small subset of short moves and falls back to the
+    full set per fiber, which never changes the verdict, only the running
+    time.
+    """
+    primary = sorted(set(moves), key=lambda m: sum(abs(x) for x in m))[:8]
+    primary, moves = _character_moves(fan, primary), _character_moves(fan, moves)
+    checked = 0
+    for image in images:
+        v0 = _particular_solution(fan, image)
+        points = lattice_points(offset_polytope(fan, tuple(-c for c in v0)))
+        checked += 1
+        if len(points) <= 1:
+            continue
+        if _connected_under(points, primary):
+            continue
+        if not _connected_under(points, moves):
+            return FiberCertificate(bound, checked, False, image)
+    return FiberCertificate(bound, checked, True)
+
+
+def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
+    """Markov verification of a move set in ker(B), reported up to a bound.
+
+    The certificate states that every fiber reached by a vector of
+    coordinate sum <= bound is connected, or names the first that is not.
+    A set that is a Markov basis connects every fiber of every degree, so
+    when the fan's reference set is proven (_markov_proof) and the given
+    set is decided Markov by membership (_is_markov), every fiber up to
+    the bound is connected and none is searched.  Otherwise the bounded
+    search runs and names the first disconnected fiber, exactly as a
+    proof-free check would; this covers sets that are not Markov bases
+    and fans whose reference set is not proven.  A bound below one would
+    certify nothing, so it is rejected.
     """
     if bound < 1:
         raise ValueError(f"the Markov bound must be at least 1, got {bound}")
@@ -249,20 +428,10 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
             raise ValueError(f"candidate move {mv} is not in the kernel of the class map")
         if any(mv):
             moves.append(mv)
-    primary = sorted(set(moves), key=lambda m: sum(abs(x) for x in m))[:8]
-    primary, moves = _character_moves(fan, primary), _character_moves(fan, moves)
-    checked = 0
-    for image in _degree_images(fan, bound):
-        v0 = _particular_solution(fan, image)
-        points = lattice_points(offset_polytope(fan, tuple(-c for c in v0)))
-        checked += 1
-        if len(points) <= 1:
-            continue
-        if _connected_under(points, primary):
-            continue
-        if not _connected_under(points, moves):
-            return FiberCertificate(bound, checked, False, image)
-    return FiberCertificate(bound, checked, True)
+    images = _degree_images(fan, bound)
+    if _is_markov(fan, moves):
+        return FiberCertificate(bound, len(images), True)
+    return _bounded_search(fan, moves, images, bound)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,52 @@ def test_markov_degree_guard_exit1(capsys):
     assert "would enumerate" in data["error"]
 
 
+def test_markov_large_coordinates(capsys):
+    # Moves with entries near a thousand: the proof settles the certificate.
+    code, data = run_json(capsys, "markov", "--case", "2.0.2", "--l1", "0", "--l2", "950",
+                          "--bound", "2")
+    assert code == 0
+    assert data["certificate"] == {
+        "bound": 2, "fibers_checked": 10, "connected": True, "failing_fiber": None
+    }
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--case", "2.0.1", "--l", "x", "--coeffs", "1,2"], "invalid int value: 'x'"),
+    (["classify", "--case", "2.0.1", "--l", "2", "--coeffs", "1,2", "--colour"],
+     "unrecognized arguments: --colour"),
+    (["classify", "--case", "2.0.1", "--l", "2"], "required: --coeffs"),
+    ([], "required: verb"),
+    (["--pretty"], "required: verb"),
+    (["paint", "--case", "2.0.1"], "invalid choice: 'paint'"),
+    (["sweep", "--case", "2.0.1", "--l", "2", "--out", "xml"], "invalid choice: 'xml'"),
+])
+def test_usage_errors_exit1(capsys, argv, message):
+    # Argument errors end like every other invalid input: one JSON error
+    # document on stdout, nothing on stderr, exit 1 (2 is reserved for
+    # internal inconsistencies).
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    data = json.loads(captured.out)
+    assert set(data) == {"schema", "error"} and message in data["error"], data
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: torhyp" in capsys.readouterr().out
+
+
+def test_unknown_ray_label_message(capsys):
+    code, data = run_json(capsys, "nef", "--case", "2.0.1", "--l", "2",
+                          "--D", '{"coeffs": {"D_9": 1}}')
+    assert code == 1
+    assert data["error"] == "no ray labelled 'D_9'"
+
+
 def test_sweep_error_prints_one_document(capsys):
     # Outside the reference domain a later cell fails; no CSV row may be
     # printed ahead of the error document.

@@ -1,13 +1,19 @@
 import pytest
 
+import torhyp.toric_ideal as ti
+from torhyp.classify import applicable_configs
 from torhyp.divisors import divisor, ray_divisor
 from torhyp.fans import family_fan
 from torhyp.intlin import IntMat
 from torhyp.polytopes import EnumerationGuardError
 from torhyp.toric_ideal import (
     InternalInconsistencyError,
+    _bounded_search,
     _character_moves,
     _degree_images,
+    _grading,
+    _markov_proof,
+    _saturated_in,
     connected_sections_check,
     fiber_elements,
     fiber_graph_connected,
@@ -17,6 +23,7 @@ from torhyp.toric_ideal import (
     section_difference_moves,
 )
 
+from test_acceptance import PARAM_GRIDS
 from test_polytopes import MEMBERS
 
 GRID = [
@@ -249,3 +256,131 @@ def test_degree_images_guarded():
     fan = family_fan("2.0.1", l=0)
     with pytest.raises(EnumerationGuardError):
         _degree_images(fan, 100000)
+
+
+def bounded_certificate(fan, moves, bound):
+    """Oracle: the fiber search over every degree image up to the bound,
+    which markov_verify runs only when it cannot decide the set."""
+    return _bounded_search(fan, [m for m in moves if any(m)], _degree_images(fan, bound), bound)
+
+
+def added(a, b, k=1):
+    return tuple(x + k * y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("case", list(PARAM_GRIDS))
+def test_markov_verify_matches_bounded_search(case):
+    # Every criterion-1 member: the reference set (proven), every set with
+    # one move dropped and every section configuration set (decided by
+    # membership or searched) give the certificate of the bounded search.
+    for params in PARAM_GRIDS[case]:
+        fan = family_fan(case, **params)
+        full = markov_candidate(fan)
+        sets = [full] + [full[:i] + full[i + 1:] for i in range(len(full))]
+        for config in applicable_configs(fan):
+            sets.append(section_difference_moves(divisor(fan, config.eprime_coeffs(params))))
+        for moves in sets:
+            assert markov_verify(fan, moves, 4) == bounded_certificate(fan, moves, 4), (params, moves)
+        assert _markov_proof(fan, full), params
+
+
+@pytest.mark.parametrize("case,params", MEMBERS, ids=str)
+def test_grading_is_positive_on_the_move_lattice(case, params):
+    fan = family_fan(case, **params)
+    omega = _grading(fan)
+    assert min(omega) >= 1
+    for m in markov_candidate(fan):
+        assert sum(w * x for w, x in zip(omega, m)) == 0
+
+
+@pytest.mark.parametrize("case,params", MEMBERS, ids=str)
+def test_non_spanning_sets_not_proven(case, params):
+    # {2m} and a set with a move dropped span a proper sublattice of
+    # ker(B); neither is proven, and both fall to the bounded search.
+    fan = family_fan(case, **params)
+    full = markov_candidate(fan)
+    doubled = [tuple(2 * x for x in m) for m in full]
+    for moves in (doubled, full[1:]):
+        assert not _markov_proof(fan, moves)
+        assert markov_verify(fan, moves, 3) == bounded_certificate(fan, moves, 3)
+    assert not markov_verify(fan, doubled, 3).connected
+
+
+def test_membership_decides_other_bases():
+    # {m0, m1 + m0, m2} is another lattice basis of ker(B) on 2.0.2 and a
+    # Markov basis there; on 2.0.1 it is not one.  Membership in the
+    # fibers of the proven reference moves tells the two apart.
+    fan = family_fan("2.0.2", l1=0, l2=1)
+    m = markov_candidate(fan)
+    other = [m[0], added(m[1], m[0]), m[2]]
+    assert ti._is_markov(fan, other)
+    assert markov_verify(fan, other, 5) == bounded_certificate(fan, other, 5)
+    fan = family_fan("2.0.1", l=1)
+    m = markov_candidate(fan)
+    other = [m[0], added(m[1], m[0]), m[2]]
+    assert not ti._is_markov(fan, other)
+    cert = markov_verify(fan, other, 5)
+    assert not cert.connected and cert == bounded_certificate(fan, other, 5)
+
+
+def test_unproven_candidate_falls_back_negative_313():
+    fan = family_fan("3.1.3", b1=-1, c2=1)
+    assert not _markov_proof(fan, markov_candidate(fan))
+    cert = markov_verify(fan, markov_candidate(fan), 4)
+    assert cert == bounded_certificate(fan, markov_candidate(fan), 4)
+    assert cert.failing_fiber == (-3, 0, 4)
+
+
+def test_step_budget_falls_back(monkeypatch):
+    # A Buchberger run past the budget leaves the proof undone; the bounded
+    # search then gives the same certificate.
+    fan = family_fan("3.1.4", b1=2, b2=1)
+    full = markov_candidate(fan)
+    monkeypatch.setattr(ti, "BUCHBERGER_STEP_BUDGET", 1)
+    ti._proven_candidate.cache_clear()
+    try:
+        assert _saturated_in(full, _grading(fan), 0) is None
+        assert not _markov_proof(fan, full)
+        assert markov_verify(fan, full, 3) == bounded_certificate(fan, full, 3)
+        assert markov_verify(fan, full, 3).connected
+    finally:
+        ti._proven_candidate.cache_clear()
+
+
+SYMPY_MEMBERS = [
+    ("2.0.1", {"l": 1}),
+    ("2.0.2", {"l1": 0, "l2": 1}),
+    ("3.0.2", {"r": 1, "a": 0, "b": -1}),
+    ("3.1.1", {"b1": 0}),
+    ("3.1.3", {"b1": -1, "c2": 1}),
+]
+
+
+@pytest.mark.parametrize("case,params", SYMPY_MEMBERS, ids=str)
+def test_saturation_matches_sympy(case, params):
+    # Second oracle: I_M : x_i^inf = I_M by sympy's Groebner bases (the
+    # saturation as an elimination of t from I_M + <1 - t x_i>), on the
+    # reference set and three other lattice bases of ker(B).
+    sympy = pytest.importorskip("sympy")
+    fan = family_fan(case, **params)
+    xs = sympy.symbols(f"x0:{fan.nrays}")
+    t = sympy.Symbol("t")
+
+    def saturated(moves, var):
+        gens = [
+            sympy.Mul(*(x ** max(c, 0) for x, c in zip(xs, m)))
+            - sympy.Mul(*(x ** max(-c, 0) for x, c in zip(xs, m)))
+            for m in moves
+        ]
+        ideal = sympy.groebner(gens, *xs, order="grevlex")
+        sat = sympy.groebner(gens + [1 - t * var], t, *xs, order="lex")
+        return all(ideal.contains(g) for g in sat.exprs if t not in g.free_symbols)
+
+    m = [mv for mv in markov_candidate(fan) if any(mv)]
+    omega = _grading(fan)
+    bases = [m, [m[0], added(m[1], m[0]), m[2]], [m[0], m[1], added(m[2], m[0], 2)],
+             [added(m[0], m[1], -1), m[1], m[2]]]
+    for moves in bases:
+        per_variable = [_saturated_in(moves, omega, i) for i in range(fan.nrays)]
+        assert per_variable == [saturated(moves, x) for x in xs], moves
+        assert _markov_proof(fan, moves) == all(per_variable)
