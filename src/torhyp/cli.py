@@ -2,9 +2,8 @@
 
 Every verb prints a single JSON document (sorted keys) on stdout, or CSV
 for sweeps.  Exit status 0 on success, 1 on invalid input (argument
-errors included) and 2 when an
-internal consistency check fails (the package's encoded tables disagreeing
-with a recomputation).
+errors included) and 2 when an internal consistency check fails (the
+package's encoded tables disagreeing with a recomputation).
 """
 
 from __future__ import annotations

@@ -138,9 +138,8 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec], ends: tuple[Vec, Vec] | None = None) -> bool:
-    """Connectivity of a finite point set under the signed moves, or, given
-    ends = (start, goal), whether the moves join start to goal in it.
+def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
+    """Connectivity of a finite point set under the signed moves.
 
     The points are fiber elements in Z^r or, equally, their lattice points
     in the character lattice Z^3 with the moves pulled back there.
@@ -161,23 +160,15 @@ def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec], ends: tuple[Vec
     unseen = {sum(map(mul, v, weights)) for v in fiber}
     deltas = {s * sum(map(mul, m, weights)) for m in moves for s in (1, -1)}
     deltas.discard(0)
-    if ends is None:
-        goal = None
-        stack = [unseen.pop()]
-    else:
-        start, goal = (sum(map(mul, v, weights)) for v in ends)
-        unseen.discard(start)
-        stack = [start]
+    stack = [unseen.pop()]
     while stack and unseen:
         v = stack.pop()
         for dlt in deltas:
             w = v + dlt
             if w in unseen:
-                if w == goal:
-                    return True
                 unseen.remove(w)
                 stack.append(w)
-    return goal is None and not unseen
+    return not unseen
 
 
 def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) -> bool:
@@ -354,10 +345,11 @@ def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
 
     With a proven basis M, I_{M'} is I_L iff every x^{m+} - x^{m-}, m in M,
     lies in I_{M'}, i.e. iff m+ and m- are joined by M' inside their one
-    fiber.  The fiber of m+ is the lattice points of {<d, u_rho> >= -m+_rho}
-    with m+ at the origin and m- at -delta(m).  False when the fan's
-    reference set is not proven or a fiber exceeds the lattice scan
-    budget; the caller then searches the bounded fibers.
+    fiber.  That holds iff M' connects each such fiber: a Markov basis
+    connects every fiber, and a connected fiber joins m+ to m-.  The fiber
+    of m+ is the lattice points of {<d, u_rho> >= -m+_rho}.  False when
+    the fan's reference set is not proven or a fiber exceeds the lattice
+    scan budget; the caller then searches the bounded fibers.
     """
     proven = _proven_candidate(fan)
     if proven is None:
@@ -367,12 +359,12 @@ def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
     if not pending:
         return True
     deltas = _character_moves(fan, moves)
-    for m, goal in zip(pending, _character_moves(fan, pending)):
+    for m in pending:
         try:
             points = lattice_points(offset_polytope(fan, tuple(-max(x, 0) for x in m)))
         except EnumerationGuardError:
             return False
-        if not _connected_under(points, deltas, ((0, 0, 0), tuple(-x for x in goal))):
+        if not _connected_under(points, deltas):
             return False
     return True
 
