@@ -35,12 +35,18 @@ from .divisors import (
     is_nef,
     nef_combination,
 )
-from .fans import FamilySpec, Fan, ParameterError, build_family_fan, family_record
+from .fans import (
+    FamilySpec,
+    Fan,
+    InternalInconsistencyError,
+    ParameterError,
+    build_family_fan,
+    family_record,
+)
 from .polytopes import intersection_matrix
 from .toric_ideal import (
     DEFAULT_MARKOV_BOUND,
     FiberCertificate,
-    InternalInconsistencyError,
     markov_verify,
     section_difference_moves,
 )
@@ -80,10 +86,6 @@ class BoundaryEntry:
         very general surface misses that boundary divisor entirely."""
         return self.face_dim >= 1
 
-    @property
-    def genus(self) -> int | None:
-        return self.interior_count if self.carries_curve else None
-
 
 @dataclass(frozen=True)
 class BoundaryProfile:
@@ -96,9 +98,6 @@ class BoundaryProfile:
             if e.carries_curve and e.interior_count <= 1:
                 return e
         return None
-
-    def all_genus_at_least_two(self) -> bool:
-        return self.big and self.low_genus_entry() is None
 
     def as_json(self) -> dict:
         return {

@@ -100,7 +100,7 @@ def _divisor_from_flag(fan: _fans.Fan, text: str) -> _div.TDivisor:
         raise CliError(str(exc))
 
 
-def _coeffs_from_flag(fan: _fans.Fan, text: str) -> tuple[int, ...]:
+def _coeffs_from_flag(text: str) -> tuple[int, ...]:
     try:
         coeffs = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -142,7 +142,7 @@ def cmd_describe(args) -> dict:
         },
     }
     if not out["canonical"]["matches_reference"]:
-        raise _ti.InternalInconsistencyError("canonical class disagrees with the encoded table")
+        raise _fans.InternalInconsistencyError("canonical class disagrees with the encoded table")
     return out
 
 
@@ -174,7 +174,7 @@ def cmd_points(args) -> dict:
 def cmd_faces(args) -> dict:
     fan = _fan_from_args(args)
     if args.coeffs:
-        d = _classify.surface_divisor(fan, _coeffs_from_flag(fan, args.coeffs))
+        d = _classify.surface_divisor(fan, _coeffs_from_flag(args.coeffs))
     elif args.D:
         d = _divisor_from_flag(fan, args.D)
     else:
@@ -228,7 +228,7 @@ def cmd_intersect(args) -> dict:
 
 def cmd_classify(args) -> dict:
     fan = _fan_from_args(args, need_catalog=True)
-    coeffs = _coeffs_from_flag(fan, args.coeffs)
+    coeffs = _coeffs_from_flag(args.coeffs)
     verdict = _classify.derive_verdict(fan.family, coeffs, args.bound)
     out = {"case": fan.family.case_id, "params": fan.family.as_dict()}
     out.update(dict(zip(CASES[fan.family.case_id].coeff_names, coeffs)))
@@ -246,10 +246,15 @@ def _range_from_flag(text: str) -> range:
 
 def cmd_sweep(args) -> int:
     fan = _fan_from_args(args, need_catalog=True)
+    record = CASES[fan.family.case_id]
+    coeff_range = _range_from_flag(args.range)
+    # len() of a range overflows past sys.maxsize.
+    cells = max(coeff_range.stop - coeff_range.start, 0) ** len(record.coeff_names)
+    if cells > _poly.LATTICE_SCAN_GUARD:
+        raise CliError(f"a grid of {cells} cells exceeds the budget of {_poly.LATTICE_SCAN_GUARD}")
     # Every row is derived before any is written, so an error leaves one
     # JSON document on stdout rather than a partial CSV.
-    rows = list(_classify.sweep(fan.family, _range_from_flag(args.range), args.bound))
-    record = CASES[fan.family.case_id]
+    rows = list(_classify.sweep(fan.family, coeff_range, args.bound))
     names = ["case", *record.params, *record.coeff_names, "derived", "table", "agree"]
     if args.out == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=names)
@@ -340,7 +345,7 @@ def _run(argv) -> int:
     except (CliError, _fans.ParameterError, ValueError, _poly.EnumerationGuardError) as exc:
         _emit({"error": str(exc)}, getattr(args, "pretty", False))
         return 1
-    except _ti.InternalInconsistencyError as exc:
+    except _fans.InternalInconsistencyError as exc:
         _emit({"internal_error": str(exc)}, getattr(args, "pretty", False))
         return 2
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fans import Fan, family_record, find_containing_cone, json_int
+from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone, json_int
 from .intlin import IntMat, smith_normal_form, solve_exact
 
 
@@ -162,15 +162,19 @@ def picard_basis(fan: Fan) -> PicBasis:
 
     The reduction map B is determined by B @ A = 0 (A = rays as rows) and
     B restricted to the basis columns being the identity; freeness of the
-    cokernel is confirmed through the Smith form of A.
+    cokernel is confirmed through the Smith form of A.  A catalog record
+    that fails these checks raises InternalInconsistencyError.
     """
     if fan.family is None:
         raise ValueError("picard_basis needs a catalog fan")
     a = ray_matrix(fan)
     snf = smith_normal_form(a)
     if snf.diagonal() != (1, 1, 1):
-        raise ValueError("ray matrix cokernel is not free; fan data corrupt")
-    basis = tuple(fan.label_index(lab) for lab in family_record(fan)[0].pic_basis)
+        raise InternalInconsistencyError("ray matrix cokernel is not free; fan data corrupt")
+    try:
+        basis = tuple(fan.label_index(lab) for lab in family_record(fan)[0].pic_basis)
+    except KeyError as exc:
+        raise InternalInconsistencyError(f"Picard basis: {exc.args[0]}") from exc
     others = tuple(i for i in range(fan.nrays) if i not in basis)
     k = fan.nrays - 3
     # Solve for the non-basis columns: B_T = -A_S (A_T)^{-1}, entrywise exact.
@@ -187,7 +191,7 @@ def picard_basis(fan: Fan) -> PicBasis:
         rhs = [-a_s[c, m] for m in range(3)]
         sol = solve_exact(at_t, rhs)
         if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("basis complement is not unimodular; fan data corrupt")
+            raise InternalInconsistencyError("basis complement is not unimodular; fan data corrupt")
         bt_rows.append([int(x) for x in sol])
     for pos, i in enumerate(others):
         cols[i] = tuple(bt_rows[c][pos] for c in range(k))
@@ -195,7 +199,7 @@ def picard_basis(fan: Fan) -> PicBasis:
     # The reduction must kill every relation row m -> <m, u_rho>.
     for j in range(3):
         if any(x != 0 for x in reduction.mul_vec(a.col(j))):
-            raise ValueError("reduction map does not kill the lattice relations")
+            raise InternalInconsistencyError("reduction map does not kill the lattice relations")
     return PicBasis(fan, basis, reduction)
 
 

@@ -33,6 +33,10 @@ class FanGeometryError(ValueError):
     """The combinatorial data does not assemble into a smooth complete fan."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """A recomputation disagrees with the package's encoded tables."""
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One of the nine classified cases with its integer parameters."""
@@ -309,17 +313,24 @@ def build_family_fan(spec: FamilySpec) -> Fan:
 
     Primitive collections are part of the stored classification data; the
     reconstruction of the maximal cones from them, plus the recomputation of
-    minimal non-faces, serves as the consistency check.
+    minimal non-faces, serves as the consistency check.  Parameters are
+    validated first, so geometry that fails past that point is corrupt
+    catalog data and raises InternalInconsistencyError.
     """
     spec.validate()
     record = CASES[spec.case_id]
     rays, labels, colls = tuple(record.rays(**spec.as_dict())), record.labels, record.collections
-    cones = cones_from_collections(rays, colls)
-    fan = Fan(rays, cones, labels, family=spec)
-    filled = tuple(primitive_relation(fan, c) for c in colls)
+    try:
+        cones = cones_from_collections(rays, colls)
+        fan = Fan(rays, cones, labels, family=spec)
+        filled = tuple(primitive_relation(fan, c) for c in colls)
+    except FanGeometryError as exc:
+        raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from exc
     fan = Fan(rays, cones, labels, collections=filled, family=spec)
     if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
-        raise FanGeometryError("stored collections disagree with recomputed minimal non-faces")
+        raise InternalInconsistencyError(
+            f"case {spec.case_id}: stored collections disagree with recomputed minimal non-faces"
+        )
     return fan
 
 

@@ -5,12 +5,12 @@ fan shares that fan's normals, so each normal set is compiled once: its
 boundedness and the adjugate of every nonsingular inequality triple.  The
 vertices of a polytope are then integer dot products of its right-hand
 sides with those adjugates, filtered by the full feasibility test.  Lattice
-points come from sliced integer scans and volumes from fan triangulation
-around the vertex centroid.  Triple intersection numbers come from the
-cones of the fan alone, as one cached integer tensor over the ray
-divisors.  Faces of P(D) and their interior lattice points, counted by a
-strict-inequality scan, are the independent check of the boundary genera
-that ``classify`` reads off that tensor.
+points come from sliced integer scans, and volumes from pyramids with a
+vertex as apex over fan-triangulated facets.  Triple intersection numbers
+come from the cones of the fan alone, as one cached integer tensor over
+the ray divisors.  Faces of P(D) and their interior lattice points,
+counted by a strict-inequality scan, are the independent check of the
+boundary genera that ``classify`` reads off that tensor.
 """
 
 from __future__ import annotations
@@ -231,11 +231,16 @@ class IdpResult:
 def idp_check(e: TDivisor, eprime: TDivisor) -> IdpResult:
     """Does every lattice point of P(E+E') split as a sum of points of
     P(E) and P(E')?  Inputs must be nef; the first uncovered point is the
-    witness on failure."""
+    witness on failure.  More point pairs than the lattice scan budget are
+    refused before any sum is formed."""
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("the decomposition test applies to nef pairs")
     pts_e = lattice_points(polytope_of(e))
     pts_ep = lattice_points(polytope_of(eprime))
+    if len(pts_e) * len(pts_ep) > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"{len(pts_e)} x {len(pts_ep)} point sums exceed the budget of {LATTICE_SCAN_GUARD}"
+        )
     target = lattice_points(polytope_of(e + eprime))
     sums = {(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for a in pts_e for b in pts_ep}
     for t in target:
@@ -257,53 +262,6 @@ class Face2:
     dim: int
 
 
-@lru_cache(maxsize=None)
-def _plane_lattice_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
-    """Basis of the rank-2 lattice {w in Z^3 : <w, normal> = 0}."""
-    from .intlin import IntMat, integer_kernel
-
-    basis = integer_kernel(IntMat.from_rows([list(normal)]))
-    assert len(basis) == 2
-    return tuple(basis)  # type: ignore[return-value]
-
-
-def _cyclic_order(points: Sequence, basis: tuple[Vec3, Vec3]) -> tuple:
-    """Sort coplanar points counterclockwise around their centroid, exactly.
-
-    Works on n*p - sum(points), which clears denominators from the centroid
-    and keeps everything in integers for integral inputs.
-    """
-    if len(points) <= 2:
-        return tuple(points)
-    n = len(points)
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    sz = sum(p[2] for p in points)
-    b1, b2 = basis
-    plane_pts = []
-    for p in points:
-        d = (n * p[0] - sx, n * p[1] - sy, n * p[2] - sz)
-        plane_pts.append((_dot(d, b1), _dot(d, b2), p))
-
-    def half(q) -> int:
-        x, y = q[0], q[1]
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(a, b) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    plane_pts.sort(key=cmp_to_key(cmp))
-    return tuple(q[2] for q in plane_pts)
-
-
 def _dot(a, b) -> Fraction:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -322,35 +280,23 @@ def min_face(d: TDivisor, ray_index: int) -> Face2:
 
 
 def _affine_dim(points: Sequence) -> int:
-    """Affine dimension via cross products and determinants, no division."""
+    """Affine dimension via cross products and dot products, no division."""
     if not points:
         return -1
-    v0 = points[0]
-    d1 = None
-    for v in points[1:]:
-        d = (v[0] - v0[0], v[1] - v0[1], v[2] - v0[2])
-        if d != (0, 0, 0):
-            d1 = d
+    diffs = [_sub(v, points[0]) for v in points[1:]]
+    for d1 in diffs:
+        if any(d1):
             break
-    if d1 is None:
+    else:
         return 0
-    d2 = None
-    for v in points[1:]:
-        d = (v[0] - v0[0], v[1] - v0[1], v[2] - v0[2])
-        c = (
-            d1[1] * d[2] - d1[2] * d[1],
-            d1[2] * d[0] - d1[0] * d[2],
-            d1[0] * d[1] - d1[1] * d[0],
-        )
-        if c != (0, 0, 0):
-            d2 = (d, c)
+    for d in diffs:
+        c = _cross(d1, d)
+        if any(c):
             break
-    if d2 is None:
+    else:
         return 1
-    _, c = d2
-    for v in points[1:]:
-        d = (v[0] - v0[0], v[1] - v0[1], v[2] - v0[2])
-        if c[0] * d[0] + c[1] * d[1] + c[2] * d[2] != 0:
+    for d in diffs:
+        if _dot(c, d):
             return 3
     return 2
 
@@ -384,43 +330,38 @@ def interior_lattice_count(face: Face2) -> int:
 
 
 def volume(p: HPolytope) -> Fraction:
-    """Euclidean volume by fan triangulation from the vertex centroid."""
+    """Euclidean volume as a sum of pyramids over triangulated facets.
+
+    Any point of P serves as the apex, so it is the first vertex.  A facet
+    is fan-triangulated from its first vertex w0: seen from a vertex of a
+    convex polygon the other vertices span less than a half-turn, so the
+    sign of <normal, (a - w0) x (b - w0)> orders them totally.  Three
+    vertices on the supporting plane of an inequality span a facet; a
+    normal listed twice gives the same facet, which is counted once.
+    """
     verts = vertices(p)
-    if dimension(p) < 3:
+    if _affine_dim(verts) < 3:
         return Fraction(0)
-    n = len(verts)
-    centroid = (
-        Fraction(sum(v[0] for v in verts), n),
-        Fraction(sum(v[1] for v in verts), n),
-        Fraction(sum(v[2] for v in verts), n),
-    )
+    apex = verts[0]
     total = Fraction(0)
     seen_facets: set[frozenset] = set()
-    for i, (normal, rhs) in enumerate(zip(p.normals, p.rhs)):
+    for normal, rhs in zip(p.normals, p.rhs):
         fverts = [v for v in verts if _dot(v, normal) == rhs]
         key = frozenset(fverts)
         if len(fverts) < 3 or key in seen_facets:
             continue
         seen_facets.add(key)
-        if _affine_dim(fverts) != 2:
-            continue
-        ordered = _cyclic_order(fverts, _plane_lattice_basis(normal))
-        w0 = ordered[0]
-        for a, b in zip(ordered[1:], ordered[2:]):
-            total += abs(_det3(_sub(w0, centroid), _sub(a, centroid), _sub(b, centroid)))
-    return Fraction(total, 6)
+        w0, rest = fverts[0], fverts[1:]
+        rest.sort(key=cmp_to_key(
+            lambda a, b: -1 if _dot(normal, _cross(_sub(a, w0), _sub(b, w0))) > 0 else 1
+        ))
+        for a, b in zip(rest, rest[1:]):
+            total += abs(_dot(_sub(w0, apex), _cross(_sub(a, apex), _sub(b, apex))))
+    return total / 6
 
 
 def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _det3(r0, r1, r2) -> Fraction:
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
 
 
 def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:

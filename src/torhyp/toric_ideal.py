@@ -23,10 +23,10 @@ from heapq import heappop, heappush
 from itertools import chain
 from math import comb, lcm
 from operator import le, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .divisors import TDivisor, is_nef, picard_basis
-from .fans import Fan, family_record, find_containing_cone
+from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone
 from .intlin import IntMat, smith_normal_form, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
@@ -46,10 +46,6 @@ PROOF_CACHE_SIZE = 256
 # A Buchberger run that needs more reductions and S-pairs than this is
 # abandoned, and the move set goes to the bounded fiber search instead.
 BUCHBERGER_STEP_BUDGET = 20_000
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A recomputed matrix disagrees with the package's encoded tables."""
 
 
 @dataclass(frozen=True)
@@ -340,6 +336,22 @@ def _proven_candidate(fan: Fan) -> tuple[Vec, ...] | None:
     return moves if _markov_proof(fan, moves) else None
 
 
+def _first_disconnected(fan: Fan, moves: Sequence[Vec], rhs_seq: Iterable[Vec]) -> int | None:
+    """Index of the first fiber {<d, u_rho> >= rhs} the moves leave
+    disconnected, or None when they connect every fiber.
+
+    A fiber {v >= 0 : B v = t} is in bijection with the lattice points d of
+    {<d, u_rho> >= -v0_rho}, v = v0 + A d, and a move mv = A delta acts
+    there as d -> d + delta, so the moves are pulled back to Z^3 once and
+    each search runs on the lattice points.
+    """
+    deltas = _character_moves(fan, moves)
+    for i, rhs in enumerate(rhs_seq):
+        if not _connected_under(lattice_points(offset_polytope(fan, rhs)), deltas):
+            return i
+    return None
+
+
 def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
     """Whether moves in ker(B) form a Markov basis, decided by membership.
 
@@ -358,42 +370,21 @@ def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
     pending = [m for m in proven if m not in given]
     if not pending:
         return True
-    deltas = _character_moves(fan, moves)
-    for m in pending:
-        try:
-            points = lattice_points(offset_polytope(fan, tuple(-max(x, 0) for x in m)))
-        except EnumerationGuardError:
-            return False
-        if not _connected_under(points, deltas):
-            return False
-    return True
+    rhs_seq = (tuple(-max(x, 0) for x in m) for m in pending)
+    try:
+        return _first_disconnected(fan, moves, rhs_seq) is None
+    except EnumerationGuardError:
+        return False
 
 
 def _bounded_search(fan: Fan, moves: Sequence[Vec], images: Sequence[Vec], bound: int) -> FiberCertificate:
-    """Connectivity of every fiber over the given images, in their order.
-
-    The fiber of an image t is in bijection with the lattice points m of
-    {<m, u_rho> >= -v0_rho}, v = v0 + A m, and a move mv = A delta acts
-    there as m -> m + delta, so each move is pulled back to Z^3 once and
-    the search runs on the lattice points.  Connectivity is first
-    attempted with a small subset of short moves and falls back to the
-    full set per fiber, which never changes the verdict, only the running
-    time.
-    """
-    primary = sorted(set(moves), key=lambda m: sum(abs(x) for x in m))[:8]
-    primary, moves = _character_moves(fan, primary), _character_moves(fan, moves)
-    checked = 0
-    for image in images:
-        v0 = _particular_solution(fan, image)
-        points = lattice_points(offset_polytope(fan, tuple(-c for c in v0)))
-        checked += 1
-        if len(points) <= 1:
-            continue
-        if _connected_under(points, primary):
-            continue
-        if not _connected_under(points, moves):
-            return FiberCertificate(bound, checked, False, image)
-    return FiberCertificate(bound, checked, True)
+    """Connectivity of every fiber over the given images, in their order;
+    the first disconnected one is named with the count checked so far."""
+    rhs_seq = (tuple(-c for c in _particular_solution(fan, t)) for t in images)
+    i = _first_disconnected(fan, moves, rhs_seq)
+    if i is None:
+        return FiberCertificate(bound, len(images), True)
+    return FiberCertificate(bound, i + 1, False, images[i])
 
 
 def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
@@ -460,9 +451,7 @@ def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
     Moves are normalised up to sign and deduplicated, zero dropped.
     """
     fan = eprime.fan
-    pts = lattice_points(
-        offset_polytope(fan, tuple(-c for c in eprime.coeffs))
-    )
+    pts = lattice_points(offset_polytope(fan, tuple(-c for c in eprime.coeffs)))
     diffs: set[Vec] = set()
     for p in pts:
         for q in pts:
@@ -486,10 +475,17 @@ def connected_sections_check(
 
     Both divisors must be nef; the decomposition property of the pair holds
     on these fans for every nef pair and is re-checked by enumeration when
-    verify_idp is set.
+    verify_idp is set.  An E' with more point pairs than the lattice scan
+    budget is refused before any difference is formed; the catalog's own
+    configurations go through section_difference_moves without this guard.
     """
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("connected-sections check needs a nef pair")
+    n = len(lattice_points(offset_polytope(eprime.fan, tuple(-c for c in eprime.coeffs))))
+    if n * n > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"{n}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
+        )
     idp_ok: bool | None = None
     if verify_idp:
         from .polytopes import idp_check

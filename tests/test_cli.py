@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,83 @@ def test_internal_inconsistency_exit2(capsys, monkeypatch):
     ti.gale_matrix.cache_clear()
     assert code == 2
     assert "internal_error" in data
+
+
+@pytest.mark.parametrize("change", [
+    # The complement D_1, D_2, D_3 of this basis has rank 2.
+    {"pic_basis": ("D_4", "D_5")},
+    # A basis label that names no ray.
+    {"pic_basis": ("D_9", "D_3")},
+    # These collections give cones of determinant 0 and 3.
+    {"collections": ((0, 2), (1, 3, 4))},
+])
+def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
+    # Corrupt encoded data is an internal inconsistency, not invalid input.
+    from dataclasses import replace
+
+    from torhyp.catalog import CASES
+    from torhyp.divisors import picard_basis
+    from torhyp.fans import build_family_fan
+
+    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], **change))
+    build_family_fan.cache_clear()
+    picard_basis.cache_clear()
+    try:
+        code, data = run_json(capsys, "describe", "--case", "2.0.1", "--l", "3")
+    finally:
+        monkeypatch.undo()
+        build_family_fan.cache_clear()
+        picard_basis.cache_clear()
+    assert code == 2
+    assert set(data) == {"schema", "internal_error"}
+
+
+def test_bad_fan_geometry_exit1(tmp_path, capsys):
+    # A hand-written fan that is not complete stays invalid input.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES[:3]}))
+    code, data = run_json(capsys, "points", "--fan", str(path), "--D", '{"coeffs": {"D_1": 1}}')
+    assert code == 1
+    assert set(data) == {"schema", "error"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["idp", "--case", "2.0.1", "--l", "1",
+     "--E", '{"class": [30, 30]}', "--Eprime", '{"class": [30, 30]}'],
+    ["connected-sections", "--case", "2.0.1", "--l", "1", "--skip-idp",
+     "--E", '{"class": [1, 1]}', "--Eprime", '{"class": [30, 30]}'],
+])
+def test_point_pair_guard_exit1(capsys, argv):
+    # 34,751 points a side: about 1.2e9 pairs, refused before any is formed.
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert set(data) == {"schema", "error"} and "exceed the budget" in data["error"]
+    assert time.perf_counter() - t0 < 10
+
+
+def test_catalog_config_past_pair_budget(capsys):
+    # The configuration E' = D_2 of 2.0.1 at l = 44 has 1 + 45 * 46 / 2 =
+    # 1,036 lattice points, so 1,036^2 differences: past the budget that
+    # connected-sections sets for a user's E', yet the verdict is derived.
+    code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "44", "--coeffs", "2,0")
+    assert code == 0
+    assert data["derived"]["outcome"] == "Open" and data["agree"]
+    (tried,) = data["derived"]["evidence"]["tried"]
+    assert tried["config"] == "D_2"
+    assert tried["connected_sections"] == {
+        "bound": 6, "connected": True, "failing_fiber": None, "fibers_checked": 84,
+    }
+
+
+def test_sweep_grid_guard_exit1(capsys):
+    # 1001^3 cells: refused before any row is derived.
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, "sweep", "--case", "3.0.1", "--r", "1", "--a", "1", "--b", "1",
+                          "--range", "0..1000")
+    assert code == 1
+    assert set(data) == {"schema", "error"} and "1003003001 cells" in data["error"]
+    assert time.perf_counter() - t0 < 10
 
 
 def test_generic_fan_input(tmp_path, capsys):

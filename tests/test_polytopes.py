@@ -267,6 +267,23 @@ def test_volume_prism_201():
     assert triple_intersection(d, d, d) == 3
 
 
+@pytest.mark.parametrize("normals,rhs,expected", [
+    # The cube [-1, 1]^3 with its first normal listed twice.
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 0, 0)),
+     (-1, -1, -1, -1, -1, -1, -1), 8),
+    # The octahedron |x| + |y| + |z| <= 1: triangular facets only.
+    (tuple((-a, -b, -c) for a in (1, -1) for b in (1, -1) for c in (1, -1)), (-1,) * 8,
+     Fraction(4, 3)),
+    # A hexagon of area 3 times [0, 1]: two six-vertex facets.
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 0), (0, 0, 1),
+      (0, 0, -1)), (-1, -1, -1, -1, -1, -1, 0, -1), 3),
+    # The simplex x, y, z >= 0, 2(x + y + z) <= 1: fractional vertices.
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -2, -2)), (0, 0, 0, -1), Fraction(1, 48)),
+])
+def test_volume_of_known_solids(normals, rhs, expected):
+    assert volume(HPolytope(normals, rhs)) == expected
+
+
 def test_self_intersection_is_six_times_volume():
     """D^3 from the cone tensor against the volume of P(D), for nef
     D = sum(c_i N_i) with c_i in {0, 1, 2} on the criterion-1 grid,
