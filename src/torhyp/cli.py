@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -31,7 +32,13 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise CliError, so they end in one JSON document with
-    exit 1 like every other invalid input; --help still prints and exits 0."""
+    exit 1 like every other invalid input; --help still prints and exits 0.
+    An argument that starts with a minus and a digit is a value, as in
+    ``--coeffs -1,2`` or ``--range -1..1``: no flag looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         raise CliError(message)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone, json_int
-from .intlin import IntMat, smith_normal_form, solve_exact
+from .intlin import IntMat, solve_3x3, solve_exact
 
 
 class NotInFanError(ValueError):
@@ -161,42 +161,36 @@ def picard_basis(fan: Fan) -> PicBasis:
     """Basis of Pic for a catalog fan, verified against the ray matrix.
 
     The reduction map B is determined by B @ A = 0 (A = rays as rows) and
-    B restricted to the basis columns being the identity; freeness of the
-    cokernel is confirmed through the Smith form of A.  A catalog record
-    that fails these checks raises InternalInconsistencyError.
+    B restricted to the basis columns S being the identity.  The basis
+    divisors D_S form a basis of Pic iff the three complement rays T are a
+    lattice basis of Z^3 (A_T unimodular): then Z^r is the image of A plus
+    Z^S, so the cokernel is free, and row c of B on T is the integer
+    solution of A_T^t x = -u_{S_c}.  A catalog record that fails these
+    checks raises InternalInconsistencyError.
     """
     if fan.family is None:
         raise ValueError("picard_basis needs a catalog fan")
-    a = ray_matrix(fan)
-    snf = smith_normal_form(a)
-    if snf.diagonal() != (1, 1, 1):
-        raise InternalInconsistencyError("ray matrix cokernel is not free; fan data corrupt")
     try:
         basis = tuple(fan.label_index(lab) for lab in family_record(fan)[0].pic_basis)
     except KeyError as exc:
         raise InternalInconsistencyError(f"Picard basis: {exc.args[0]}") from exc
     others = tuple(i for i in range(fan.nrays) if i not in basis)
-    k = fan.nrays - 3
-    # Solve for the non-basis columns: B_T = -A_S (A_T)^{-1}, entrywise exact.
-    a_t = IntMat.from_rows([fan.rays[i] for i in others])
-    a_s = IntMat.from_rows([fan.rays[i] for i in basis])
-    cols: dict[int, tuple[int, ...]] = {}
-    for pos, i in enumerate(basis):
-        cols[i] = tuple(1 if j == pos else 0 for j in range(k))
-    # Row c of B restricted to the complement T solves A_T^t x = -u_{S_c},
-    # since the row must pair to zero against every lattice relation.
-    at_t = a_t.transpose()
-    bt_rows = []
-    for c in range(k):
-        rhs = [-a_s[c, m] for m in range(3)]
-        sol = solve_exact(at_t, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
+    if len(others) != 3:
+        raise InternalInconsistencyError(f"basis complement has {len(others)} rays, not 3")
+    a_t = [[fan.rays[i][m] for i in others] for m in range(3)]
+    rows = []
+    for s in basis:
+        sol = solve_3x3(a_t, [-x for x in fan.rays[s]])
+        if sol is None or sol[1] != 1:
             raise InternalInconsistencyError("basis complement is not unimodular; fan data corrupt")
-        bt_rows.append([int(x) for x in sol])
-    for pos, i in enumerate(others):
-        cols[i] = tuple(bt_rows[c][pos] for c in range(k))
-    reduction = IntMat.from_rows([[cols[i][c] for i in range(fan.nrays)] for c in range(k)])
+        row = [0] * fan.nrays
+        row[s] = 1
+        for i, x in zip(others, sol[0]):
+            row[i] = x
+        rows.append(row)
+    reduction = IntMat.from_rows(rows)
     # The reduction must kill every relation row m -> <m, u_rho>.
+    a = ray_matrix(fan)
     for j in range(3):
         if any(x != 0 for x in reduction.mul_vec(a.col(j))):
             raise InternalInconsistencyError("reduction map does not kill the lattice relations")

@@ -214,15 +214,20 @@ def cones_from_collections(
         if not any(c <= frozenset(trip) for c in csets)
     )
     fan = Fan(tuple(tuple(u) for u in rays), cones, tuple(f"D_{i+1}" for i in range(len(rays))))
-    report = verify_smooth_complete(fan)
-    if not report.ok:
-        raise FanGeometryError("; ".join(report.failures))
-    _check_single_cover(fan)
+    _check_geometry(fan)
     return cones
 
 
-def _check_single_cover(fan: Fan) -> None:
-    """Spot-check that generic points lie in exactly one maximal cone."""
+def _check_geometry(fan: Fan) -> None:
+    """Raise FanGeometryError unless the fan is smooth and complete.
+
+    verify_smooth_complete counts cones per 2-face, which a fan that covers
+    space twice also passes, so generic probe points must each lie in
+    exactly one maximal cone.
+    """
+    report = verify_smooth_complete(fan)
+    if not report.ok:
+        raise FanGeometryError("; ".join(report.failures))
     probes = [(97, 61, 31), (-89, 53, -29), (41, -103, 67), (-59, -71, -113), (13, 37, 101)]
     for p in probes:
         hits = 0
@@ -346,9 +351,7 @@ def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]
     if labels is None:
         labels = [f"D_{i+1}" for i in range(len(rays_t))]
     fan = Fan(rays_t, cones_t, tuple(labels))
-    report = verify_smooth_complete(fan)
-    if not report.ok:
-        raise FanGeometryError("; ".join(report.failures))
+    _check_geometry(fan)
     colls = tuple(
         primitive_relation(fan, tuple(sorted(s))) for s in sorted(minimal_nonfaces(fan), key=sorted)
     )

@@ -58,9 +58,6 @@ class IntMat:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMat":
-        return IntMat.from_rows([self.col(j) for j in range(self.cols)])
-
     def mul(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -120,8 +117,11 @@ def smith_normal_form(m: IntMat) -> SnfDecomposition:
     """Compute U, S, V with U*M*V = S diagonal and d_i | d_{i+1}.
 
     Pivots are chosen by minimal absolute value, which keeps entries small at
-    the sizes used here.  U and V are built from elementary operations, so
-    both have determinant +-1.
+    the sizes used here.  Once row and column t are clear, a later entry the
+    pivot does not divide has its row added to row t, and clearing that row
+    again leaves a smaller pivot; so d_t divides every entry left below and
+    to the right, and with them every later diagonal entry.  U and V are
+    built from elementary operations, so both have determinant +-1.
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
@@ -165,7 +165,8 @@ def smith_normal_form(m: IntMat) -> SnfDecomposition:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
-        # Kill the rest of row t and column t; repeat until clean.
+        # Kill the rest of row t and column t; repeat until clean and the
+        # pivot divides the rest of the submatrix.
         while True:
             dirty = False
             for i in range(t + 1, nr):
@@ -182,40 +183,17 @@ def smith_normal_form(m: IntMat) -> SnfDecomposition:
                     if a[t][j] != 0:
                         swap_cols(t, j)
                     dirty = True
-            if not dirty:
+            if dirty:
+                continue
+            bad = next(
+                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]), None
+            )
+            if bad is None:
                 break
+            add_row(bad, t, 1)
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    k = min(nr, nc)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di != 0 and dj % di != 0:
-                # Fold d_{i+1} into position (i, i) and re-clear the 2x2 block.
-                add_col(i + 1, i, 1)
-                while True:
-                    if a[i + 1][i] != 0:
-                        q = -(a[i][i] // a[i + 1][i]) if abs(a[i + 1][i]) <= abs(a[i][i]) else 0
-                        if abs(a[i + 1][i]) <= abs(a[i][i]):
-                            add_row(i + 1, i, q)
-                        if a[i][i] == 0 or abs(a[i][i]) < abs(a[i + 1][i]):
-                            swap_rows(i, i + 1)
-                        if a[i + 1][i] == 0:
-                            break
-                    else:
-                        break
-                if a[i][i] < 0:
-                    negate_row(i)
-                q = -(a[i][i + 1] // a[i][i])
-                add_col(i, i + 1, q)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
 
     s = IntMat.from_rows(a)
     return SnfDecomposition(IntMat.from_rows(u), s, IntMat.from_rows(v))

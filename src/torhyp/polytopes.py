@@ -154,8 +154,12 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
 
     The scan walks x over its exact range, bounds y per x-slice from the
     slice's 2-d vertices, then reads off the z-interval from the remaining
-    single-variable constraints, so work is proportional to the number of
-    slices and the output.
+    constraints, so work is proportional to the number of slices and the
+    output.  ``vertices`` rejects unbounded input first, and boundedness is
+    what every step relies on: a slice within P's x-range is a nonempty
+    bounded polygon, so it has a vertex; at an integer y within the
+    polygon's y-range every constraint free of z holds; and the z-line
+    there is bounded, so constraints with nz > 0 and with nz < 0 exist.
     """
     verts = vertices(p)
     if not verts:
@@ -171,13 +175,6 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     for x in range(x_lo, x_hi + 1):
         # Constraints restricted to the slice: ny*y + nz*z >= r - nx*x.
         slice_cons = [(n[1], n[2], r - n[0] * x) for n, r in zip(p.normals, p.rhs)]
-        feasible = True
-        for ny, nz, r in slice_cons:
-            if ny == 0 and nz == 0 and r > 0:
-                feasible = False
-                break
-        if not feasible:
-            continue
         y_lo = y_hi = None
         for (ay, az, ar), (by, bz, br) in combinations(slice_cons, 2):
             det = ay * bz - az * by
@@ -194,25 +191,13 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
                 hi = _floor_frac(ynum, det)
                 y_lo = lo if y_lo is None else min(y_lo, lo)
                 y_hi = hi if y_hi is None else max(y_hi, hi)
-        # Unbounded slices cannot occur for bounded p; empty ones can.
-        if y_lo is None:
-            continue
+        # nz*z >= r - ny*y bounds z below where nz > 0 and above where nz < 0.
+        below = [(ny, nz, r) for ny, nz, r in slice_cons if nz > 0]
+        above = [(ny, nz, r) for ny, nz, r in slice_cons if nz < 0]
         for y in range(y_lo, y_hi + 1):
-            z_lo, z_hi = None, None
-            ok = True
-            for ny, nz, r in slice_cons:
-                c = r - ny * y
-                if nz == 0:
-                    if c > 0:
-                        ok = False
-                        break
-                elif nz > 0:
-                    bound = _ceil_frac(c, nz)
-                    z_lo = bound if z_lo is None else max(z_lo, bound)
-                else:
-                    bound = _floor_frac(c, nz)
-                    z_hi = bound if z_hi is None else min(z_hi, bound)
-            if not ok or z_lo is None or z_hi is None or z_lo > z_hi:
+            z_lo = max([-((ny * y - r) // nz) for ny, nz, r in below])
+            z_hi = min([(r - ny * y) // nz for ny, nz, r in above])
+            if z_lo > z_hi:
                 continue
             budget -= z_hi - z_lo + 1
             if budget < 0:

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import chain
 from math import comb, lcm
-from operator import le, mul
+from operator import add, le, mul
 from typing import Iterable, Sequence
 
-from .divisors import TDivisor, is_nef, picard_basis
+from .divisors import TDivisor, class_from_coords, divisor_from_class, is_nef, picard_basis
 from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone
 from .intlin import IntMat, smith_normal_form, solve_3x3
 from .polytopes import (
@@ -89,9 +88,10 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=None)
 def gale_matrix(fan: Fan) -> GaleMatrix:
-    """Class map recomputed from the ray matrix, checked against the
-    encoded reference.  A mismatch means the package's own data is bad and
-    raises InternalInconsistencyError."""
+    """Class map recomputed from the ray matrix (picard_basis checks that
+    it kills the lattice relations), compared with the encoded reference.
+    A mismatch means the package's own data is bad and raises
+    InternalInconsistencyError."""
     basis = picard_basis(fan)
     b = basis.reduction
     encoded = encoded_gale_rows(fan)
@@ -100,20 +100,12 @@ def gale_matrix(fan: Fan) -> GaleMatrix:
             f"recomputed class map differs from the encoded matrix for "
             f"case {fan.family.case_id}: {b.to_rows()} vs {encoded}"
         )
-    a = IntMat.from_rows(fan.rays)
-    for j in range(3):
-        if any(x != 0 for x in b.mul_vec(a.col(j))):
-            raise InternalInconsistencyError("class map does not annihilate the ray matrix")
     return GaleMatrix(b, fan.ray_labels, basis.labels())
 
 
 def _particular_solution(fan: Fan, image: Vec) -> Vec:
     """Integer preimage of an image vector: put it on the basis rays."""
-    basis = picard_basis(fan)
-    v = [0] * fan.nrays
-    for c, i in zip(image, basis.basis_rays):
-        v[i] = c
-    return tuple(v)
+    return divisor_from_class(class_from_coords(fan, image)).coeffs
 
 
 @lru_cache(maxsize=FIBER_CACHE_SIZE)
@@ -134,58 +126,35 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _connected_under(fiber: Sequence[Vec], moves: Sequence[Vec]) -> bool:
-    """Connectivity of a finite point set under the signed moves.
+def _connected_under(points: Sequence[Vec], deltas: Sequence[Vec]) -> bool:
+    """Connectivity of a finite set of points in Z^3 under the signed moves.
 
-    The points are fiber elements in Z^r or, equally, their lattice points
-    in the character lattice Z^3 with the moves pulled back there.
-    Elements are packed into single integers sum(v_i * base^i), base
-    2 * offset + 1, so each search step is one integer addition and a set
-    lookup.  The offset is the largest |coordinate| of the fiber plus that
-    of the moves: every digit v_i + d_i + offset of a reached element plus
-    a signed move then lies in [0, base), so a packed sum equals a packed
-    member exactly when the vectors are equal (adding offset to every
-    digit shifts all packed values by one constant).
+    The points are the lattice points of one fiber in the character
+    lattice and the deltas the moves pulled back there, so a step is three
+    integer additions and a set lookup.
     """
-    if len(fiber) <= 1:
+    steps = {d for dx, dy, dz in deltas for d in ((dx, dy, dz), (-dx, -dy, -dz))}
+    unseen = set(points)
+    if not unseen:
         return True
-    if not moves:
-        return False
-    offset = max(map(abs, chain.from_iterable(fiber))) + max(map(abs, chain.from_iterable(moves)))
-    weights = [(2 * offset + 1) ** i for i in range(len(fiber[0]))]
-    unseen = {sum(map(mul, v, weights)) for v in fiber}
-    deltas = {s * sum(map(mul, m, weights)) for m in moves for s in (1, -1)}
-    deltas.discard(0)
     stack = [unseen.pop()]
     while stack and unseen:
-        v = stack.pop()
-        for dlt in deltas:
-            w = v + dlt
+        x, y, z = stack.pop()
+        for dx, dy, dz in steps:
+            w = (x + dx, y + dy, z + dz)
             if w in unseen:
                 unseen.remove(w)
                 stack.append(w)
     return not unseen
 
 
-def fiber_graph_connected(fan: Fan, moves: Sequence[Vec], image: Sequence[int]) -> bool:
-    """Connectivity of one fiber under the given moves (and their negatives).
-
-    Every move must lie in ker(B); the enumeration guard of the lattice
-    scan propagates for pathological inputs.
-    """
-    b = gale_matrix(fan).b
-    for mv in moves:
-        if any(x != 0 for x in b.mul_vec(mv)):
-            raise ValueError(f"move {mv} is not in the kernel of the class map")
-    fiber = fiber_elements(fan, tuple(int(x) for x in image))
-    return _connected_under(fiber, [m for m in moves if any(m)])
-
-
 def _degree_images(fan: Fan, bound: int) -> list[Vec]:
     """Distinct images of nonnegative vectors with coordinate sum <= bound.
 
-    There are C(bound + r, r) such vectors; past the lattice scan budget
-    the enumeration is refused before it starts.
+    The images of sum j are those of sum j - 1 plus one column of B, so
+    they are built level by level.  There are C(bound + r, r) such vectors;
+    past the lattice scan budget the enumeration is refused before it
+    starts.
     """
     b = gale_matrix(fan).b
     r = fan.nrays
@@ -193,18 +162,12 @@ def _degree_images(fan: Fan, bound: int) -> list[Vec]:
         raise EnumerationGuardError(
             f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
         )
-    cols = [b.col(j) for j in range(r)]
-    k = len(cols[0])
-    images: set[Vec] = set()
-    stack: list[tuple[int, Vec, int]] = [(0, (0,) * k, 0)]
-    while stack:
-        j, acc, used = stack.pop()
-        if j == r:
-            images.add(acc)
-            continue
-        for c in range(bound - used + 1):
-            nxt = tuple(a + c * x for a, x in zip(acc, cols[j]))
-            stack.append((j + 1, nxt, used + c))
+    cols = {b.col(j) for j in range(r)}
+    level = {(0,) * b.rows}
+    images = set(level)
+    for _ in range(bound):
+        level = {tuple(map(add, t, c)) for t in level for c in cols}
+        images |= level
     return sorted(images)
 
 

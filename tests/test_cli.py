@@ -283,6 +283,11 @@ def test_internal_inconsistency_exit2(capsys, monkeypatch):
     {"pic_basis": ("D_9", "D_3")},
     # These collections give cones of determinant 0 and 3.
     {"collections": ((0, 2), (1, 3, 4))},
+    # The complement D_3, D_4, D_5 has determinant 3 at l = 3: nonsingular,
+    # but not unimodular.
+    {"pic_basis": ("D_1", "D_2")},
+    # A repeated label leaves four complement rays.
+    {"pic_basis": ("D_2", "D_2")},
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.
@@ -393,6 +398,9 @@ P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
      {"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": ["x"]}, "one string per ray"),
     (["polytope", "--D", '{"coeffs": {"D_1": 1}}'],
      {"case": "2.0.1", "params": {"l": 1.5}}, "got 1.5"),
+    # Each 2-face lies in two cones, yet the one cone covers space twice.
+    (["nef", "--D", '{"coeffs": {"D_1": 1}}'],
+     {"rays": P3_RAYS[:3], "max_cones": [[0, 1, 2], [0, 1, 2]]}, "lies in 2 cone interiors"),
 ])
 def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
     # Each malformed input ends in one JSON error document with exit 1:
@@ -405,6 +413,20 @@ def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
     code, data = run_json(capsys, *argv)
     assert code == 1
     assert set(data) == {"schema", "error"} and message in data["error"], data
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "2.0.1", "--l", "2", "--coeffs", "-1,2"],
+    ["faces", "--case", "2.0.1", "--l", "2", "--coeffs", "-1,2"],
+    ["sweep", "--case", "2.0.1", "--l", "1", "--range", "-1..1"],
+])
+def test_negative_leading_value_is_a_value(capsys, argv):
+    # "--coeffs -1,2" reads like "--coeffs=-1,2", not like a flag -1,2.
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *argv) == run(capsys, *joined)
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data == {"schema": "torhyp/1", "error": "table coefficients are nonnegative"}
 
 
 def test_well_formed_fan_file_still_reads(tmp_path, capsys):

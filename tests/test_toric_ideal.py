@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 import torhyp.toric_ideal as ti
@@ -16,7 +18,6 @@ from torhyp.toric_ideal import (
     _saturated_in,
     connected_sections_check,
     fiber_elements,
-    fiber_graph_connected,
     gale_matrix,
     markov_candidate,
     markov_verify,
@@ -48,6 +49,26 @@ GRID = [
 ] + [
     ("3.1.5", {"b1": b1}) for b1 in (-1, 0, 1, 2)
 ]
+
+
+def fiber_graph_connected(fan, moves, image):
+    """Oracle: connectivity of one fiber in v-space under the moves and
+    their negatives, by breadth-first search over fiber_elements.  Every
+    move must lie in ker(B)."""
+    b = gale_matrix(fan).b
+    for mv in moves:
+        if any(x != 0 for x in b.mul_vec(mv)):
+            raise ValueError(f"move {mv} is not in the kernel of the class map")
+    unseen = set(fiber_elements(fan, tuple(image)))
+    queue = deque([unseen.pop()] if unseen else [])
+    while queue:
+        v = queue.popleft()
+        for mv in moves:
+            for w in (tuple(a + d for a, d in zip(v, mv)), tuple(a - d for a, d in zip(v, mv))):
+                if w in unseen:
+                    unseen.remove(w)
+                    queue.append(w)
+    return not unseen
 
 
 def test_gale_201_printed():
@@ -202,8 +223,8 @@ def test_connected_sections_requires_nef():
 
 
 def test_large_coordinates_pack_exactly():
-    # Coordinates near a thousand: the packed BFS must widen its digits
-    # rather than alias distinct fiber elements.
+    # Coordinates near a thousand: the fiber search on lattice points must
+    # keep distinct fiber elements apart and certify the same fibers.
     fan = family_fan("2.0.2", l1=0, l2=950)
     cert = markov_verify(fan, markov_candidate(fan), bound=2)
     assert cert.as_json() == {
