@@ -44,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _bound_default() -> int:
-    env = os.environ.get("TORHYP_MARKOV_BOUND")
-    if env is None:
-        return _ti.DEFAULT_MARKOV_BOUND
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"TORHYP_MARKOV_BOUND must be an integer, got {env!r}")
-
-
 def _emit(data: dict, pretty: bool) -> None:
     data = {"schema": SCHEMA, **data}
     print(json.dumps(data, sort_keys=True, indent=2 if pretty else None, default=_json_default))
@@ -303,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", required=True)
     p.add_argument("--Eprime", required=True)
     p = verb("markov", cmd_markov, help="verify the reference move set up to a bound")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=_ti.DEFAULT_MARKOV_BOUND)
     p = verb("connected-sections", cmd_connected_sections, help="sufficient criterion report")
     p.add_argument("--E", required=True)
     p.add_argument("--Eprime", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=_ti.DEFAULT_MARKOV_BOUND)
     p.add_argument("--skip-idp", action="store_true")
     p = verb("intersect", cmd_intersect, help="triple intersection number")
     p.add_argument("--d1", required=True)
@@ -315,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d3", required=True)
     p = verb("classify", cmd_classify, help="derived verdict and reference-table comparison")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=_ti.DEFAULT_MARKOV_BOUND)
     p = verb("sweep", cmd_sweep, help="grid comparison, CSV or JSON")
     p.add_argument("--range", default="0..8")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=_ti.DEFAULT_MARKOV_BOUND)
     return top
 
 
@@ -339,11 +329,8 @@ def _run(argv) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "bound"):
-            if args.bound is None:
-                args.bound = _bound_default()
-            if args.bound < 1:
-                raise CliError(f"the Markov bound must be at least 1, got {args.bound}")
+        if getattr(args, "bound", 1) < 1:
+            raise CliError(f"the Markov bound must be at least 1, got {args.bound}")
         if args.verb == "sweep":
             return cmd_sweep(args)
         out = args.fn(args)

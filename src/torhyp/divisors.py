@@ -73,13 +73,11 @@ def ray_divisor(fan: Fan, label: str) -> TDivisor:
 
 def support_function_eval(d: TDivisor, u: Sequence[int]) -> Fraction:
     """Value at u of the piecewise-linear function taking -a_rho on each ray."""
-    if tuple(u) == (0, 0, 0):
-        return Fraction(0)
     hit = find_containing_cone(d.fan, u)
     if hit is None:
         raise NotInFanError(f"{tuple(u)} lies in no maximal cone")
-    cone, coords = hit
-    return sum((c * -d.coeffs[i] for i, c in zip(cone, coords)), Fraction(0))
+    cone, nums, den = hit
+    return Fraction(-sum(n * d.coeffs[i] for i, n in zip(cone, nums)), den)
 
 
 def is_nef(d: TDivisor) -> bool:

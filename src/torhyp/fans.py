@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Mapping, Sequence
 
 from .catalog import CASES, Case
-from .intlin import solve_3x3
+from .intlin import IntMat, solve_3x3
 
 Vec3 = tuple[int, int, int]
 
@@ -138,25 +139,14 @@ class FanValidation:
         return not self.failures
 
 
-def _gcd_vec(v: Sequence[int]) -> int:
-    from math import gcd
-
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def verify_smooth_complete(fan: Fan) -> FanValidation:
     failures: list[str] = []
     for i, u in enumerate(fan.rays):
-        if _gcd_vec(u) != 1:
+        if gcd(*u) != 1:
             failures.append(f"ray {i} is not primitive")
     dets = []
     for cone in fan.max_cones:
-        rows = [fan.rays[i] for i in cone]
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        det = IntMat.from_rows(fan.rays[i] for i in cone).det()
         dets.append((cone, det))
         if abs(det) != 1:
             failures.append(f"cone {cone} has |det| = {abs(det)}")
@@ -182,18 +172,17 @@ def cone_coordinates(fan: Fan, cone: Sequence[int], u: Sequence[int]):
 def find_containing_cone(fan: Fan, u: Sequence[int]):
     """First maximal cone containing u, with its nonnegative coordinates.
 
-    Returns (cone, coords) where coords are Fractions; None if u lies in no
-    cone (the fan is then not complete).
+    Returns (cone, nums, den): u = sum(n * u_i for i, n in zip(cone, nums)) / den
+    with den > 0 (1 on a unimodular cone); None if u lies in no cone (the
+    fan is then not complete).
     """
-    from fractions import Fraction
-
     for cone in fan.max_cones:
         sol = cone_coordinates(fan, cone, u)
         if sol is None:
             continue
         nums, den = sol
         if all(n >= 0 for n in nums):
-            return cone, tuple(Fraction(n, den) for n in nums)
+            return cone, nums, den
     return None
 
 
@@ -223,7 +212,7 @@ def _check_geometry(fan: Fan) -> None:
 
     verify_smooth_complete counts cones per 2-face, which a fan that covers
     space twice also passes, so generic probe points must each lie in
-    exactly one maximal cone.
+    exactly one maximal cone (each unimodular by then, so nonsingular).
     """
     report = verify_smooth_complete(fan)
     if not report.ok:
@@ -233,10 +222,7 @@ def _check_geometry(fan: Fan) -> None:
         hits = 0
         boundary = False
         for cone in fan.max_cones:
-            sol = cone_coordinates(fan, cone, p)
-            if sol is None:
-                continue
-            nums, _ = sol
+            nums, _ = cone_coordinates(fan, cone, p)
             if all(n > 0 for n in nums):
                 hits += 1
             elif all(n >= 0 for n in nums):
@@ -270,9 +256,9 @@ def minimal_nonfaces(fan: Fan) -> set[frozenset[int]]:
 def primitive_relation(fan: Fan, rays: Sequence[int]) -> PrimitiveCollection:
     """Fill in the positive relation of a primitive collection.
 
-    Finds the smallest cone containing the ray sum and the unique expansion
-    with positive integer coefficients; the identity is re-verified by
-    substitution.
+    Finds the smallest cone containing the ray sum and its unique expansion
+    there, which Cramer's rule gives exactly; a fractional coefficient
+    (possible only on a cone that is not unimodular) is refused.
     """
     idx = tuple(sorted(rays))
     total = tuple(sum(fan.rays[i][k] for i in idx) for k in range(3))
@@ -281,18 +267,13 @@ def primitive_relation(fan: Fan, rays: Sequence[int]) -> PrimitiveCollection:
     hit = find_containing_cone(fan, total)
     if hit is None:
         raise FanGeometryError(f"ray sum {total} lies in no cone; fan not complete")
-    cone, coords = hit
-    support = [(i, c) for i, c in zip(cone, coords) if c != 0]
-    if any(c < 0 or c.denominator != 1 for _, c in support):
-        raise FanGeometryError(f"relation for {idx} has a non-positive or fractional coefficient")
-    rel_cone = tuple(i for i, _ in support)
-    rel_coeffs = tuple(int(c) for _, c in support)
-    check = tuple(
-        sum(cf * fan.rays[i][k] for i, cf in zip(rel_cone, rel_coeffs)) for k in range(3)
+    cone, nums, den = hit
+    support = [(i, n) for i, n in zip(cone, nums) if n]
+    if any(n % den for _, n in support):
+        raise FanGeometryError(f"relation for {idx} has a fractional coefficient")
+    return PrimitiveCollection(
+        idx, tuple(i for i, _ in support), tuple(n // den for _, n in support)
     )
-    if check != total:
-        raise FanGeometryError("relation substitution failed")
-    return PrimitiveCollection(idx, rel_cone, rel_coeffs)
 
 
 def is_splitting(collections: Sequence[PrimitiveCollection]) -> bool:

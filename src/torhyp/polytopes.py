@@ -1,16 +1,15 @@
 """Divisor polytopes in H-representation, all arithmetic exact.
 
 P(D) = {m : <m, u_rho> >= -a_rho for every ray}.  Every polytope over one
-fan shares that fan's normals, so each normal set is compiled once: its
-boundedness and the adjugate of every nonsingular inequality triple.  The
-vertices of a polytope are then integer dot products of its right-hand
-sides with those adjugates, filtered by the full feasibility test.  Lattice
-points come from sliced integer scans, and volumes from pyramids with a
-vertex as apex over fan-triangulated facets.  Triple intersection numbers
-come from the cones of the fan alone, as one cached integer tensor over
-the ray divisors.  Faces of P(D) and their interior lattice points,
-counted by a strict-inequality scan, are the independent check of the
-boundary genera that ``classify`` reads off that tensor.
+fan shares that fan's normals, so boundedness is decided once per normal
+set.  Vertices are the feasible solutions of the inequality triples, by
+Cramer's rule.  Lattice points come from integer scans over the ranges of
+the projections that Fourier-Motzkin elimination gives, and volumes from
+pyramids with a vertex as apex over fan-triangulated facets.  Triple
+intersection numbers come from the cones of the fan alone, as one cached
+integer tensor over the ray divisors.  Faces of P(D) and their interior
+lattice points, counted by a strict-inequality scan, are the independent
+check of the boundary genera that ``classify`` reads off that tensor.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ QVec3 = tuple[Fraction, Fraction, Fraction]
 LATTICE_SCAN_GUARD = 10**6
 # Normal sets are one per fan; vertex sets one per polytope and rarely
 # asked for twice outside a face scan, so both caches stay small.
-COMPILED_CACHE_SIZE = 256
+BOUNDED_CACHE_SIZE = 256
 VERTICES_CACHE_SIZE = 1024
 
 
@@ -65,66 +64,47 @@ def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
     return HPolytope(tuple(fan.rays), tuple(int(x) for x in rhs))
 
 
-@lru_cache(maxsize=COMPILED_CACHE_SIZE)
-def _compile(normals: tuple[Vec3, ...]) -> tuple[bool, tuple]:
-    """Boundedness of the normal set and its solved inequality triples.
+@lru_cache(maxsize=BOUNDED_CACHE_SIZE)
+def _bounded(normals: tuple[Vec3, ...]) -> bool:
+    """Whether {<m, n_i> >= r_i} is bounded, which depends on the normals only.
 
     The system is bounded iff its recession cone {<m, n_i> >= 0} is {0}: a
     nonzero recession vector exists iff no triple of normals is
     nonsingular (they lie in a plane) or some cross product of two normals,
-    up to sign, pairs nonnegatively with every normal.  Each nonsingular
-    triple (i, j, k) is kept with the columns of its adjugate, the cross
-    products n_j x n_k, n_k x n_i, n_i x n_j, and its determinant, signs
-    normalised so the determinant is positive: the point where the three
-    inequalities are tight is (b_i c_i + b_j c_j + b_k c_k) / det.
+    up to sign, pairs nonnegatively with every normal.
     """
-    triples = []
-    for i, j, k in combinations(range(len(normals)), 3):
-        ci = _cross(normals[j], normals[k])
-        cj = _cross(normals[k], normals[i])
-        ck = _cross(normals[i], normals[j])
-        det = _dot(normals[i], ci)
-        if det < 0:
-            ci, cj, ck, det = _neg(ci), _neg(cj), _neg(ck), -det
-        if det:
-            triples.append((i, j, k, ci, cj, ck, det))
-    bounded = bool(triples) and not any(
+    spanning = any(_dot(a, _cross(b, c)) for a, b, c in combinations(normals, 3))
+    return spanning and not any(
         all(_dot(n, w) >= 0 for n in normals)
         for u, v in combinations(normals, 2)
         for c in [_cross(u, v)]
         if c != (0, 0, 0)
-        for w in (c, _neg(c))
+        for w in (c, (-c[0], -c[1], -c[2]))
     )
-    return bounded, tuple(triples)
 
 
 def _cross(u, v) -> Vec3:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _neg(u) -> Vec3:
-    return (-u[0], -u[1], -u[2])
-
-
 @lru_cache(maxsize=VERTICES_CACHE_SIZE)
 def vertices(p: HPolytope) -> tuple:
     """Exact rational vertex set, sorted; raises on unbounded input.
 
-    Every nonsingular triple of the compiled normal set is tight at one
-    candidate point, kept when it satisfies every inequality.  Coordinates
+    Each nonsingular inequality triple is tight at one point, solved by
+    Cramer's rule and kept when it satisfies every inequality.  Coordinates
     are plain ints whenever the vertex is integral (always the case for nef
     divisors on a smooth fan) and Fractions otherwise.
     """
-    bounded, triples = _compile(p.normals)
-    if not bounded:
+    if not _bounded(p.normals):
         raise UnboundedPolytopeError("inequality system is unbounded")
     normals, rhs = p.normals, p.rhs
     seen = set()
-    for i, j, k, ci, cj, ck, den in triples:
-        bi, bj, bk = rhs[i], rhs[j], rhs[k]
-        x = bi * ci[0] + bj * cj[0] + bk * ck[0]
-        y = bi * ci[1] + bj * cj[1] + bk * ck[1]
-        z = bi * ci[2] + bj * cj[2] + bk * ck[2]
+    for i, j, k in combinations(range(len(normals)), 3):
+        sol = solve_3x3((normals[i], normals[j], normals[k]), (rhs[i], rhs[j], rhs[k]))
+        if sol is None:
+            continue
+        (x, y, z), den = sol
         # Feasibility of (x, y, z) / den, cross-multiplied by den > 0.
         if any(n[0] * x + n[1] * y + n[2] * z < r * den for n, r in zip(normals, rhs)):
             continue
@@ -137,66 +117,56 @@ def vertices(p: HPolytope) -> tuple:
 
 def dimension(p: HPolytope) -> int:
     """Dimension of the affine hull of the vertex set; -1 when empty."""
-    verts = vertices(p)
-    return _affine_dim(verts)
+    return _affine_dim(vertices(p))
 
 
-def _ceil_frac(num: int, den: int) -> int:
-    return -((-num) // den)
-
-
-def _floor_frac(num: int, den: int) -> int:
-    return num // den
+def _eliminate(cons: list[tuple]) -> list[tuple]:
+    """Fourier-Motzkin: rows (c_1, ..., c_k, r), meaning sum c_i x_i >= r,
+    of the projection that drops x_k.  Rows free of x_k are kept, and each
+    pair of a lower (c_k > 0) and an upper (c_k < 0) bound on x_k gives the
+    positive combination that cancels x_k."""
+    return [(*c[:-2], c[-1]) for c in cons if c[-2] == 0] + [
+        tuple(-bk * x + ak * y for x, y in zip((*a, ar), (*b, br)))
+        for *a, ak, ar in cons if ak > 0
+        for *b, bk, br in cons if bk < 0
+    ]
 
 
 def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     """All integer points of a bounded polytope, sorted.
 
-    The scan walks x over its exact range, bounds y per x-slice from the
-    slice's 2-d vertices, then reads off the z-interval from the remaining
-    constraints, so work is proportional to the number of slices and the
-    output.  ``vertices`` rejects unbounded input first, and boundedness is
-    what every step relies on: a slice within P's x-range is a nonempty
-    bounded polygon, so it has a vertex; at an integer y within the
-    polygon's y-range every constraint free of z holds; and the z-line
-    there is bounded, so constraints with nz > 0 and with nz < 0 exist.
+    Eliminating z projects P to the (x, y)-plane, and eliminating y from
+    that projects it to the x-axis.  The scan walks x over that interval, y
+    over the slice's interval in the plane projection, and z over the one
+    the constraints leave at (x, y), so work is proportional to the slices
+    and the output.  Unbounded input is rejected first: P is empty iff its
+    x-projection is, and otherwise every interval read is bounded, so rows
+    bounding it from both sides exist, while rows free of the coordinate
+    read belong to the projection before and hold throughout the scan.
     """
-    verts = vertices(p)
-    if not verts:
+    if not _bounded(p.normals):
+        raise UnboundedPolytopeError("inequality system is unbounded")
+    cons = [(*n, r) for n, r in zip(p.normals, p.rhs)]
+    plane = _eliminate(cons)
+    line = _eliminate(plane)
+    if any(r > 0 for nx, r in line if nx == 0):
         return ()
-    xs = [v[0] for v in verts]
-    x_lo, x_hi = _ceil_frac(min(xs).numerator, min(xs).denominator), _floor_frac(
-        max(xs).numerator, max(xs).denominator
-    )
+    x_lo = max(-(-r // nx) for nx, r in line if nx > 0)
+    x_hi = min(r // nx for nx, r in line if nx < 0)
     if x_hi - x_lo + 1 > LATTICE_SCAN_GUARD:
         raise EnumerationGuardError("x-range exceeds the scan budget")
     out: list[Vec3] = []
     budget = LATTICE_SCAN_GUARD
+    # A row bounds y (a plane row) or z (a row of P) below where that
+    # coefficient is positive and above where it is negative.
+    below = [c for c in cons if c[2] > 0]
+    above = [c for c in cons if c[2] < 0]
     for x in range(x_lo, x_hi + 1):
-        # Constraints restricted to the slice: ny*y + nz*z >= r - nx*x.
-        slice_cons = [(n[1], n[2], r - n[0] * x) for n, r in zip(p.normals, p.rhs)]
-        y_lo = y_hi = None
-        for (ay, az, ar), (by, bz, br) in combinations(slice_cons, 2):
-            det = ay * bz - az * by
-            if det == 0:
-                continue
-            # Slice vertex (ynum/det, znum/det); feasibility and bounds by
-            # cross-multiplied integer comparisons only.
-            ynum = ar * bz - az * br
-            znum = ay * br - ar * by
-            if det < 0:
-                det, ynum, znum = -det, -ynum, -znum
-            if all(cy * ynum + cz * znum >= cr * det for cy, cz, cr in slice_cons):
-                lo = _ceil_frac(ynum, det)
-                hi = _floor_frac(ynum, det)
-                y_lo = lo if y_lo is None else min(y_lo, lo)
-                y_hi = hi if y_hi is None else max(y_hi, hi)
-        # nz*z >= r - ny*y bounds z below where nz > 0 and above where nz < 0.
-        below = [(ny, nz, r) for ny, nz, r in slice_cons if nz > 0]
-        above = [(ny, nz, r) for ny, nz, r in slice_cons if nz < 0]
+        y_lo = max(-((nx * x - r) // ny) for nx, ny, r in plane if ny > 0)
+        y_hi = min((r - nx * x) // ny for nx, ny, r in plane if ny < 0)
         for y in range(y_lo, y_hi + 1):
-            z_lo = max([-((ny * y - r) // nz) for ny, nz, r in below])
-            z_hi = min([(r - ny * y) // nz for ny, nz, r in above])
+            z_lo = max([-((nx * x + ny * y - r) // nz) for nx, ny, nz, r in below])
+            z_hi = min([(r - nx * x - ny * y) // nz for nx, ny, nz, r in above])
             if z_lo > z_hi:
                 continue
             budget -= z_hi - z_lo + 1

@@ -4,7 +4,7 @@ The short exact sequence 0 -> Z^3 -> Z^r -> Z^k -> 0 of a catalog fan is
 realised by the ray matrix A (rays as rows) and the class map B computed
 from the chosen Picard basis.  A move set M in L = ker(B) is a Markov
 basis when every fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The
-fan's reference move set is proven one by algebra: it spans L and its
+fan's reference move set is proven once by algebra: it spans L and its
 binomial ideal is saturated, checked by binomial Buchberger runs.  Every
 other set is decided by membership: it is a Markov basis iff it joins the
 two sides of each reference move inside that move's fiber.  Where neither
@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import comb, lcm
+from itertools import combinations
+from math import comb, gcd
 from operator import add, le, mul
 from typing import Iterable, Sequence
 
 from .divisors import TDivisor, class_from_coords, divisor_from_class, is_nef, picard_basis
 from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone
-from .intlin import IntMat, smith_normal_form, solve_3x3
+from .intlin import IntMat, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
@@ -81,9 +82,17 @@ def encoded_gale_rows(fan: Fan) -> list[list[int]]:
 
 
 def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
-    """The reference Markov move set per case, parameters substituted."""
+    """The reference Markov move set per case, parameters substituted; a
+    move outside ker(B) is bad package data (InternalInconsistencyError)."""
     record, p = family_record(fan)
-    return tuple(tuple(c) for c in record.markov(**p))
+    moves = tuple(tuple(c) for c in record.markov(**p))
+    b = gale_matrix(fan).b
+    for mv in moves:
+        if any(b.mul_vec(mv)):
+            raise InternalInconsistencyError(
+                f"case {fan.family.case_id}: Markov move {mv} is not in the kernel of the class map"
+            )
+    return moves
 
 
 @lru_cache(maxsize=None)
@@ -198,20 +207,19 @@ def _grading(fan: Fan) -> Vec:
     """A positive grading omega >= 1 with omega . move = 0 on ker(B).
 
     The fan is complete, so each -u_rho lies in some maximal cone:
-    -u_rho = sum c_i u_i with c_i >= 0.  Each relation u_rho + sum c_i u_i = 0
-    (denominators cleared) pairs to zero with every move A delta, and their
-    sum has every coordinate at least one.
+    -den u_rho = sum n_i u_i with n_i >= 0 and den >= 1.  Each relation
+    den u_rho + sum n_i u_i = 0 pairs to zero with every move A delta, and
+    their sum has every coordinate at least one.
     """
     omega = [0] * fan.nrays
     for rho, u in enumerate(fan.rays):
         hit = find_containing_cone(fan, tuple(-x for x in u))
         if hit is None:
             raise InternalInconsistencyError(f"-u_{rho} lies in no maximal cone")
-        cone, coords = hit
-        den = lcm(*(c.denominator for c in coords))
+        cone, nums, den = hit
         omega[rho] += den
-        for i, c in zip(cone, coords):
-            omega[i] += int(c * den)
+        for i, n in zip(cone, nums):
+            omega[i] += n
     return tuple(omega)
 
 
@@ -281,12 +289,13 @@ def _markov_proof(fan: Fan, moves: Sequence[Vec]) -> bool:
     A set M spanning L = ker(B) is a Markov basis iff its binomial ideal
     I_M equals I_M : (x_1 ... x_r)^inf (Diaconis-Sturmfels 1998, Thm 3.1,
     with Sturmfels, Lemma 12.2), which holds iff I_M : x_i^inf = I_M for
-    every variable.  L is saturated of rank 3, so M spans it iff the
-    Smith invariants of M are three ones.  False also when a Buchberger
-    run exceeds its step budget: the proof is then left undone.
+    every variable.  The ray matrix A maps Z^3 onto L, one to one, so M
+    spans L iff the pull-backs of its moves (_character_moves) span Z^3,
+    that is iff their 3x3 determinants have gcd 1.  False also when a
+    Buchberger run exceeds its step budget: the proof is then left undone.
     """
-    invariants = smith_normal_form(IntMat.from_rows(moves)).diagonal()
-    if [d for d in invariants if d] != [1, 1, 1]:
+    deltas = _character_moves(fan, moves)
+    if gcd(*(IntMat.from_rows(t).det() for t in combinations(deltas, 3))) != 1:
         return False
     omega = _grading(fan)
     return all(_saturated_in(moves, omega, i) for i in range(fan.nrays))

@@ -220,13 +220,6 @@ def test_bound_below_one_exit1(capsys, argv):
     assert "at least 1" in json.loads(out)["error"]
 
 
-def test_env_bound_below_one_exit1(capsys, monkeypatch):
-    monkeypatch.setenv("TORHYP_MARKOV_BOUND", "0")
-    code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "2", "--coeffs", "3,4")
-    assert code == 1
-    assert "at least 1" in data["error"]
-
-
 def test_sweep_csv(capsys):
     code, out = run(capsys, "sweep", "--case", "2.0.1", "--l", "2", "--range", "0..2",
                     "--bound", "4")
@@ -252,13 +245,6 @@ def test_missing_param_exit1(capsys):
     code, data = run_json(capsys, "describe", "--case", "2.0.1")
     assert code == 1
     assert "error" in data
-
-
-def test_env_bound_override(capsys, monkeypatch):
-    monkeypatch.setenv("TORHYP_MARKOV_BOUND", "3")
-    code, data = run_json(capsys, "markov", "--case", "2.0.1", "--l", "0")
-    assert code == 0
-    assert data["certificate"]["bound"] == 3
 
 
 def test_internal_inconsistency_exit2(capsys, monkeypatch):
@@ -308,6 +294,33 @@ def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
         picard_basis.cache_clear()
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["markov", "--case", "2.0.1", "--l", "3", "--bound", "3"],
+    ["classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4"],
+], ids=lambda argv: argv[0])
+def test_corrupt_markov_move_exit2(capsys, monkeypatch, argv):
+    # A catalog move outside ker(B) is corrupt encoded data for every verb
+    # that reads the move set, not invalid input and not ignored.
+    from dataclasses import replace
+
+    from torhyp.catalog import CASES
+    from torhyp.classify import _config_certificate
+    from torhyp.toric_ideal import _proven_candidate
+
+    moves = lambda l: [[1, -1, 0, 0, l + 1], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]  # noqa: E731
+    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], markov=moves))
+    _proven_candidate.cache_clear()
+    _config_certificate.cache_clear()
+    try:
+        code, data = run_json(capsys, *argv)
+    finally:
+        monkeypatch.undo()
+        _proven_candidate.cache_clear()
+        _config_certificate.cache_clear()
+    assert code == 2
+    assert "not in the kernel" in data["internal_error"]
 
 
 def test_bad_fan_geometry_exit1(tmp_path, capsys):

@@ -172,6 +172,15 @@ def test_primitive_relation_rejects_incomplete():
         primitive_relation(fan, (0, 3))
 
 
+def test_primitive_relation_rejects_fractional():
+    # The fan of P(1, 1, 1, 2): u_0 + u_1 + u_2 + 2 u_3 = 0, and the ray sum
+    # (0, 0, -1) = (u_0 + u_1 + u_2) / 2 lies in a cone of determinant 2.
+    rays = ((1, 0, 0), (0, 1, 0), (-1, -1, -2), (0, 0, 1))
+    fan = Fan(rays, tuple(itertools.combinations(range(4), 3)), ("a", "b", "c", "d"))
+    with pytest.raises(FanGeometryError, match="fractional coefficient"):
+        primitive_relation(fan, (0, 1, 2, 3))
+
+
 def test_json_roundtrip_catalog():
     fan = family_fan("3.1.4", b1=1, b2=0)
     data = fan_to_json(fan)

@@ -40,8 +40,9 @@ MEMBERS = [
 
 
 def brute_lattice_points(p: HPolytope):
-    """Bounding-box oracle used to cross-check the sliced scan."""
-    verts = vertices(p)
+    """Bounding-box oracle used to cross-check the sliced scan; p must be
+    bounded."""
+    verts = brute_vertices(p)
     if not verts:
         return ()
     lo = [min(v[i] for v in verts) for i in range(3)]
@@ -120,10 +121,15 @@ def test_vertices_match_triple_enumeration_on_fibers():
     assert fractional > 100, fractional
 
 
+# Both scans refuse unbounded input; the test ids stay one per system.
+SCANS = (vertices, lattice_points)
+
+
 def test_unbounded_signalled():
     p = HPolytope(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
-    with pytest.raises(UnboundedPolytopeError):
-        vertices(p)
+    for scan in SCANS:
+        with pytest.raises(UnboundedPolytopeError, match="inequality system is unbounded"):
+            scan(p)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +145,35 @@ def test_unbounded_signalled():
 )
 def test_unbounded_generic_system_signalled(normals):
     p = HPolytope(normals, tuple(-1 for _ in normals))
-    with pytest.raises(UnboundedPolytopeError):
-        vertices(p)
+    for scan in SCANS:
+        with pytest.raises(UnboundedPolytopeError, match="inequality system is unbounded"):
+            scan(p)
+
+
+def test_scans_match_oracles_on_random_systems():
+    """Seeded random systems of 4-7 small normals: vertices against the
+    triple oracle, lattice_points against the box oracle, and unbounded
+    systems refused by both."""
+    rng = random.Random(20)
+    seen = {"unbounded": 0, "empty": 0, "fractional": 0, "nonempty": 0}
+    for _ in range(1500):
+        k = rng.randint(4, 7)
+        normals = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(k))
+        p = HPolytope(normals, tuple(rng.randint(-4, 2) for _ in range(k)))
+        try:
+            verts = vertices(p)
+        except UnboundedPolytopeError:
+            with pytest.raises(UnboundedPolytopeError):
+                lattice_points(p)
+            seen["unbounded"] += 1
+            continue
+        assert verts == brute_vertices(p), p
+        pts = lattice_points(p)
+        assert pts == brute_lattice_points(p), p
+        seen["empty"] += not verts
+        seen["fractional"] += any(type(c) is Fraction for v in verts for c in v)
+        seen["nonempty"] += bool(pts)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_bounded_empty_system_has_no_vertices():

@@ -38,8 +38,7 @@ def test_golden_covers_readme():
 
 
 @pytest.mark.parametrize("entry", json.loads(GOLDEN.read_text()), ids=lambda g: g["argv"][0])
-def test_readme_example_output(entry, monkeypatch):
-    monkeypatch.delenv("TORHYP_MARKOV_BOUND", raising=False)
+def test_readme_example_output(entry):
     code, out = run_cli(entry["argv"])
     assert code == entry["exit"]
     assert out == entry["stdout"]
