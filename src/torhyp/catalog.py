@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import permutations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 Params = Mapping[str, int]
 Vec3 = tuple[int, int, int]
@@ -68,7 +68,8 @@ def _in(*vals):
 _ANY = ("any", None)
 
 
-def _match1(pred, value: int) -> bool:
+def pred_holds(pred, value: int) -> bool:
+    """Whether one coordinate predicate admits a value."""
     op, arg = pred
     if op == "ge":
         return value >= arg
@@ -99,16 +100,6 @@ class TableRow:
         orders.pop(self.preds, None)
         object.__setattr__(self, "orders", (self.preds, *orders))
 
-    def match(self, coeffs: Sequence[int], params: Params) -> bool | None:
-        """None when the row does not hold at the cell; otherwise whether it
-        holds only through the unresolved permutation reading."""
-        if self.cond is not None and not self.cond(params):
-            return None
-        for i, order in enumerate(self.orders):
-            if all(map(_match1, order, coeffs)):
-                return i > 0 and self.uncertain_permutation
-        return None
-
 
 @dataclass(frozen=True)
 class TableBlock:
@@ -121,7 +112,7 @@ class TableBlock:
     # proviso governs its parameter-dependent threshold rows, so in this
     # block a not-hyperbolic match silences every hyperbolic row.
     hyp_yields_to_nothyp: bool = False
-    # Rows whose thresholds depend on the parameters, built per lookup.
+    # Rows whose thresholds depend on the parameters, built once per member.
     param_rows: Callable[[Params], list[TableRow]] | None = None
 
 

@@ -9,31 +9,43 @@ at most one (or a degenerate surface class), and everything else is Open.
 The reference tables record the sharper published classification; the
 comparator only demands that the two never contradict each other.
 
-Each job runs once per cell.  The surface class is solved only inside the
-boundary profile; the profile and the positivity certificate each read
-the one intersection matrix of D they need; the table block is read in a
-single pass over its rows, whose coordinate orders are built with the
-catalog.  Cells outside every block of their case (negative parameters
-of the five-collection cases, for instance) are Unlisted.
+Each family member is compiled once (``compiled_member``).  Its table
+block is read with the parameter rows built and every row condition
+resolved, and its verdict numbers become integer forms in the cell's nef
+coordinates c, read from the intersection matrix of each nef generator:
+D^2.D_rho is a quadratic form per ray, the face degrees, the pairings
+and the primitive-collection levels of D are linear forms, and the nef
+tests of D + K and D - E' compare levels with constants.  What holds for
+every cell (independent generator classes, nef generators, an ample
+reference class) is proven there once, so a cell costs a few dot
+products and a bit-mask match of the rows.  ``boundary_genus_profile`` and
+``positivity_certificate`` compute the same numbers for any divisor and
+are the oracles of the forms.  Cells outside every block of their case
+(negative parameters of the five-collection cases, for instance) are
+Unlisted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
-from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig
+from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, pred_holds
 from .divisors import (
     TDivisor,
     ample_reference,
     canonical_divisor,
     class_of,
+    collection_level,
     divisor,
     is_ample,
     is_nef,
     nef_combination,
+    nef_generators,
 )
 from .fans import (
     FamilySpec,
@@ -43,6 +55,7 @@ from .fans import (
     build_family_fan,
     family_record,
 )
+from .intlin import IntMat
 from .polytopes import intersection_matrix
 from .toric_ideal import (
     DEFAULT_MARKOV_BOUND,
@@ -53,6 +66,10 @@ from .toric_ideal import (
 
 UNLISTED = "Unlisted"
 AMBIGUOUS = "Ambiguous"
+# One compiled member per family member in use; the criterion-6 grid has 186.
+MEMBER_CACHE_SIZE = 256
+# Section certificates are a few per member and bound.
+CERTIFICATE_CACHE_SIZE = 1024
 
 
 def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
@@ -153,7 +170,7 @@ def applicable_configs(fan: Fan) -> list[SectionConfig]:
     return [c for c in record.configs if c.applies(p)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def _config_certificate(fan: Fan, eprime_key: tuple[int, ...], bound: int) -> FiberCertificate:
     """Markov verification of the difference move set of one E'.
 
@@ -248,26 +265,14 @@ class TableOutcome:
 
 
 def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
-    """Verdict of the encoded reference tables for one cell, in one pass
-    over the rows of its block.
+    """Verdict of the encoded reference tables for one cell, read from the
+    member's compiled block (``CompiledTable``).
 
     Cells matching rows with conflicting outcomes, and cells that every
     matching row reaches only through its unresolved permutation reading,
     come back as Ambiguous; cells matching nothing are Unlisted.
     """
-    params = spec.as_dict()
-    coeffs = tuple(int(c) for c in coeffs)
-    block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
-    if block is None:
-        return TableOutcome(UNLISTED, (), None, False, False)
-    rows = block.rows if block.param_rows is None else block.rows + tuple(block.param_rows(params))
-    hits = [(row.outcome, u) for row in rows if (u := row.match(coeffs, params)) is not None]
-    if block.hyp_yields_to_nothyp and any(o == NOT_HYPERBOLIC for o, _ in hits):
-        hits = [(o, u) for o, u in hits if o != HYPERBOLIC]
-    matched = tuple(dict.fromkeys(o for o, _ in hits))
-    ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
-    value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
-    return TableOutcome(value, matched, block.name, block.imported, ambiguous)
+    return compiled_member(spec).table.lookup(tuple(int(c) for c in coeffs))
 
 
 # Verdict derivation.
@@ -298,6 +303,204 @@ class Verdict:
         }
 
 
+# Compiled members.  On one family member every number the verdict reads is
+# a small integer polynomial in the cell's nef coordinates c, D = sum c_a N_a
+# (Fulton, Introduction to Toric Varieties, 5.2): D^2.D_rho is a quadratic
+# form over the monomials c_a c_b, and D.D_rho.D_k, the primitive-collection
+# levels of D and the pairings of a configuration are linear forms.  Their
+# coefficients come from the intersection matrix of each nef generator,
+# once per member.
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+class CompiledConfig:
+    """One applicable configuration E' of a member: whether E' is nef, its
+    primitive-collection levels, the linear forms (K - E').D.F_j over the
+    effective generators F_j, and its Markov certificate at the bound last
+    asked for."""
+
+    __slots__ = ("name", "fan", "eprime", "nef", "levels", "pairings", "_cert")
+
+    def __init__(self, name: str, fan: Fan, eprime: TDivisor, pairings: tuple) -> None:
+        self.name, self.fan, self.eprime, self.pairings = name, fan, eprime, pairings
+        self.nef = is_nef(eprime)
+        self.levels = tuple(collection_level(c, eprime.coeffs) for c in fan.collections)
+        self._cert: tuple[int, FiberCertificate] | None = None
+
+    def certificate(self, bound: int) -> FiberCertificate:
+        if self._cert is None or self._cert[0] != bound:
+            self._cert = (bound, _config_certificate(self.fan, self.eprime.coeffs, bound))
+        return self._cert[1]
+
+
+class CompiledTable(NamedTuple):
+    """A member's table block with its rows as bit masks.
+
+    Bit b stands for one coordinate order of one row; rows whose condition
+    fails at the member's parameters are dropped.  A coordinate value falls
+    in a class of ``cuts``, the sorted thresholds of every predicate: class
+    2i is below cuts[i] (and above cuts[i - 1]), class 2i + 1 is cuts[i]
+    itself, and the last class is above every cut.  Every predicate reads
+    all values of a class alike, so admits[i][class] has bit b set iff
+    order b admits the class at coordinate i, and a cell matches the orders
+    whose bits survive the and over its coordinates.  Each row is (outcome,
+    the bits of its orders, the bit of its printed order, whether a match
+    through another order is unresolved).
+    """
+
+    block: TableBlock | None
+    cuts: tuple[int, ...]
+    admits: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[str, int, int, bool], ...]
+
+    def lookup(self, coeffs: tuple[int, ...]) -> TableOutcome:
+        block, cuts = self.block, self.cuts
+        if block is None:
+            return TableOutcome(UNLISTED, (), None, False, False)
+        mask = -1
+        for admit, v in zip(self.admits, coeffs):
+            i = bisect_left(cuts, v)
+            mask &= admit[2 * i + (i < len(cuts) and cuts[i] == v)]
+        hits = [
+            (outcome, uncertain and not mask & printed)
+            for outcome, orders, printed, uncertain in self.rows
+            if mask & orders
+        ]
+        if block.hyp_yields_to_nothyp and any(o == NOT_HYPERBOLIC for o, _ in hits):
+            hits = [(o, u) for o, u in hits if o != HYPERBOLIC]
+        matched = tuple(dict.fromkeys(o for o, _ in hits))
+        ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
+        value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
+        return TableOutcome(value, matched, block.name, block.imported, ambiguous)
+
+
+def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
+    if block is None:
+        return CompiledTable(None, (), (), ())
+    rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
+    rows = tuple(r for r in rows if r.cond is None or r.cond(params))
+    orders = [order for r in rows for order in r.orders]
+    cuts = sorted({
+        x for order in orders for op, arg in order if op != "any"
+        for x in (arg if op == "in" else (arg,))
+    })
+    # One value per class: cuts[i] - 1 stands for class 2i (when that class
+    # holds no integer, no cell reads its entry).
+    values = [x for t in cuts for x in (t - 1, t)] + [cuts[-1] + 1 if cuts else 0]
+    admits = tuple(
+        tuple(
+            sum(1 << b for b, order in enumerate(orders) if pred_holds(order[i], v))
+            for v in values
+        )
+        for i in range(len(orders[0]) if orders else 0)
+    )
+    compiled, b = [], 0
+    for r in rows:
+        n = len(r.orders)
+        compiled.append((r.outcome, ((1 << n) - 1) << b, 1 << b, r.uncertain_permutation))
+        b += n
+    return CompiledTable(block, tuple(cuts), admits, tuple(compiled))
+
+
+class CompiledMember(NamedTuple):
+    """Everything ``derive_verdict`` reads about one family member.
+
+    squares[rho] holds the coefficients of D^2.D_rho over the monomials
+    c_a c_b (a <= b, in ``pairs`` order) and off[rho] those of
+    sum(D.D_rho.D_k, k != rho) over c; levels[P] is the level of each nef
+    generator on primitive collection P, so D is nef iff levels . c >= 0
+    and D + K iff levels . c >= adjoint[P].  degrees[j] is H.D.F_j over c.
+    """
+
+    fan: Fan
+    names: tuple[str, ...]
+    table: CompiledTable
+    generators: tuple[tuple[int, ...], ...]
+    generators_nef: bool
+    ample: bool
+    pairs: tuple[tuple[int, int], ...]
+    squares: tuple[tuple[int, ...], ...]
+    off: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, ...], ...]
+    adjoint: tuple[int, ...]
+    eff: tuple[int, ...]
+    eff_labels: tuple[str, ...]
+    degrees: tuple[tuple[int, ...], ...]
+    configs: tuple[CompiledConfig, ...]
+
+
+@lru_cache(maxsize=MEMBER_CACHE_SIZE)
+def compiled_member(spec: FamilySpec) -> CompiledMember:
+    """Compile a member's table block and verdict forms, and prove once
+    what holds for every cell.
+
+    The nef generators must have independent classes, so c != 0 is a
+    nonzero class.  Where a table block applies, the catalog's reference
+    domain, they must be nef, so c >= 0 is a nef D, and their sum H must
+    be ample.  A failure is corrupt catalog data and raises
+    InternalInconsistencyError.  Outside that domain (negative twists of
+    the five-collection cases) a listed generator may fail to be nef: D is
+    then tested per cell, and a non-ample H is refused when a positivity
+    certificate needs it, as ``positivity_certificate`` does.
+    """
+    fan = build_family_fan(spec)
+    record, params = family_record(fan)
+    block = next((b for b in record.tables if b.applies(params)), None)
+    gens = nef_generators(fan)
+    classes = [class_of(g).coords for g in gens]
+    if len(gens) != len(record.coeff_names) or IntMat.from_rows(classes).det() == 0:
+        raise InternalInconsistencyError(f"case {spec.case_id}: the nef generators are not a basis")
+    h = ample_reference(fan)
+    generators_nef, ample = all(is_nef(g) for g in gens), is_ample(h)
+    if block is not None and not (generators_nef and ample):
+        what = "a nef generator is not nef"
+        if generators_nef:
+            what = "the sum of the nef generators is not ample"
+        raise InternalInconsistencyError(f"case {spec.case_id} at {params}: {what}")
+    # mats[a][rho][s] = N_a.D_rho.D_s, so _dot(x, mats[a][rho]) = X.N_a.D_rho.
+    mats = [intersection_matrix(g) for g in gens]
+    n, r = fan.nrays, len(gens)
+
+    def form(x: Sequence[int], rho: int) -> tuple[int, ...]:
+        return tuple(_dot(x, m[rho]) for m in mats)
+
+    pairs = tuple((a, b) for a in range(r) for b in range(a, r))
+    squares = tuple(
+        tuple((1 if a == b else 2) * _dot(gens[b].coeffs, mats[a][rho]) for a, b in pairs)
+        for rho in range(n)
+    )
+    off = tuple(tuple(sum(m[rho]) - m[rho][rho] for m in mats) for rho in range(n))
+    levels = tuple(tuple(collection_level(c, g.coeffs) for g in gens) for c in fan.collections)
+    canonical = canonical_divisor(fan).coeffs
+    eff = tuple(fan.label_index(lab) for lab in record.eff(**params))
+    configs = []
+    for config in applicable_configs(fan):
+        eprime = divisor(fan, config.eprime_coeffs(params))
+        k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
+        pairings = tuple(form(k_minus, j) for j in eff)
+        configs.append(CompiledConfig(config.name, fan, eprime, pairings))
+    return CompiledMember(
+        fan=fan,
+        names=record.coeff_names,
+        table=_compile_table(block, params),
+        generators=tuple(g.coeffs for g in gens),
+        generators_nef=generators_nef,
+        ample=ample,
+        pairs=pairs,
+        squares=squares,
+        off=off,
+        levels=levels,
+        adjoint=tuple(-collection_level(c, canonical) for c in fan.collections),
+        eff=eff,
+        eff_labels=tuple(fan.ray_labels[j] for j in eff),
+        degrees=tuple(form(h.coeffs, j) for j in eff),
+        configs=tuple(configs),
+    )
+
+
 def derive_verdict(
     spec: FamilySpec, coeffs: Sequence[int], bound: int = DEFAULT_MARKOV_BOUND
 ) -> Verdict:
@@ -306,73 +509,105 @@ def derive_verdict(
     NotHyperbolic when the boundary contains a curve of genus at most one
     (or the class is trivial or not big); Hyperbolic when the boundary is
     clean and some listed configuration passes the connected-sections,
-    adjoint-nef, and positivity checks; Open otherwise.
+    adjoint-nef, and positivity checks; Open otherwise.  Every number is
+    read from the member's compiled forms; ``boundary_genus_profile`` and
+    ``positivity_certificate`` compute the same numbers for any divisor.
     """
-    fan = build_family_fan(spec)
-    table = table_lookup(spec, coeffs)
-    d = surface_divisor(fan, coeffs)
-    # The nef generators are a basis of Pic (x) Q, so only the zero
-    # combination is the trivial class.
+    m = compiled_member(spec)
+    coeffs = tuple(int(c) for c in coeffs)
+    if len(coeffs) != len(m.names):
+        raise ParameterError(f"case {spec.case_id} takes coefficients {m.names}")
+    if any(c < 0 for c in coeffs):
+        raise ParameterError("table coefficients are nonnegative")
+    table = m.table.lookup(coeffs)
+    # The generator classes are a basis (proven at the compile), so only the
+    # zero combination is the trivial class.
     if not any(coeffs):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
-    profile = boundary_genus_profile(d)
-    if not profile.big:
+    levels = [_dot(f, coeffs) for f in m.levels]
+    if not m.generators_nef and any(x < 0 for x in levels):
+        raise ValueError("boundary profiles assume a nef divisor")
+    monomials = [coeffs[a] * coeffs[b] for a, b in m.pairs]
+    squares = [_dot(q, monomials) for q in m.squares]
+    big = sum(c * _dot(g, squares) for c, g in zip(coeffs, m.generators)) > 0
+    # A nef D meets every curve D_rho.D_k nonnegatively, so the face of rho
+    # is a point iff the sum of those degrees vanishes; by adjunction
+    # 2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off_rho.
+    entries, low = [], None
+    for label, square, f in zip(m.fan.ray_labels, squares, m.off):
+        off = _dot(f, coeffs)
+        dim = 2 if square > 0 else 1 if off else 0
+        count = 1 + (square - off) // 2 if big and dim == 2 else 0
+        if low is None and dim >= 1 and count <= 1:
+            low = (label, dim, count)
+        entries.append(
+            {"ray": label, "face_dim": dim, "interior_count": count, "carries_curve": dim >= 1}
+        )
+    boundary = {"big": big, "entries": entries}
+    if not big:
         return Verdict(
             NOT_HYPERBOLIC,
-            {"reason": "class not big: genus 0 boundary curve", "boundary": profile.as_json()},
+            {"reason": "class not big: genus 0 boundary curve", "boundary": boundary},
             table,
         )
-    low = profile.low_genus_entry()
     if low is not None:
         return Verdict(
             NOT_HYPERBOLIC,
             {
                 "reason": "boundary curve of genus <= 1",
-                "ray": low.label,
-                "face_dim": low.face_dim,
-                "genus": low.interior_count,
-                "boundary": profile.as_json(),
+                "ray": low[0],
+                "face_dim": low[1],
+                "genus": low[2],
+                "boundary": boundary,
             },
             table,
         )
+    if any(x < k for x, k in zip(levels, m.adjoint)):
+        return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
     tried: list[dict] = []
-    if not noether_lefschetz_applicable(d):
-        return Verdict(
-            OPEN,
-            {"reason": "adjoint class not nef", "boundary": profile.as_json()},
-            table,
-        )
-    h = ample_reference(fan)
-    for config in applicable_configs(fan):
-        eprime = divisor(fan, config.eprime_coeffs(fan.family.as_dict()))
-        e = d - eprime
+    for config in m.configs:
         record = {"config": config.name}
-        if not is_nef(eprime):
+        if not config.nef:
             # Out of the catalog's parameter domain (negative twists).
             record["skip"] = "E' not nef"
             tried.append(record)
             continue
-        if not is_nef(e):
+        if any(x < e for x, e in zip(levels, config.levels)):
             record["skip"] = "E = D - E' not nef"
             tried.append(record)
             continue
-        cert = _config_certificate(fan, eprime.coeffs, bound)
-        record["connected_sections"] = cert.as_json()
-        if not cert.connected:
+        cert = config.certificate(bound).as_json()
+        record["connected_sections"] = cert
+        if not cert["connected"]:
             tried.append(record)
             continue
-        pos = positivity_certificate(d, e, h)
-        record["positivity"] = pos.as_json()
+        if not m.ample:
+            raise ValueError("the degree normaliser must be ample")
+        # alpha_j = (E + K).D.F_j = D^2.F_j + (K - E').D.F_j.
+        alphas = [squares[j] + _dot(f, coeffs) for j, f in zip(m.eff, config.pairings)]
+        betas = [_dot(f, coeffs) for f in m.degrees]
+        epsilon = None
+        if all(a >= 1 for a in alphas):
+            if any(b < 1 for b in betas):
+                raise InternalInconsistencyError("positive pairing with a degenerate degree")
+            epsilon = min(min(Fraction(a, b) for a, b in zip(alphas, betas)), Fraction(1))
+        pos = {
+            "pairings": alphas,
+            "degrees": betas,
+            "effective_generators": list(m.eff_labels),
+            "epsilon": str(epsilon) if epsilon is not None else None,
+        }
+        record["positivity"] = pos
         tried.append(record)
-        if pos.epsilon is not None:
+        if epsilon is not None:
             evidence = {
                 "config": config.name,
-                "eprime": eprime.label_dict(),
-                "connected_sections": cert.as_json(),
+                "eprime": config.eprime.label_dict(),
+                "connected_sections": cert,
                 "adjoint_nef": True,
-                "positivity": pos.as_json(),
-                "epsilon": str(pos.epsilon),
-                "boundary": profile.as_json(),
+                "positivity": pos,
+                "epsilon": str(epsilon),
+                "boundary": boundary,
             }
             return Verdict(HYPERBOLIC, evidence, table)
     return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)

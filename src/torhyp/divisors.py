@@ -13,8 +13,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone, json_int
+from .fans import (
+    Fan,
+    InternalInconsistencyError,
+    PrimitiveCollection,
+    family_record,
+    find_containing_cone,
+    json_int,
+)
 from .intlin import IntMat, solve_3x3, solve_exact
+
+
+# One Picard basis per fan, like the fan cache.
+PICARD_CACHE_SIZE = 256
 
 
 class NotInFanError(ValueError):
@@ -97,11 +108,18 @@ def _positivity(d: TDivisor, strict: bool) -> bool:
     if not d.fan.collections:
         raise ValueError("fan carries no primitive collections")
     for coll in d.fan.collections:
-        lhs = sum(d.coeffs[i] for i in coll.rays)
-        rhs = sum(c * d.coeffs[i] for i, c in zip(coll.relation_cone, coll.relation_coeffs))
-        if lhs < rhs or (strict and lhs == rhs):
+        level = collection_level(coll, d.coeffs)
+        if level < 0 or (strict and level == 0):
             return False
     return True
+
+
+def collection_level(coll: PrimitiveCollection, coeffs: Sequence[int]) -> int:
+    """sum(a_rho, rho in P) - sum(c_s a_s): the degree of the divisor on the
+    curve class of the primitive relation of P, linear in the coefficients."""
+    return sum(coeffs[i] for i in coll.rays) - sum(
+        c * coeffs[i] for i, c in zip(coll.relation_cone, coll.relation_coeffs)
+    )
 
 
 def is_big(d: TDivisor) -> bool:
@@ -154,7 +172,7 @@ def ray_matrix(fan: Fan) -> IntMat:
     return IntMat.from_rows(fan.rays)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PICARD_CACHE_SIZE)
 def picard_basis(fan: Fan) -> PicBasis:
     """Basis of Pic for a catalog fan, verified against the ray matrix.
 

@@ -20,6 +20,8 @@ from .intlin import IntMat, solve_3x3
 Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
+# Fans are one per family member in use; the criterion-1 grid has 186.
+FAN_CACHE_SIZE = 256
 
 
 class ParameterError(ValueError):
@@ -293,7 +295,7 @@ def family_record(fan: Fan) -> tuple[Case, dict[str, int]]:
     return CASES[fan.family.case_id], fan.family.as_dict()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def build_family_fan(spec: FamilySpec) -> Fan:
     """Construct and validate the fan of a classified family.
 

@@ -32,6 +32,8 @@ LATTICE_SCAN_GUARD = 10**6
 # asked for twice outside a face scan, so both caches stay small.
 BOUNDED_CACHE_SIZE = 256
 VERTICES_CACHE_SIZE = 1024
+# One intersection tensor per fan, like the fan cache.
+TENSOR_CACHE_SIZE = 256
 
 
 class UnboundedPolytopeError(ValueError):
@@ -143,6 +145,9 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     x-projection is, and otherwise every interval read is bounded, so rows
     bounding it from both sides exist, while rows free of the coordinate
     read belong to the projection before and hold throughout the scan.
+    Each (x, y) row and each point costs one unit of LATTICE_SCAN_GUARD,
+    rows charged before they are scanned, so a thin polytope whose rows
+    hold no point is refused as early as one full of points.
     """
     if not _bounded(p.normals):
         raise UnboundedPolytopeError("inequality system is unbounded")
@@ -164,6 +169,9 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     for x in range(x_lo, x_hi + 1):
         y_lo = max(-((nx * x - r) // ny) for nx, ny, r in plane if ny > 0)
         y_hi = min((r - nx * x) // ny for nx, ny, r in plane if ny < 0)
+        budget -= max(y_hi - y_lo + 1, 0)
+        if budget < 0:
+            raise EnumerationGuardError("lattice scan exceeds the row and point budget")
         for y in range(y_lo, y_hi + 1):
             z_lo = max([-((nx * x + ny * y - r) // nz) for nx, ny, nz, r in below])
             z_hi = min([(r - nx * x - ny * y) // nz for nx, ny, nz, r in above])
@@ -171,7 +179,7 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
                 continue
             budget -= z_hi - z_lo + 1
             if budget < 0:
-                raise EnumerationGuardError("lattice scan exceeds the point budget")
+                raise EnumerationGuardError("lattice scan exceeds the row and point budget")
             for z in range(z_lo, z_hi + 1):
                 out.append((x, y, z))
     return tuple(sorted(out))
@@ -341,7 +349,7 @@ def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:
     return HPolytope(p1.normals, tuple(int(x) for x in rhs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def intersection_tensor(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Triple products D_a.D_b.D_c of the ray divisors of a smooth complete
     fan, indexed [a][b][c].
@@ -356,6 +364,8 @@ def intersection_tensor(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """
     cones = {frozenset(c) for c in fan.max_cones}
 
+    # Keyed by sorted ray triples, C(nrays + 2, 3) at most, and dropped
+    # with the call.
     @lru_cache(maxsize=None)
     def product(key: tuple[int, int, int]) -> int:
         if len(set(key)) == 3:

@@ -41,8 +41,9 @@ DEFAULT_MARKOV_BOUND = 6
 # Fibers are enumerated for the public view and the tests; the Markov
 # check itself works on lattice points and keeps none of them.
 FIBER_CACHE_SIZE = 256
-# One proof per fan, like the per-fan compiled inequality systems.
+# One proof and one class map per fan, like the fan cache.
 PROOF_CACHE_SIZE = 256
+GALE_CACHE_SIZE = 256
 # A Buchberger run that needs more reductions and S-pairs than this is
 # abandoned, and the move set goes to the bounded fiber search instead.
 BUCHBERGER_STEP_BUDGET = 20_000
@@ -95,7 +96,7 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     return moves
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GALE_CACHE_SIZE)
 def gale_matrix(fan: Fan) -> GaleMatrix:
     """Class map recomputed from the ray matrix (picard_basis checks that
     it kills the lattice relations), compared with the encoded reference.

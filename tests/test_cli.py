@@ -280,20 +280,48 @@ def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     from dataclasses import replace
 
     from torhyp.catalog import CASES
+    from torhyp.classify import compiled_member
     from torhyp.divisors import picard_basis
     from torhyp.fans import build_family_fan
 
     monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], **change))
     build_family_fan.cache_clear()
     picard_basis.cache_clear()
+    compiled_member.cache_clear()
     try:
         code, data = run_json(capsys, "describe", "--case", "2.0.1", "--l", "3")
     finally:
         monkeypatch.undo()
         build_family_fan.cache_clear()
         picard_basis.cache_clear()
+        compiled_member.cache_clear()
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
+
+
+@pytest.mark.parametrize("nef, message", [
+    # D_3 - 3 D_2 fails the nef inequality of the collection {D_1, D_2}.
+    (lambda **_: [{"D_2": 1}, {"D_3": 1, "D_2": -3}], "a nef generator is not nef"),
+    (lambda **_: [{"D_2": 1}, {"D_2": 2}], "the nef generators are not a basis"),
+], ids=["not-nef", "dependent"])
+def test_corrupt_nef_generator_exit2(capsys, monkeypatch, nef, message):
+    # The member's proofs run once, when it is compiled: a listed nef
+    # generator that is not nef where the tables apply, or generators with
+    # dependent classes, are corrupt catalog data for classify.
+    from dataclasses import replace
+
+    from torhyp.catalog import CASES
+    from torhyp.classify import compiled_member
+
+    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], nef=nef))
+    compiled_member.cache_clear()
+    try:
+        code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4")
+    finally:
+        monkeypatch.undo()
+        compiled_member.cache_clear()
+    assert code == 2
+    assert message in data["internal_error"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,19 +334,21 @@ def test_corrupt_markov_move_exit2(capsys, monkeypatch, argv):
     from dataclasses import replace
 
     from torhyp.catalog import CASES
-    from torhyp.classify import _config_certificate
+    from torhyp.classify import _config_certificate, compiled_member
     from torhyp.toric_ideal import _proven_candidate
 
     moves = lambda l: [[1, -1, 0, 0, l + 1], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]  # noqa: E731
     monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], markov=moves))
     _proven_candidate.cache_clear()
     _config_certificate.cache_clear()
+    compiled_member.cache_clear()
     try:
         code, data = run_json(capsys, *argv)
     finally:
         monkeypatch.undo()
         _proven_candidate.cache_clear()
         _config_certificate.cache_clear()
+        compiled_member.cache_clear()
     assert code == 2
     assert "not in the kernel" in data["internal_error"]
 

@@ -193,6 +193,17 @@ def test_lattice_scan_guard():
         lattice_points(polytope_of(huge))
 
 
+def test_lattice_scan_guard_charges_empty_rows():
+    # x = 0, 0 <= y <= n, 2z - 2y = 1: no (x, y) row holds a lattice point,
+    # so a budget charged only for points would walk all n + 1 rows.
+    from torhyp.polytopes import EnumerationGuardError
+
+    normals = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, -2, 2), (0, 2, -2))
+    assert lattice_points(HPolytope(normals, (0, 0, 0, -1000, 1, -1))) == ()
+    with pytest.raises(EnumerationGuardError):
+        lattice_points(HPolytope(normals, (0, 0, 0, -(10**7), 1, -1)))
+
+
 def test_lattice_points_201_count9():
     fan = family_fan("2.0.1", l=1)
     p = polytope_of(divisor(fan, {"D_2": 1, "D_3": 1}))
