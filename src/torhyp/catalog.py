@@ -21,9 +21,8 @@ This module imports nothing from the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import permutations
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 Params = Mapping[str, int]
 Vec3 = tuple[int, int, int]
@@ -38,8 +37,7 @@ OPEN = "Open"
 # class as D = E + E'.
 
 
-@dataclass(frozen=True)
-class SectionConfig:
+class SectionConfig(NamedTuple):
     name: str
     applies: Callable[[Params], bool]
     eprime_coeffs: Callable[[Params], dict[str, int]]
@@ -82,8 +80,7 @@ def pred_holds(pred, value: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     outcome: str
     preds: tuple
     permute: bool = False
@@ -91,18 +88,17 @@ class TableRow:
     # order; a cell it matches only through a reordering stays unresolved.
     uncertain_permutation: bool = False
     cond: Callable[[Params], bool] | None = None
-    # The printed order first, then every other distinct order of a
-    # permuted row; built once with the row.
-    orders: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def orders(self) -> tuple:
+        """The printed order first, then every other distinct order of a
+        permuted row; read once per row when a member's table is compiled."""
         orders = dict.fromkeys(permutations(self.preds)) if self.permute else {}
         orders.pop(self.preds, None)
-        object.__setattr__(self, "orders", (self.preds, *orders))
+        return (self.preds, *orders)
 
 
-@dataclass(frozen=True)
-class TableBlock:
+class TableBlock(NamedTuple):
     name: str
     applies: Callable[[Params], bool]
     rows: tuple[TableRow, ...]
@@ -123,8 +119,7 @@ def _rows(hyp, nothyp, open_):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """Everything stored about one case; see the module docstring.
 
     The parameter-dependent entries rays ... markov take the parameters as
@@ -407,8 +402,7 @@ _CASE_301 = Case(
     ),
 )
 
-_CASE_302 = replace(
-    _CASE_301,
+_CASE_302 = _CASE_301._replace(
     requires=_REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
     nef=lambda r, a, b: [{"D_1": 1}, {"D_4": 1}, {"D_4": -b, "D_6": 1}],
     eff=lambda r, a, b: ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6"),

@@ -28,7 +28,6 @@ Unlisted.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -90,8 +89,7 @@ def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
 # Boundary genus profiles.
 
 
-@dataclass(frozen=True)
-class BoundaryEntry:
+class BoundaryEntry(NamedTuple):
     ray_index: int
     label: str
     face_dim: int
@@ -104,8 +102,7 @@ class BoundaryEntry:
         return self.face_dim >= 1
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(NamedTuple):
     divisor: TDivisor
     big: bool
     entries: tuple[BoundaryEntry, ...]
@@ -195,8 +192,7 @@ def genus_bound_class(d: TDivisor, e: TDivisor):
     return class_of(e + canonical_divisor(d.fan))
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(NamedTuple):
     pairings: tuple[int, ...]
     degrees: tuple[int, ...]
     eff_labels: tuple[str, ...]
@@ -246,8 +242,7 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityC
     return PositivityCertificate(tuple(alphas), tuple(betas), tuple(labels), epsilon)
 
 
-@dataclass(frozen=True)
-class TableOutcome:
+class TableOutcome(NamedTuple):
     value: str
     matched: tuple[str, ...]
     block: str | None
@@ -278,8 +273,7 @@ def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
 # Verdict derivation.
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str
     evidence: dict
     table: TableOutcome
@@ -381,8 +375,8 @@ def _compile_table(block: TableBlock | None, params: dict[str, int]) -> Compiled
     if block is None:
         return CompiledTable(None, (), (), ())
     rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
-    rows = tuple(r for r in rows if r.cond is None or r.cond(params))
-    orders = [order for r in rows for order in r.orders]
+    rows = [(r, r.orders) for r in rows if r.cond is None or r.cond(params)]
+    orders = [order for _, row_orders in rows for order in row_orders]
     cuts = sorted({
         x for order in orders for op, arg in order if op != "any"
         for x in (arg if op == "in" else (arg,))
@@ -398,8 +392,8 @@ def _compile_table(block: TableBlock | None, params: dict[str, int]) -> Compiled
         for i in range(len(orders[0]) if orders else 0)
     )
     compiled, b = [], 0
-    for r in rows:
-        n = len(r.orders)
+    for r, row_orders in rows:
+        n = len(row_orders)
         compiled.append((r.outcome, ((1 << n) - 1) << b, 1 << b, r.uncertain_permutation))
         b += n
     return CompiledTable(block, tuple(cuts), admits, tuple(compiled))

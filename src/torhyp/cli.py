@@ -55,11 +55,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serialisable: {obj!r}")
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
+def _family_flags() -> argparse.ArgumentParser:
+    """The fan flags every verb takes, built once and shared as a parent."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--case", help="family case id, e.g. 2.0.1")
     p.add_argument("--fan", help="path to a fan JSON file (generic input)")
     for name in dict.fromkeys(n for record in CASES.values() for n in record.params):
         p.add_argument(f"--{name}", type=int, default=None)
+    return p
 
 
 def _fan_from_args(args, need_catalog: bool = False) -> _fans.Fan:
@@ -272,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = top.add_subparsers(dest="verb", required=True)
+    family = _family_flags()
 
     def verb(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_param_flags(p)
+        p = sub.add_parser(name, parents=[family], **kw)
         p.set_defaults(fn=fn)
         return p
 

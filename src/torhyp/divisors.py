@@ -8,10 +8,9 @@ canonical representatives below have stable coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .fans import (
     Fan,
@@ -32,16 +31,25 @@ class NotInFanError(ValueError):
     """A vector lies in no cone of the fan."""
 
 
-@dataclass(frozen=True)
-class TDivisor:
-    """Torus-invariant divisor as one integer coefficient per ray."""
-
+class _DivisorFields(NamedTuple):
     fan: Fan
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.fan.nrays:
+
+class TDivisor(_DivisorFields):
+    """Torus-invariant divisor as one integer coefficient per ray.
+
+    Built only through the constructor, which checks the length (``_make``
+    and ``_replace`` would skip the check).  ``+``, ``-`` and ``k * D`` are
+    divisor arithmetic; ``D * k`` is refused, not tuple repetition.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, fan: Fan, coeffs: tuple[int, ...]) -> "TDivisor":
+        if len(coeffs) != fan.nrays:
             raise ValueError("coefficient vector length must equal ray count")
+        return tuple.__new__(cls, (fan, coeffs))
 
     def __add__(self, other: "TDivisor") -> "TDivisor":
         self._same_fan(other)
@@ -56,6 +64,9 @@ class TDivisor:
 
     def __rmul__(self, k: int) -> "TDivisor":
         return TDivisor(self.fan, tuple(k * x for x in self.coeffs))
+
+    def __mul__(self, other):
+        return NotImplemented
 
     def _same_fan(self, other: "TDivisor") -> None:
         if self.fan.rays != other.fan.rays:
@@ -131,8 +142,7 @@ def is_big(d: TDivisor) -> bool:
     return triple_intersection(d, d, d) > 0
 
 
-@dataclass(frozen=True)
-class PicBasis:
+class PicBasis(NamedTuple):
     """Chosen ray-divisor basis of the Picard group with its reduction map.
 
     reduction is the k x r integer matrix sending a coefficient vector to
@@ -152,8 +162,10 @@ class PicBasis:
         return tuple(self.fan.ray_labels[i] for i in self.basis_rays)
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(NamedTuple):
+    """Picard class by its coordinates in a basis, with the arithmetic of
+    ``TDivisor``: ``k * c`` scales and ``c * k`` is refused."""
+
     basis: PicBasis
     coords: tuple[int, ...]
 
@@ -162,6 +174,15 @@ class PicClass:
 
     def __sub__(self, other: "PicClass") -> "PicClass":
         return PicClass(self.basis, tuple(x - y for x, y in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "PicClass":
+        return PicClass(self.basis, tuple(-x for x in self.coords))
+
+    def __rmul__(self, k: int) -> "PicClass":
+        return PicClass(self.basis, tuple(k * x for x in self.coords))
+
+    def __mul__(self, other):
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)

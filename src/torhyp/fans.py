@@ -9,10 +9,9 @@ ray sets not spanning a cone) are stored with their exact positive relations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import CASES, Case
 from .intlin import IntMat, solve_3x3
@@ -40,8 +39,7 @@ class InternalInconsistencyError(RuntimeError):
     """A recomputation disagrees with the package's encoded tables."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One of the nine classified cases with its integer parameters."""
 
     case_id: str
@@ -78,8 +76,7 @@ class FamilySpec:
                 raise ParameterError(violation)
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
+class PrimitiveCollection(NamedTuple):
     """Minimal non-face of the fan together with its positive relation.
 
     The ray sum u_{rho_1} + ... + u_{rho_k} equals
@@ -93,8 +90,7 @@ class PrimitiveCollection:
     relation_coeffs: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Smooth complete fan in R^3 with labelled rays."""
 
     rays: tuple[Vec3, ...]
@@ -119,8 +115,7 @@ class Fan:
         raise KeyError(f"no ray labelled {label!r}")
 
 
-@dataclass(frozen=True)
-class FanValidation:
+class FanValidation(NamedTuple):
     """Report from verify_smooth_complete: per-cone determinants and
     per-2-face incidence counts, with the failures spelled out."""
 

@@ -8,9 +8,8 @@ the algorithms favour clarity and exactness over asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[int, ...]
 
@@ -19,17 +18,25 @@ class UnderdeterminedSystemError(ValueError):
     """The linear system has more than one solution."""
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Dense integer matrix, row-major entries."""
-
+class _MatFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+
+class IntMat(_MatFields):
+    """Dense integer matrix, row-major entries.
+
+    Built only through the constructor, which checks the shape (``_make``
+    and ``_replace`` would skip the check).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMat":
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMat":
@@ -100,8 +107,7 @@ class IntMat:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """Smith normal form U*M*V = S with unimodular U, V and divisibility chain."""
 
     u: IntMat

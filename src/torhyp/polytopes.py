@@ -14,11 +14,10 @@ check of the boundary genera that ``classify`` reads off that tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .divisors import TDivisor, divisor_from_class, is_nef
 from .fans import Fan
@@ -44,8 +43,7 @@ class EnumerationGuardError(RuntimeError):
     """A lattice scan would exceed the candidate budget."""
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(NamedTuple):
     """Intersection of half-spaces <m, normal_i> >= rhs_i."""
 
     normals: tuple[Vec3, ...]
@@ -185,8 +183,7 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class IdpResult:
+class IdpResult(NamedTuple):
     ok: bool
     witness: Vec3 | None = None
 
@@ -215,8 +212,7 @@ def idp_check(e: TDivisor, eprime: TDivisor) -> IdpResult:
 # Faces.
 
 
-@dataclass(frozen=True)
-class Face2:
+class Face2(NamedTuple):
     """Face of P(D) where one ray attains its minimum."""
 
     polytope: HPolytope

@@ -17,13 +17,12 @@ there on 3-d points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, gcd
 from operator import add, le, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .divisors import TDivisor, class_from_coords, divisor_from_class, is_nef, picard_basis
 from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone
@@ -49,8 +48,7 @@ GALE_CACHE_SIZE = 256
 BUCHBERGER_STEP_BUDGET = 20_000
 
 
-@dataclass(frozen=True)
-class GaleMatrix:
+class GaleMatrix(NamedTuple):
     """Class map B of the presentation, with its ray and basis labels."""
 
     b: IntMat
@@ -58,8 +56,7 @@ class GaleMatrix:
     row_labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FiberCertificate:
+class FiberCertificate(NamedTuple):
     """Outcome of a bounded fiber-connectivity verification."""
 
     degree_bound: int
@@ -390,8 +387,7 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     return _bounded_search(fan, moves, images, bound)
 
 
-@dataclass(frozen=True)
-class ConnectedSectionsReport:
+class ConnectedSectionsReport(NamedTuple):
     """Result of the sufficient connected-sections criterion.
 
     The move set is the difference set of the embedded lattice points of

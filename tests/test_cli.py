@@ -186,6 +186,62 @@ def test_help_exits_zero(capsys, argv):
     assert "usage: torhyp" in capsys.readouterr().out
 
 
+# Two --help screens as printed when every verb added its own family
+# flags; sharing them through one parent parser changes no byte.
+HELP_SCREENS = {
+    "markov": """\
+usage: torhyp markov [-h] [--case CASE] [--fan FAN] [--l L] [--l1 L1]
+                     [--l2 L2] [--r R] [--a A] [--b B] [--b1 B1] [--c2 C2]
+                     [--b2 B2] [--bound BOUND]
+
+options:
+  -h, --help     show this help message and exit
+  --case CASE    family case id, e.g. 2.0.1
+  --fan FAN      path to a fan JSON file (generic input)
+  --l L
+  --l1 L1
+  --l2 L2
+  --r R
+  --a A
+  --b B
+  --b1 B1
+  --c2 C2
+  --b2 B2
+  --bound BOUND
+""",
+    "classify": """\
+usage: torhyp classify [-h] [--case CASE] [--fan FAN] [--l L] [--l1 L1]
+                       [--l2 L2] [--r R] [--a A] [--b B] [--b1 B1] [--c2 C2]
+                       [--b2 B2] --coeffs COEFFS [--bound BOUND]
+
+options:
+  -h, --help       show this help message and exit
+  --case CASE      family case id, e.g. 2.0.1
+  --fan FAN        path to a fan JSON file (generic input)
+  --l L
+  --l1 L1
+  --l2 L2
+  --r R
+  --a A
+  --b B
+  --b1 B1
+  --c2 C2
+  --b2 B2
+  --coeffs COEFFS
+  --bound BOUND
+""",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP_SCREENS))
+def test_help_text_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_SCREENS[verb]
+
+
 def test_unknown_ray_label_message(capsys):
     code, data = run_json(capsys, "nef", "--case", "2.0.1", "--l", "2",
                           "--D", '{"coeffs": {"D_9": 1}}')
@@ -277,14 +333,12 @@ def test_internal_inconsistency_exit2(capsys, monkeypatch):
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.
-    from dataclasses import replace
-
     from torhyp.catalog import CASES
     from torhyp.classify import compiled_member
     from torhyp.divisors import picard_basis
     from torhyp.fans import build_family_fan
 
-    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], **change))
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(**change))
     build_family_fan.cache_clear()
     picard_basis.cache_clear()
     compiled_member.cache_clear()
@@ -308,12 +362,10 @@ def test_corrupt_nef_generator_exit2(capsys, monkeypatch, nef, message):
     # The member's proofs run once, when it is compiled: a listed nef
     # generator that is not nef where the tables apply, or generators with
     # dependent classes, are corrupt catalog data for classify.
-    from dataclasses import replace
-
     from torhyp.catalog import CASES
     from torhyp.classify import compiled_member
 
-    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], nef=nef))
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(nef=nef))
     compiled_member.cache_clear()
     try:
         code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4")
@@ -331,14 +383,12 @@ def test_corrupt_nef_generator_exit2(capsys, monkeypatch, nef, message):
 def test_corrupt_markov_move_exit2(capsys, monkeypatch, argv):
     # A catalog move outside ker(B) is corrupt encoded data for every verb
     # that reads the move set, not invalid input and not ignored.
-    from dataclasses import replace
-
     from torhyp.catalog import CASES
     from torhyp.classify import _config_certificate, compiled_member
     from torhyp.toric_ideal import _proven_candidate
 
     moves = lambda l: [[1, -1, 0, 0, l + 1], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]  # noqa: E731
-    monkeypatch.setitem(CASES, "2.0.1", replace(CASES["2.0.1"], markov=moves))
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=moves))
     _proven_candidate.cache_clear()
     _config_certificate.cache_clear()
     compiled_member.cache_clear()

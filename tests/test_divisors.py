@@ -1,6 +1,7 @@
 import pytest
 
 from torhyp.divisors import (
+    TDivisor,
     ample_reference,
     canonical_class,
     canonical_divisor,
@@ -191,3 +192,25 @@ def test_divisor_from_json():
     assert class_of(d2).coords == (2, 3)
     with pytest.raises(ValueError):
         divisor_from_json(fan, {"what": 1})
+
+
+def test_divisor_checks_its_length():
+    fan = family_fan("2.0.1", l=2)
+    assert TDivisor(fan=fan, coeffs=(0, 1, 0, 0, 0)) == ray_divisor(fan, "D_2")
+    for coeffs in [(1, 2), (0,) * 6]:
+        with pytest.raises(ValueError, match="coefficient vector length must equal ray count"):
+            TDivisor(fan, coeffs)
+
+
+def test_divisor_and_class_arithmetic():
+    # Both are tuples underneath: * scales by an integer on the left and
+    # is never tuple repetition.
+    fan = family_fan("2.0.1", l=2)
+    d = divisor(fan, {"D_2": 1, "D_3": 2, "D_5": -1})
+    for x in (d, class_of(d)):
+        with pytest.raises(TypeError):
+            x * 2
+        assert 2 * x == x + x
+        assert (-x) + x == x - x and (x - x).is_zero() and not x.is_zero()
+    assert class_of(3 * d) == 3 * class_of(d)
+    assert class_of(-d) == -class_of(d)

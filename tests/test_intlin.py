@@ -165,3 +165,9 @@ def test_solve_exact_substitution_roundtrip():
             continue
         for i in range(4):
             assert sum(Fraction(m[i, j]) * x[j] for j in range(3)) == b[i]
+
+
+def test_matrix_checks_its_shape():
+    assert IntMat(rows=2, cols=1, entries=(3, 4)) == IntMat.from_rows([[3], [4]])
+    with pytest.raises(ValueError, match="entry count does not match shape"):
+        IntMat(2, 2, (1, 2, 3))
