@@ -11,26 +11,31 @@ comparator only demands that the two never contradict each other.
 
 Each family member is compiled once (``compiled_member``).  Its table
 block is read with the parameter rows built and every row condition
-resolved, and its verdict numbers become integer forms in the cell's nef
-coordinates c, read from the intersection matrix of each nef generator:
-D^2.D_rho is a quadratic form per ray, the face degrees, the pairings
-and the primitive-collection levels of D are linear forms, and the nef
-tests of D + K and D - E' compare levels with constants.  What holds for
-every cell (independent generator classes, nef generators, an ample
-reference class) is proven there once, so a cell costs a few dot
-products and a bit-mask match of the rows.  ``boundary_genus_profile`` and
-``positivity_certificate`` compute the same numbers for any divisor and
-are the oracles of the forms.  Cells outside every block of their case
-(negative parameters of the five-collection cases, for instance) are
-Unlisted.
+resolved, into bit masks indexed by coordinate value, and the outcome of
+each row mask met is kept.  Its verdict numbers become integer forms in
+the cell's nef coordinates c, read from the intersection matrix of each
+nef generator: D^3 is a cubic form, D^2.D_rho a quadratic form per ray,
+the face degrees, the pairings and the primitive-collection levels of D
+are linear forms, and the nef tests of D + K and D - E' compare levels
+with constants.  What holds for every cell (independent generator
+classes, nef generators, an ample reference class) is proven there once,
+and each configuration's connected-sections certificate is decided once
+(``toric_ideal.section_certificate``: an existence scan per proven move,
+the guarded difference set only when one fails).  So a cell costs a few
+dot products, a bit-mask match of the rows and, for a Hyperbolic cell,
+an integer comparison of ratios for epsilon.  ``boundary_genus_profile``
+and ``positivity_certificate`` compute the same numbers for any divisor
+and are the oracles of the forms.  Cells outside every block of their
+case (negative parameters of the five-collection cases, for instance)
+are Unlisted.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from math import gcd
+from operator import index, lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, pred_holds
@@ -59,8 +64,7 @@ from .polytopes import intersection_matrix
 from .toric_ideal import (
     DEFAULT_MARKOV_BOUND,
     FiberCertificate,
-    markov_verify,
-    section_difference_moves,
+    section_certificate,
 )
 
 UNLISTED = "Unlisted"
@@ -71,6 +75,20 @@ MEMBER_CACHE_SIZE = 256
 CERTIFICATE_CACHE_SIZE = 1024
 
 
+def _cell(case_id: str, names: tuple[str, ...], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """A cell's coordinates as ints, checked against the case's table
+    parametrisation; anything else is a ParameterError."""
+    try:
+        cell = tuple(map(index, coeffs))
+    except TypeError:
+        raise ParameterError("table coefficients are integers") from None
+    if len(cell) != len(names):
+        raise ParameterError(f"case {case_id} takes coefficients {names}")
+    if min(cell) < 0:
+        raise ParameterError("table coefficients are nonnegative")
+    return cell
+
+
 def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
     """The surface class of a cell, in the case's table parametrisation.
 
@@ -78,12 +96,7 @@ def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
     exactly the nef classes.
     """
     record, _ = family_record(fan)
-    names = record.coeff_names
-    if len(coeffs) != len(names):
-        raise ParameterError(f"case {fan.family.case_id} takes coefficients {names}")
-    if any(c < 0 for c in coeffs):
-        raise ParameterError("table coefficients are nonnegative")
-    return nef_combination(fan, coeffs)
+    return nef_combination(fan, _cell(fan.family.case_id, record.coeff_names, coeffs))
 
 
 # Boundary genus profiles.
@@ -169,14 +182,14 @@ def applicable_configs(fan: Fan) -> list[SectionConfig]:
 
 @lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def _config_certificate(fan: Fan, eprime_key: tuple[int, ...], bound: int) -> FiberCertificate:
-    """Markov verification of the difference move set of one E'.
+    """Markov verification of the difference move set of one E'
+    (``section_certificate``: one existence scan per proven move, the
+    guarded difference set only when one fails).
 
     This is independent of the surface class, so it is cached per family
     member and auxiliary divisor.
     """
-    eprime = TDivisor(fan, eprime_key)
-    moves = section_difference_moves(eprime)
-    return markov_verify(fan, moves, bound)
+    return section_certificate(TDivisor(fan, eprime_key), bound)
 
 
 # Genus-bound machinery.
@@ -267,13 +280,21 @@ def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
     matching row reaches only through its unresolved permutation reading,
     come back as Ambiguous; cells matching nothing are Unlisted.
     """
-    return compiled_member(spec).table.lookup(tuple(int(c) for c in coeffs))
+    m = compiled_member(spec)
+    return m.table.lookup(_cell(spec.case_id, m.names, coeffs))
 
 
 # Verdict derivation.
 
 
 class Verdict(NamedTuple):
+    """A derived outcome with its evidence and the table's outcome.
+
+    Parts of the evidence that depend on the member alone (certificates,
+    E' labels, generator labels) are built once and shared between
+    verdicts, so evidence is read, never mutated.
+    """
+
     outcome: str
     evidence: dict
     table: TableOutcome
@@ -310,54 +331,81 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
+    """min(alpha_j / beta_j) capped at one, printed as ``Fraction`` prints
+    it, for pairings of at least one over degrees of at least one.
+
+    The least ratio p/q is kept as a pair, compared by cross-multiplying,
+    and printed in lowest terms."""
+    p, q = 1, 1
+    for a, b in zip(alphas, betas):
+        if a * q < p * b:
+            p, q = a, b
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 class CompiledConfig:
     """One applicable configuration E' of a member: whether E' is nef, its
-    primitive-collection levels, the linear forms (K - E').D.F_j over the
-    effective generators F_j, and its Markov certificate at the bound last
-    asked for."""
+    labels and primitive-collection levels, the linear forms (K - E').D.F_j
+    over the effective generators F_j, and the JSON of its Markov
+    certificate at the bound last asked for."""
 
-    __slots__ = ("name", "fan", "eprime", "nef", "levels", "pairings", "_cert")
+    __slots__ = ("name", "fan", "eprime", "labels", "nef", "levels", "pairings", "_cert")
 
     def __init__(self, name: str, fan: Fan, eprime: TDivisor, pairings: tuple) -> None:
         self.name, self.fan, self.eprime, self.pairings = name, fan, eprime, pairings
+        self.labels = eprime.label_dict()
         self.nef = is_nef(eprime)
         self.levels = tuple(collection_level(c, eprime.coeffs) for c in fan.collections)
-        self._cert: tuple[int, FiberCertificate] | None = None
+        self._cert: tuple[int, dict] | None = None
 
-    def certificate(self, bound: int) -> FiberCertificate:
+    def certificate(self, bound: int) -> dict:
         if self._cert is None or self._cert[0] != bound:
-            self._cert = (bound, _config_certificate(self.fan, self.eprime.coeffs, bound))
+            cert = _config_certificate(self.fan, self.eprime.coeffs, bound)
+            self._cert = (bound, cert.as_json())
         return self._cert[1]
 
 
-class CompiledTable(NamedTuple):
+_NO_BLOCK = TableOutcome(UNLISTED, (), None, False, False)
+
+
+class CompiledTable:
     """A member's table block with its rows as bit masks.
 
     Bit b stands for one coordinate order of one row; rows whose condition
-    fails at the member's parameters are dropped.  A coordinate value falls
-    in a class of ``cuts``, the sorted thresholds of every predicate: class
-    2i is below cuts[i] (and above cuts[i - 1]), class 2i + 1 is cuts[i]
-    itself, and the last class is above every cut.  Every predicate reads
-    all values of a class alike, so admits[i][class] has bit b set iff
-    order b admits the class at coordinate i, and a cell matches the orders
-    whose bits survive the and over its coordinates.  Each row is (outcome,
-    the bits of its orders, the bit of its printed order, whether a match
-    through another order is unresolved).
+    fails at the member's parameters are dropped.  index[i][v] has bit b
+    set iff order b admits the value v at coordinate i.  Every predicate
+    reads all values above its threshold alike, so index[i] lists the
+    values up to one past coordinate i's largest threshold and a larger
+    value reads its last entry.  A cell matches the orders whose bits
+    survive the and over its coordinates, and the outcome of each such
+    mask is kept in ``memo``, which holds at most the product over the
+    coordinates of their numbers of distinct entries.  Each row is (outcome, the bits of its orders, the
+    bit of its printed order, whether a match through another order is
+    unresolved).
     """
 
-    block: TableBlock | None
-    cuts: tuple[int, ...]
-    admits: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[str, int, int, bool], ...]
+    __slots__ = ("block", "index", "rows", "memo")
+
+    def __init__(self, block: TableBlock | None, index: tuple, rows: tuple) -> None:
+        self.block, self.index, self.rows = block, index, rows
+        self.memo: dict[int, TableOutcome] = {}
 
     def lookup(self, coeffs: tuple[int, ...]) -> TableOutcome:
-        block, cuts = self.block, self.cuts
-        if block is None:
-            return TableOutcome(UNLISTED, (), None, False, False)
+        """Outcome of a cell of nonnegative ints."""
+        if self.block is None:
+            return _NO_BLOCK
         mask = -1
-        for admit, v in zip(self.admits, coeffs):
-            i = bisect_left(cuts, v)
-            mask &= admit[2 * i + (i < len(cuts) and cuts[i] == v)]
+        for admit, v in zip(self.index, coeffs):
+            mask &= admit[v] if v < len(admit) else admit[-1]
+        outcome = self.memo.get(mask)
+        if outcome is None:
+            outcome = self.memo[mask] = self._outcome(mask)
+        return outcome
+
+    def _outcome(self, mask: int) -> TableOutcome:
+        block = self.block
         hits = [
             (outcome, uncertain and not mask & printed)
             for outcome, orders, printed, uncertain in self.rows
@@ -373,55 +421,57 @@ class CompiledTable(NamedTuple):
 
 def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
     if block is None:
-        return CompiledTable(None, (), (), ())
+        return CompiledTable(None, (), ())
     rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
     rows = [(r, r.orders) for r in rows if r.cond is None or r.cond(params)]
     orders = [order for _, row_orders in rows for order in row_orders]
-    cuts = sorted({
-        x for order in orders for op, arg in order if op != "any"
-        for x in (arg if op == "in" else (arg,))
-    })
-    # One value per class: cuts[i] - 1 stands for class 2i (when that class
-    # holds no integer, no cell reads its entry).
-    values = [x for t in cuts for x in (t - 1, t)] + [cuts[-1] + 1 if cuts else 0]
-    admits = tuple(
-        tuple(
+
+    def admits(i: int) -> tuple[int, ...]:
+        cuts = [
+            x for op, arg in (order[i] for order in orders) if op != "any"
+            for x in (arg if op == "in" else (arg,))
+        ]
+        top = max(max(cuts, default=-1) + 1, 0)
+        return tuple(
             sum(1 << b for b, order in enumerate(orders) if pred_holds(order[i], v))
-            for v in values
+            for v in range(top + 1)
         )
-        for i in range(len(orders[0]) if orders else 0)
-    )
+
     compiled, b = [], 0
     for r, row_orders in rows:
         n = len(row_orders)
         compiled.append((r.outcome, ((1 << n) - 1) << b, 1 << b, r.uncertain_permutation))
         b += n
-    return CompiledTable(block, tuple(cuts), admits, tuple(compiled))
+    index = tuple(admits(i) for i in range(len(orders[0]) if orders else 0))
+    return CompiledTable(block, index, tuple(compiled))
 
 
 class CompiledMember(NamedTuple):
     """Everything ``derive_verdict`` reads about one family member.
 
-    squares[rho] holds the coefficients of D^2.D_rho over the monomials
-    c_a c_b (a <= b, in ``pairs`` order) and off[rho] those of
-    sum(D.D_rho.D_k, k != rho) over c; levels[P] is the level of each nef
-    generator on primitive collection P, so D is nef iff levels . c >= 0
-    and D + K iff levels . c >= adjoint[P].  degrees[j] is H.D.F_j over c.
+    cubic holds the coefficients of D^3 over the monomials c_a c_b c_c
+    (a <= b <= c), each read as quadratic monomial k times c_c for (k, c)
+    in ``triples``.  rays[rho] is (label, the coefficients of D^2.D_rho
+    over the monomials c_a c_b (a <= b, in ``pairs`` order), those of
+    sum(D.D_rho.D_k, k != rho) over c).  levels[P] is the level of each
+    nef generator on primitive collection P, so D is nef iff levels . c >=
+    0 and D + K iff levels . c >= adjoint[P].  degrees[j] is H.D.F_j over
+    c.
     """
 
     fan: Fan
     names: tuple[str, ...]
     table: CompiledTable
-    generators: tuple[tuple[int, ...], ...]
     generators_nef: bool
     ample: bool
     pairs: tuple[tuple[int, int], ...]
-    squares: tuple[tuple[int, ...], ...]
-    off: tuple[tuple[int, ...], ...]
+    triples: tuple[tuple[int, int], ...]
+    cubic: tuple[int, ...]
+    rays: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
     levels: tuple[tuple[int, ...], ...]
     adjoint: tuple[int, ...]
     eff: tuple[int, ...]
-    eff_labels: tuple[str, ...]
+    eff_labels: list[str]
     degrees: tuple[tuple[int, ...], ...]
     configs: tuple[CompiledConfig, ...]
 
@@ -462,11 +512,20 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         return tuple(_dot(x, m[rho]) for m in mats)
 
     pairs = tuple((a, b) for a in range(r) for b in range(a, r))
-    squares = tuple(
+    squares = [
         tuple((1 if a == b else 2) * _dot(gens[b].coeffs, mats[a][rho]) for a, b in pairs)
         for rho in range(n)
+    ]
+    off = [tuple(sum(m[rho]) - m[rho][rho] for m in mats) for rho in range(n)]
+    # N_a.N_b.N_c = sum over rho of N_c's coefficient times N_a.N_b.D_rho,
+    # times the number of distinct orders of (a, b, c).
+    triples = tuple((k, c) for k, (a, b) in enumerate(pairs) for c in range(b, r))
+    cubic = tuple(
+        (1 if a == c else 3 if a == b or b == c else 6)
+        * sum(x * _dot(gens[b].coeffs, mats[a][rho]) for rho, x in enumerate(gens[c].coeffs))
+        for k, c in triples
+        for a, b in [pairs[k]]
     )
-    off = tuple(tuple(sum(m[rho]) - m[rho][rho] for m in mats) for rho in range(n))
     levels = tuple(tuple(collection_level(c, g.coeffs) for g in gens) for c in fan.collections)
     canonical = canonical_divisor(fan).coeffs
     eff = tuple(fan.label_index(lab) for lab in record.eff(**params))
@@ -480,16 +539,16 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         fan=fan,
         names=record.coeff_names,
         table=_compile_table(block, params),
-        generators=tuple(g.coeffs for g in gens),
         generators_nef=generators_nef,
         ample=ample,
         pairs=pairs,
-        squares=squares,
-        off=off,
+        triples=triples,
+        cubic=cubic,
+        rays=tuple(zip(fan.ray_labels, squares, off)),
         levels=levels,
         adjoint=tuple(-collection_level(c, canonical) for c in fan.collections),
         eff=eff,
-        eff_labels=tuple(fan.ray_labels[j] for j in eff),
+        eff_labels=[fan.ray_labels[j] for j in eff],
         degrees=tuple(form(h.coeffs, j) for j in eff),
         configs=tuple(configs),
     )
@@ -508,34 +567,31 @@ def derive_verdict(
     ``positivity_certificate`` compute the same numbers for any divisor.
     """
     m = compiled_member(spec)
-    coeffs = tuple(int(c) for c in coeffs)
-    if len(coeffs) != len(m.names):
-        raise ParameterError(f"case {spec.case_id} takes coefficients {m.names}")
-    if any(c < 0 for c in coeffs):
-        raise ParameterError("table coefficients are nonnegative")
-    table = m.table.lookup(coeffs)
+    c = _cell(spec.case_id, m.names, coeffs)
+    table = m.table.lookup(c)
     # The generator classes are a basis (proven at the compile), so only the
     # zero combination is the trivial class.
-    if not any(coeffs):
+    if not any(c):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
-    levels = [_dot(f, coeffs) for f in m.levels]
-    if not m.generators_nef and any(x < 0 for x in levels):
+    # Dot products are written out, not called through _dot: this runs for
+    # every cell.
+    if not m.generators_nef and any(sum(map(mul, f, c)) < 0 for f in m.levels):
         raise ValueError("boundary profiles assume a nef divisor")
-    monomials = [coeffs[a] * coeffs[b] for a, b in m.pairs]
-    squares = [_dot(q, monomials) for q in m.squares]
-    big = sum(c * _dot(g, squares) for c, g in zip(coeffs, m.generators)) > 0
+    quad = [c[a] * c[b] for a, b in m.pairs]
+    big = sum(map(mul, m.cubic, [quad[k] * c[j] for k, j in m.triples])) > 0
     # A nef D meets every curve D_rho.D_k nonnegatively, so the face of rho
     # is a point iff the sum of those degrees vanishes; by adjunction
     # 2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off_rho.
-    entries, low = [], None
-    for label, square, f in zip(m.fan.ray_labels, squares, m.off):
-        off = _dot(f, coeffs)
+    squares, entries, low = [], [], None
+    for label, q, f in m.rays:
+        square, off = sum(map(mul, q, quad)), sum(map(mul, f, c))
+        squares.append(square)
         dim = 2 if square > 0 else 1 if off else 0
         count = 1 + (square - off) // 2 if big and dim == 2 else 0
-        if low is None and dim >= 1 and count <= 1:
+        if low is None and dim and count <= 1:
             low = (label, dim, count)
         entries.append(
-            {"ray": label, "face_dim": dim, "interior_count": count, "carries_curve": dim >= 1}
+            {"ray": label, "face_dim": dim, "interior_count": count, "carries_curve": dim > 0}
         )
     boundary = {"big": big, "entries": entries}
     if not big:
@@ -556,54 +612,45 @@ def derive_verdict(
             },
             table,
         )
-    if any(x < k for x, k in zip(levels, m.adjoint)):
+    levels = [sum(map(mul, f, c)) for f in m.levels]
+    if any(map(lt, levels, m.adjoint)):
         return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
     tried: list[dict] = []
     for config in m.configs:
-        record = {"config": config.name}
         if not config.nef:
             # Out of the catalog's parameter domain (negative twists).
-            record["skip"] = "E' not nef"
-            tried.append(record)
+            tried.append({"config": config.name, "skip": "E' not nef"})
             continue
-        if any(x < e for x, e in zip(levels, config.levels)):
-            record["skip"] = "E = D - E' not nef"
-            tried.append(record)
+        if any(map(lt, levels, config.levels)):
+            tried.append({"config": config.name, "skip": "E = D - E' not nef"})
             continue
-        cert = config.certificate(bound).as_json()
-        record["connected_sections"] = cert
+        cert = config.certificate(bound)
         if not cert["connected"]:
-            tried.append(record)
+            tried.append({"config": config.name, "connected_sections": cert})
             continue
         if not m.ample:
             raise ValueError("the degree normaliser must be ample")
         # alpha_j = (E + K).D.F_j = D^2.F_j + (K - E').D.F_j.
-        alphas = [squares[j] + _dot(f, coeffs) for j, f in zip(m.eff, config.pairings)]
-        betas = [_dot(f, coeffs) for f in m.degrees]
-        epsilon = None
-        if all(a >= 1 for a in alphas):
-            if any(b < 1 for b in betas):
-                raise InternalInconsistencyError("positive pairing with a degenerate degree")
-            epsilon = min(min(Fraction(a, b) for a, b in zip(alphas, betas)), Fraction(1))
-        pos = {
-            "pairings": alphas,
-            "degrees": betas,
-            "effective_generators": list(m.eff_labels),
-            "epsilon": str(epsilon) if epsilon is not None else None,
+        alphas = [squares[j] + sum(map(mul, f, c)) for j, f in zip(m.eff, config.pairings)]
+        betas = [sum(map(mul, f, c)) for f in m.degrees]
+        pos = {"pairings": alphas, "degrees": betas, "effective_generators": m.eff_labels}
+        if min(alphas) < 1:
+            pos["epsilon"] = None
+            tried.append({"config": config.name, "connected_sections": cert, "positivity": pos})
+            continue
+        if min(betas) < 1:
+            raise InternalInconsistencyError("positive pairing with a degenerate degree")
+        epsilon = pos["epsilon"] = _epsilon(alphas, betas)
+        evidence = {
+            "config": config.name,
+            "eprime": config.labels,
+            "connected_sections": cert,
+            "adjoint_nef": True,
+            "positivity": pos,
+            "epsilon": epsilon,
+            "boundary": boundary,
         }
-        record["positivity"] = pos
-        tried.append(record)
-        if epsilon is not None:
-            evidence = {
-                "config": config.name,
-                "eprime": config.eprime.label_dict(),
-                "connected_sections": cert,
-                "adjoint_nef": True,
-                "positivity": pos,
-                "epsilon": str(epsilon),
-                "boundary": boundary,
-            }
-            return Verdict(HYPERBOLIC, evidence, table)
+        return Verdict(HYPERBOLIC, evidence, table)
     return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .divisors import TDivisor, divisor_from_class, is_nef
 from .fans import Fan
@@ -133,7 +133,18 @@ def _eliminate(cons: list[tuple]) -> list[tuple]:
 
 
 def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
-    """All integer points of a bounded polytope, sorted.
+    """All integer points of a bounded polytope, sorted (see ``_scan``)."""
+    return tuple(_scan(p))
+
+
+def has_lattice_point(p: HPolytope) -> bool:
+    """Whether a bounded polytope holds an integer point; the scan stops at
+    the first one."""
+    return next(_scan(p), None) is not None
+
+
+def _scan(p: HPolytope) -> Iterator[Vec3]:
+    """The integer points of a bounded polytope in lexicographic order.
 
     Eliminating z projects P to the (x, y)-plane, and eliminating y from
     that projects it to the x-axis.  The scan walks x over that interval, y
@@ -153,12 +164,11 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
     plane = _eliminate(cons)
     line = _eliminate(plane)
     if any(r > 0 for nx, r in line if nx == 0):
-        return ()
+        return
     x_lo = max(-(-r // nx) for nx, r in line if nx > 0)
     x_hi = min(r // nx for nx, r in line if nx < 0)
     if x_hi - x_lo + 1 > LATTICE_SCAN_GUARD:
         raise EnumerationGuardError("x-range exceeds the scan budget")
-    out: list[Vec3] = []
     budget = LATTICE_SCAN_GUARD
     # A row bounds y (a plane row) or z (a row of P) below where that
     # coefficient is positive and above where it is negative.
@@ -179,8 +189,7 @@ def lattice_points(p: HPolytope) -> tuple[Vec3, ...]:
             if budget < 0:
                 raise EnumerationGuardError("lattice scan exceeds the row and point budget")
             for z in range(z_lo, z_hi + 1):
-                out.append((x, y, z))
-    return tuple(sorted(out))
+                yield (x, y, z)
 
 
 class IdpResult(NamedTuple):

@@ -7,12 +7,15 @@ basis when every fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The
 fan's reference move set is proven once by algebra: it spans L and its
 binomial ideal is saturated, checked by binomial Buchberger runs.  Every
 other set is decided by membership: it is a Markov basis iff it joins the
-two sides of each reference move inside that move's fiber.  Where neither
-settles the question, every fiber touched by a vector of coordinate sum
-<= bound is searched.  A fiber is in bijection with the lattice points of
-a bounded polytope in the character lattice Z^3 (bounded because the fan
-is complete), and each move with one vector of Z^3, so every search runs
-there on 3-d points.
+two sides of each reference move inside that move's fiber.  The
+difference set of a polytope P(E') that holds every proven move is
+therefore a Markov basis, and whether it holds one is a single existence
+scan, so ``section_certificate`` forms that set only when a move is
+missing.  Where neither settles the question, every fiber touched by a
+vector of coordinate sum <= bound is searched.  A fiber is in bijection
+with the lattice points of a bounded polytope in the character lattice
+Z^3 (bounded because the fan is complete), and each move with one vector
+of Z^3, so every search runs there on 3-d points.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .intlin import IntMat, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
+    has_lattice_point,
     lattice_points,
     offset_polytope,
 )
@@ -434,6 +438,44 @@ def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
     return tuple(sorted(diffs))
 
 
+def _check_pair_budget(eprime: TDivisor) -> None:
+    """Refuse an E' whose difference set would pair more lattice points of
+    P(E') than the lattice scan budget, before any difference is formed."""
+    n = len(lattice_points(offset_polytope(eprime.fan, tuple(-c for c in eprime.coeffs))))
+    if n * n > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"{n}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
+        )
+
+
+def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
+    """markov_verify(fan, section_difference_moves(eprime), bound), decided
+    without forming the difference set when the fan's moves are proven.
+
+    The difference set of P(E') is closed under negation, so it contains a
+    proven move m up to sign iff it contains m, that is iff the pull-back
+    delta of m is a difference of two lattice points of P(E').  Those are
+    the lattice points d of P(E') cap (P(E') - delta), the polytope
+    {<d, u_rho> >= -e'_rho + m-_rho}, one scan that stops at its first
+    point.  When every proven move passes, the set holds the proven basis
+    up to sign and is Markov by the ``not pending`` branch of _is_markov,
+    whose certificate is returned.  Otherwise the difference set is formed
+    under the pair guard of connected_sections_check and verified; past
+    that guard EnumerationGuardError is raised.
+    """
+    if bound < 1:
+        raise ValueError(f"the Markov bound must be at least 1, got {bound}")
+    fan = eprime.fan
+    proven = _proven_candidate(fan)
+    if proven is not None and all(
+        has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
+        for m in proven
+    ):
+        return FiberCertificate(bound, len(_degree_images(fan, bound)), True)
+    _check_pair_budget(eprime)
+    return markov_verify(fan, section_difference_moves(eprime), bound)
+
+
 def connected_sections_check(
     e: TDivisor,
     eprime: TDivisor,
@@ -444,17 +486,13 @@ def connected_sections_check(
 
     Both divisors must be nef; the decomposition property of the pair holds
     on these fans for every nef pair and is re-checked by enumeration when
-    verify_idp is set.  An E' with more point pairs than the lattice scan
-    budget is refused before any difference is formed; the catalog's own
-    configurations go through section_difference_moves without this guard.
+    verify_idp is set.  The report lists every difference move, so an E'
+    with more point pairs than the lattice scan budget is refused before
+    any difference is formed, as in the fallback of section_certificate.
     """
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("connected-sections check needs a nef pair")
-    n = len(lattice_points(offset_polytope(eprime.fan, tuple(-c for c in eprime.coeffs))))
-    if n * n > LATTICE_SCAN_GUARD:
-        raise EnumerationGuardError(
-            f"{n}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
-        )
+    _check_pair_budget(eprime)
     idp_ok: bool | None = None
     if verify_idp:
         from .polytopes import idp_check

@@ -6,7 +6,9 @@ certified printed-table defects, and beyond-boundary reference rows) in
 their PASS lines.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -60,6 +62,9 @@ from torhyp.toric_ideal import (
 )
 
 BOUND = 6
+# sha256 over the sorted-key JSON of every criterion-6 verdict, cell by cell
+# in sweep order: a change to any output byte of the sweep shows here.
+CRITERION_6_DIGEST = "1c51d3a0e3661ab578802a6d11909e63ff54d420ba417aeb0f966f8c905ae37d"
 
 # Four-value parameter grids per case, including 0 and negatives where the
 # reference data admits them.  3.0.2 requires b < 0.  The reference data of
@@ -334,6 +339,7 @@ def test_criterion_6_verdict_sweep(catalog_certificates):
     defects = []
     beyond_boundary = []
     agreements = {HYPERBOLIC: 0, NOT_HYPERBOLIC: 0, OPEN: 0}
+    digest = hashlib.sha256()
     for spec in iter_specs(SWEEP_GRIDS):
         fan = build_family_fan(spec)
         h = ample_reference(fan)
@@ -341,6 +347,7 @@ def test_criterion_6_verdict_sweep(catalog_certificates):
         for coeffs in itertools.product(range(0, 9), repeat=ncoef):
             cells += 1
             v = derive_verdict(spec, coeffs, BOUND)
+            digest.update(json.dumps(v.as_json(), sort_keys=True).encode())
             t = v.table
             derived_low = v.outcome == NOT_HYPERBOLIC
             if t.ambiguous:
@@ -380,6 +387,7 @@ def test_criterion_6_verdict_sweep(catalog_certificates):
         vertices.cache_clear()
         fiber_elements.cache_clear()
     assert agreements[HYPERBOLIC] > 0 and agreements[NOT_HYPERBOLIC] > 0
+    assert digest.hexdigest() == CRITERION_6_DIGEST
     print(
         f"\nACCEPTANCE 6 PASS: {cells} cells swept; zero uncertified contradictions; "
         f"exact agreements by outcome {agreements}; excluded and reported: "

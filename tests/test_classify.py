@@ -208,6 +208,20 @@ def test_derive_verdict_rejects_negative_coeffs():
         derive_verdict(spec_of("2.0.1", l=1), (-1, 2))
 
 
+@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2), "3"], ids=repr)
+def test_non_integer_coordinates_refused(bad):
+    # int() would read each of these as a neighbouring cell; no entry point
+    # may answer for a cell it was not given.
+    spec = spec_of("2.0.1", l=1)
+    for call in (
+        lambda: derive_verdict(spec, (bad, 1)),
+        lambda: table_lookup(spec, (bad, 1)),
+        lambda: surface_divisor(build_family_fan(spec), (bad, 1)),
+    ):
+        with pytest.raises(ParameterError, match="table coefficients are integers"):
+            call()
+
+
 def test_table_lookup_printed_cells():
     assert table_lookup(spec_of("2.0.1", l=0), (2, 5)).value == HYPERBOLIC
     assert table_lookup(spec_of("3.1.5", b1=0), (2, 1, 4)).value == HYPERBOLIC
@@ -318,7 +332,7 @@ def test_derived_surface_and_ample_classes(case, params, coeffs, surface, ample)
 GRID = range(9)
 
 
-def _admitted(pred):
+def _admitted(pred, grid=GRID):
     op, arg = pred
     tests = {
         "ge": lambda v: v >= arg,
@@ -327,30 +341,33 @@ def _admitted(pred):
         "in": lambda v: v in arg,
         "any": lambda v: True,
     }
-    return [v for v in GRID if tests[op](v)]
+    return [v for v in grid if tests[op](v)]
 
 
-def _row_cells(row, params, allow_permute):
+def _row_cells(row, params, allow_permute, grid=GRID):
     if row.cond is not None and not row.cond(params):
         return set()
     orders = set(itertools.permutations(row.preds)) if row.permute and allow_permute else {row.preds}
-    return {c for order in orders for c in itertools.product(*map(_admitted, order))}
+    return {
+        c for order in orders
+        for c in itertools.product(*(_admitted(pred, grid) for pred in order))
+    }
 
 
-def two_pass_lookups(spec):
+def two_pass_lookups(spec, grid=GRID):
     """The reference outcome of every cell of the grid, keyed by cell, as
     (value, matched, block, imported, ambiguous)."""
     params = spec.as_dict()
     ncoef = len(CASES[spec.case_id].coeff_names)
-    cells = list(itertools.product(GRID, repeat=ncoef))
+    cells = list(itertools.product(grid, repeat=ncoef))
     block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
     if block is None:
         return {c: (UNLISTED, (), None, False, False) for c in cells}
     rows = list(block.rows)
     if block.param_rows is not None:
         rows += block.param_rows(params)
-    loose = [_row_cells(r, params, True) for r in rows]
-    strict = [_row_cells(r, params, not r.uncertain_permutation) for r in rows]
+    loose = [_row_cells(r, params, True, grid) for r in rows]
+    strict = [_row_cells(r, params, not r.uncertain_permutation, grid) for r in rows]
     nothyp = set().union(*(s for r, s in zip(rows, loose) if r.outcome == NOT_HYPERBOLIC))
 
     def one_pass(c, row_cells):
@@ -422,6 +439,32 @@ def test_table_lookup_matches_two_pass_reference():
     # Both kinds of ambiguity occur: conflicting rows and the unresolved
     # permutation row of the product fan.
     assert ambiguous > 0 and checked > 300_000
+
+
+# Every threshold of the catalog is below 9, so these coordinates lie past
+# the last cut, where the compiled value index reads its last entry.  One
+# member per case with a table block (3.0.1 with its parameter rows).
+ABOVE_THE_CUTS = [*range(13), 10**6]
+ABOVE_THE_CUTS_MEMBERS = {
+    "2.0.1": {"l": 0},
+    "2.0.2": {"l1": 0, "l2": 1},
+    "3.0.1": {"r": 0, "a": 0, "b": 1},
+    "3.0.2": {"r": 0, "a": 0, "b": -1},
+    "3.1.1": {"b1": 0},
+    "3.1.2": {"b1": 0},
+    "3.1.3": {"b1": 0, "c2": 1},
+    "3.1.4": {"b1": 1, "b2": 1},
+    "3.1.5": {"b1": 0},
+}
+
+
+@pytest.mark.parametrize("case", list(ABOVE_THE_CUTS_MEMBERS))
+def test_table_lookup_above_the_last_cut(case):
+    spec = FamilySpec.make(case, **ABOVE_THE_CUTS_MEMBERS[case])
+    assert table_lookup(spec, (0,) * len(CASES[case].coeff_names)).block is not None
+    for coeffs, expected in two_pass_lookups(spec, ABOVE_THE_CUTS).items():
+        t = table_lookup(spec, coeffs)
+        assert (t.value, t.matched, t.block, t.imported, t.ambiguous) == expected, coeffs
 
 
 def test_table_row_orders_built_once():

@@ -441,6 +441,30 @@ def test_catalog_config_past_pair_budget(capsys):
     }
 
 
+LARGE_CONFIGURATIONS = [
+    # E' = D_2 has 20,302 and 501,502 lattice points, and E' = D_6 - bD_4
+    # of 3.0.2 at r = a = 30 has 14,012: far past the pair budget, yet the
+    # proven moves decide each with a few existence scans.
+    (["--case", "2.0.1", "--l", "200", "--coeffs", "3,4"], (0,)),
+    (["--case", "2.0.1", "--l", "1000", "--coeffs", "3,4"], (0,)),
+    (["--case", "3.0.2", "--r", "30", "--a", "30", "--b", "-30", "--coeffs", "2,2,2"], (0,)),
+    (["--case", "3.0.2", "--r", "100", "--a", "100", "--b", "-100", "--coeffs", "2,2,2"], (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,codes", LARGE_CONFIGURATIONS, ids=["201-l200", "201-l1000", "302-r30", "302-r100"]
+)
+def test_large_catalog_configurations_end(argv, codes):
+    proc = subprocess.run(
+        [sys.executable, "-m", "torhyp.cli", "classify", *argv],
+        capture_output=True, env=child_env(), text=True, timeout=10,
+    )
+    assert proc.returncode in codes and proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert data["schema"] == "torhyp/1" and ("derived" in data) == (proc.returncode == 0)
+
+
 def test_sweep_grid_guard_exit1(capsys):
     # 1001^3 cells: refused before any row is derived.
     t0 = time.perf_counter()

@@ -9,10 +9,14 @@ nef or the parameter lies past the grid.
 
 import itertools
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from torhyp.classify import derive_verdict
+from torhyp.classify import _epsilon, compiled_member, derive_verdict, table_lookup
 from torhyp.fans import CASE_IDS, FamilySpec
 
 from oracles import reference_verdict
@@ -73,3 +77,35 @@ def test_compiled_matches_reference_on_invalid_cells(coeffs):
     want = outcome(reference_verdict, spec, coeffs, BOUND)
     assert isinstance(want, tuple) and outcome(derive_verdict, spec, coeffs, BOUND) == want
 
+
+
+RATIOS = st.lists(
+    st.tuples(st.integers(1, 12) | st.integers(1, 10**12), st.integers(1, 12) | st.integers(1, 10**12)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(RATIOS)
+@example([(2, 4), (1, 2), (3, 6)])  # a tie, the first kept
+@example([(5, 3), (7, 7)])  # capped at one
+@example([(4, 6), (9, 2)])  # printed in lowest terms
+def test_epsilon_is_the_capped_least_ratio(pairs):
+    alphas, betas = zip(*pairs)
+    want = str(min(min(Fraction(a, b) for a, b in pairs), 1))
+    assert _epsilon(alphas, betas) == want
+
+
+def test_table_memo_stays_within_the_value_classes():
+    # Each cell's row mask is the and of one entry per coordinate, so a
+    # member's memo holds at most the product of its coordinates' distinct
+    # entries, however many cells and however large.
+    large = [0, 9, 12, 10**6]
+    for case in CASE_IDS:
+        for params in SWEEP_GRIDS[case]:
+            spec = FamilySpec.make(case, **params)
+            for coeffs in cells(case) + list(itertools.product(large, repeat=len(cells(case)[0]))):
+                table_lookup(spec, coeffs)
+            table = compiled_member(spec).table
+            bound = prod(len(set(index)) for index in table.index)
+            assert len(table.memo) <= bound <= 13 ** len(table.index), (spec, len(table.memo))

@@ -12,6 +12,7 @@ from torhyp.polytopes import (
     HPolytope,
     UnboundedPolytopeError,
     dimension,
+    has_lattice_point,
     idp_check,
     interior_lattice_count,
     lattice_points,
@@ -202,6 +203,38 @@ def test_lattice_scan_guard_charges_empty_rows():
     assert lattice_points(HPolytope(normals, (0, 0, 0, -1000, 1, -1))) == ()
     with pytest.raises(EnumerationGuardError):
         lattice_points(HPolytope(normals, (0, 0, 0, -(10**7), 1, -1)))
+
+
+def test_existence_scan_matches_box_oracle():
+    # Seeded random bounded systems, about half of them without a point.
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        k = rng.randint(4, 7)
+        normals = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(k))
+        p = HPolytope(normals, tuple(rng.randint(-4, 2) for _ in range(k)))
+        try:
+            found = has_lattice_point(p)
+        except UnboundedPolytopeError:
+            continue
+        assert found == bool(brute_lattice_points(p)), p
+        seen[found] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_existence_scan_is_guarded():
+    # The thin polytope of test_lattice_scan_guard_charges_empty_rows holds
+    # no point in any row, so the scan charges every row and is refused
+    # like the full one.
+    from torhyp.polytopes import EnumerationGuardError
+
+    normals = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, -2, 2), (0, 2, -2))
+    assert not has_lattice_point(HPolytope(normals, (0, 0, 0, -1000, 1, -1)))
+    with pytest.raises(EnumerationGuardError):
+        has_lattice_point(HPolytope(normals, (0, 0, 0, -(10**7), 1, -1)))
+    # A point in the first row ends the scan before any budget runs out.
+    fan = family_fan("3.0.1", r=0, a=0, b=0)
+    assert has_lattice_point(polytope_of(divisor(fan, {"D_1": 10**5, "D_4": 10**5, "D_6": 10**5})))
 
 
 def test_lattice_points_201_count9():

@@ -1,13 +1,15 @@
+import random
 from collections import deque
 
 import pytest
 
 import torhyp.toric_ideal as ti
 from torhyp.classify import applicable_configs
-from torhyp.divisors import divisor, ray_divisor
-from torhyp.fans import family_fan
+from torhyp.catalog import CASES
+from torhyp.divisors import divisor, is_nef, ray_divisor
+from torhyp.fans import ParameterError, family_fan
 from torhyp.intlin import IntMat
-from torhyp.polytopes import EnumerationGuardError
+from torhyp.polytopes import EnumerationGuardError, lattice_points, polytope_of
 from torhyp.toric_ideal import (
     InternalInconsistencyError,
     _bounded_search,
@@ -21,6 +23,7 @@ from torhyp.toric_ideal import (
     gale_matrix,
     markov_candidate,
     markov_verify,
+    section_certificate,
     section_difference_moves,
 )
 
@@ -405,3 +408,80 @@ def test_saturation_matches_sympy(case, params):
         per_variable = [_saturated_in(moves, omega, i) for i in range(fan.nrays)]
         assert per_variable == [saturated(moves, x) for x in xs], moves
         assert _markov_proof(fan, moves) == all(per_variable)
+
+
+def difference_set_certificate(eprime, bound):
+    """Oracle: the Markov verification of the formed difference set."""
+    return markov_verify(eprime.fan, section_difference_moves(eprime), bound)
+
+
+def proven_moves_are_differences(eprime):
+    """Whether the fan's moves are proven and each is a difference of
+    lattice points of P(E'), up to sign."""
+    proven = ti._proven_candidate(eprime.fan)
+    moves = set(section_difference_moves(eprime))
+    return proven is not None and all(m in moves or tuple(-x for x in m) in moves for m in proven)
+
+
+@pytest.mark.parametrize("case", list(PARAM_GRIDS))
+def test_section_certificate_matches_difference_set(case):
+    # Every criterion-1 configuration, each decided by the proven moves.
+    for params in PARAM_GRIDS[case]:
+        fan = family_fan(case, **params)
+        for config in applicable_configs(fan):
+            eprime = divisor(fan, config.eprime_coeffs(params))
+            assert proven_moves_are_differences(eprime), (params, config.name)
+            want = difference_set_certificate(eprime, 6)
+            assert section_certificate(eprime, 6) == want, (params, config.name)
+
+
+def larger_members(rng, per_case):
+    """Seeded members of every case with parameters in -6..12."""
+    out = []
+    for case, record in CASES.items():
+        while sum(c == case for c, _ in out) < per_case:
+            params = {p: rng.randint(-6, 12) for p in record.params}
+            try:
+                out.append((case, family_fan(case, **params)))
+            except ParameterError:
+                pass
+    return out
+
+
+def test_section_certificate_matches_difference_set_off_the_grid():
+    # Larger members with their configurations, plus the zero divisor and
+    # the nef ray divisors, whose few points miss some proven move and so
+    # take the fallback.  Only sets of at most 300 points are compared,
+    # where the oracle finishes quickly.
+    rng = random.Random("section-certificate")
+    decided = fallback = 0
+    for case, fan in larger_members(rng, 3):
+        params = fan.family.as_dict()
+        eprimes = [divisor(fan, c.eprime_coeffs(params)) for c in applicable_configs(fan)]
+        eprimes += [divisor(fan, {})]
+        eprimes += [d for d in (ray_divisor(fan, lab) for lab in fan.ray_labels) if is_nef(d)]
+        for eprime in eprimes:
+            if len(lattice_points(polytope_of(eprime))) > 300:
+                continue
+            want = difference_set_certificate(eprime, 3)
+            assert section_certificate(eprime, 3) == want, (case, params, eprime.coeffs)
+            if proven_moves_are_differences(eprime):
+                decided += 1
+            else:
+                fallback += 1
+    assert decided > 0 and fallback > 0, (decided, fallback)
+
+
+def test_section_certificate_fallback_is_guarded(monkeypatch):
+    # E' = D_2 of 2.0.1 at l = 44 has 1,036 points: the proven moves decide
+    # it, and without them the difference set is refused, not formed.
+    fan = family_fan("2.0.1", l=44)
+    eprime = ray_divisor(fan, "D_2")
+    assert section_certificate(eprime, 6).as_json() == {
+        "bound": 6, "fibers_checked": 84, "connected": True, "failing_fiber": None,
+    }
+    monkeypatch.setattr(ti, "_proven_candidate", lambda fan: None)
+    with pytest.raises(EnumerationGuardError, match="1036\\^2 point differences"):
+        section_certificate(eprime, 6)
+    with pytest.raises(ValueError, match="at least 1"):
+        section_certificate(eprime, 0)
