@@ -52,6 +52,7 @@ from .divisors import (
     nef_generators,
 )
 from .fans import (
+    FAN_CACHE_SIZE,
     FamilySpec,
     Fan,
     InternalInconsistencyError,
@@ -61,18 +62,10 @@ from .fans import (
 )
 from .intlin import IntMat
 from .polytopes import intersection_matrix
-from .toric_ideal import (
-    DEFAULT_MARKOV_BOUND,
-    FiberCertificate,
-    section_certificate,
-)
+from .toric_ideal import DEFAULT_MARKOV_BOUND, section_certificate
 
 UNLISTED = "Unlisted"
 AMBIGUOUS = "Ambiguous"
-# One compiled member per family member in use; the criterion-6 grid has 186.
-MEMBER_CACHE_SIZE = 256
-# Section certificates are a few per member and bound.
-CERTIFICATE_CACHE_SIZE = 1024
 
 
 def _cell(case_id: str, names: tuple[str, ...], coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -178,31 +171,6 @@ def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
 def applicable_configs(fan: Fan) -> list[SectionConfig]:
     record, p = family_record(fan)
     return [c for c in record.configs if c.applies(p)]
-
-
-@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
-def _config_certificate(fan: Fan, eprime_key: tuple[int, ...], bound: int) -> FiberCertificate:
-    """Markov verification of the difference move set of one E'
-    (``section_certificate``: one existence scan per proven move, the
-    guarded difference set only when one fails).
-
-    This is independent of the surface class, so it is cached per family
-    member and auxiliary divisor.
-    """
-    return section_certificate(TDivisor(fan, eprime_key), bound)
-
-
-# Genus-bound machinery.
-
-
-def noether_lefschetz_applicable(d: TDivisor) -> bool:
-    """The adjoint class D + K must be nef for the class-restriction step."""
-    return is_nef(d + canonical_divisor(d.fan))
-
-
-def genus_bound_class(d: TDivisor, e: TDivisor):
-    """Class of E + K, the pairing partner in the genus bound."""
-    return class_of(e + canonical_divisor(d.fan))
 
 
 class PositivityCertificate(NamedTuple):
@@ -351,19 +319,18 @@ class CompiledConfig:
     over the effective generators F_j, and the JSON of its Markov
     certificate at the bound last asked for."""
 
-    __slots__ = ("name", "fan", "eprime", "labels", "nef", "levels", "pairings", "_cert")
+    __slots__ = ("name", "eprime", "labels", "nef", "levels", "pairings", "_cert")
 
-    def __init__(self, name: str, fan: Fan, eprime: TDivisor, pairings: tuple) -> None:
-        self.name, self.fan, self.eprime, self.pairings = name, fan, eprime, pairings
+    def __init__(self, name: str, eprime: TDivisor, pairings: tuple) -> None:
+        self.name, self.eprime, self.pairings = name, eprime, pairings
         self.labels = eprime.label_dict()
         self.nef = is_nef(eprime)
-        self.levels = tuple(collection_level(c, eprime.coeffs) for c in fan.collections)
+        self.levels = tuple(collection_level(c, eprime.coeffs) for c in eprime.fan.collections)
         self._cert: tuple[int, dict] | None = None
 
     def certificate(self, bound: int) -> dict:
         if self._cert is None or self._cert[0] != bound:
-            cert = _config_certificate(self.fan, self.eprime.coeffs, bound)
-            self._cert = (bound, cert.as_json())
+            self._cert = (bound, section_certificate(self.eprime, bound).as_json())
         return self._cert[1]
 
 
@@ -476,7 +443,7 @@ class CompiledMember(NamedTuple):
     configs: tuple[CompiledConfig, ...]
 
 
-@lru_cache(maxsize=MEMBER_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def compiled_member(spec: FamilySpec) -> CompiledMember:
     """Compile a member's table block and verdict forms, and prove once
     what holds for every cell.
@@ -534,7 +501,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         eprime = divisor(fan, config.eprime_coeffs(params))
         k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
         pairings = tuple(form(k_minus, j) for j in eff)
-        configs.append(CompiledConfig(config.name, fan, eprime, pairings))
+        configs.append(CompiledConfig(config.name, eprime, pairings))
     return CompiledMember(
         fan=fan,
         names=record.coeff_names,

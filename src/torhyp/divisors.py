@@ -1,4 +1,4 @@
-"""Torus-invariant divisors: support functions, positivity, Picard classes.
+"""Torus-invariant divisors: positivity, Picard classes, nef coordinates.
 
 A divisor is a per-ray integer coefficient vector D = sum a_rho D_rho.  The
 Picard group of every catalog fan is free of rank 2 or 3; classes are taken
@@ -13,22 +13,14 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .fans import (
+    FAN_CACHE_SIZE,
     Fan,
     InternalInconsistencyError,
     PrimitiveCollection,
     family_record,
-    find_containing_cone,
     json_int,
 )
 from .intlin import IntMat, solve_3x3, solve_exact
-
-
-# One Picard basis per fan, like the fan cache.
-PICARD_CACHE_SIZE = 256
-
-
-class NotInFanError(ValueError):
-    """A vector lies in no cone of the fan."""
 
 
 class _DivisorFields(NamedTuple):
@@ -91,15 +83,6 @@ def divisor(fan: Fan, coeffs: Mapping[str, int] | Sequence[int]) -> TDivisor:
 
 def ray_divisor(fan: Fan, label: str) -> TDivisor:
     return divisor(fan, {label: 1})
-
-
-def support_function_eval(d: TDivisor, u: Sequence[int]) -> Fraction:
-    """Value at u of the piecewise-linear function taking -a_rho on each ray."""
-    hit = find_containing_cone(d.fan, u)
-    if hit is None:
-        raise NotInFanError(f"{tuple(u)} lies in no maximal cone")
-    cone, nums, den = hit
-    return Fraction(-sum(n * d.coeffs[i] for i, n in zip(cone, nums)), den)
 
 
 def is_nef(d: TDivisor) -> bool:
@@ -193,7 +176,7 @@ def ray_matrix(fan: Fan) -> IntMat:
     return IntMat.from_rows(fan.rays)
 
 
-@lru_cache(maxsize=PICARD_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def picard_basis(fan: Fan) -> PicBasis:
     """Basis of Pic for a catalog fan, verified against the ray matrix.
 
@@ -257,10 +240,6 @@ def divisor_from_class(cls: PicClass) -> TDivisor:
 def canonical_divisor(fan: Fan) -> TDivisor:
     """Minus the sum of all ray divisors."""
     return TDivisor(fan, (-1,) * fan.nrays)
-
-
-def canonical_class(fan: Fan) -> PicClass:
-    return class_of(canonical_divisor(fan))
 
 
 # Reference data from the case catalog: nef and effective cone generators

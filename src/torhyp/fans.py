@@ -19,7 +19,9 @@ from .intlin import IntMat, solve_3x3
 Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
-# Fans are one per family member in use; the criterion-1 grid has 186.
+# The size of every per-fan cache (fans, Picard bases, class maps, Markov
+# proofs, boundedness of normal sets, intersection tensors, compiled
+# members): one entry per family member in use; the criterion-1 grid has 186.
 FAN_CACHE_SIZE = 256
 
 
@@ -115,36 +117,16 @@ class Fan(NamedTuple):
         raise KeyError(f"no ray labelled {label!r}")
 
 
-class FanValidation(NamedTuple):
-    """Report from verify_smooth_complete: per-cone determinants and
-    per-2-face incidence counts, with the failures spelled out."""
-
-    cone_dets: tuple[tuple[tuple[int, int, int], int], ...]
-    face_incidence: tuple[tuple[tuple[int, int], int], ...]
-    failures: tuple[str, ...]
-
-    @property
-    def smooth(self) -> bool:
-        return all(abs(d) == 1 for _, d in self.cone_dets)
-
-    @property
-    def complete(self) -> bool:
-        return all(c == 2 for _, c in self.face_incidence) and bool(self.face_incidence)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_smooth_complete(fan: Fan) -> FanValidation:
+def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
+    """The failures of the smoothness and completeness checks, spelled out:
+    a ray that is not primitive, a cone of |det| other than 1, a 2-face in
+    other than two maximal cones, or no maximal cones; empty when none."""
     failures: list[str] = []
     for i, u in enumerate(fan.rays):
         if gcd(*u) != 1:
             failures.append(f"ray {i} is not primitive")
-    dets = []
     for cone in fan.max_cones:
         det = IntMat.from_rows(fan.rays[i] for i in cone).det()
-        dets.append((cone, det))
         if abs(det) != 1:
             failures.append(f"cone {cone} has |det| = {abs(det)}")
     incidence: dict[tuple[int, int], int] = {}
@@ -157,7 +139,7 @@ def verify_smooth_complete(fan: Fan) -> FanValidation:
             failures.append(f"2-face {pair} lies in {count} maximal cones")
     if not fan.max_cones:
         failures.append("fan has no maximal cones")
-    return FanValidation(tuple(dets), tuple(sorted(incidence.items())), tuple(failures))
+    return tuple(failures)
 
 
 def cone_coordinates(fan: Fan, cone: Sequence[int], u: Sequence[int]):
@@ -211,9 +193,9 @@ def _check_geometry(fan: Fan) -> None:
     space twice also passes, so generic probe points must each lie in
     exactly one maximal cone (each unimodular by then, so nonsingular).
     """
-    report = verify_smooth_complete(fan)
-    if not report.ok:
-        raise FanGeometryError("; ".join(report.failures))
+    failures = verify_smooth_complete(fan)
+    if failures:
+        raise FanGeometryError("; ".join(failures))
     probes = [(97, 61, 31), (-89, 53, -29), (41, -103, 67), (-59, -71, -113), (13, 37, 101)]
     for p in probes:
         hits = 0

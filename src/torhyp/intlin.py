@@ -48,10 +48,6 @@ class IntMat(_MatFields):
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMat":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -64,17 +60,6 @@ class IntMat(_MatFields):
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other: "IntMat") -> "IntMat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                [sum(ri[k] * other[k, j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        return IntMat.from_rows(out)
 
     def mul_vec(self, v: Sequence[int]) -> Vec:
         if self.cols != len(v):
@@ -107,104 +92,6 @@ class IntMat(_MatFields):
         return sign * m[n - 1][n - 1]
 
 
-class SnfDecomposition(NamedTuple):
-    """Smith normal form U*M*V = S with unimodular U, V and divisibility chain."""
-
-    u: IntMat
-    s: IntMat
-    v: IntMat
-
-    def diagonal(self) -> Vec:
-        k = min(self.s.rows, self.s.cols)
-        return tuple(self.s[i, i] for i in range(k))
-
-
-def smith_normal_form(m: IntMat) -> SnfDecomposition:
-    """Compute U, S, V with U*M*V = S diagonal and d_i | d_{i+1}.
-
-    Pivots are chosen by minimal absolute value, which keeps entries small at
-    the sizes used here.  Once row and column t are clear, a later entry the
-    pivot does not divide has its row added to row t, and clearing that row
-    again leaves a smaller pivot; so d_t divides every entry left below and
-    to the right, and with them every later diagonal entry.  U and V are
-    built from elementary operations, so both have determinant +-1.
-    """
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    u = IntMat.identity(nr).to_rows()
-    v = IntMat.identity(nc).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # Locate the submatrix pivot of minimal absolute value.
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # Kill the rest of row t and column t; repeat until clean and the
-        # pivot divides the rest of the submatrix.
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = -(a[i][t] // a[t][t])
-                    add_row(t, i, q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = -(a[t][j] // a[t][t])
-                    add_col(t, j, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                    dirty = True
-            if dirty:
-                continue
-            bad = next(
-                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]), None
-            )
-            if bad is None:
-                break
-            add_row(bad, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    s = IntMat.from_rows(a)
-    return SnfDecomposition(IntMat.from_rows(u), s, IntMat.from_rows(v))
-
-
 def rational_rank(m: IntMat) -> int:
     """Rank over the rationals, by exact Gaussian elimination."""
     rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
@@ -224,22 +111,6 @@ def rational_rank(m: IntMat) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def integer_kernel(m: IntMat) -> list[Vec]:
-    """Lattice basis of ker(m) intersected with Z^cols.
-
-    The columns of the Smith transform V indexed past the rank are such a
-    basis: m @ (V e_j) = U^-1 (S e_j) = 0 exactly when the diagonal entry
-    vanishes or the index exceeds the number of rows.
-    """
-    snf = smith_normal_form(m)
-    diag = snf.diagonal()
-    basis = []
-    for j in range(m.cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(snf.v.col(j))
-    return basis
 
 
 def solve_exact(m: IntMat, b: Sequence[int]) -> tuple[Fraction, ...] | None:

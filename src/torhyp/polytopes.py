@@ -20,19 +20,16 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .divisors import TDivisor, divisor_from_class, is_nef
-from .fans import Fan
+from .fans import FAN_CACHE_SIZE, Fan
 from .intlin import solve_3x3
 
 Vec3 = tuple[int, int, int]
 QVec3 = tuple[Fraction, Fraction, Fraction]
 
 LATTICE_SCAN_GUARD = 10**6
-# Normal sets are one per fan; vertex sets one per polytope and rarely
-# asked for twice outside a face scan, so both caches stay small.
-BOUNDED_CACHE_SIZE = 256
+# Vertex sets are one per polytope and rarely asked for twice outside a
+# face scan, so the cache stays small.
 VERTICES_CACHE_SIZE = 1024
-# One intersection tensor per fan, like the fan cache.
-TENSOR_CACHE_SIZE = 256
 
 
 class UnboundedPolytopeError(ValueError):
@@ -64,7 +61,7 @@ def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
     return HPolytope(tuple(fan.rays), tuple(int(x) for x in rhs))
 
 
-@lru_cache(maxsize=BOUNDED_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _bounded(normals: tuple[Vec3, ...]) -> bool:
     """Whether {<m, n_i> >= r_i} is bounded, which depends on the normals only.
 
@@ -332,29 +329,7 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:
-    """Minkowski sum computed from the V-representations.
-
-    Both polytopes must share the same normal list (they come from divisors
-    on one fan); the sum's support values are the minima of the pairwise
-    vertex sums, which is exact because every facet normal of the sum is
-    again one of the shared normals.
-    """
-    if p1.normals != p2.normals:
-        raise ValueError("polytope normal lists differ")
-    v1, v2 = vertices(p1), vertices(p2)
-    if not v1 or not v2:
-        raise ValueError("empty polytope in Minkowski sum")
-    sums = [(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for a in v1 for b in v2]
-    rhs = []
-    for nrm in p1.normals:
-        rhs.append(min(_dot(s, nrm) for s in sums))
-    if any(x.denominator != 1 for x in rhs):
-        raise ValueError("non-integral support values")
-    return HPolytope(p1.normals, tuple(int(x) for x in rhs))
-
-
-@lru_cache(maxsize=TENSOR_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def intersection_tensor(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Triple products D_a.D_b.D_c of the ray divisors of a smooth complete
     fan, indexed [a][b][c].

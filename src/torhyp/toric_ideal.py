@@ -28,7 +28,13 @@ from operator import add, le, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .divisors import TDivisor, class_from_coords, divisor_from_class, is_nef, picard_basis
-from .fans import Fan, InternalInconsistencyError, family_record, find_containing_cone
+from .fans import (
+    FAN_CACHE_SIZE,
+    Fan,
+    InternalInconsistencyError,
+    family_record,
+    find_containing_cone,
+)
 from .intlin import IntMat, solve_3x3
 from .polytopes import (
     LATTICE_SCAN_GUARD,
@@ -44,9 +50,6 @@ DEFAULT_MARKOV_BOUND = 6
 # Fibers are enumerated for the public view and the tests; the Markov
 # check itself works on lattice points and keeps none of them.
 FIBER_CACHE_SIZE = 256
-# One proof and one class map per fan, like the fan cache.
-PROOF_CACHE_SIZE = 256
-GALE_CACHE_SIZE = 256
 # A Buchberger run that needs more reductions and S-pairs than this is
 # abandoned, and the move set goes to the bounded fiber search instead.
 BUCHBERGER_STEP_BUDGET = 20_000
@@ -97,7 +100,7 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     return moves
 
 
-@lru_cache(maxsize=GALE_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def gale_matrix(fan: Fan) -> GaleMatrix:
     """Class map recomputed from the ray matrix (picard_basis checks that
     it kills the lattice relations), compared with the encoded reference.
@@ -303,7 +306,7 @@ def _markov_proof(fan: Fan, moves: Sequence[Vec]) -> bool:
     return all(_saturated_in(moves, omega, i) for i in range(fan.nrays))
 
 
-@lru_cache(maxsize=PROOF_CACHE_SIZE)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _proven_candidate(fan: Fan) -> tuple[Vec, ...] | None:
     """The fan's reference move set if _markov_proof holds for it."""
     moves = tuple(m for m in markov_candidate(fan) if any(m))
@@ -421,31 +424,20 @@ def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
 
     The embedding m -> (<m, u_rho>)_rho identifies lattice points of P(E')
     with their monomial exponent vectors; differences land in ker(B).
-    Moves are normalised up to sign and deduplicated, zero dropped.
+    Moves are normalised up to sign, so each pair of distinct points is
+    taken in one order; the distinct differences in Z^3 are collected first
+    and each is embedded once.  An E' with more point pairs than the
+    lattice scan budget is refused before any difference is formed.
     """
     fan = eprime.fan
     pts = lattice_points(offset_polytope(fan, tuple(-c for c in eprime.coeffs)))
-    diffs: set[Vec] = set()
-    for p in pts:
-        for q in pts:
-            if p == q:
-                continue
-            m = tuple(a - b for a, b in zip(p, q))
-            emb = tuple(u[0] * m[0] + u[1] * m[1] + u[2] * m[2] for u in fan.rays)
-            if emb < tuple(-x for x in emb):
-                emb = tuple(-x for x in emb)
-            diffs.add(emb)
-    return tuple(sorted(diffs))
-
-
-def _check_pair_budget(eprime: TDivisor) -> None:
-    """Refuse an E' whose difference set would pair more lattice points of
-    P(E') than the lattice scan budget, before any difference is formed."""
-    n = len(lattice_points(offset_polytope(eprime.fan, tuple(-c for c in eprime.coeffs))))
-    if n * n > LATTICE_SCAN_GUARD:
+    if len(pts) ** 2 > LATTICE_SCAN_GUARD:
         raise EnumerationGuardError(
-            f"{n}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
+            f"{len(pts)}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
         )
+    diffs = {(a - x, b - y, c - z) for i, (a, b, c) in enumerate(pts) for x, y, z in pts[i + 1:]}
+    embedded = (tuple(u[0] * x + u[1] * y + u[2] * z for u in fan.rays) for x, y, z in diffs)
+    return tuple(sorted({max(emb, tuple(-c for c in emb)) for emb in embedded}))
 
 
 def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
@@ -460,8 +452,8 @@ def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> 
     point.  When every proven move passes, the set holds the proven basis
     up to sign and is Markov by the ``not pending`` branch of _is_markov,
     whose certificate is returned.  Otherwise the difference set is formed
-    under the pair guard of connected_sections_check and verified; past
-    that guard EnumerationGuardError is raised.
+    under its pair guard and verified; past that guard
+    EnumerationGuardError is raised.
     """
     if bound < 1:
         raise ValueError(f"the Markov bound must be at least 1, got {bound}")
@@ -472,7 +464,6 @@ def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> 
         for m in proven
     ):
         return FiberCertificate(bound, len(_degree_images(fan, bound)), True)
-    _check_pair_budget(eprime)
     return markov_verify(fan, section_difference_moves(eprime), bound)
 
 
@@ -486,18 +477,17 @@ def connected_sections_check(
 
     Both divisors must be nef; the decomposition property of the pair holds
     on these fans for every nef pair and is re-checked by enumeration when
-    verify_idp is set.  The report lists every difference move, so an E'
-    with more point pairs than the lattice scan budget is refused before
-    any difference is formed, as in the fallback of section_certificate.
+    verify_idp is set.  The report lists every difference move, so the pair
+    guard of section_difference_moves refuses a large E' before the
+    decomposition test runs.
     """
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("connected-sections check needs a nef pair")
-    _check_pair_budget(eprime)
+    moves = section_difference_moves(eprime)
     idp_ok: bool | None = None
     if verify_idp:
         from .polytopes import idp_check
 
         idp_ok = idp_check(e, eprime).ok
-    moves = section_difference_moves(eprime)
     cert = markov_verify(e.fan, moves, bound)
     return ConnectedSectionsReport(moves, cert, idp_ok)

@@ -5,22 +5,36 @@ did before members were compiled: from the surface divisor's own
 intersection matrix (``boundary_genus_profile``, ``positivity_certificate``)
 and the nef tests of ``divisors`` on each divisor.  The table lookup has
 its own oracle in ``test_classify``.
+
+``smith_normal_form`` and ``integer_kernel`` compute the lattice facts that
+the package reads from 3x3 solves, ``minkowski_sum_polytope`` builds
+P(D1 + D2) from the vertices of P(D1) and P(D2), and
+``pairwise_difference_moves`` embeds the difference of every point pair of
+P(E') on its own, as ``section_difference_moves`` did before it embedded
+each distinct difference once.
 """
+
+from functools import lru_cache
+from typing import NamedTuple
 
 from torhyp.catalog import HYPERBOLIC, NOT_HYPERBOLIC, OPEN
 from torhyp.classify import (
     Verdict,
-    _config_certificate,
     applicable_configs,
     boundary_genus_profile,
-    noether_lefschetz_applicable,
     positivity_certificate,
     surface_divisor,
     table_lookup,
 )
-from torhyp.divisors import ample_reference, divisor, is_nef
+from torhyp.divisors import ample_reference, canonical_divisor, divisor, is_nef
 from torhyp.fans import build_family_fan
-from torhyp.toric_ideal import DEFAULT_MARKOV_BOUND
+from torhyp.intlin import IntMat, Vec
+from torhyp.polytopes import HPolytope, _dot, lattice_points, offset_polytope, vertices
+from torhyp.toric_ideal import DEFAULT_MARKOV_BOUND, section_certificate
+
+
+# A configuration's certificate does not depend on the cell; kept per E'.
+certificate = lru_cache(maxsize=1024)(section_certificate)
 
 
 def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdict:
@@ -50,7 +64,7 @@ def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdic
             table,
         )
     tried: list[dict] = []
-    if not noether_lefschetz_applicable(d):
+    if not is_nef(d + canonical_divisor(fan)):
         return Verdict(
             OPEN,
             {"reason": "adjoint class not nef", "boundary": profile.as_json()},
@@ -69,7 +83,7 @@ def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdic
             record["skip"] = "E = D - E' not nef"
             tried.append(record)
             continue
-        cert = _config_certificate(fan, eprime.coeffs, bound)
+        cert = certificate(eprime, bound)
         record["connected_sections"] = cert.as_json()
         if not cert.connected:
             tried.append(record)
@@ -89,3 +103,171 @@ def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdic
             }
             return Verdict(HYPERBOLIC, evidence, table)
     return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)
+
+
+def identity(n: int) -> IntMat:
+    return IntMat(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        out.append([sum(ri[k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)])
+    return IntMat.from_rows(out)
+
+
+class SnfDecomposition(NamedTuple):
+    """Smith normal form U*M*V = S with unimodular U, V and divisibility chain."""
+
+    u: IntMat
+    s: IntMat
+    v: IntMat
+
+    def diagonal(self) -> Vec:
+        k = min(self.s.rows, self.s.cols)
+        return tuple(self.s[i, i] for i in range(k))
+
+
+def smith_normal_form(m: IntMat) -> SnfDecomposition:
+    """Compute U, S, V with U*M*V = S diagonal and d_i | d_{i+1}.
+
+    Pivots are chosen by minimal absolute value, which keeps entries small at
+    the sizes used here.  Once row and column t are clear, a later entry the
+    pivot does not divide has its row added to row t, and clearing that row
+    again leaves a smaller pivot; so d_t divides every entry left below and
+    to the right, and with them every later diagonal entry.  U and V are
+    built from elementary operations, so both have determinant +-1.
+    """
+    a = m.to_rows()
+    nr, nc = m.rows, m.cols
+    u = identity(nr).to_rows()
+    v = identity(nc).to_rows()
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for r in a:
+            r[dst] += q * r[src]
+        for r in v:
+            r[dst] += q * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        # Locate the submatrix pivot of minimal absolute value.
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # Kill the rest of row t and column t; repeat until clean and the
+        # pivot divides the rest of the submatrix.
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = -(a[i][t] // a[t][t])
+                    add_row(t, i, q)
+                    if a[i][t] != 0:  # remainder became the smaller pivot
+                        swap_rows(t, i)
+                    dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = -(a[t][j] // a[t][t])
+                    add_col(t, j, q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                    dirty = True
+            if dirty:
+                continue
+            bad = next(
+                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]), None
+            )
+            if bad is None:
+                break
+            add_row(bad, t, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    s = IntMat.from_rows(a)
+    return SnfDecomposition(IntMat.from_rows(u), s, IntMat.from_rows(v))
+
+
+def integer_kernel(m: IntMat) -> list[Vec]:
+    """Lattice basis of ker(m) intersected with Z^cols.
+
+    The columns of the Smith transform V indexed past the rank are such a
+    basis: m @ (V e_j) = U^-1 (S e_j) = 0 exactly when the diagonal entry
+    vanishes or the index exceeds the number of rows.
+    """
+    snf = smith_normal_form(m)
+    diag = snf.diagonal()
+    basis = []
+    for j in range(m.cols):
+        if j >= len(diag) or diag[j] == 0:
+            basis.append(snf.v.col(j))
+    return basis
+
+
+def minkowski_sum_polytope(p1: HPolytope, p2: HPolytope) -> HPolytope:
+    """Minkowski sum computed from the V-representations.
+
+    Both polytopes must share the same normal list (they come from divisors
+    on one fan); the sum's support values are the minima of the pairwise
+    vertex sums, which is exact because every facet normal of the sum is
+    again one of the shared normals.
+    """
+    if p1.normals != p2.normals:
+        raise ValueError("polytope normal lists differ")
+    v1, v2 = vertices(p1), vertices(p2)
+    if not v1 or not v2:
+        raise ValueError("empty polytope in Minkowski sum")
+    sums = [(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for a in v1 for b in v2]
+    rhs = []
+    for nrm in p1.normals:
+        rhs.append(min(_dot(s, nrm) for s in sums))
+    if any(x.denominator != 1 for x in rhs):
+        raise ValueError("non-integral support values")
+    return HPolytope(p1.normals, tuple(int(x) for x in rhs))
+
+
+def pairwise_difference_moves(eprime) -> tuple[Vec, ...]:
+    """The sign-normalised nonzero differences of the lattice points of
+    P(E'), each point pair embedded by the ray pairing on its own."""
+    fan = eprime.fan
+    pts = lattice_points(offset_polytope(fan, tuple(-c for c in eprime.coeffs)))
+    diffs: set[Vec] = set()
+    for p in pts:
+        for q in pts:
+            if p == q:
+                continue
+            m = tuple(a - b for a, b in zip(p, q))
+            emb = tuple(u[0] * m[0] + u[1] * m[1] + u[2] * m[2] for u in fan.rays)
+            if emb < tuple(-x for x in emb):
+                emb = tuple(-x for x in emb)
+            diffs.add(emb)
+    return tuple(sorted(diffs))

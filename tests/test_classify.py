@@ -18,8 +18,6 @@ from torhyp.classify import (
     applicable_configs,
     boundary_genus_profile,
     derive_verdict,
-    genus_bound_class,
-    noether_lefschetz_applicable,
     positivity_certificate,
     surface_divisor,
     sweep,
@@ -29,6 +27,7 @@ from torhyp.catalog import CASES
 from torhyp.divisors import (
     ample_reference,
     canonical_divisor,
+    class_of,
     divisor,
     eff_generators,
     is_ample,
@@ -77,36 +76,39 @@ def test_degenerate_face_carries_no_curve():
     assert prof.low_genus_entry() is None
 
 
+def adjoint_nef(d):
+    return is_nef(d + canonical_divisor(d.fan))
+
+
 def test_noether_lefschetz_thresholds_201():
     fan = family_fan("2.0.1", l=2)
-    assert noether_lefschetz_applicable(surface_divisor(fan, (2, 1)))
-    assert not noether_lefschetz_applicable(surface_divisor(fan, (1, 5)))
+    assert adjoint_nef(surface_divisor(fan, (2, 1)))
+    assert not adjoint_nef(surface_divisor(fan, (1, 5)))
     zero_k = -1 * canonical_divisor(fan)
-    assert noether_lefschetz_applicable(zero_k)
+    assert adjoint_nef(zero_k)
 
 
 def test_noether_lefschetz_thresholds_202():
     fan = family_fan("2.0.2", l1=0, l2=1)
     # Applicable iff a >= 3 and b >= 2 - l1 - l2.
-    assert noether_lefschetz_applicable(surface_divisor(fan, (3, 1)))
-    assert not noether_lefschetz_applicable(surface_divisor(fan, (2, 5)))
-    assert not noether_lefschetz_applicable(surface_divisor(fan, (5, 0)))
+    assert adjoint_nef(surface_divisor(fan, (3, 1)))
+    assert not adjoint_nef(surface_divisor(fan, (2, 5)))
+    assert not adjoint_nef(surface_divisor(fan, (5, 0)))
 
 
 def test_genus_bound_class_201():
+    # The pairing partner in the genus bound is the class of E + K.
     fan = family_fan("2.0.1", l=1)
-    d = surface_divisor(fan, (4, 5))
     e = divisor(fan, {"D_2": 3, "D_3": 5})
-    assert genus_bound_class(d, e).coords == (4 - 3, 5 + 1 - 3)
+    assert class_of(e + canonical_divisor(fan)).coords == (4 - 3, 5 + 1 - 3)
     mk = -1 * canonical_divisor(fan)
-    assert genus_bound_class(d, mk).coords == (0, 0)
+    assert class_of(mk + canonical_divisor(fan)).coords == (0, 0)
 
 
 def test_genus_bound_class_202():
     fan = family_fan("2.0.2", l1=1, l2=2)
-    d = surface_divisor(fan, (5, 2))
     e = divisor(fan, {"D_3": 4, "D_4": 2})
-    assert genus_bound_class(d, e).coords == (5 - 4, 2 + 1 + 2 - 2)
+    assert class_of(e + canonical_divisor(fan)).coords == (5 - 4, 2 + 1 + 2 - 2)
 
 
 def test_positivity_certificate_201_printed_polynomials():

@@ -384,20 +384,18 @@ def test_corrupt_markov_move_exit2(capsys, monkeypatch, argv):
     # A catalog move outside ker(B) is corrupt encoded data for every verb
     # that reads the move set, not invalid input and not ignored.
     from torhyp.catalog import CASES
-    from torhyp.classify import _config_certificate, compiled_member
+    from torhyp.classify import compiled_member
     from torhyp.toric_ideal import _proven_candidate
 
     moves = lambda l: [[1, -1, 0, 0, l + 1], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]  # noqa: E731
     monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=moves))
     _proven_candidate.cache_clear()
-    _config_certificate.cache_clear()
     compiled_member.cache_clear()
     try:
         code, data = run_json(capsys, *argv)
     finally:
         monkeypatch.undo()
         _proven_candidate.cache_clear()
-        _config_certificate.cache_clear()
         compiled_member.cache_clear()
     assert code == 2
     assert "not in the kernel" in data["internal_error"]

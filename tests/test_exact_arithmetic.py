@@ -3,13 +3,19 @@ its results depend on its arguments alone, not on the environment.
 
 Every module under src/torhyp is parsed, and a float or complex literal, any
 use of the name ``float``, a ``math`` function other than the integer ones,
-or a read of ``os.environ`` or ``os.getenv`` fails the test.
+or a read of ``os.environ`` or ``os.getenv`` fails the test.  So does a
+module-level function or class that nothing in src/torhyp refers to outside
+its own definition and that the benchmark's tracer does not name: code only
+the tests reach belongs in tests/oracles.py.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from test_perfbench_contract import load_spans
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "torhyp"
 INTEGER_MATH = {"comb", "gcd", "lcm", "isqrt", "prod"}
@@ -80,3 +86,43 @@ def test_environment_read_detected(source):
 def test_integer_code_passes():
     assert forbidden_uses("from math import comb, gcd\nimport math\nx = math.isqrt(10**6) // 3") == []
     assert forbidden_uses("import os\nos.dup2(os.open(os.devnull, os.O_WRONLY), 1)") == []
+
+
+def unreferenced(sources: list[str], traced: set[str]) -> list[str]:
+    """Module-level functions and classes of the sources, not in traced,
+    whose name every reading as a name or an attribute lies in their own
+    definition."""
+    trees = [ast.parse(source) for source in sources]
+
+    def reads(node) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    total = sum(map(reads, trees), Counter())
+    return [
+        d.name
+        for t in trees
+        for d in t.body
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+        and d.name not in traced
+        and total[d.name] == reads(d)[d.name]
+    ]
+
+
+def test_every_definition_is_reached():
+    spans = load_spans()
+    traced = {attr for _, attr, _ in spans.TARGETS} | {attr for _, attr in spans.CACHES.values()}
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced(sources, traced) == []
+
+
+def test_unreferenced_definition_detected():
+    sources = [
+        "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n",
+        "def h():\n    pass\n\nclass C:\n    pass\n\nx = g\n",
+    ]
+    assert unreferenced(sources, set()) == ["f", "C"]
+    assert unreferenced(sources, {"C"}) == ["f"]

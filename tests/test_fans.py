@@ -67,9 +67,7 @@ def test_parameter_violations():
 @pytest.mark.parametrize("case,params", ALL_SPECS)
 def test_family_fan_smooth_complete(case, params):
     fan = family_fan(case, **params)
-    report = verify_smooth_complete(fan)
-    assert report.ok
-    assert report.smooth and report.complete
+    assert verify_smooth_complete(fan) == ()
 
 
 @pytest.mark.parametrize("case,params", ALL_SPECS)
@@ -142,17 +140,16 @@ def test_cones_from_collections_oracle_301():
 
 def test_octant_fan_incomplete():
     fan = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),), ("D_1", "D_2", "D_3"))
-    report = verify_smooth_complete(fan)
-    assert not report.complete
-    assert not report.ok
+    failures = verify_smooth_complete(fan)
+    assert failures and all("2-face" in f for f in failures)
 
 
 def test_nonsmooth_cone_detected():
     rays = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
     fan = Fan(rays, ((0, 1, 2),), ("D_1", "D_2", "D_3"))
-    report = verify_smooth_complete(fan)
-    assert not report.smooth
-    assert any("not primitive" in f for f in report.failures)
+    failures = verify_smooth_complete(fan)
+    assert any("|det| = 2" in f for f in failures)
+    assert any("not primitive" in f for f in failures)
 
 
 def test_cones_from_collections_rejects_garbage():

@@ -17,7 +17,6 @@ from torhyp.polytopes import (
     interior_lattice_count,
     lattice_points,
     min_face,
-    minkowski_sum_polytope,
     offset_polytope,
     polytope_of,
     triple_intersection,
@@ -25,6 +24,8 @@ from torhyp.polytopes import (
     volume,
 )
 from torhyp.toric_ideal import _degree_images, _particular_solution
+
+from oracles import minkowski_sum_polytope
 
 # One member per case, nonnegative parameters.
 MEMBERS = [

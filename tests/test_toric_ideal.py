@@ -27,6 +27,7 @@ from torhyp.toric_ideal import (
     section_difference_moves,
 )
 
+from oracles import pairwise_difference_moves
 from test_acceptance import PARAM_GRIDS
 from test_polytopes import MEMBERS
 
@@ -417,9 +418,11 @@ def difference_set_certificate(eprime, bound):
 
 def proven_moves_are_differences(eprime):
     """Whether the fan's moves are proven and each is a difference of
-    lattice points of P(E'), up to sign."""
+    lattice points of P(E'), up to sign; the difference set is checked
+    against the pairwise oracle on the way."""
     proven = ti._proven_candidate(eprime.fan)
     moves = set(section_difference_moves(eprime))
+    assert sorted(moves) == list(pairwise_difference_moves(eprime)), eprime.coeffs
     return proven is not None and all(m in moves or tuple(-x for x in m) in moves for m in proven)
 
 
