@@ -25,9 +25,10 @@ the guarded difference set only when one fails).  So a cell costs a few
 dot products, a bit-mask match of the rows and, for a Hyperbolic cell,
 an integer comparison of ratios for epsilon.  ``boundary_genus_profile``
 and ``positivity_certificate`` compute the same numbers for any divisor
-and are the oracles of the forms.  Cells outside every block of their
-case (negative parameters of the five-collection cases, for instance)
-are Unlisted.
+from its own intersection matrix, as the verdict's ``boundary`` and
+``positivity`` documents, and are the oracles of the forms.  Cells
+outside every block of their case (negative parameters of the
+five-collection cases, for instance) are Unlisted.
 """
 
 from __future__ import annotations
@@ -95,46 +96,7 @@ def surface_divisor(fan: Fan, coeffs: Sequence[int]) -> TDivisor:
 # Boundary genus profiles.
 
 
-class BoundaryEntry(NamedTuple):
-    ray_index: int
-    label: str
-    face_dim: int
-    interior_count: int
-
-    @property
-    def carries_curve(self) -> bool:
-        """A zero-dimensional face means the restriction is trivial and the
-        very general surface misses that boundary divisor entirely."""
-        return self.face_dim >= 1
-
-
-class BoundaryProfile(NamedTuple):
-    divisor: TDivisor
-    big: bool
-    entries: tuple[BoundaryEntry, ...]
-
-    def low_genus_entry(self) -> BoundaryEntry | None:
-        for e in self.entries:
-            if e.carries_curve and e.interior_count <= 1:
-                return e
-        return None
-
-    def as_json(self) -> dict:
-        return {
-            "big": self.big,
-            "entries": [
-                {
-                    "ray": e.label,
-                    "face_dim": e.face_dim,
-                    "interior_count": e.interior_count,
-                    "carries_curve": e.carries_curve,
-                }
-                for e in self.entries
-            ],
-        }
-
-
-def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
+def boundary_genus_profile(d: TDivisor) -> dict:
     """Per-ray minimum faces of P(D) with their interior lattice counts,
     read off the intersection form.
 
@@ -147,7 +109,8 @@ def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
     2g - 2 = D.D_rho.(D + D_rho + K).  Zero-dimensional faces yield no
     curve.  A nontrivial divisor that is not big always has a genus-zero
     boundary curve, which the profile records by the big flag; its faces
-    count zero interior points, P(D) being flat.
+    count zero interior points, P(D) being flat.  Returns the verdict's
+    ``boundary`` document.
     """
     if class_of(d).is_zero():
         raise ValueError("the zero class has no boundary profile")
@@ -164,8 +127,9 @@ def boundary_genus_profile(d: TDivisor) -> BoundaryProfile:
             dim = 1 if any(m for k, m in enumerate(row) if k != i) else 0
         # K = -(sum of all D_k), so D.D_rho.(D + D_rho + K) reads off the row.
         count = 1 + (square + row[i] - sum(row)) // 2 if big and dim == 2 else 0
-        entries.append(BoundaryEntry(i, d.fan.ray_labels[i], dim, count))
-    return BoundaryProfile(d, big, tuple(entries))
+        entries.append({"ray": d.fan.ray_labels[i], "face_dim": dim,
+                        "interior_count": count, "carries_curve": dim > 0})
+    return {"big": big, "entries": entries}
 
 
 def applicable_configs(fan: Fan) -> list[SectionConfig]:
@@ -173,22 +137,7 @@ def applicable_configs(fan: Fan) -> list[SectionConfig]:
     return [c for c in record.configs if c.applies(p)]
 
 
-class PositivityCertificate(NamedTuple):
-    pairings: tuple[int, ...]
-    degrees: tuple[int, ...]
-    eff_labels: tuple[str, ...]
-    epsilon: Fraction | None
-
-    def as_json(self) -> dict:
-        return {
-            "pairings": list(self.pairings),
-            "degrees": list(self.degrees),
-            "effective_generators": list(self.eff_labels),
-            "epsilon": str(self.epsilon) if self.epsilon is not None else None,
-        }
-
-
-def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityCertificate:
+def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> dict:
     """Pairings of E + K and degrees of H against the effective generators.
 
     alpha_i = (E+K) . D . F_i and beta_i = H . D . F_i over the effective
@@ -199,7 +148,8 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityC
     Every F_i is a ray divisor D_j, so both numbers are read off column j
     of the one matrix of D (symmetric, so column j is row j).  For a nef D
     and an ample H, beta_i = 0 only when D restricts trivially to F_i,
-    and then alpha_i = 0 as well.
+    and then alpha_i = 0 as well.  Returns the verdict's ``positivity``
+    document, epsilon printed as its ``Fraction`` prints or None.
     """
     if not is_nef(d):
         raise ValueError("the positivity certificate assumes a nef divisor")
@@ -215,12 +165,13 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> PositivityC
         labels.append(fan.ray_labels[j])
         alphas.append(sum(x * m for x, m in zip(ek, matrix[j])))
         betas.append(sum(x * m for x, m in zip(h.coeffs, matrix[j])))
-    epsilon: Fraction | None = None
+    epsilon = None
     if all(a >= 1 for a in alphas):
         if any(b < 1 for b in betas):
             raise InternalInconsistencyError("positive pairing with a degenerate degree")
-        epsilon = min(min(Fraction(a, b) for a, b in zip(alphas, betas)), Fraction(1))
-    return PositivityCertificate(tuple(alphas), tuple(betas), tuple(labels), epsilon)
+        epsilon = str(min(min(Fraction(a, b) for a, b in zip(alphas, betas)), Fraction(1)))
+    return {"pairings": alphas, "degrees": betas, "effective_generators": labels,
+            "epsilon": epsilon}
 
 
 class TableOutcome(NamedTuple):

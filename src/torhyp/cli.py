@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import classify as _classify
 from . import divisors as _div
@@ -46,13 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(data: dict, pretty: bool) -> None:
     data = {"schema": SCHEMA, **data}
-    print(json.dumps(data, sort_keys=True, indent=2 if pretty else None, default=_json_default))
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serialisable: {obj!r}")
+    print(json.dumps(data, sort_keys=True, indent=2 if pretty else None))
 
 
 def _family_flags() -> argparse.ArgumentParser:
@@ -172,6 +165,8 @@ def cmd_points(args) -> dict:
 
 
 def cmd_faces(args) -> dict:
+    if args.coeffs and args.D:
+        raise CliError("faces takes --coeffs or --D, not both")
     fan = _fan_from_args(args)
     if args.coeffs:
         d = _classify.surface_divisor(fan, _coeffs_from_flag(args.coeffs))
@@ -180,32 +175,31 @@ def cmd_faces(args) -> dict:
     else:
         raise CliError("faces wants --coeffs or --D")
     profile = _classify.boundary_genus_profile(d)
-    return {"divisor": d.label_dict(), "boundary": profile.as_json(),
-            "counts": [e.interior_count for e in profile.entries]}
+    counts = [e["interior_count"] for e in profile["entries"]]
+    return {"divisor": d.label_dict(), "boundary": profile, "counts": counts}
 
 
 def cmd_idp(args) -> dict:
     fan = _fan_from_args(args)
     e = _divisor_from_flag(fan, args.E)
     ep = _divisor_from_flag(fan, args.Eprime)
-    res = _poly.idp_check(e, ep)
+    witness = _poly.idp_check(e, ep)
     return {
         "E": e.label_dict(),
         "Eprime": ep.label_dict(),
-        "idp": res.ok,
-        "witness": list(res.witness) if res.witness else None,
+        "idp": witness is None,
+        "witness": None if witness is None else list(witness),
     }
 
 
 def cmd_markov(args) -> dict:
     fan = _fan_from_args(args, need_catalog=True)
-    gale = _ti.gale_matrix(fan)
     candidate = _ti.markov_candidate(fan)
     cert = _ti.markov_verify(fan, candidate, args.bound)
     return {
-        "B": gale.b.to_rows(),
-        "column_labels": list(gale.column_labels),
-        "row_labels": list(gale.row_labels),
+        "B": _ti.gale_matrix(fan).to_rows(),
+        "column_labels": list(fan.ray_labels),
+        "row_labels": list(_div.picard_basis(fan).labels()),
         "candidate": [list(m) for m in candidate],
         "certificate": cert.as_json(),
     }
@@ -216,7 +210,7 @@ def cmd_connected_sections(args) -> dict:
     e = _divisor_from_flag(fan, args.E)
     ep = _divisor_from_flag(fan, args.Eprime)
     rep = _ti.connected_sections_check(e, ep, args.bound, verify_idp=not args.skip_idp)
-    return {"E": e.label_dict(), "Eprime": ep.label_dict(), **rep.as_json()}
+    return {"E": e.label_dict(), "Eprime": ep.label_dict(), **rep}
 
 
 def cmd_intersect(args) -> dict:

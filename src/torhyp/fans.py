@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import CASES, Case
@@ -58,7 +59,10 @@ class FamilySpec(NamedTuple):
             raise ParameterError(f"case {case_id} needs parameter(s) {', '.join(missing)}")
         if extra:
             raise ParameterError(f"case {case_id} does not take parameter(s) {', '.join(extra)}")
-        spec = cls(case_id, tuple((n, int(params[n])) for n in names))
+        try:
+            spec = cls(case_id, tuple((n, index(params[n])) for n in names))
+        except TypeError:
+            raise ParameterError(f"case {case_id} takes integer parameters") from None
         spec.validate()
         return spec
 
@@ -119,12 +123,16 @@ class Fan(NamedTuple):
 
 def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
     """The failures of the smoothness and completeness checks, spelled out:
-    a ray that is not primitive, a cone of |det| other than 1, a 2-face in
-    other than two maximal cones, or no maximal cones; empty when none."""
+    a ray that is not primitive or lies in no maximal cone, a cone of |det|
+    other than 1, a 2-face in other than two maximal cones, or no maximal
+    cones; empty when none."""
     failures: list[str] = []
+    used = {i for cone in fan.max_cones for i in cone}
     for i, u in enumerate(fan.rays):
         if gcd(*u) != 1:
             failures.append(f"ray {i} is not primitive")
+        if i not in used:
+            failures.append(f"ray {i} lies in no maximal cone")
     for cone in fan.max_cones:
         det = IntMat.from_rows(fan.rays[i] for i in cone).det()
         if abs(det) != 1:
@@ -213,7 +221,11 @@ def _check_geometry(fan: Fan) -> None:
 
 
 def minimal_nonfaces(fan: Fan) -> set[frozenset[int]]:
-    """Recompute primitive collections as minimal non-faces of the cone complex."""
+    """Recompute primitive collections as minimal non-faces of the cone complex.
+
+    Every proper subset of a minimal non-face is a cone of at most three
+    rays, so no minimal non-face has more than four.
+    """
     from itertools import combinations
 
     faces = set()
@@ -222,7 +234,7 @@ def minimal_nonfaces(fan: Fan) -> set[frozenset[int]]:
             for sub in combinations(sorted(cone), k):
                 faces.add(frozenset(sub))
     nonfaces = []
-    for k in range(2, fan.nrays + 1):
+    for k in range(2, min(fan.nrays, 4) + 1):
         for sub in combinations(range(fan.nrays), k):
             s = frozenset(sub)
             if s in faces:

@@ -10,6 +10,8 @@ intersection numbers come from the cones of the fan alone, as one cached
 integer tensor over the ray divisors.  Faces of P(D) and their interior
 lattice points, counted by a strict-inequality scan, are the independent
 check of the boundary genera that ``classify`` reads off that tensor.
+``idp_check`` names the first point of P(E+E') that is no sum of points
+of P(E) and P(E'), or None.
 """
 
 from __future__ import annotations
@@ -189,16 +191,11 @@ def _scan(p: HPolytope) -> Iterator[Vec3]:
                 yield (x, y, z)
 
 
-class IdpResult(NamedTuple):
-    ok: bool
-    witness: Vec3 | None = None
-
-
-def idp_check(e: TDivisor, eprime: TDivisor) -> IdpResult:
-    """Does every lattice point of P(E+E') split as a sum of points of
-    P(E) and P(E')?  Inputs must be nef; the first uncovered point is the
-    witness on failure.  More point pairs than the lattice scan budget are
-    refused before any sum is formed."""
+def idp_check(e: TDivisor, eprime: TDivisor) -> Vec3 | None:
+    """The first lattice point of P(E+E') that is not a sum of points of
+    P(E) and P(E'), or None when every point splits.  Inputs must be nef;
+    more point pairs than the lattice scan budget are refused before any
+    sum is formed."""
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("the decomposition test applies to nef pairs")
     pts_e = lattice_points(polytope_of(e))
@@ -209,10 +206,7 @@ def idp_check(e: TDivisor, eprime: TDivisor) -> IdpResult:
         )
     target = lattice_points(polytope_of(e + eprime))
     sums = {(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for a in pts_e for b in pts_ep}
-    for t in target:
-        if t not in sums:
-            return IdpResult(False, t)
-    return IdpResult(True)
+    return next((t for t in target if t not in sums), None)
 
 
 # Faces.

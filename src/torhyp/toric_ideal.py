@@ -1,21 +1,24 @@
 """Gale-dual presentation matrices, fiber graphs, and Markov move checks.
 
 The short exact sequence 0 -> Z^3 -> Z^r -> Z^k -> 0 of a catalog fan is
-realised by the ray matrix A (rays as rows) and the class map B computed
-from the chosen Picard basis.  A move set M in L = ker(B) is a Markov
-basis when every fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The
-fan's reference move set is proven once by algebra: it spans L and its
-binomial ideal is saturated, checked by binomial Buchberger runs.  Every
-other set is decided by membership: it is a Markov basis iff it joins the
-two sides of each reference move inside that move's fiber.  The
-difference set of a polytope P(E') that holds every proven move is
-therefore a Markov basis, and whether it holds one is a single existence
-scan, so ``section_certificate`` forms that set only when a move is
-missing.  Where neither settles the question, every fiber touched by a
-vector of coordinate sum <= bound is searched.  A fiber is in bijection
-with the lattice points of a bounded polytope in the character lattice
-Z^3 (bounded because the fan is complete), and each move with one vector
-of Z^3, so every search runs there on 3-d points.
+realised by the ray matrix A (rays as rows) and the class map B
+(``gale_matrix``, an IntMat with a column per ray and a row per Picard
+basis ray).  A move set M in L = ker(B) is a Markov basis when every
+fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The fan's reference
+move set is proven once by algebra: it spans L and its binomial ideal is
+saturated, checked by binomial Buchberger runs.  Every other set is
+decided by membership: it is a Markov basis iff it joins the two sides
+of each reference move inside that move's fiber.  The difference set of
+a polytope P(E') that holds every proven move is therefore a Markov
+basis, and whether it holds one is a single existence scan, so
+``section_certificate`` forms that set only when a move is missing.
+Where neither settles the question, every fiber touched by a vector of
+coordinate sum <= bound is searched.  A fiber is in bijection with the
+lattice points of a bounded polytope in the character lattice Z^3
+(bounded because the fan is complete), and each move with one vector of
+Z^3, so every search runs there on 3-d points.
+``connected_sections_check`` returns the document that
+``connected-sections`` prints.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
     has_lattice_point,
+    idp_check,
     lattice_points,
     offset_polytope,
 )
@@ -53,14 +57,6 @@ FIBER_CACHE_SIZE = 256
 # A Buchberger run that needs more reductions and S-pairs than this is
 # abandoned, and the move set goes to the bounded fiber search instead.
 BUCHBERGER_STEP_BUDGET = 20_000
-
-
-class GaleMatrix(NamedTuple):
-    """Class map B of the presentation, with its ray and basis labels."""
-
-    b: IntMat
-    column_labels: tuple[str, ...]
-    row_labels: tuple[str, ...]
 
 
 class FiberCertificate(NamedTuple):
@@ -91,7 +87,7 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     move outside ker(B) is bad package data (InternalInconsistencyError)."""
     record, p = family_record(fan)
     moves = tuple(tuple(c) for c in record.markov(**p))
-    b = gale_matrix(fan).b
+    b = gale_matrix(fan)
     for mv in moves:
         if any(b.mul_vec(mv)):
             raise InternalInconsistencyError(
@@ -101,20 +97,20 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def gale_matrix(fan: Fan) -> GaleMatrix:
-    """Class map recomputed from the ray matrix (picard_basis checks that
-    it kills the lattice relations), compared with the encoded reference.
-    A mismatch means the package's own data is bad and raises
+def gale_matrix(fan: Fan) -> IntMat:
+    """Class map B, columns the rays and rows the Picard basis rays,
+    recomputed from the ray matrix (picard_basis checks that it kills the
+    lattice relations) and compared with the encoded reference.  A
+    mismatch means the package's own data is bad and raises
     InternalInconsistencyError."""
-    basis = picard_basis(fan)
-    b = basis.reduction
+    b = picard_basis(fan).reduction
     encoded = encoded_gale_rows(fan)
     if b.to_rows() != encoded:
         raise InternalInconsistencyError(
             f"recomputed class map differs from the encoded matrix for "
             f"case {fan.family.case_id}: {b.to_rows()} vs {encoded}"
         )
-    return GaleMatrix(b, fan.ray_labels, basis.labels())
+    return b
 
 
 def _particular_solution(fan: Fan, image: Vec) -> Vec:
@@ -170,7 +166,7 @@ def _degree_images(fan: Fan, bound: int) -> list[Vec]:
     past the lattice scan budget the enumeration is refused before it
     starts.
     """
-    b = gale_matrix(fan).b
+    b = gale_matrix(fan)
     r = fan.nrays
     if comb(bound + r, r) > LATTICE_SCAN_GUARD:
         raise EnumerationGuardError(
@@ -380,7 +376,7 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     """
     if bound < 1:
         raise ValueError(f"the Markov bound must be at least 1, got {bound}")
-    b = gale_matrix(fan).b
+    b = gale_matrix(fan)
     moves = []
     for mv in candidate:
         mv = tuple(int(x) for x in mv)
@@ -392,31 +388,6 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     if _is_markov(fan, moves):
         return FiberCertificate(bound, len(images), True)
     return _bounded_search(fan, moves, images, bound)
-
-
-class ConnectedSectionsReport(NamedTuple):
-    """Result of the sufficient connected-sections criterion.
-
-    The move set is the difference set of the embedded lattice points of
-    P(E'); the configuration (E+E', E) has connected sections whenever that
-    set passes the Markov verification.
-    """
-
-    moves: tuple[Vec, ...]
-    certificate: FiberCertificate
-    idp_ok: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.certificate.connected and self.idp_ok is not False
-
-    def as_json(self) -> dict:
-        return {
-            "moves": [list(m) for m in self.moves],
-            "certificate": self.certificate.as_json(),
-            "idp_checked": self.idp_ok,
-            "passes": self.ok,
-        }
 
 
 def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
@@ -472,22 +443,25 @@ def connected_sections_check(
     eprime: TDivisor,
     bound: int = DEFAULT_MARKOV_BOUND,
     verify_idp: bool = True,
-) -> ConnectedSectionsReport:
-    """Sufficient criterion for (E+E', E) to have connected sections.
+) -> dict:
+    """Sufficient criterion for (E+E', E) to have connected sections: the
+    difference set of P(E') passes the Markov verification.
 
     Both divisors must be nef; the decomposition property of the pair holds
     on these fans for every nef pair and is re-checked by enumeration when
-    verify_idp is set.  The report lists every difference move, so the pair
-    guard of section_difference_moves refuses a large E' before the
-    decomposition test runs.
+    verify_idp is set (``idp_checked`` is None otherwise).  The report
+    lists every difference move, so the pair guard of
+    section_difference_moves refuses a large E' before the decomposition
+    test runs.
     """
     if not (is_nef(e) and is_nef(eprime)):
         raise ValueError("connected-sections check needs a nef pair")
     moves = section_difference_moves(eprime)
-    idp_ok: bool | None = None
-    if verify_idp:
-        from .polytopes import idp_check
-
-        idp_ok = idp_check(e, eprime).ok
+    idp_ok = idp_check(e, eprime) is None if verify_idp else None
     cert = markov_verify(e.fan, moves, bound)
-    return ConnectedSectionsReport(moves, cert, idp_ok)
+    return {
+        "moves": [list(m) for m in moves],
+        "certificate": cert.as_json(),
+        "idp_checked": idp_ok,
+        "passes": cert.connected and idp_ok is not False,
+    }

@@ -11,10 +11,12 @@ the package reads from 3x3 solves, ``minkowski_sum_polytope`` builds
 P(D1 + D2) from the vertices of P(D1) and P(D2), and
 ``pairwise_difference_moves`` embeds the difference of every point pair of
 P(E') on its own, as ``section_difference_moves`` did before it embedded
-each distinct difference once.
+each distinct difference once.  ``all_minimal_nonfaces`` tries ray sets of
+every size, where ``fans.minimal_nonfaces`` stops at four rays.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from torhyp.catalog import HYPERBOLIC, NOT_HYPERBOLIC, OPEN
@@ -44,32 +46,28 @@ def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdic
     if not any(coeffs):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
     profile = boundary_genus_profile(d)
-    if not profile.big:
+    if not profile["big"]:
         return Verdict(
             NOT_HYPERBOLIC,
-            {"reason": "class not big: genus 0 boundary curve", "boundary": profile.as_json()},
+            {"reason": "class not big: genus 0 boundary curve", "boundary": profile},
             table,
         )
-    low = profile.low_genus_entry()
+    low = low_genus_entry(profile)
     if low is not None:
         return Verdict(
             NOT_HYPERBOLIC,
             {
                 "reason": "boundary curve of genus <= 1",
-                "ray": low.label,
-                "face_dim": low.face_dim,
-                "genus": low.interior_count,
-                "boundary": profile.as_json(),
+                "ray": low["ray"],
+                "face_dim": low["face_dim"],
+                "genus": low["interior_count"],
+                "boundary": profile,
             },
             table,
         )
     tried: list[dict] = []
     if not is_nef(d + canonical_divisor(fan)):
-        return Verdict(
-            OPEN,
-            {"reason": "adjoint class not nef", "boundary": profile.as_json()},
-            table,
-        )
+        return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": profile}, table)
     h = ample_reference(fan)
     for config in applicable_configs(fan):
         eprime = divisor(fan, config.eprime_coeffs(fan.family.as_dict()))
@@ -89,20 +87,27 @@ def reference_verdict(spec, coeffs, bound: int = DEFAULT_MARKOV_BOUND) -> Verdic
             tried.append(record)
             continue
         pos = positivity_certificate(d, e, h)
-        record["positivity"] = pos.as_json()
+        record["positivity"] = pos
         tried.append(record)
-        if pos.epsilon is not None:
+        if pos["epsilon"] is not None:
             evidence = {
                 "config": config.name,
                 "eprime": eprime.label_dict(),
                 "connected_sections": cert.as_json(),
                 "adjoint_nef": True,
-                "positivity": pos.as_json(),
-                "epsilon": str(pos.epsilon),
-                "boundary": profile.as_json(),
+                "positivity": pos,
+                "epsilon": pos["epsilon"],
+                "boundary": profile,
             }
             return Verdict(HYPERBOLIC, evidence, table)
     return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)
+
+
+def low_genus_entry(profile: dict) -> dict | None:
+    """The first boundary entry whose face carries a curve of genus at most one."""
+    return next(
+        (e for e in profile["entries"] if e["carries_curve"] and e["interior_count"] <= 1), None
+    )
 
 
 def identity(n: int) -> IntMat:
@@ -271,3 +276,16 @@ def pairwise_difference_moves(eprime) -> tuple[Vec, ...]:
                 emb = tuple(-x for x in emb)
             diffs.add(emb)
     return tuple(sorted(diffs))
+
+
+def all_minimal_nonfaces(fan) -> set[frozenset[int]]:
+    """Minimal non-faces of the cone complex among ray sets of every size."""
+    faces = {frozenset(sub) for cone in fan.max_cones for k in (1, 2, 3)
+             for sub in combinations(cone, k)}
+    return {
+        frozenset(sub)
+        for k in range(2, fan.nrays + 1)
+        for sub in combinations(range(fan.nrays), k)
+        if frozenset(sub) not in faces
+        and all(frozenset(t) in faces for t in combinations(sub, k - 1))
+    }

@@ -157,10 +157,10 @@ def test_criterion_1_presentation_and_markov(catalog_certificates):
     checked = 0
     for spec, (markov_cert, _) in catalog_certificates.items():
         fan = build_family_fan(spec)
-        gale = gale_matrix(fan)
+        b = gale_matrix(fan)
         a = IntMat.from_rows(fan.rays)
         for j in range(3):
-            assert gale.b.mul_vec(a.col(j)) == (0,) * gale.b.rows
+            assert b.mul_vec(a.col(j)) == (0,) * b.rows
         assert markov_cert.connected, (spec, markov_cert)
         assert markov_cert.degree_bound == BOUND
         checked += 1
@@ -231,11 +231,11 @@ def test_criterion_3_facet_count_closed_forms():
                     (a - 1) * (b - 1) + l * a * (a - 1) // 2,
                 ]
                 profile = boundary_genus_profile(d)
-                for i, entry in enumerate(profile.entries):
+                for i, entry in enumerate(profile["entries"]):
                     face = min_face(d, i)
                     scan = interior_lattice_count(face)
-                    assert entry.interior_count == scan == expected[i], (l, a, b, i)
-                    assert entry.face_dim == face.dim, (l, a, b, i)
+                    assert entry["interior_count"] == scan == expected[i], (l, a, b, i)
+                    assert entry["face_dim"] == face.dim, (l, a, b, i)
                 cells += 1
         vertices.cache_clear()
     print(
@@ -322,7 +322,7 @@ def test_criterion_5_connected_sections_catalog(catalog_certificates):
         for g in nef_generators(fan):
             e = e + g
         rep = connected_sections_check(e, eprime, BOUND, verify_idp=True)
-        assert rep.ok and rep.idp_ok is True, (case, params)
+        assert rep["passes"] and rep["idp_checked"] is True, (case, params)
     print(
         f"\nACCEPTANCE 5 PASS: {rows} configuration rows pass the connected-sections "
         f"criterion at bound {BOUND} ({time.time() - t0:.1f}s)"
@@ -470,11 +470,11 @@ def test_criterion_8_symbolic_spot_checks():
         d = divisor(fan, {"D_2": a, "D_3": b})
         e = divisor(fan, {"D_2": a - 1, "D_3": b})
         cert = positivity_certificate(d, e, ample_reference(fan))
-        assert cert.pairings == (
+        assert cert["pairings"] == [
             b * (b + l - 3),
             l * a * (a - 3) + a * (b + l - 3) + (a - 3) * b,
-        ), (l, a, b)
-        assert cert.degrees == (b, a + b + a * l), (l, a, b)
+        ], (l, a, b)
+        assert cert["degrees"] == [b, a + b + a * l], (l, a, b)
     print(f"\nACCEPTANCE 8 PASS: 20 random pairing/degree spot checks exact ({time.time() - t0:.1f}s)")
 
 

@@ -37,6 +37,8 @@ from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
 from torhyp.toric_ideal import InternalInconsistencyError
 
+from oracles import low_genus_entry
+
 
 def spec_of(case, **params):
     return FamilySpec.make(case, **params)
@@ -46,19 +48,19 @@ def test_boundary_profile_201_lemma_instance():
     fan = family_fan("2.0.1", l=2)
     d = surface_divisor(fan, (2, 4))
     prof = boundary_genus_profile(d)
-    counts = [e.interior_count for e in prof.entries]
+    counts = [e["interior_count"] for e in prof["entries"]]
     assert counts == [3, 21, 5, 5, 5]
-    assert prof.big and prof.low_genus_entry() is None
+    assert prof["big"] and low_genus_entry(prof) is None
 
 
 def test_boundary_profile_genus0_cases():
     fan = family_fan("2.0.1", l=1)
     prof = boundary_genus_profile(surface_divisor(fan, (1, 5)))
-    low = prof.low_genus_entry()
-    assert low is not None and low.interior_count == 0
+    low = low_genus_entry(prof)
+    assert low is not None and low["interior_count"] == 0
     # a = 0: two-dimensional polytope, not big.
     prof2 = boundary_genus_profile(surface_divisor(fan, (0, 5)))
-    assert not prof2.big
+    assert not prof2["big"]
 
 
 def test_boundary_profile_rejects_trivial():
@@ -71,9 +73,9 @@ def test_degenerate_face_carries_no_curve():
     # b = 0 makes the first facet a vertex; no boundary curve arises there.
     fan = family_fan("2.0.1", l=2)
     prof = boundary_genus_profile(surface_divisor(fan, (4, 0)))
-    first = prof.entries[0]
-    assert first.face_dim == 0 and not first.carries_curve
-    assert prof.low_genus_entry() is None
+    first = prof["entries"][0]
+    assert first["face_dim"] == 0 and not first["carries_curve"]
+    assert low_genus_entry(prof) is None
 
 
 def adjoint_nef(d):
@@ -117,9 +119,9 @@ def test_positivity_certificate_201_printed_polynomials():
     d = surface_divisor(fan, (a, b))
     e = divisor(fan, {"D_2": a - 1, "D_3": b})
     cert = positivity_certificate(d, e, ample_reference(fan))
-    assert cert.pairings == (12, 9)
-    assert cert.degrees == (4, 13)
-    assert cert.epsilon == Fraction(9, 13)
+    assert cert["pairings"] == [12, 9]
+    assert cert["degrees"] == [4, 13]
+    assert cert["epsilon"] == "9/13"
 
 
 def test_positivity_certificate_zero_bound_class():
@@ -127,8 +129,8 @@ def test_positivity_certificate_zero_bound_class():
     d = surface_divisor(fan, (2, 1))
     e = -1 * canonical_divisor(fan)
     cert = positivity_certificate(d, e, ample_reference(fan))
-    assert all(a == 0 for a in cert.pairings)
-    assert cert.epsilon is None
+    assert all(a == 0 for a in cert["pairings"])
+    assert cert["epsilon"] is None
 
 
 def test_positivity_certificate_301_product():
@@ -136,8 +138,8 @@ def test_positivity_certificate_301_product():
     d = surface_divisor(fan, (3, 3, 3))
     e = divisor(fan, {"D_1": 3, "D_4": 3, "D_6": 3})
     cert = positivity_certificate(d, e, ample_reference(fan))
-    assert all(a >= 1 for a in cert.pairings)
-    assert cert.epsilon is not None and 0 < cert.epsilon <= 1
+    assert all(a >= 1 for a in cert["pairings"])
+    assert cert["epsilon"] is not None and 0 < Fraction(cert["epsilon"]) <= 1
 
 
 def test_config_catalog_conditions():
@@ -269,10 +271,11 @@ def test_epsilon_range_and_pairing_bound():
         d = surface_divisor(fan, (a, b))
         e = divisor(fan, {"D_2": a - 1, "D_3": b})
         cert = positivity_certificate(d, e, h)
-        if cert.epsilon is not None:
-            assert 0 < cert.epsilon <= 1
-            for alpha, beta in zip(cert.pairings, cert.degrees):
-                assert alpha >= cert.epsilon * beta
+        if cert["epsilon"] is not None:
+            epsilon = Fraction(cert["epsilon"])
+            assert 0 < epsilon <= 1
+            for alpha, beta in zip(cert["pairings"], cert["degrees"]):
+                assert alpha >= epsilon * beta
 
 
 def test_sweep_rows_shape():
@@ -511,9 +514,9 @@ def test_positivity_certificate_matches_triple_products(case, params, coeffs):
     gens = eff_generators(fan)
     for e in es:
         cert = positivity_certificate(d, e, h)
-        assert cert.pairings == tuple(triple_intersection(e + k, d, g) for g in gens)
-        assert cert.degrees == tuple(triple_intersection(h, d, g) for g in gens)
-        assert cert.eff_labels == tuple(next(iter(g.label_dict())) for g in gens)
+        assert cert["pairings"] == [triple_intersection(e + k, d, g) for g in gens]
+        assert cert["degrees"] == [triple_intersection(h, d, g) for g in gens]
+        assert cert["effective_generators"] == [next(iter(g.label_dict())) for g in gens]
 
 
 NON_NEF_CERTIFICATE = """

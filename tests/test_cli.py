@@ -10,6 +10,7 @@ import pytest
 from torhyp.cli import main
 
 from test_classify import child_env
+from test_fans import UNUSED_RAY_FAN, p3_subdivision
 
 
 def run(capsys, *argv):
@@ -516,6 +517,8 @@ P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     # Each 2-face lies in two cones, yet the one cone covers space twice.
     (["nef", "--D", '{"coeffs": {"D_1": 1}}'],
      {"rays": P3_RAYS[:3], "max_cones": [[0, 1, 2], [0, 1, 2]]}, "lies in 2 cone interiors"),
+    # Every cone is fine, but a ray outside them all has no divisor.
+    (["nef", "--D", '{"coeffs": {"D_5": -1}}'], UNUSED_RAY_FAN, "ray 4 lies in no maximal cone"),
 ])
 def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
     # Each malformed input ends in one JSON error document with exit 1:
@@ -542,6 +545,27 @@ def test_negative_leading_value_is_a_value(capsys, argv):
     code, data = run_json(capsys, *argv)
     assert code == 1
     assert data == {"schema": "torhyp/1", "error": "table coefficients are nonnegative"}
+
+
+def test_faces_refuses_both_coeffs_and_d(capsys):
+    code, data = run_json(capsys, "faces", "--case", "2.0.1", "--l", "2", "--coeffs", "2,4",
+                          "--D", '{"coeffs": {"D_2": 1}}')
+    assert code == 1
+    assert data == {"schema": "torhyp/1", "error": "faces takes --coeffs or --D, not both"}
+
+
+def test_many_ray_fan_file_ends_quickly(tmp_path):
+    # 24 rays: the minimal non-faces are found among the sets of at most
+    # four rays, not among all 2^24 ray sets.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(p3_subdivision(24)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torhyp.cli", "nef", "--fan", str(path),
+         "--D", '{"coeffs": {"D_1": 1}}'],
+        capture_output=True, env=child_env(), text=True, timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["nef"] is False
 
 
 def test_well_formed_fan_file_still_reads(tmp_path, capsys):

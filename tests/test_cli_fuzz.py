@@ -6,7 +6,10 @@ is left out on purpose: it reports corrupt package data, and the shipped
 catalog is consistent, so any input that reaches it is misreported.  Inputs
 mix valid and invalid cases, parameters, divisors, bounds and ranges; the
 parameters are small or huge, never in between, so no run does real work
-for long.  The settings are fixed, so the examples are the same each run.
+for long.  A ``--fan`` file is missing or one of a few fixed documents,
+written once per module: a 24-ray smooth complete fan, a fan with a ray in
+no maximal cone and one with a repeated cone.  The settings are fixed, so
+the examples are the same each run.
 """
 
 import contextlib
@@ -14,11 +17,14 @@ import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torhyp.catalog import CASES
 from torhyp.cli import main
+
+from test_fans import UNUSED_RAY_FAN, p3_subdivision
 
 HUGE = 10**30
 # Mostly small valid values, so that many runs get past argument checks.
@@ -31,6 +37,14 @@ RANGES = st.one_of(
 )
 BOUNDS = st.sampled_from(["1", "2", "2", "3", "3", "0", "-1"])
 OUTS = st.sampled_from(["csv", "json", "x"])
+FAN_DOCUMENTS = {
+    "subdivision.json": p3_subdivision(24),
+    "unused-ray.json": UNUSED_RAY_FAN,
+    "repeated-cone.json": {
+        "rays": UNUSED_RAY_FAN["rays"][:4],
+        "max_cones": [*UNUSED_RAY_FAN["max_cones"], [0, 1, 2]],
+    },
+}
 
 
 def divisors(rank: int):
@@ -83,9 +97,10 @@ VERB_FLAGS = {
 def argument_vectors(draw):
     verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
     argv = ["--pretty", verb] if draw(st.booleans()) else [verb]
-    case = draw(st.sampled_from([*CASES, *CASES, "9.9.9", None]))
+    # About a quarter of the draws read a --fan file.
+    case = draw(st.sampled_from([*CASES, *CASES, "9.9.9", *[None] * 6]))
     if case is None:
-        argv += ["--fan", "no-such-fan.json"]
+        argv += ["--fan", draw(st.sampled_from(["no-such-fan.json", *FAN_DOCUMENTS]))]
     else:
         argv += ["--case", case]
         for name in CASES[case].params if case in CASES else ("l",):
@@ -99,6 +114,14 @@ def argument_vectors(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def fan_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fans")
+    for name, document in FAN_DOCUMENTS.items():
+        (path / name).write_text(json.dumps(document))
+    return path
+
+
 @settings(
     max_examples=500,
     deadline=None,
@@ -107,7 +130,8 @@ def argument_vectors(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(argument_vectors())
-def test_every_argument_vector_ends_in_one_document(argv):
+def test_every_argument_vector_ends_in_one_document(fan_dir, argv):
+    argv = [str(fan_dir / a) if a in FAN_DOCUMENTS else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,8 @@ from torhyp.fans import (
     verify_smooth_complete,
 )
 
+from oracles import all_minimal_nonfaces
+
 PARAM_GRID = {
     "2.0.1": [{"l": l} for l in (0, 1, 2, 3)],
     "2.0.2": [{"l1": l1, "l2": l2} for l1 in (0, 1, 2) for l2 in (l1, l1 + 1, 3) if l2 >= l1],
@@ -32,6 +35,26 @@ PARAM_GRID = {
 }
 
 ALL_SPECS = [(case, params) for case in CASE_IDS for params in PARAM_GRID[case]]
+
+# The fan of P^3 with a fifth ray, (1, 1, 1), that no maximal cone uses.
+UNUSED_RAY_FAN = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+    "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
+
+
+def p3_subdivision(nrays: int) -> dict:
+    """Fan JSON of P^3 blown up at torus-fixed points until it has nrays
+    rays: each step replaces the oldest cone (a, b, c) by the three cones
+    through the new ray u_a + u_b + u_c, so every cone stays unimodular."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    while len(rays) < nrays:
+        a, b, c = cones.pop(0)
+        rays.append(tuple(x + y + z for x, y, z in zip(rays[a], rays[b], rays[c])))
+        n = len(rays) - 1
+        cones += [(a, b, n), (a, c, n), (b, c, n)]
+    return {"rays": [list(u) for u in rays], "max_cones": [list(c) for c in cones]}
 
 
 def test_case_201_l0_printed_data():
@@ -64,6 +87,13 @@ def test_parameter_violations():
         FamilySpec.make("2.0.1", l=1, l2=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, "3", None, Fraction(7, 2)], ids=repr)
+def test_non_integer_parameters_refused(bad):
+    # int() would read 2.5 as l = 2 and "3" as l = 3.
+    with pytest.raises(ParameterError, match="integer parameters"):
+        FamilySpec.make("2.0.1", l=bad)
+
+
 @pytest.mark.parametrize("case,params", ALL_SPECS)
 def test_family_fan_smooth_complete(case, params):
     fan = family_fan(case, **params)
@@ -74,6 +104,19 @@ def test_family_fan_smooth_complete(case, params):
 def test_minimal_nonfaces_match_collections(case, params):
     fan = family_fan(case, **params)
     assert minimal_nonfaces(fan) == {frozenset(c.rays) for c in fan.collections}
+
+
+@pytest.mark.parametrize("nrays", [4, 5, 6, 7, 9, 12])
+def test_minimal_nonfaces_match_every_size(nrays):
+    # P^3 itself has the four-ray collection; its blow-ups have two-ray ones.
+    fan = fan_from_json(p3_subdivision(nrays))
+    assert minimal_nonfaces(fan) == all_minimal_nonfaces(fan)
+
+
+def test_unused_ray_detected():
+    rays, cones = UNUSED_RAY_FAN["rays"], UNUSED_RAY_FAN["max_cones"]
+    fan = Fan(tuple(map(tuple, rays)), tuple(map(tuple, cones)), ("a", "b", "c", "d", "e"))
+    assert verify_smooth_complete(fan) == ("ray 4 lies in no maximal cone",)
 
 
 @pytest.mark.parametrize("case,params", ALL_SPECS)

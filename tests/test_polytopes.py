@@ -276,9 +276,9 @@ def test_idp_small_cases():
     fan = family_fan("2.0.1", l=3)
     e = divisor(fan, {"D_2": 1})
     ep = divisor(fan, {"D_3": 1})
-    assert idp_check(e, ep).ok
+    assert idp_check(e, ep) is None
     zero = divisor(fan, {})
-    assert idp_check(zero, zero).ok
+    assert idp_check(zero, zero) is None
     with pytest.raises(ValueError):
         idp_check(divisor(fan, {"D_2": -1}), ep)
 
@@ -287,7 +287,7 @@ def test_idp_314_instance():
     fan = family_fan("3.1.4", b1=0, b2=0)
     e = divisor(fan, {"D_z1": 1})
     ep = divisor(fan, {"D_v1": 1, "D_u1": 1, "D_z1": 2})
-    assert idp_check(e, ep).ok
+    assert idp_check(e, ep) is None
 
 
 def facet_counts_201(fan, a, b):
@@ -332,10 +332,10 @@ def test_boundary_profile_agrees_with_face_scan():
         if class_of(d).is_zero() or not is_nef(d):
             continue
         profile = boundary_genus_profile(d)
-        for i, entry in enumerate(profile.entries):
+        for i, entry in enumerate(profile["entries"]):
             face = min_face(d, i)
-            assert entry.face_dim == face.dim, (fan.family, d.coeffs, i)
-            assert entry.interior_count == interior_lattice_count(face), (fan.family, d.coeffs, i)
+            assert entry["face_dim"] == face.dim, (fan.family, d.coeffs, i)
+            assert entry["interior_count"] == interior_lattice_count(face), (fan.family, d.coeffs, i)
 
 
 def test_volume_prism_201():
