@@ -12,9 +12,10 @@ them.
 Facts that follow from these are derived where they are used: surface
 classes and the ample reference class are combinations of the nef
 generators, and the table coefficient names follow from the Picard rank.
-The presentation matrix, canonical coordinates, cone generators and move
-sets stay stored because the package recomputes them from the fan and
-checks the two against each other.
+The other stored facts are checked where they are read: B is proven to be
+the class map of the Picard basis (``divisors.picard_basis``), and the
+canonical coordinates must be the class of K, the nef generators a nef
+basis and the Markov moves in ker B.
 
 This module imports nothing from the package.
 """

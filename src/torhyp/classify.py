@@ -44,6 +44,7 @@ from .divisors import (
     TDivisor,
     ample_reference,
     canonical_divisor,
+    character,
     class_of,
     collection_level,
     divisor,
@@ -112,7 +113,7 @@ def boundary_genus_profile(d: TDivisor) -> dict:
     count zero interior points, P(D) being flat.  Returns the verdict's
     ``boundary`` document.
     """
-    if class_of(d).is_zero():
+    if character(d.fan, d.coeffs) is not None:
         raise ValueError("the zero class has no boundary profile")
     if not is_nef(d):
         raise ValueError("boundary profiles assume a nef divisor")
@@ -412,7 +413,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     record, params = family_record(fan)
     block = next((b for b in record.tables if b.applies(params)), None)
     gens = nef_generators(fan)
-    classes = [class_of(g).coords for g in gens]
+    classes = [class_of(g) for g in gens]
     if len(gens) != len(record.coeff_names) or IntMat.from_rows(classes).det() == 0:
         raise InternalInconsistencyError(f"case {spec.case_id}: the nef generators are not a basis")
     h = ample_reference(fan)

@@ -101,8 +101,8 @@ def _coeffs_from_flag(text: str) -> tuple[int, ...]:
     return coeffs
 
 
-def _class_json(cls: _div.PicClass) -> dict:
-    return {"basis": list(cls.basis.labels()), "coords": list(cls.coords)}
+def _class_json(d: _div.TDivisor) -> dict:
+    return {"basis": list(_div.picard_basis(d.fan).labels()), "coords": list(_div.class_of(d))}
 
 
 def cmd_describe(args) -> dict:
@@ -111,8 +111,8 @@ def cmd_describe(args) -> dict:
     nef = _div.nef_generators(fan)
     eff = _div.eff_generators(fan)
     kdiv = _div.canonical_divisor(fan)
-    kcls = _div.class_of(kdiv)
-    ref = _div.canonical_reference_coords(fan)
+    record, params = _fans.family_record(fan)
+    ref = record.canonical(**params)
     out = {
         "fan": _fans.fan_to_json(fan),
         "splitting": _fans.is_splitting(fan.collections),
@@ -121,17 +121,17 @@ def cmd_describe(args) -> dict:
             "basis": list(basis.labels()),
         },
         "nef_generators": [
-            {"divisor": g.label_dict(), "class": _class_json(_div.class_of(g)), "nef": _div.is_nef(g)}
+            {"divisor": g.label_dict(), "class": _class_json(g), "nef": _div.is_nef(g)}
             for g in nef
         ],
         "eff_generators": [
-            {"divisor": g.label_dict(), "class": _class_json(_div.class_of(g))} for g in eff
+            {"divisor": g.label_dict(), "class": _class_json(g)} for g in eff
         ],
         "canonical": {
             "divisor": {lab: -1 for lab in fan.ray_labels},
-            "class": _class_json(kcls),
+            "class": _class_json(kdiv),
             "reference_coords": list(ref),
-            "matches_reference": tuple(kcls.coords) == tuple(ref),
+            "matches_reference": _div.class_of(kdiv) == tuple(ref),
         },
     }
     if not out["canonical"]["matches_reference"]:

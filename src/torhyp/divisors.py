@@ -1,15 +1,19 @@
 """Torus-invariant divisors: positivity, Picard classes, nef coordinates.
 
-A divisor is a per-ray integer coefficient vector D = sum a_rho D_rho.  The
-Picard group of every catalog fan is free of rank 2 or 3; classes are taken
-in a fixed basis of ray divisors so that the reference cone generators and
-canonical representatives below have stable coordinates.
+A divisor is a per-ray integer coefficient vector D = sum a_rho D_rho.  Its
+class lives in Pic, the cokernel of 0 -> M -> Z^r -> Pic -> 0, where M =
+Z^3 maps to the principal divisors m -> (<m, u_rho>)_rho.  On a catalog fan
+Pic is free of rank 2 or 3, and a class is the tuple of its coordinates in
+the case's basis of ray divisors, read through the stored class map B,
+which ``picard_basis`` proves exact.  On any fan, ``character`` tests for
+the zero class by solving for m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .fans import (
@@ -72,13 +76,16 @@ class TDivisor(_DivisorFields):
 
 
 def divisor(fan: Fan, coeffs: Mapping[str, int] | Sequence[int]) -> TDivisor:
-    """Build a divisor from a coefficient sequence or a label -> coeff map."""
-    if isinstance(coeffs, Mapping):
-        vec = [0] * fan.nrays
-        for label, c in coeffs.items():
-            vec[fan.label_index(label)] = int(c)
-        return TDivisor(fan, tuple(vec))
-    return TDivisor(fan, tuple(int(c) for c in coeffs))
+    """Divisor from coefficients or a label -> coeff map; non-integers are a ValueError."""
+    try:
+        if isinstance(coeffs, Mapping):
+            vec = [0] * fan.nrays
+            for label, c in coeffs.items():
+                vec[fan.label_index(label)] = index(c)
+            return TDivisor(fan, tuple(vec))
+        return TDivisor(fan, tuple(map(index, coeffs)))
+    except TypeError:
+        raise ValueError("divisor coefficients are integers") from None
 
 
 def ray_divisor(fan: Fan, label: str) -> TDivisor:
@@ -126,9 +133,9 @@ def is_big(d: TDivisor) -> bool:
 
 
 class PicBasis(NamedTuple):
-    """Chosen ray-divisor basis of the Picard group with its reduction map.
+    """Chosen ray-divisor basis of the Picard group with its class map.
 
-    reduction is the k x r integer matrix sending a coefficient vector to
+    reduction is the k x r integer matrix B sending a coefficient vector to
     its class coordinates; it kills the three relation vectors (the columns
     of the ray matrix) and sends each basis divisor to a unit vector.
     """
@@ -145,96 +152,71 @@ class PicBasis(NamedTuple):
         return tuple(self.fan.ray_labels[i] for i in self.basis_rays)
 
 
-class PicClass(NamedTuple):
-    """Picard class by its coordinates in a basis, with the arithmetic of
-    ``TDivisor``: ``k * c`` scales and ``c * k`` is refused."""
-
-    basis: PicBasis
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "PicClass") -> "PicClass":
-        return PicClass(self.basis, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "PicClass") -> "PicClass":
-        return PicClass(self.basis, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "PicClass":
-        return PicClass(self.basis, tuple(-x for x in self.coords))
-
-    def __rmul__(self, k: int) -> "PicClass":
-        return PicClass(self.basis, tuple(k * x for x in self.coords))
-
-    def __mul__(self, other):
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-
-def ray_matrix(fan: Fan) -> IntMat:
-    """Rays as rows: the matrix of the lattice-pairing map M -> Z^rays."""
-    return IntMat.from_rows(fan.rays)
-
-
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def picard_basis(fan: Fan) -> PicBasis:
-    """Basis of Pic for a catalog fan, verified against the ray matrix.
+    """Basis of Pic for a catalog fan with its class map B, the record's
+    stored ``gale_rows``, proven against the rays.
 
-    The reduction map B is determined by B @ A = 0 (A = rays as rows) and
-    B restricted to the basis columns S being the identity.  The basis
-    divisors D_S form a basis of Pic iff the three complement rays T are a
-    lattice basis of Z^3 (A_T unimodular): then Z^r is the image of A plus
-    Z^S, so the cokernel is free, and row c of B on T is the integer
-    solution of A_T^t x = -u_{S_c}.  A catalog record that fails these
-    checks raises InternalInconsistencyError.
+    Let A be the ray matrix (rays as rows, the map M = Z^3 -> Z^r), S the
+    basis rays and T the other rays.  Three checks are made: T has three
+    rays with |det A_T| = 1, B is the identity on the columns S, and B A =
+    0.  They are complete.  A_T unimodular makes A injective and gives, for
+    every v in Z^r, an m with (A m)_T = v_T, so Z^r = im A + Z^S.  B is the
+    identity on Z^S, so it is onto; B A = 0 puts im A in ker B, and v = A m
+    + w with w on S lies in ker B only if w = B w = 0.  So ker B = im A, the
+    sequence 0 -> M -> Z^r -> Z^k -> 0 is exact, B is the class map and
+    D_S is a basis of the free cokernel Pic.  A record that fails a check
+    raises InternalInconsistencyError.
     """
     if fan.family is None:
         raise ValueError("picard_basis needs a catalog fan")
+    record, params = family_record(fan)
     try:
-        basis = tuple(fan.label_index(lab) for lab in family_record(fan)[0].pic_basis)
+        basis = tuple(fan.label_index(lab) for lab in record.pic_basis)
     except KeyError as exc:
         raise InternalInconsistencyError(f"Picard basis: {exc.args[0]}") from exc
-    others = tuple(i for i in range(fan.nrays) if i not in basis)
-    if len(others) != 3:
-        raise InternalInconsistencyError(f"basis complement has {len(others)} rays, not 3")
-    a_t = [[fan.rays[i][m] for i in others] for m in range(3)]
-    rows = []
-    for s in basis:
-        sol = solve_3x3(a_t, [-x for x in fan.rays[s]])
-        if sol is None or sol[1] != 1:
-            raise InternalInconsistencyError("basis complement is not unimodular; fan data corrupt")
-        row = [0] * fan.nrays
-        row[s] = 1
-        for i, x in zip(others, sol[0]):
-            row[i] = x
-        rows.append(row)
-    reduction = IntMat.from_rows(rows)
-    # The reduction must kill every relation row m -> <m, u_rho>.
-    a = ray_matrix(fan)
-    for j in range(3):
-        if any(x != 0 for x in reduction.mul_vec(a.col(j))):
-            raise InternalInconsistencyError("reduction map does not kill the lattice relations")
-    return PicBasis(fan, basis, reduction)
+    others = [i for i in range(fan.nrays) if i not in basis]
+    if len(others) != 3 or abs(IntMat.from_rows(fan.rays[i] for i in others).det()) != 1:
+        raise InternalInconsistencyError("basis complement is not a lattice basis; fan data corrupt")
+    rows = record.gale_rows(**params)
+    if len(rows) != len(basis) or any(len(row) != fan.nrays for row in rows):
+        raise InternalInconsistencyError("stored class map has the wrong shape")
+    if any(row[s] != (c == k) for c, row in enumerate(rows) for k, s in enumerate(basis)):
+        raise InternalInconsistencyError("stored class map is not the identity on the basis rays")
+    if any(sum(x * u[j] for x, u in zip(row, fan.rays)) for row in rows for j in range(3)):
+        raise InternalInconsistencyError("stored class map does not kill the lattice relations")
+    return PicBasis(fan, basis, IntMat.from_rows(rows))
 
 
-def class_of(d: TDivisor) -> PicClass:
-    basis = picard_basis(d.fan)
-    return PicClass(basis, basis.reduction.mul_vec(d.coeffs))
+def class_of(d: TDivisor) -> tuple[int, ...]:
+    """Coordinates of the class of D in the fan's Picard basis."""
+    return picard_basis(d.fan).reduction.mul_vec(d.coeffs)
 
 
-def class_from_coords(fan: Fan, coords: Sequence[int]) -> PicClass:
+def divisor_from_class(fan: Fan, coords: Sequence[int]) -> TDivisor:
+    """The representative of a class supported on the basis rays."""
     basis = picard_basis(fan)
     if len(coords) != basis.rank:
         raise ValueError("class coordinate length must equal the Picard rank")
-    return PicClass(basis, tuple(int(c) for c in coords))
+    return divisor(fan, dict(zip(basis.labels(), coords)))
 
 
-def divisor_from_class(cls: PicClass) -> TDivisor:
-    """Representative supported on the basis rays."""
-    vec = [0] * cls.basis.fan.nrays
-    for i, c in zip(cls.basis.basis_rays, cls.coords):
-        vec[i] = c
-    return TDivisor(cls.basis.fan, tuple(vec))
+def character(fan: Fan, coeffs: Sequence[int]) -> tuple[int, int, int] | None:
+    """The m in Z^3 with <m, u_rho> = coeffs_rho on every ray, or None.
+
+    sum(coeffs_rho D_rho) is principal, the divisor of chi^m, iff such an m
+    exists, so this is the zero-class test on any smooth complete fan.  m
+    solves the three equations of the first maximal cone, whose rays are a
+    lattice basis, and is then checked on every ray.
+    """
+    cone = fan.max_cones[0]
+    sol = solve_3x3([fan.rays[i] for i in cone], [coeffs[i] for i in cone])
+    if sol is None or sol[1] != 1:
+        raise InternalInconsistencyError(f"maximal cone {cone} is not unimodular")
+    m = sol[0]
+    if any(sum(map(mul, u, m)) != x for u, x in zip(fan.rays, coeffs)):
+        return None
+    return m
 
 
 def canonical_divisor(fan: Fan) -> TDivisor:
@@ -242,8 +224,7 @@ def canonical_divisor(fan: Fan) -> TDivisor:
     return TDivisor(fan, (-1,) * fan.nrays)
 
 
-# Reference data from the case catalog: nef and effective cone generators
-# and the canonical representative in the chosen basis.
+# Reference data from the case catalog: nef and effective cone generators.
 
 
 def nef_generators(fan: Fan) -> list[TDivisor]:
@@ -254,12 +235,6 @@ def nef_generators(fan: Fan) -> list[TDivisor]:
 def eff_generators(fan: Fan) -> list[TDivisor]:
     record, p = family_record(fan)
     return [ray_divisor(fan, lab) for lab in record.eff(**p)]
-
-
-def canonical_reference_coords(fan: Fan) -> tuple[int, ...]:
-    """Reference coordinates of the canonical class in the case basis."""
-    record, p = family_record(fan)
-    return record.canonical(**p)
 
 
 def nef_combination(fan: Fan, combo: Sequence[int]) -> TDivisor:
@@ -278,16 +253,16 @@ def ample_reference(fan: Fan) -> TDivisor:
     return nef_combination(fan, [1] * picard_basis(fan).rank)
 
 
-def nef_coordinates(fan: Fan, cls: PicClass) -> tuple[Fraction, ...]:
+def nef_coordinates(fan: Fan, coords: Sequence[int]) -> tuple[Fraction, ...]:
     """Coordinates of a class in the nef-generator basis (exact rationals)."""
-    return _nef_coordinates_cached(fan, cls.coords)
+    return _nef_coordinates_cached(fan, tuple(coords))
 
 
 @lru_cache(maxsize=100_000)
 def _nef_coordinates_cached(fan: Fan, coords: tuple[int, ...]) -> tuple[Fraction, ...]:
     gens = nef_generators(fan)
     gen_classes = [class_of(g) for g in gens]
-    mat = IntMat.from_rows([[gc.coords[i] for gc in gen_classes] for i in range(len(coords))])
+    mat = IntMat.from_rows([[gc[i] for gc in gen_classes] for i in range(len(coords))])
     sol = solve_exact(mat, list(coords))
     if sol is None:
         raise ValueError("class outside the span of the nef generators")
@@ -308,7 +283,5 @@ def divisor_from_json(fan: Fan, data: Mapping) -> TDivisor:
         coords = data["class"]
         if not isinstance(coords, list):
             raise ValueError("divisor JSON 'class' must be a list of integers")
-        return divisor_from_class(
-            class_from_coords(fan, [json_int(x, "class coordinate") for x in coords])
-        )
+        return divisor_from_class(fan, [json_int(x, "class coordinate") for x in coords])
     raise ValueError("divisor JSON needs a 'coeffs' or 'class' key")

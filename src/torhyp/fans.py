@@ -29,10 +29,6 @@ FAN_CACHE_SIZE = 256
 class ParameterError(ValueError):
     """A family parameter violates its allowed range."""
 
-    def __init__(self, violation: str):
-        super().__init__(violation)
-        self.violation = violation
-
 
 class FanGeometryError(ValueError):
     """The combinatorial data does not assemble into a smooth complete fan."""
@@ -317,9 +313,12 @@ def family_fan(case_id: str, **params: int) -> Fan:
 
 def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> Fan:
-    """Fan from raw data (hand-written input); collections are recomputed."""
-    rays_t = tuple(tuple(int(x) for x in u) for u in rays)
-    cones_t = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+    """Fan from raw data; collections are recomputed, a non-integer entry is a ValueError."""
+    try:
+        rays_t = tuple(tuple(map(index, u)) for u in rays)
+        cones_t = tuple(tuple(sorted(map(index, c))) for c in max_cones)
+    except TypeError:
+        raise ValueError("fan rays and cones hold integers") from None
     if labels is None:
         labels = [f"D_{i+1}" for i in range(len(rays_t))]
     fan = Fan(rays_t, cones_t, tuple(labels))

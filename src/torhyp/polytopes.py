@@ -19,9 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
-from .divisors import TDivisor, divisor_from_class, is_nef
+from .divisors import TDivisor, is_nef
 from .fans import FAN_CACHE_SIZE, Fan
 from .intlin import solve_3x3
 
@@ -60,7 +61,11 @@ def polytope_of(d: TDivisor) -> HPolytope:
 
 
 def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
-    return HPolytope(tuple(fan.rays), tuple(int(x) for x in rhs))
+    """{m : <m, u_rho> >= rhs_rho}; a non-integer offset is a ValueError."""
+    try:
+        return HPolytope(tuple(fan.rays), tuple(map(index, rhs)))
+    except TypeError:
+        raise ValueError("polytope offsets are integers") from None
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -379,19 +384,15 @@ def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def triple_intersection(d1, d2, d3) -> int:
-    """Triple intersection number of three divisors or classes.
-
-    A class is represented by its divisor on the basis rays; the ray
-    coefficients are contracted with the fan's intersection tensor.
-    """
-    divs = [d if isinstance(d, TDivisor) else divisor_from_class(d) for d in (d1, d2, d3)]
-    if any(d.fan.rays != divs[0].fan.rays for d in divs[1:]):
+def triple_intersection(d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
+    """Triple intersection number of three divisors: their ray coefficients
+    contracted with the fan's intersection tensor."""
+    if d2.fan.rays != d1.fan.rays or d3.fan.rays != d1.fan.rays:
         raise ValueError("arguments live on different fans")
-    matrix = intersection_matrix(divs[0])
+    matrix = intersection_matrix(d1)
     return sum(
-        y * sum(z * m for z, m in zip(divs[2].coeffs, row))
-        for y, row in zip(divs[1].coeffs, matrix)
+        y * sum(z * m for z, m in zip(d3.coeffs, row))
+        for y, row in zip(d2.coeffs, matrix)
         if y
     )
 

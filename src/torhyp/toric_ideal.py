@@ -2,11 +2,12 @@
 
 The short exact sequence 0 -> Z^3 -> Z^r -> Z^k -> 0 of a catalog fan is
 realised by the ray matrix A (rays as rows) and the class map B
-(``gale_matrix``, an IntMat with a column per ray and a row per Picard
-basis ray).  A move set M in L = ker(B) is a Markov basis when every
-fiber {v in Z^r_{>=0} : B v = t} is connected by M.  The fan's reference
-move set is proven once by algebra: it spans L and its binomial ideal is
-saturated, checked by binomial Buchberger runs.  Every other set is
+(``gale_matrix``, the stored matrix that ``divisors.picard_basis`` proves
+exact, a column per ray and a row per Picard basis ray).  A move set M in
+L = ker(B) is a Markov basis when every fiber {v in Z^r_{>=0} : B v = t}
+is connected by M.  The fan's reference move set is proven once by
+algebra: it spans L and its binomial ideal is saturated, checked by
+binomial Buchberger runs.  Every other set is
 decided by membership: it is a Markov basis iff it joins the two sides
 of each reference move inside that move's fiber.  The difference set of
 a polytope P(E') that holds every proven move is therefore a Markov
@@ -15,8 +16,8 @@ basis, and whether it holds one is a single existence scan, so
 Where neither settles the question, every fiber touched by a vector of
 coordinate sum <= bound is searched.  A fiber is in bijection with the
 lattice points of a bounded polytope in the character lattice Z^3
-(bounded because the fan is complete), and each move with one vector of
-Z^3, so every search runs there on 3-d points.
+(bounded because the fan is complete), and each move with its character
+(``divisors.character``), so every search runs there on 3-d points.
 ``connected_sections_check`` returns the document that
 ``connected-sections`` prints.
 """
@@ -27,10 +28,10 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, gcd
-from operator import add, le, mul
+from operator import add, index, le, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .divisors import TDivisor, class_from_coords, divisor_from_class, is_nef, picard_basis
+from .divisors import TDivisor, character, divisor_from_class, is_nef, picard_basis
 from .fans import (
     FAN_CACHE_SIZE,
     Fan,
@@ -38,7 +39,7 @@ from .fans import (
     family_record,
     find_containing_cone,
 )
-from .intlin import IntMat, solve_3x3
+from .intlin import IntMat
 from .polytopes import (
     LATTICE_SCAN_GUARD,
     EnumerationGuardError,
@@ -76,12 +77,6 @@ class FiberCertificate(NamedTuple):
         }
 
 
-def encoded_gale_rows(fan: Fan) -> list[list[int]]:
-    """The package's reference B per case, parameters substituted."""
-    record, p = family_record(fan)
-    return record.gale_rows(**p)
-
-
 def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     """The reference Markov move set per case, parameters substituted; a
     move outside ker(B) is bad package data (InternalInconsistencyError)."""
@@ -96,26 +91,10 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
     return moves
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
 def gale_matrix(fan: Fan) -> IntMat:
-    """Class map B, columns the rays and rows the Picard basis rays,
-    recomputed from the ray matrix (picard_basis checks that it kills the
-    lattice relations) and compared with the encoded reference.  A
-    mismatch means the package's own data is bad and raises
-    InternalInconsistencyError."""
-    b = picard_basis(fan).reduction
-    encoded = encoded_gale_rows(fan)
-    if b.to_rows() != encoded:
-        raise InternalInconsistencyError(
-            f"recomputed class map differs from the encoded matrix for "
-            f"case {fan.family.case_id}: {b.to_rows()} vs {encoded}"
-        )
-    return b
-
-
-def _particular_solution(fan: Fan, image: Vec) -> Vec:
-    """Integer preimage of an image vector: put it on the basis rays."""
-    return divisor_from_class(class_from_coords(fan, image)).coeffs
+    """Class map B, columns the rays and rows the Picard basis rays: the
+    record's stored matrix, proven exact by ``picard_basis``."""
+    return picard_basis(fan).reduction
 
 
 @lru_cache(maxsize=FIBER_CACHE_SIZE)
@@ -126,7 +105,7 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     bounded polytope because the fan is complete; its lattice points are in
     bijection with the fiber.
     """
-    v0 = _particular_solution(fan, image)
+    v0 = divisor_from_class(fan, image).coeffs
     pts = lattice_points(offset_polytope(fan, tuple(-c for c in v0)))
     out = []
     for m in pts:
@@ -182,26 +161,16 @@ def _degree_images(fan: Fan, bound: int) -> list[Vec]:
 
 
 def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
-    """The unique delta in Z^3 with <delta, u_rho> = move_rho for every ray,
-    one per move.
+    """The character delta in Z^3 of each move, <delta, u_rho> = move_rho.
 
     Moves in ker(B) lie in the image of the ray matrix because
-    0 -> M -> Z^r -> Pic -> 0 is exact.  delta solves the three equations
-    of the fan's first maximal cone, whose rays are a lattice basis, and
-    is then checked on every ray.
+    0 -> M -> Z^r -> Pic -> 0 is exact.
     """
-    cone = fan.max_cones[0]
-    rows = [fan.rays[i] for i in cone]
-    out = []
-    for mv in moves:
-        sol = solve_3x3(rows, [mv[i] for i in cone])
-        if sol is None or sol[1] != 1:
-            raise InternalInconsistencyError(f"maximal cone {cone} is not unimodular")
-        delta = sol[0]
-        if any(sum(map(mul, ray, delta)) != x for ray, x in zip(fan.rays, mv)):
-            raise InternalInconsistencyError(f"move {mv} is not in the image of the ray matrix")
-        out.append(delta)
-    return out
+    deltas = [character(fan, mv) for mv in moves]
+    if None in deltas:
+        mv = moves[deltas.index(None)]
+        raise InternalInconsistencyError(f"move {mv} is not in the image of the ray matrix")
+    return deltas
 
 
 def _grading(fan: Fan) -> Vec:
@@ -353,7 +322,7 @@ def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
 def _bounded_search(fan: Fan, moves: Sequence[Vec], images: Sequence[Vec], bound: int) -> FiberCertificate:
     """Connectivity of every fiber over the given images, in their order;
     the first disconnected one is named with the count checked so far."""
-    rhs_seq = (tuple(-c for c in _particular_solution(fan, t)) for t in images)
+    rhs_seq = (tuple(-c for c in divisor_from_class(fan, t).coeffs) for t in images)
     i = _first_disconnected(fan, moves, rhs_seq)
     if i is None:
         return FiberCertificate(bound, len(images), True)
@@ -379,7 +348,10 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     b = gale_matrix(fan)
     moves = []
     for mv in candidate:
-        mv = tuple(int(x) for x in mv)
+        try:
+            mv = tuple(map(index, mv))
+        except TypeError:
+            raise ValueError(f"candidate move {mv} has a non-integer entry") from None
         if any(x != 0 for x in b.mul_vec(mv)):
             raise ValueError(f"candidate move {mv} is not in the kernel of the class map")
         if any(mv):

@@ -42,7 +42,6 @@ def test_the_per_member_and_per_fan_caches_are_seen():
         "torhyp.classify.compiled_member",
         "torhyp.fans.build_family_fan",
         "torhyp.divisors.picard_basis",
-        "torhyp.toric_ideal.gale_matrix",
         "torhyp.polytopes.intersection_tensor",
     } <= found
 

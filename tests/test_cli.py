@@ -304,19 +304,46 @@ def test_missing_param_exit1(capsys):
     assert "error" in data
 
 
-def test_internal_inconsistency_exit2(capsys, monkeypatch):
-    # Corrupt the encoded presentation matrix: the recomputation must win
-    # and the CLI must report the mismatch with exit status 2.
-    import torhyp.toric_ideal as ti
+def run_on_corrupt_record(capsys, monkeypatch, change, verb, *argv):
+    """The CLI on case 2.0.1 at l = 3 with its catalog record changed; the
+    caches that read the record are emptied before and after."""
+    from torhyp.catalog import CASES
+    from torhyp.classify import compiled_member
+    from torhyp.divisors import picard_basis
+    from torhyp.fans import build_family_fan
+    from torhyp.toric_ideal import _proven_candidate
 
-    monkeypatch.setattr(
-        ti, "encoded_gale_rows", lambda fan: [[9, 9, 9, 9, 9], [0, 0, 0, 0, 0]]
-    )
-    ti.gale_matrix.cache_clear()
-    code, data = run_json(capsys, "markov", "--case", "2.0.1", "--l", "3", "--bound", "3")
-    ti.gale_matrix.cache_clear()
+    caches = (build_family_fan, picard_basis, compiled_member, _proven_candidate)
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(**change))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        return run_json(capsys, verb, "--case", "2.0.1", "--l", "3", *argv)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize("rows", [
+    # 9s on the basis columns D_2, D_3.
+    [[9, 9, 9, 9, 9], [0, 0, 0, 0, 0]],
+    # Rows of length 4.
+    [[1, 1, 0, 0], [-3, 0, 1, 1]],
+    # One row.
+    [[1, 1, 0, 0, 0]],
+    # The identity on the basis columns, but it does not kill the rays.
+    [[1, 1, 0, 0, 0], [-3, 0, 1, 1, 2]],
+])
+@pytest.mark.parametrize("argv", [
+    ["describe"], ["markov", "--bound", "3"], ["classify", "--coeffs", "1,1"],
+], ids=lambda argv: argv[0])
+def test_internal_inconsistency_exit2(capsys, monkeypatch, rows, argv):
+    # A stored class map that fails its proof is corrupt package data,
+    # whichever verb reads it first.
+    code, data = run_on_corrupt_record(capsys, monkeypatch, {"gale_rows": lambda l: rows}, *argv)
     assert code == 2
-    assert "internal_error" in data
+    assert set(data) == {"schema", "internal_error"}
 
 
 @pytest.mark.parametrize("change", [
@@ -334,22 +361,7 @@ def test_internal_inconsistency_exit2(capsys, monkeypatch):
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.
-    from torhyp.catalog import CASES
-    from torhyp.classify import compiled_member
-    from torhyp.divisors import picard_basis
-    from torhyp.fans import build_family_fan
-
-    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(**change))
-    build_family_fan.cache_clear()
-    picard_basis.cache_clear()
-    compiled_member.cache_clear()
-    try:
-        code, data = run_json(capsys, "describe", "--case", "2.0.1", "--l", "3")
-    finally:
-        monkeypatch.undo()
-        build_family_fan.cache_clear()
-        picard_basis.cache_clear()
-        compiled_member.cache_clear()
+    code, data = run_on_corrupt_record(capsys, monkeypatch, change, "describe")
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
 
@@ -489,6 +501,54 @@ def test_generic_fan_input(tmp_path, capsys):
 
 P3_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
 P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def test_faces_on_a_generic_fan(tmp_path, capsys):
+    # The quintic surface in P^3: each face of P(5 D_1) is a plane quintic,
+    # of genus 6.
+    fan_file = tmp_path / "p3.json"
+    fan_file.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES}))
+    code, data = run_json(capsys, "faces", "--fan", str(fan_file), "--D", '{"coeffs": {"D_1": 5}}')
+    assert code == 0
+    assert data["counts"] == [6, 6, 6, 6]
+
+
+def test_faces_refuses_a_principal_divisor_on_a_generic_fan(tmp_path, capsys):
+    # D_1 - D_4 is the divisor of the character (1, 0, 0).
+    fan_file = tmp_path / "p3.json"
+    fan_file.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES}))
+    code, data = run_json(
+        capsys, "faces", "--fan", str(fan_file), "--D", '{"coeffs": {"D_1": 1, "D_4": -1}}'
+    )
+    assert code == 1
+    assert data["error"] == "the zero class has no boundary profile"
+
+
+@pytest.mark.parametrize("member", [
+    ["--case", "2.0.1", "--l", "2"],
+    ["--case", "2.0.2", "--l1", "1", "--l2", "2"],
+    ["--case", "3.0.2", "--r", "1", "--a", "1", "--b", "-2"],
+    ["--case", "3.1.5", "--b1", "2"],
+], ids=lambda member: member[1])
+@pytest.mark.parametrize("generic", [False, True], ids=["as-written", "without-case"])
+def test_faces_on_a_described_fan_matches_the_case(tmp_path, capsys, member, generic):
+    # The fan that describe prints, read back by --fan, gives the document
+    # --case gives; without its case and parameters it is a generic fan.
+    code, described = run_json(capsys, "describe", *member)
+    assert code == 0
+    fan = described["fan"]
+    if generic:
+        del fan["case"], fan["params"]
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(fan))
+    coeffs = {}
+    for k, gen in enumerate(described["nef_generators"], start=2):
+        for label, x in gen["divisor"].items():
+            coeffs[label] = coeffs.get(label, 0) + k * x
+    d = json.dumps({"coeffs": coeffs})
+    by_fan = run(capsys, "faces", "--fan", str(fan_file), "--D", d)
+    assert by_fan[0] == 0
+    assert by_fan == run(capsys, "faces", *member, "--D", d)
 
 
 @pytest.mark.parametrize("argv,fan_file,message", [

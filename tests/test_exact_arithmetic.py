@@ -11,6 +11,7 @@ the tests reach belongs in tests/oracles.py.
 
 import ast
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,28 @@ def test_unreferenced_definition_detected():
     ]
     assert unreferenced(sources, set()) == ["f", "C"]
     assert unreferenced(sources, {"C"}) == ["f"]
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2), "3"], ids=repr)
+def test_library_entry_points_refuse_non_integers(bad):
+    # A value that is not an integer is refused, never truncated to one.
+    from torhyp.divisors import divisor
+    from torhyp.fans import family_fan, generic_fan
+    from torhyp.polytopes import offset_polytope
+    from torhyp.toric_ideal import markov_verify
+
+    fan = family_fan("2.0.1", l=0)
+    moves = [(bad, -1, 0, 0, 0), (0, 0, 1, 0, -1), (0, 0, 0, 1, -1)]
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    refused = [
+        lambda: markov_verify(fan, moves, 3),
+        lambda: divisor(fan, {"D_2": bad, "D_3": 3}),
+        lambda: divisor(fan, (0, bad, 3, 0, 0)),
+        lambda: generic_fan([*rays[:3], [-1, -1, bad]], cones),
+        lambda: generic_fan(rays, [*cones[:3], [1, 2, bad]]),
+        lambda: offset_polytope(fan, (bad, 0, 0, 0, 0)),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="integer"):
+            call()
