@@ -17,18 +17,21 @@ the cell's nef coordinates c, read from the intersection matrix of each
 nef generator: D^3 is a cubic form, D^2.D_rho a quadratic form per ray,
 the face degrees, the pairings and the primitive-collection levels of D
 are linear forms, and the nef tests of D + K and D - E' compare levels
-with constants.  What holds for every cell (independent generator
-classes, nef generators, an ample reference class) is proven there once,
-and each configuration's connected-sections certificate is decided once
+with constants.  The forms are written out, zero terms dropped, as the
+source of one straight-line function of c, executed once where it can
+read no global or builtin name, so every number is exact for integers of
+any size.  What holds for every cell (independent generator classes, nef
+generators, an ample reference class) is proven there once, and each
+configuration's connected-sections certificate is decided once
 (``toric_ideal.section_certificate``: an existence scan per proven move,
-the guarded difference set only when one fails).  So a cell costs a few
-dot products, a bit-mask match of the rows and, for a Hyperbolic cell,
-an integer comparison of ratios for epsilon.  ``boundary_genus_profile``
-and ``positivity_certificate`` compute the same numbers for any divisor
-from its own intersection matrix, as the verdict's ``boundary`` and
-``positivity`` documents, and are the oracles of the forms.  Cells
-outside every block of their case (negative parameters of the
-five-collection cases, for instance) are Unlisted.
+the guarded difference set only when one fails).  So a cell costs one
+call of that function, a bit-mask match of the rows and, for a
+Hyperbolic cell, an integer comparison of ratios for epsilon.
+``boundary_genus_profile`` and ``positivity_certificate`` compute the
+same numbers for any divisor from its own intersection matrix, as the
+verdict's ``boundary`` and ``positivity`` documents, and are the oracles
+of the forms.  Cells outside every block of their case (negative
+parameters of the five-collection cases, for instance) are Unlisted.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import index, lt, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, pred_holds
 from .divisors import (
@@ -240,15 +243,48 @@ class Verdict(NamedTuple):
 
 # Compiled members.  On one family member every number the verdict reads is
 # a small integer polynomial in the cell's nef coordinates c, D = sum c_a N_a
-# (Fulton, Introduction to Toric Varieties, 5.2): D^2.D_rho is a quadratic
-# form over the monomials c_a c_b, and D.D_rho.D_k, the primitive-collection
-# levels of D and the pairings of a configuration are linear forms.  Their
-# coefficients come from the intersection matrix of each nef generator,
-# once per member.
+# (Fulton, Introduction to Toric Varieties, 5.2): D^3 is a cubic form,
+# D^2.D_rho a quadratic form over the monomials c_a c_b, and D.D_rho.D_k,
+# the primitive-collection levels of D, the degrees and the pairings of a
+# configuration are linear forms.  Their coefficients come from the
+# intersection matrix of each nef generator, once per member, and are
+# written out as the source of one straight-line function of c.
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
+
+
+def _sum_source(terms: Iterable[tuple[int, str]]) -> str:
+    """Source of the sum of k * x over the terms, k an integer and x a
+    product of local names: zero terms dropped and a factor one elided.
+
+    Each k is formatted through ``operator.index``, so only an integer
+    reaches the source; anything else is corrupt data."""
+    text = ""
+    for k, x in terms:
+        try:
+            k = index(k)
+        except TypeError:
+            raise InternalInconsistencyError(f"form coefficient {k!r} is not an integer") from None
+        if k:
+            term = x if abs(k) == 1 else f"{abs(k)}*{x}"
+            text += f" - {term}" if k < 0 else f" + {term}"
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _list_source(items: Sequence[str]) -> str:
+    return f"[{', '.join(items)}]"
+
+
+def _compile_numbers(source: str) -> Callable[..., tuple]:
+    """The function ``numbers`` that the source defines, executed where no
+    global or builtin name can be read."""
+    namespace: dict = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace["numbers"]
 
 
 def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
@@ -267,14 +303,13 @@ def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
 
 class CompiledConfig:
     """One applicable configuration E' of a member: whether E' is nef, its
-    labels and primitive-collection levels, the linear forms (K - E').D.F_j
-    over the effective generators F_j, and the JSON of its Markov
+    labels and primitive-collection levels, and the JSON of its Markov
     certificate at the bound last asked for."""
 
-    __slots__ = ("name", "eprime", "labels", "nef", "levels", "pairings", "_cert")
+    __slots__ = ("name", "eprime", "labels", "nef", "levels", "_cert")
 
-    def __init__(self, name: str, eprime: TDivisor, pairings: tuple) -> None:
-        self.name, self.eprime, self.pairings = name, eprime, pairings
+    def __init__(self, name: str, eprime: TDivisor) -> None:
+        self.name, self.eprime = name, eprime
         self.labels = eprime.label_dict()
         self.nef = is_nef(eprime)
         self.levels = tuple(collection_level(c, eprime.coeffs) for c in eprime.fan.collections)
@@ -368,14 +403,14 @@ def _compile_table(block: TableBlock | None, params: dict[str, int]) -> Compiled
 class CompiledMember(NamedTuple):
     """Everything ``derive_verdict`` reads about one family member.
 
-    cubic holds the coefficients of D^3 over the monomials c_a c_b c_c
-    (a <= b <= c), each read as quadratic monomial k times c_c for (k, c)
-    in ``triples``.  rays[rho] is (label, the coefficients of D^2.D_rho
-    over the monomials c_a c_b (a <= b, in ``pairs`` order), those of
-    sum(D.D_rho.D_k, k != rho) over c).  levels[P] is the level of each
-    nef generator on primitive collection P, so D is nef iff levels . c >=
-    0 and D + K iff levels . c >= adjoint[P].  degrees[j] is H.D.F_j over
-    c.
+    ``numbers(c0, c1[, c2])`` is a straight-line integer function of the
+    cell, generated from the member's forms (``source`` keeps its text).
+    It returns D^3; D^2.D_rho per ray; the off-diagonal sum
+    sum(D.D_rho.D_k, k != rho) per ray; the level of D on each primitive
+    collection P, so D is nef iff every level is >= 0 and D + K iff level
+    P >= adjoint[P]; the degrees H.D.F_j over the effective generators
+    F_j; and per configuration the pairings (E + K).D.F_j =
+    D^2.F_j + (K - E').D.F_j.
     """
 
     fan: Fan
@@ -383,16 +418,11 @@ class CompiledMember(NamedTuple):
     table: CompiledTable
     generators_nef: bool
     ample: bool
-    pairs: tuple[tuple[int, int], ...]
-    triples: tuple[tuple[int, int], ...]
-    cubic: tuple[int, ...]
-    rays: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
-    levels: tuple[tuple[int, ...], ...]
     adjoint: tuple[int, ...]
-    eff: tuple[int, ...]
     eff_labels: list[str]
-    degrees: tuple[tuple[int, ...], ...]
     configs: tuple[CompiledConfig, ...]
+    source: str
+    numbers: Callable[..., tuple]
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -423,53 +453,64 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         if generators_nef:
             what = "the sum of the nef generators is not ample"
         raise InternalInconsistencyError(f"case {spec.case_id} at {params}: {what}")
-    # mats[a][rho][s] = N_a.D_rho.D_s, so _dot(x, mats[a][rho]) = X.N_a.D_rho.
+    # mats[a][rho][s] = N_a.D_rho.D_s, so _dot(x, mats[a][rho]) = X.N_a.D_rho,
+    # and triple[a][b][rho] = N_a.N_b.D_rho.
     mats = [intersection_matrix(g) for g in gens]
-    n, r = fan.nrays, len(gens)
+    triple = [[[_dot(g.coeffs, row) for row in m] for g in gens] for m in mats]
+    r = len(gens)
+    cs = [f"c{a}" for a in range(r)]
+    pairs = [(a, b) for a in range(r) for b in range(a, r)]
 
-    def form(x: Sequence[int], rho: int) -> tuple[int, ...]:
-        return tuple(_dot(x, m[rho]) for m in mats)
+    def form(x: Sequence[int], rho: int) -> list[tuple[int, str]]:
+        return [(_dot(x, m[rho]), ca) for m, ca in zip(mats, cs)]
 
-    pairs = tuple((a, b) for a in range(r) for b in range(a, r))
-    squares = [
-        tuple((1 if a == b else 2) * _dot(gens[b].coeffs, mats[a][rho]) for a, b in pairs)
-        for rho in range(n)
-    ]
-    off = [tuple(sum(m[rho]) - m[rho][rho] for m in mats) for rho in range(n)]
+    lines = []
+    for rho in range(fan.nrays):
+        square = [((1 if a == b else 2) * triple[a][b][rho], f"q{a}{b}") for a, b in pairs]
+        lines.append(f"    s{rho} = {_sum_source(square)}")
     # N_a.N_b.N_c = sum over rho of N_c's coefficient times N_a.N_b.D_rho,
     # times the number of distinct orders of (a, b, c).
-    triples = tuple((k, c) for k, (a, b) in enumerate(pairs) for c in range(b, r))
-    cubic = tuple(
-        (1 if a == c else 3 if a == b or b == c else 6)
-        * sum(x * _dot(gens[b].coeffs, mats[a][rho]) for rho, x in enumerate(gens[c].coeffs))
-        for k, c in triples
-        for a, b in [pairs[k]]
-    )
-    levels = tuple(tuple(collection_level(c, g.coeffs) for g in gens) for c in fan.collections)
+    cube = [
+        ((1 if a == c else 3 if a == b or b == c else 6) * _dot(gens[c].coeffs, triple[a][b]),
+         f"q{a}{b}*c{c}")
+        for a, b in pairs
+        for c in range(b, r)
+    ]
+    offs = [[(sum(m[rho]) - m[rho][rho], ca) for m, ca in zip(mats, cs)] for rho in range(fan.nrays)]
+    levels = [[(collection_level(coll, g.coeffs), ca) for g, ca in zip(gens, cs)]
+              for coll in fan.collections]
+    eff = [fan.label_index(lab) for lab in record.eff(**params)]
     canonical = canonical_divisor(fan).coeffs
-    eff = tuple(fan.label_index(lab) for lab in record.eff(**params))
-    configs = []
+    configs, alphas = [], []
     for config in applicable_configs(fan):
         eprime = divisor(fan, config.eprime_coeffs(params))
         k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
-        pairings = tuple(form(k_minus, j) for j in eff)
-        configs.append(CompiledConfig(config.name, eprime, pairings))
+        alphas.append(_list_source([_sum_source([(1, f"s{j}"), *form(k_minus, j)]) for j in eff]))
+        configs.append(CompiledConfig(config.name, eprime))
+    parts = [
+        _sum_source(cube),
+        _list_source([f"s{rho}" for rho in range(fan.nrays)]),
+        _list_source([_sum_source(f) for f in offs]),
+        _list_source([_sum_source(f) for f in levels]),
+        _list_source([_sum_source(form(h.coeffs, j)) for j in eff]),
+        _list_source(alphas),
+    ]
+    lines += ["    return (", *(f"        {p}," for p in parts), "    )", ""]
+    # The monomials c_a c_b that some term reads, as locals q<a><b>.
+    body = "\n".join(lines)
+    monomials = [f"    q{a}{b} = c{a}*c{b}" for a, b in pairs if f"q{a}{b}" in body]
+    source = "\n".join([f"def numbers({', '.join(cs)}):", *monomials, body])
     return CompiledMember(
         fan=fan,
         names=record.coeff_names,
         table=_compile_table(block, params),
         generators_nef=generators_nef,
         ample=ample,
-        pairs=pairs,
-        triples=triples,
-        cubic=cubic,
-        rays=tuple(zip(fan.ray_labels, squares, off)),
-        levels=levels,
         adjoint=tuple(-collection_level(c, canonical) for c in fan.collections),
-        eff=eff,
         eff_labels=[fan.ray_labels[j] for j in eff],
-        degrees=tuple(form(h.coeffs, j) for j in eff),
         configs=tuple(configs),
+        source=source,
+        numbers=_compile_numbers(source),
     )
 
 
@@ -482,8 +523,9 @@ def derive_verdict(
     (or the class is trivial or not big); Hyperbolic when the boundary is
     clean and some listed configuration passes the connected-sections,
     adjoint-nef, and positivity checks; Open otherwise.  Every number is
-    read from the member's compiled forms; ``boundary_genus_profile`` and
-    ``positivity_certificate`` compute the same numbers for any divisor.
+    read from one call of the member's compiled ``numbers``;
+    ``boundary_genus_profile`` and ``positivity_certificate`` compute the
+    same numbers for any divisor.
     """
     m = compiled_member(spec)
     c = _cell(spec.case_id, m.names, coeffs)
@@ -492,19 +534,15 @@ def derive_verdict(
     # zero combination is the trivial class.
     if not any(c):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
-    # Dot products are written out, not called through _dot: this runs for
-    # every cell.
-    if not m.generators_nef and any(sum(map(mul, f, c)) < 0 for f in m.levels):
+    cube, squares, offs, levels, betas, pairings = m.numbers(*c)
+    if not m.generators_nef and min(levels) < 0:
         raise ValueError("boundary profiles assume a nef divisor")
-    quad = [c[a] * c[b] for a, b in m.pairs]
-    big = sum(map(mul, m.cubic, [quad[k] * c[j] for k, j in m.triples])) > 0
+    big = cube > 0
     # A nef D meets every curve D_rho.D_k nonnegatively, so the face of rho
     # is a point iff the sum of those degrees vanishes; by adjunction
     # 2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off_rho.
-    squares, entries, low = [], [], None
-    for label, q, f in m.rays:
-        square, off = sum(map(mul, q, quad)), sum(map(mul, f, c))
-        squares.append(square)
+    entries, low = [], None
+    for label, square, off in zip(m.fan.ray_labels, squares, offs):
         dim = 2 if square > 0 else 1 if off else 0
         count = 1 + (square - off) // 2 if big and dim == 2 else 0
         if low is None and dim and count <= 1:
@@ -531,11 +569,10 @@ def derive_verdict(
             },
             table,
         )
-    levels = [sum(map(mul, f, c)) for f in m.levels]
     if any(map(lt, levels, m.adjoint)):
         return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
     tried: list[dict] = []
-    for config in m.configs:
+    for config, alphas in zip(m.configs, pairings):
         if not config.nef:
             # Out of the catalog's parameter domain (negative twists).
             tried.append({"config": config.name, "skip": "E' not nef"})
@@ -549,9 +586,6 @@ def derive_verdict(
             continue
         if not m.ample:
             raise ValueError("the degree normaliser must be ample")
-        # alpha_j = (E + K).D.F_j = D^2.F_j + (K - E').D.F_j.
-        alphas = [squares[j] + sum(map(mul, f, c)) for j, f in zip(m.eff, config.pairings)]
-        betas = [sum(map(mul, f, c)) for f in m.degrees]
         pos = {"pairings": alphas, "degrees": betas, "effective_generators": m.eff_labels}
         if min(alphas) < 1:
             pos["epsilon"] = None

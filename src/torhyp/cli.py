@@ -79,11 +79,18 @@ def _fan_from_args(args, need_catalog: bool = False) -> _fans.Fan:
     raise CliError("give either --case with its parameters or --fan FILE")
 
 
+# Class coordinates and table coefficients are read in a catalog fan's
+# Picard basis; ray coefficients need no basis.
+_COEFFS_ON_ANY_FAN = '{"coeffs": {label: int}} works on any fan'
+
+
 def _divisor_from_flag(fan: _fans.Fan, text: str) -> _div.TDivisor:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"divisor must be JSON ({exc})")
+    if fan.family is None and isinstance(data, dict) and "class" in data and "coeffs" not in data:
+        raise CliError(f'{{"class": ...}} needs a catalog fan (--case); {_COEFFS_ON_ANY_FAN}')
     try:
         return _div.divisor_from_json(fan, data)
     except KeyError as exc:
@@ -169,6 +176,8 @@ def cmd_faces(args) -> dict:
         raise CliError("faces takes --coeffs or --D, not both")
     fan = _fan_from_args(args)
     if args.coeffs:
+        if fan.family is None:
+            raise CliError(f"--coeffs needs a catalog fan (--case); --D {_COEFFS_ON_ANY_FAN}")
         d = _classify.surface_divisor(fan, _coeffs_from_flag(args.coeffs))
     elif args.D:
         d = _divisor_from_flag(fan, args.D)

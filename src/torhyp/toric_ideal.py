@@ -28,8 +28,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, gcd
-from operator import add, index, le, mul
-from typing import Iterable, NamedTuple, Sequence
+from operator import index, le, mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .divisors import TDivisor, character, divisor_from_class, is_nef, picard_basis
 from .fans import (
@@ -137,13 +137,19 @@ def _connected_under(points: Sequence[Vec], deltas: Sequence[Vec]) -> bool:
     return not unseen
 
 
-def _degree_images(fan: Fan, bound: int) -> list[Vec]:
-    """Distinct images of nonnegative vectors with coordinate sum <= bound.
+def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec]]:
+    """Distinct images of nonnegative vectors with coordinate sum <= bound,
+    packed as integers in ascending order, with the decoder of a packed
+    image.
 
-    The images of sum j are those of sum j - 1 plus one column of B, so
-    they are built level by level.  There are C(bound + r, r) such vectors;
-    past the lattice scan budget the enumeration is refused before it
-    starts.
+    Every coordinate of such an image is at most bound * max|B| in absolute
+    value, so an image t is packed as sum t_i R^(k-1-i) with balanced digits
+    in the odd base R = 2 bound max|B| + 1.  That packing is one to one,
+    adds as the vectors add, and orders the images as their vectors are
+    ordered lexicographically.  The images of sum j are those of sum j - 1
+    plus one packed column of B, so they are built level by level as
+    integer sums.  There are C(bound + r, r) such vectors; past the
+    lattice scan budget the enumeration is refused before it starts.
     """
     b = gale_matrix(fan)
     r = fan.nrays
@@ -151,13 +157,24 @@ def _degree_images(fan: Fan, bound: int) -> list[Vec]:
         raise EnumerationGuardError(
             f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
         )
-    cols = {b.col(j) for j in range(r)}
-    level = {(0,) * b.rows}
+    radix = 2 * bound * max(map(abs, b.entries)) + 1
+
+    def unpack(x: int) -> Vec:
+        digits = []
+        for _ in range(b.rows):
+            x, d = divmod(x, radix)
+            if 2 * d > radix:
+                x, d = x + 1, d - radix
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    cols = {sum(d * radix**i for i, d in enumerate(reversed(b.col(j)))) for j in range(r)}
+    level = {0}
     images = set(level)
     for _ in range(bound):
-        level = {tuple(map(add, t, c)) for t in level for c in cols}
+        level = {t + c for t in level for c in cols}
         images |= level
-    return sorted(images)
+    return sorted(images), unpack
 
 
 def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
@@ -319,14 +336,18 @@ def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
         return False
 
 
-def _bounded_search(fan: Fan, moves: Sequence[Vec], images: Sequence[Vec], bound: int) -> FiberCertificate:
-    """Connectivity of every fiber over the given images, in their order;
+def _bounded_search(
+    fan: Fan, moves: Sequence[Vec], images: tuple[list[int], Callable[[int], Vec]], bound: int
+) -> FiberCertificate:
+    """Connectivity of every fiber over the given packed images
+    (``_degree_images``), in their order, each decoded as it is reached;
     the first disconnected one is named with the count checked so far."""
-    rhs_seq = (tuple(-c for c in divisor_from_class(fan, t).coeffs) for t in images)
+    packed, unpack = images
+    rhs_seq = (tuple(-c for c in divisor_from_class(fan, unpack(t)).coeffs) for t in packed)
     i = _first_disconnected(fan, moves, rhs_seq)
     if i is None:
-        return FiberCertificate(bound, len(images), True)
-    return FiberCertificate(bound, i + 1, False, images[i])
+        return FiberCertificate(bound, len(packed), True)
+    return FiberCertificate(bound, i + 1, False, unpack(packed[i]))
 
 
 def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
@@ -358,7 +379,7 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
             moves.append(mv)
     images = _degree_images(fan, bound)
     if _is_markov(fan, moves):
-        return FiberCertificate(bound, len(images), True)
+        return FiberCertificate(bound, len(images[0]), True)
     return _bounded_search(fan, moves, images, bound)
 
 
@@ -406,7 +427,7 @@ def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> 
         has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
         for m in proven
     ):
-        return FiberCertificate(bound, len(_degree_images(fan, bound)), True)
+        return FiberCertificate(bound, len(_degree_images(fan, bound)[0]), True)
     return markov_verify(fan, section_difference_moves(eprime), bound)
 
 

@@ -139,84 +139,59 @@ class SnfDecomposition(NamedTuple):
 def smith_normal_form(m: IntMat) -> SnfDecomposition:
     """Compute U, S, V with U*M*V = S diagonal and d_i | d_{i+1}.
 
-    Pivots are chosen by minimal absolute value, which keeps entries small at
-    the sizes used here.  Once row and column t are clear, a later entry the
-    pivot does not divide has its row added to row t, and clearing that row
-    again leaves a smaller pivot; so d_t divides every entry left below and
-    to the right, and with them every later diagonal entry.  U and V are
-    built from elementary operations, so both have determinant +-1.
+    At step t the nonzero entry of least absolute value in the submatrix
+    of rows and columns t.. becomes the pivot p at (t, t), and row t and
+    column t are reduced by p to their nearest remainders, each at most
+    |p|/2.  A nonzero remainder is a smaller entry, so the pivot is chosen
+    again; when row and column t are clear and p fails to divide an entry
+    below and to the right, that entry's row is added to row t, whose
+    remainder is again smaller.  So |p| falls at every repeat, the loop
+    ends, and every multiplier is a quotient by the least entry, which
+    keeps the entries small.  Then d_t divides every entry left, and with
+    them every later diagonal entry.  U and V are built from elementary
+    operations, so both have determinant +-1.
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
     u = identity(nr).to_rows()
     v = identity(nc).to_rows()
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    def quotient(x: int, p: int) -> int:
+        # The nearest integer to x / p, so |x - q p| <= |p| / 2.
+        return (2 * x + p) // (2 * p)
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # Locate the submatrix pivot of minimal absolute value.
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # Kill the rest of row t and column t; repeat until clean and the
-        # pivot divides the rest of the submatrix.
+    for t in range(min(nr, nc)):
         while True:
-            dirty = False
+            nonzero = [(i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+            if not nonzero:
+                break
+            pi, pj = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
+            a[t], a[pi], u[t], u[pi] = a[pi], a[t], u[pi], u[t]
+            for rows in (a, v):
+                for r in rows:
+                    r[t], r[pj] = r[pj], r[t]
+            p = a[t][t]
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = -(a[i][t] // a[t][t])
-                    add_row(t, i, q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                    dirty = True
+                q = quotient(a[i][t], p)
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = -(a[t][j] // a[t][t])
-                    add_col(t, j, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                    dirty = True
-            if dirty:
+                q = quotient(a[t][j], p)
+                if q:
+                    for rows in (a, v):
+                        for r in rows:
+                            r[j] -= q * r[t]
+            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
                 continue
-            bad = next(
-                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]), None
-            )
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
             if bad is None:
                 break
-            add_row(bad, t, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
 
     s = IntMat.from_rows(a)
     return SnfDecomposition(IntMat.from_rows(u), s, IntMat.from_rows(v))

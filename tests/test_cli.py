@@ -524,6 +524,23 @@ def test_faces_refuses_a_principal_divisor_on_a_generic_fan(tmp_path, capsys):
     assert data["error"] == "the zero class has no boundary profile"
 
 
+@pytest.mark.parametrize("argv,needs", [
+    (["nef", "--D", '{"class": [1]}'], '{"class": ...}'),
+    (["polytope", "--D", '{"class": [1]}'], '{"class": ...}'),
+    (["idp", "--E", '{"coeffs": {"D_1": 1}}', "--Eprime", '{"class": [1]}'], '{"class": ...}'),
+    (["faces", "--coeffs", "1"], "--coeffs"),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_catalog_only_input_on_a_generic_fan_names_the_fix(tmp_path, capsys, argv, needs):
+    # Class coordinates and table coefficients read a catalog fan's Picard
+    # basis: on a fan file the error says so and points to ray coefficients.
+    fan_file = tmp_path / "p3.json"
+    fan_file.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES}))
+    code, data = run_json(capsys, argv[0], "--fan", str(fan_file), *argv[1:])
+    assert code == 1
+    assert data["error"].startswith(f"{needs} needs a catalog fan (--case); ")
+    assert data["error"].endswith('{"coeffs": {label: int}} works on any fan')
+
+
 @pytest.mark.parametrize("member", [
     ["--case", "2.0.1", "--l", "2"],
     ["--case", "2.0.2", "--l1", "1", "--l2", "2"],

@@ -3,8 +3,10 @@
 own intersection matrix.  Both must give the same JSON document, or raise
 the same error, on every criterion-6 cell with a zero coordinate (where
 faces degenerate and the defect cells lie), on a seeded sample of the other
-cells, and on members off the grid, where a listed nef generator is not
-nef or the parameter lies past the grid.
+cells, on cells of every criterion-6 member with coordinates of 10^6, 10^12
+and 10^40 (the generated evaluator has no width limit), and on members off
+the grid, where a listed nef generator is not nef or the parameter lies
+past the grid.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from torhyp.classify import _epsilon, compiled_member, derive_verdict, table_lookup
+from torhyp.classify import _epsilon, _sum_source, compiled_member, derive_verdict, table_lookup
 from torhyp.fans import CASE_IDS, FamilySpec
 
 from oracles import reference_verdict
@@ -31,6 +33,7 @@ OFF_GRID = {
     "3.1.5": [{"b1": -1}],
 }
 SAMPLE_PER_CASE = 300
+HUGE = (10**6, 10**12, 10**40)
 
 
 def outcome(derive, spec, coeffs, bound):
@@ -40,8 +43,13 @@ def outcome(derive, spec, coeffs, bound):
         return type(exc).__name__, str(exc)
 
 
-def cells(case):
-    return list(itertools.product(range(9), repeat=2 if case.startswith("2") else 3))
+def cells(case, values=range(9)):
+    return list(itertools.product(values, repeat=2 if case.startswith("2") else 3))
+
+
+def huge_cells(case):
+    """Cells over 0, 1 and the huge values with a huge coordinate."""
+    return [c for c in cells(case, (0, 1, *HUGE)) if max(c) >= HUGE[0]]
 
 
 @pytest.mark.parametrize("case", CASE_IDS)
@@ -50,7 +58,8 @@ def test_compiled_matches_reference_on_the_grid(case):
     specs = [FamilySpec.make(case, **p) for p in SWEEP_GRIDS[case]]
     zero = [(s, c) for s in specs for c in cells(case) if min(c) == 0]
     rest = [(s, c) for s in specs for c in cells(case) if min(c) > 0]
-    checked = zero + rng.sample(rest, min(SAMPLE_PER_CASE, len(rest)))
+    huge = [(s, c) for s in specs for c in huge_cells(case)]
+    checked = zero + rng.sample(rest, min(SAMPLE_PER_CASE, len(rest))) + huge
     for spec, coeffs in checked:
         want = outcome(reference_verdict, spec, coeffs, BOUND)
         assert outcome(derive_verdict, spec, coeffs, BOUND) == want, (spec, coeffs)
@@ -77,6 +86,14 @@ def test_compiled_matches_reference_on_invalid_cells(coeffs):
     want = outcome(reference_verdict, spec, coeffs, BOUND)
     assert isinstance(want, tuple) and outcome(derive_verdict, spec, coeffs, BOUND) == want
 
+
+
+def test_sum_source_drops_zeros_and_unit_factors():
+    assert _sum_source([(0, "c0"), (1, "c1"), (-1, "c2"), (-3, "q01"), (12, "q01*c2")]) == (
+        "c1 - c2 - 3*q01 + 12*q01*c2"
+    )
+    assert _sum_source([(-1, "s0"), (2, "c1")]) == "-s0 + 2*c1"
+    assert _sum_source([(0, "c0")]) == _sum_source([]) == "0"
 
 
 RATIOS = st.lists(

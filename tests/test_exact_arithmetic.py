@@ -152,3 +152,40 @@ def test_library_entry_points_refuse_non_integers(bad):
     for call in refused:
         with pytest.raises(ValueError, match="integer"):
             call()
+
+
+def test_generated_evaluators_are_exact():
+    # Each compiled member's evaluator is generated at run time, out of
+    # reach of the source scan above: scan its source, and check that it
+    # reads no global or builtin name, only its arguments and locals.
+    from torhyp.classify import compiled_member
+    from torhyp.fans import CASE_IDS, FamilySpec
+
+    from test_acceptance import SWEEP_GRIDS
+
+    for case in CASE_IDS:
+        for params in SWEEP_GRIDS[case]:
+            m = compiled_member(FamilySpec.make(case, **params))
+            assert forbidden_uses(m.source) == [], (case, params)
+            assert m.numbers.__code__.co_names == (), (case, params)
+
+
+def test_generator_refuses_non_integer_coefficients(monkeypatch):
+    import torhyp.classify as classify
+    from torhyp.fans import FamilySpec, InternalInconsistencyError
+
+    for bad in (Fraction(1, 2), 2.0):
+        with pytest.raises(InternalInconsistencyError, match="not an integer"):
+            classify._sum_source([(1, "c0"), (bad, "c1")])
+    # An intersection matrix of Fractions, even integral ones, never
+    # reaches the generated source.
+    exact = classify.intersection_matrix
+    monkeypatch.setattr(
+        classify, "intersection_matrix", lambda d: [[Fraction(x) for x in row] for row in exact(d)]
+    )
+    classify.compiled_member.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError, match="not an integer"):
+            classify.compiled_member(FamilySpec.make("2.0.1", l=2))
+    finally:
+        classify.compiled_member.cache_clear()

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,18 @@ def check_snf(m: IntMat) -> None:
         else:
             assert y == 0
     assert all(d >= 0 for d in diag)
+
+
+def test_snf_dense_sweep_stays_small():
+    # Dense matrices up to 6x6 with entries up to 40: reducing by the least
+    # entry keeps every entry small, where pivoting without remainders ran
+    # for minutes on this sweep.
+    rng = random.Random(8)
+    start = time.perf_counter()
+    for _ in range(400):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        check_snf(IntMat.from_rows([[rng.randint(-40, 40) for _ in range(nc)] for _ in range(nr)]))
+    assert time.perf_counter() - start < 20
 
 
 def test_snf_identity():

@@ -117,7 +117,8 @@ def test_vertices_match_triple_enumeration_on_fibers():
     checked = fractional = 0
     for case, params in MEMBERS:
         fan = family_fan(case, **params)
-        for image in _degree_images(fan, 4):
+        packed, unpack = _degree_images(fan, 4)
+        for image in map(unpack, packed):
             p = offset_polytope(fan, [-c for c in divisor_from_class(fan, image).coeffs])
             got = vertices(p)
             assert got == brute_vertices(p), (case, params, image)

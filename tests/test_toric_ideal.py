@@ -243,7 +243,8 @@ def test_large_coordinates_pack_exactly():
 def fiber_graph_loop(fan, moves, bound):
     """Oracle: the fibers in v-space, one fiber_graph_connected call each."""
     checked = 0
-    for image in _degree_images(fan, bound):
+    packed, unpack = _degree_images(fan, bound)
+    for image in map(unpack, packed):
         checked += 1
         if not fiber_graph_connected(fan, moves, image):
             return checked, image
@@ -280,6 +281,33 @@ def test_degree_images_guarded():
     fan = family_fan("2.0.1", l=0)
     with pytest.raises(EnumerationGuardError):
         _degree_images(fan, 100000)
+
+
+def degree_image_vectors(fan, bound):
+    """Oracle: the degree images as vectors, level by level, sorted."""
+    b = gale_matrix(fan)
+    cols = {b.col(j) for j in range(fan.nrays)}
+    level = {(0,) * b.rows}
+    images = set(level)
+    for _ in range(bound):
+        level = {tuple(x + y for x, y in zip(t, c)) for t in level for c in cols}
+        images |= level
+    return sorted(images)
+
+
+@pytest.mark.parametrize(
+    "case,params", GRID + [("2.0.2", {"l1": 0, "l2": 950}), ("3.1.3", {"b1": -950, "c2": 0})],
+    ids=str,
+)
+def test_packed_degree_images_match_the_vectors(case, params):
+    # Packing is one to one and keeps the lexicographic order of the
+    # vectors, large entries of B included: the packed images ascend and
+    # decode to the vector images in their order.
+    fan = family_fan(case, **params)
+    for bound in (1, 2, 5):
+        packed, unpack = _degree_images(fan, bound)
+        assert packed == sorted(set(packed))
+        assert list(map(unpack, packed)) == degree_image_vectors(fan, bound), bound
 
 
 def bounded_certificate(fan, moves, bound):
