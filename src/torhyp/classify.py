@@ -17,15 +17,21 @@ the cell's nef coordinates c, read from the intersection matrix of each
 nef generator: D^3 is a cubic form, D^2.D_rho a quadratic form per ray,
 the face degrees, the pairings and the primitive-collection levels of D
 are linear forms, and the nef tests of D + K and D - E' compare levels
-with constants.  The forms are written out, zero terms dropped, as the
-source of one straight-line function of c, executed once where it can
-read no global or builtin name, so every number is exact for integers of
-any size.  What holds for every cell (independent generator classes, nef
-generators, an ample reference class) is proven there once, and each
-configuration's connected-sections certificate is decided once
+with constants.  The forms are written out, zero terms dropped, each
+shared form once and no test whose outcome is fixed on every cell, as
+the source of one integer function of c, executed once where it can read
+no global or builtin name, so every number is exact for integers of any
+size.  That function builds the boundary document (face dimension and
+interior count per ray) and finds the first ray whose face carries a
+curve of genus at most one; it returns there, before the degrees and
+pairings, when D is not big, has such a ray, or D + K is not nef.  What
+holds for every cell (independent generator classes, nef generators, an
+ample reference class) is proven there once, and each configuration's
+connected-sections certificate is decided once
 (``toric_ideal.section_certificate``: an existence scan per proven move,
 the guarded difference set only when one fails).  So a cell costs one
-call of that function, a bit-mask match of the rows and, for a
+call of that function, a bit-mask match of the rows and, past the
+boundary and adjoint tests, a loop over the configurations with, for a
 Hyperbolic cell, an integer comparison of ratios for epsilon.
 ``boundary_genus_profile`` and ``positivity_certificate`` compute the
 same numbers for any divisor from its own intersection matrix, as the
@@ -39,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index, lt, mul
+from operator import index, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, pred_holds
@@ -67,7 +73,7 @@ from .fans import (
 )
 from .intlin import IntMat
 from .polytopes import intersection_matrix
-from .toric_ideal import DEFAULT_MARKOV_BOUND, section_certificate
+from .toric_ideal import DEFAULT_MARKOV_BOUND, check_bound, section_certificate
 
 UNLISTED = "Unlisted"
 AMBIGUOUS = "Ambiguous"
@@ -279,12 +285,119 @@ def _list_source(items: Sequence[str]) -> str:
     return f"[{', '.join(items)}]"
 
 
-def _compile_numbers(source: str) -> Callable[..., tuple]:
+def _compile_numbers(source: str) -> Callable[..., tuple | None]:
     """The function ``numbers`` that the source defines, executed where no
     global or builtin name can be read."""
     namespace: dict = {"__builtins__": {}}
     exec(source, namespace)
     return namespace["numbers"]
+
+
+Form = list[tuple[int, str]]
+
+
+def _positive(terms: Form, pure: set[str]) -> bool:
+    """Whether a form is positive at every cell c >= 0, c != 0: no
+    coefficient is negative and each pure power c_a^n (``pure``) has a
+    positive one."""
+    return all(k >= 0 for k, _ in terms) and all(k > 0 for k, x in terms if x in pure)
+
+
+def _evaluator_source(
+    r: int,
+    labels: Sequence[str],
+    cube: Form,
+    squares: Sequence[Form],
+    offs: Sequence[Form],
+    levels: Sequence[Form],
+    adjoint: Sequence[int],
+    betas: Sequence[Form],
+    eff: Sequence[int],
+    configs: Sequence[tuple[Sequence[Form], Sequence[int]] | None],
+    guard: bool,
+) -> str:
+    """Source of ``numbers(c0, c1[, c2])`` (see ``CompiledMember``) from a
+    member's forms over the monomials q<a><b> = c_a c_b.
+
+    The face of rho is 2-dimensional iff D^2.D_rho > 0, else a segment iff
+    its off-diagonal sum is nonzero (a nef D meets each curve D_rho.D_k
+    nonnegatively), and a 2-dimensional face of a big D counts
+    1 + (D^2.D_rho - off)/2 interior points, by adjunction
+    2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off.  ``guard`` (a listed
+    generator is not nef) puts the nef test of D first.  Each distinct
+    form is one local, however many rays share it, and no test is written
+    whose outcome the coefficients fix on every cell: an off-diagonal sum
+    positive at every c >= 0, c != 0, a level (>= 0 once D is nef) against
+    a constant <= 0, a ray whose numbers an earlier ray already tested.
+    """
+    cs = [f"c{a}" for a in range(r)]
+    level_text = [_sum_source(f) for f in levels]
+    lines = [f"def numbers({', '.join(cs)}):"]
+    signed = [min(k for k, _ in f) < 0 for f in levels]
+    if guard and any(signed):
+        negative = [f"{t} < 0" for t, neg in zip(level_text, signed) if neg]
+        lines += [f"    if {' or '.join(negative)}:", "        return None"]
+
+    def below(floor: Sequence[int]) -> list[str]:
+        # A level known to be >= 0 (no negative coefficient, or tested by
+        # the guard) never falls below a constant <= 0.
+        return [f"{t} < {k}" for t, k, neg in zip(level_text, floor, signed)
+                if k > 0 or (neg and not guard)]
+
+    # The locals, text -> name, in an order that defines each before use.
+    local: dict[str, str] = {}
+
+    def value(name: str, text: str) -> str:
+        return text if text.isdigit() or text.isidentifier() else local.setdefault(text, name)
+
+    sq = [value(f"s{rho}", _sum_source(f)) for rho, f in enumerate(squares)]
+    of = [value(f"o{rho}", _sum_source(f)) for rho, f in enumerate(offs)]
+    local[f"{_sum_source(cube)} > 0"] = "big"
+    linear = set(cs)
+    entries, tests, seen = [], [], set()
+    for rho, (label, s, o) in enumerate(zip(labels, sq, of)):
+        segment = "1" if _positive(offs[rho], linear) else f"1 if {o} else 0"
+        d = value(f"d{rho}", f"2 if {s} > 0 else {segment}")
+        g = value(f"g{rho}", f"1 + ({s} - {o})//2 if big and {s} > 0 else 0")
+        # The face is a point only where the dimension can read 0.
+        carries = "True" if segment == "1" else f"{d} > 0"
+        entries.append(
+            f'{{"ray": {label!r}, "face_dim": {d}, "interior_count": {g}, "carries_curve": {carries}}}'
+        )
+        # The first ray whose face carries a curve of genus <= 1 (a segment
+        # counts 0); a ray with the numbers of one already tested adds
+        # nothing.
+        if (d, g) not in seen:
+            seen.add((d, g))
+            tests.append(f"{rho} if {g} <= 1" if carries == "True" else f"{rho} if {d} and {g} <= 1")
+    body = [
+        f'    b = {{"big": big, "entries": {_list_source(entries)}}}',
+        "    if not big:",
+        "        return b, None, None, None",
+        f"    low = {' else '.join([*tests, 'None'])}",
+        "    if low is not None:",
+        "        return b, low, None, None",
+    ]
+    adjoint_fails = below(adjoint)
+    if adjoint_fails:
+        body += [f"    if {' or '.join(adjoint_fails)}:", "        return b, None, None, None"]
+    pairings = []
+    for config in configs:
+        if config is None:
+            pairings.append("None")
+            continue
+        forms, floor = config
+        alphas = _list_source([_sum_source([(1, sq[j]), *f]) for j, f in zip(eff, forms)])
+        fails = below(floor)
+        pairings.append(f"None if {' or '.join(fails)} else {alphas}" if fails else alphas)
+    betas_text = _list_source([_sum_source(f) for f in betas])
+    body.append(f"    return b, None, {betas_text}, {_list_source(pairings)}")
+    text = "\n".join([*(f"    {name} = {form}" for form, name in local.items()), *body])
+    # The monomials c_a c_b that some term reads, as locals q<a><b>.
+    monomials = [
+        f"    q{a}{b} = c{a}*c{b}" for a in range(r) for b in range(a, r) if f"q{a}{b}" in text
+    ]
+    return "\n".join([*lines, *monomials, text, ""])
 
 
 def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
@@ -303,16 +416,15 @@ def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
 
 class CompiledConfig:
     """One applicable configuration E' of a member: whether E' is nef, its
-    labels and primitive-collection levels, and the JSON of its Markov
-    certificate at the bound last asked for."""
+    labels, and the JSON of its Markov certificate at the bound last asked
+    for."""
 
-    __slots__ = ("name", "eprime", "labels", "nef", "levels", "_cert")
+    __slots__ = ("name", "eprime", "labels", "nef", "_cert")
 
     def __init__(self, name: str, eprime: TDivisor) -> None:
         self.name, self.eprime = name, eprime
         self.labels = eprime.label_dict()
         self.nef = is_nef(eprime)
-        self.levels = tuple(collection_level(c, eprime.coeffs) for c in eprime.fan.collections)
         self._cert: tuple[int, dict] | None = None
 
     def certificate(self, bound: int) -> dict:
@@ -403,26 +515,30 @@ def _compile_table(block: TableBlock | None, params: dict[str, int]) -> Compiled
 class CompiledMember(NamedTuple):
     """Everything ``derive_verdict`` reads about one family member.
 
-    ``numbers(c0, c1[, c2])`` is a straight-line integer function of the
-    cell, generated from the member's forms (``source`` keeps its text).
-    It returns D^3; D^2.D_rho per ray; the off-diagonal sum
-    sum(D.D_rho.D_k, k != rho) per ray; the level of D on each primitive
-    collection P, so D is nef iff every level is >= 0 and D + K iff level
-    P >= adjoint[P]; the degrees H.D.F_j over the effective generators
-    F_j; and per configuration the pairings (E + K).D.F_j =
-    D^2.F_j + (K - E').D.F_j.
+    ``numbers(c0, c1[, c2])`` is an integer function of the cell,
+    generated from the member's forms (``_evaluator_source``; ``source``
+    keeps its text).  It returns None when a listed generator is not nef
+    and D is not either (the level of D on some primitive collection is
+    negative).  Otherwise it returns (boundary, low, degrees, pairings):
+    the ``boundary`` document that ``boundary_genus_profile`` gives, with
+    the face of each ray from D^2.D_rho and the off-diagonal sum
+    sum(D.D_rho.D_k, k != rho); ``low``, the index of the first ray whose
+    face carries a curve of genus at most one; and, only when D is big,
+    has no such ray and D + K is nef (each level P at least -level(K, P)),
+    the degrees H.D.F_j over the effective generators F_j and per
+    configuration the pairings (E + K).D.F_j = D^2.F_j + (K - E').D.F_j,
+    None for a configuration whose E' or D - E' is not nef.  Where it
+    returns early the degrees and pairings are None.
     """
 
     fan: Fan
     names: tuple[str, ...]
     table: CompiledTable
-    generators_nef: bool
     ample: bool
-    adjoint: tuple[int, ...]
     eff_labels: list[str]
     configs: tuple[CompiledConfig, ...]
     source: str
-    numbers: Callable[..., tuple]
+    numbers: Callable[..., tuple | None]
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -464,10 +580,6 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     def form(x: Sequence[int], rho: int) -> list[tuple[int, str]]:
         return [(_dot(x, m[rho]), ca) for m, ca in zip(mats, cs)]
 
-    lines = []
-    for rho in range(fan.nrays):
-        square = [((1 if a == b else 2) * triple[a][b][rho], f"q{a}{b}") for a, b in pairs]
-        lines.append(f"    s{rho} = {_sum_source(square)}")
     # N_a.N_b.N_c = sum over rho of N_c's coefficient times N_a.N_b.D_rho,
     # times the number of distinct orders of (a, b, c).
     cube = [
@@ -476,37 +588,37 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         for a, b in pairs
         for c in range(b, r)
     ]
+    squares = [
+        [((1 if a == b else 2) * triple[a][b][rho], f"q{a}{b}") for a, b in pairs]
+        for rho in range(fan.nrays)
+    ]
     offs = [[(sum(m[rho]) - m[rho][rho], ca) for m, ca in zip(mats, cs)] for rho in range(fan.nrays)]
     levels = [[(collection_level(coll, g.coeffs), ca) for g, ca in zip(gens, cs)]
               for coll in fan.collections]
     eff = [fan.label_index(lab) for lab in record.eff(**params)]
     canonical = canonical_divisor(fan).coeffs
-    configs, alphas = [], []
+    # Per configuration: None where E' is not nef, else its (K - E').D.F_j
+    # forms and the levels of E', which D must reach for D - E' to be nef.
+    configs, config_forms = [], []
     for config in applicable_configs(fan):
         eprime = divisor(fan, config.eprime_coeffs(params))
-        k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
-        alphas.append(_list_source([_sum_source([(1, f"s{j}"), *form(k_minus, j)]) for j in eff]))
         configs.append(CompiledConfig(config.name, eprime))
-    parts = [
-        _sum_source(cube),
-        _list_source([f"s{rho}" for rho in range(fan.nrays)]),
-        _list_source([_sum_source(f) for f in offs]),
-        _list_source([_sum_source(f) for f in levels]),
-        _list_source([_sum_source(form(h.coeffs, j)) for j in eff]),
-        _list_source(alphas),
-    ]
-    lines += ["    return (", *(f"        {p}," for p in parts), "    )", ""]
-    # The monomials c_a c_b that some term reads, as locals q<a><b>.
-    body = "\n".join(lines)
-    monomials = [f"    q{a}{b} = c{a}*c{b}" for a, b in pairs if f"q{a}{b}" in body]
-    source = "\n".join([f"def numbers({', '.join(cs)}):", *monomials, body])
+        if not configs[-1].nef:
+            config_forms.append(None)
+            continue
+        k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
+        floor = [collection_level(c, eprime.coeffs) for c in fan.collections]
+        config_forms.append(([form(k_minus, j) for j in eff], floor))
+    source = _evaluator_source(
+        r, fan.ray_labels, cube, squares, offs, levels,
+        [-collection_level(c, canonical) for c in fan.collections],
+        [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
+    )
     return CompiledMember(
         fan=fan,
         names=record.coeff_names,
         table=_compile_table(block, params),
-        generators_nef=generators_nef,
         ample=ample,
-        adjoint=tuple(-collection_level(c, canonical) for c in fan.collections),
         eff_labels=[fan.ray_labels[j] for j in eff],
         configs=tuple(configs),
         source=source,
@@ -522,11 +634,15 @@ def derive_verdict(
     NotHyperbolic when the boundary contains a curve of genus at most one
     (or the class is trivial or not big); Hyperbolic when the boundary is
     clean and some listed configuration passes the connected-sections,
-    adjoint-nef, and positivity checks; Open otherwise.  Every number is
-    read from one call of the member's compiled ``numbers``;
+    adjoint-nef, and positivity checks; Open otherwise.  Every number, the
+    boundary document included, is read from one call of the member's
+    compiled ``numbers``, which returns early for a class that is not big,
+    has a boundary curve of genus <= 1 or a non-nef adjoint class;
     ``boundary_genus_profile`` and ``positivity_certificate`` compute the
-    same numbers for any divisor.
+    same numbers for any divisor.  A Markov bound below one is refused on
+    every cell, as ``markov_verify`` refuses it.
     """
+    check_bound(bound)
     m = compiled_member(spec)
     c = _cell(spec.case_id, m.names, coeffs)
     table = m.table.lookup(c)
@@ -534,50 +650,35 @@ def derive_verdict(
     # zero combination is the trivial class.
     if not any(c):
         return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
-    cube, squares, offs, levels, betas, pairings = m.numbers(*c)
-    if not m.generators_nef and min(levels) < 0:
+    out = m.numbers(*c)
+    if out is None:
         raise ValueError("boundary profiles assume a nef divisor")
-    big = cube > 0
-    # A nef D meets every curve D_rho.D_k nonnegatively, so the face of rho
-    # is a point iff the sum of those degrees vanishes; by adjunction
-    # 2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off_rho.
-    entries, low = [], None
-    for label, square, off in zip(m.fan.ray_labels, squares, offs):
-        dim = 2 if square > 0 else 1 if off else 0
-        count = 1 + (square - off) // 2 if big and dim == 2 else 0
-        if low is None and dim and count <= 1:
-            low = (label, dim, count)
-        entries.append(
-            {"ray": label, "face_dim": dim, "interior_count": count, "carries_curve": dim > 0}
-        )
-    boundary = {"big": big, "entries": entries}
-    if not big:
+    boundary, low, betas, pairings = out
+    if betas is None:
+        if low is not None:
+            entry = boundary["entries"][low]
+            evidence = {
+                "reason": "boundary curve of genus <= 1",
+                "ray": entry["ray"],
+                "face_dim": entry["face_dim"],
+                "genus": entry["interior_count"],
+                "boundary": boundary,
+            }
+            return Verdict(NOT_HYPERBOLIC, evidence, table)
+        if boundary["big"]:
+            return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
         return Verdict(
             NOT_HYPERBOLIC,
             {"reason": "class not big: genus 0 boundary curve", "boundary": boundary},
             table,
         )
-    if low is not None:
-        return Verdict(
-            NOT_HYPERBOLIC,
-            {
-                "reason": "boundary curve of genus <= 1",
-                "ray": low[0],
-                "face_dim": low[1],
-                "genus": low[2],
-                "boundary": boundary,
-            },
-            table,
-        )
-    if any(map(lt, levels, m.adjoint)):
-        return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
     tried: list[dict] = []
     for config, alphas in zip(m.configs, pairings):
         if not config.nef:
             # Out of the catalog's parameter domain (negative twists).
             tried.append({"config": config.name, "skip": "E' not nef"})
             continue
-        if any(map(lt, levels, config.levels)):
+        if alphas is None:
             tried.append({"config": config.name, "skip": "E = D - E' not nef"})
             continue
         cert = config.certificate(bound)

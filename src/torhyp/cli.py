@@ -335,8 +335,7 @@ def _run(argv) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "bound", 1) < 1:
-            raise CliError(f"the Markov bound must be at least 1, got {args.bound}")
+        _ti.check_bound(getattr(args, "bound", 1))
         if args.verb == "sweep":
             return cmd_sweep(args)
         out = args.fn(args)

@@ -137,6 +137,22 @@ def _connected_under(points: Sequence[Vec], deltas: Sequence[Vec]) -> bool:
     return not unseen
 
 
+def check_bound(bound: int) -> None:
+    """Refuse a Markov bound below one, which would certify nothing."""
+    if bound < 1:
+        raise ValueError(f"the Markov bound must be at least 1, got {bound}")
+
+
+def _check_degree_budget(fan: Fan, bound: int) -> None:
+    """Refuse a bound whose C(bound + r, r) vectors exceed the lattice scan
+    budget, before any enumeration."""
+    r = fan.nrays
+    if comb(bound + r, r) > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
+        )
+
+
 def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec]]:
     """Distinct images of nonnegative vectors with coordinate sum <= bound,
     packed as integers in ascending order, with the decoder of a packed
@@ -151,12 +167,9 @@ def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec
     integer sums.  There are C(bound + r, r) such vectors; past the
     lattice scan budget the enumeration is refused before it starts.
     """
+    _check_degree_budget(fan, bound)
     b = gale_matrix(fan)
     r = fan.nrays
-    if comb(bound + r, r) > LATTICE_SCAN_GUARD:
-        raise EnumerationGuardError(
-            f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
-        )
     radix = 2 * bound * max(map(abs, b.entries)) + 1
 
     def unpack(x: int) -> Vec:
@@ -175,6 +188,13 @@ def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec
         level = {t + c for t in level for c in cols}
         images |= level
     return sorted(images), unpack
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _degree_image_count(fan: Fan, bound: int) -> int:
+    """The number of fibers up to the bound, the count of _degree_images,
+    which a Markov set's certificate reports without searching them."""
+    return len(_degree_images(fan, bound)[0])
 
 
 def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
@@ -364,8 +384,7 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
     and fans whose reference set is not proven.  A bound below one would
     certify nothing, so it is rejected.
     """
-    if bound < 1:
-        raise ValueError(f"the Markov bound must be at least 1, got {bound}")
+    check_bound(bound)
     b = gale_matrix(fan)
     moves = []
     for mv in candidate:
@@ -377,10 +396,10 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
             raise ValueError(f"candidate move {mv} is not in the kernel of the class map")
         if any(mv):
             moves.append(mv)
-    images = _degree_images(fan, bound)
+    _check_degree_budget(fan, bound)
     if _is_markov(fan, moves):
-        return FiberCertificate(bound, len(images[0]), True)
-    return _bounded_search(fan, moves, images, bound)
+        return FiberCertificate(bound, _degree_image_count(fan, bound), True)
+    return _bounded_search(fan, moves, _degree_images(fan, bound), bound)
 
 
 def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
@@ -419,15 +438,14 @@ def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> 
     under its pair guard and verified; past that guard
     EnumerationGuardError is raised.
     """
-    if bound < 1:
-        raise ValueError(f"the Markov bound must be at least 1, got {bound}")
+    check_bound(bound)
     fan = eprime.fan
     proven = _proven_candidate(fan)
     if proven is not None and all(
         has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
         for m in proven
     ):
-        return FiberCertificate(bound, len(_degree_images(fan, bound)[0]), True)
+        return FiberCertificate(bound, _degree_image_count(fan, bound), True)
     return markov_verify(fan, section_difference_moves(eprime), bound)
 
 

@@ -6,9 +6,12 @@ faces degenerate and the defect cells lie), on a seeded sample of the other
 cells, on cells of every criterion-6 member with coordinates of 10^6, 10^12
 and 10^40 (the generated evaluator has no width limit), and on members off
 the grid, where a listed nef generator is not nef or the parameter lies
-past the grid.
+past the grid.  A Markov bound below one is refused on every cell, the
+nef refusal comes before the evaluator's early returns, and the
+evaluators' total size stays under a fixed ceiling.
 """
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -18,10 +21,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from torhyp.classify import _epsilon, _sum_source, compiled_member, derive_verdict, table_lookup
-from torhyp.fans import CASE_IDS, FamilySpec
+from torhyp.classify import (
+    _epsilon,
+    _sum_source,
+    boundary_genus_profile,
+    compiled_member,
+    derive_verdict,
+    surface_divisor,
+    sweep,
+    table_lookup,
+)
+from torhyp.divisors import is_nef
+from torhyp.fans import CASE_IDS, FamilySpec, build_family_fan
 
-from oracles import reference_verdict
+from oracles import low_genus_entry, reference_verdict
 from test_acceptance import BOUND, SWEEP_GRIDS
 
 OFF_GRID = {
@@ -126,3 +139,61 @@ def test_table_memo_stays_within_the_value_classes():
             table = compiled_member(spec).table
             bound = prod(len(set(index)) for index in table.index)
             assert len(table.memo) <= bound <= 13 ** len(table.index), (spec, len(table.memo))
+
+
+def test_bound_below_one_is_refused_on_every_cell():
+    # Early cells never reach a certificate, yet the bound is refused
+    # there as on a cell that does, by derive_verdict and by sweep.
+    spec = FamilySpec.make("2.0.1", l=1)
+    assert [derive_verdict(spec, c, 1).outcome for c in [(0, 0), (1, 1), (5, 5)]] == [
+        "NotHyperbolic", "NotHyperbolic", "Hyperbolic"
+    ]
+    for bound in (0, -2):
+        message = f"the Markov bound must be at least 1, got {bound}"
+        for coeffs in [(0, 0), (1, 1), (5, 5)]:
+            with pytest.raises(ValueError, match=message):
+                derive_verdict(spec, coeffs, bound)
+        with pytest.raises(ValueError, match=message):
+            next(sweep(spec, range(2), bound))
+
+
+def test_nef_refusal_precedes_the_early_return(monkeypatch):
+    # Off the domain the evaluator tests nefness before the boundary: cells
+    # that are not nef and, read through the boundary formulas regardless,
+    # not big or with a low-genus face are refused, never answered.
+    import torhyp.classify as classify
+
+    early = []
+    for case, params in [(c, p) for c, ps in OFF_GRID.items() if c.startswith("3.1") for p in ps]:
+        spec = FamilySpec.make(case, **params)
+        fan = build_family_fan(spec)
+        for coeffs in cells(case):
+            d = surface_divisor(fan, coeffs)
+            if not any(coeffs) or is_nef(d):
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(classify, "is_nef", lambda d: True)
+                profile = boundary_genus_profile(d)
+            if not profile["big"] or low_genus_entry(profile) is not None:
+                early.append((spec, coeffs))
+    assert early
+    refusal = ("ValueError", "boundary profiles assume a nef divisor")
+    for spec, coeffs in early:
+        assert outcome(reference_verdict, spec, coeffs, BOUND) == refusal
+        assert outcome(derive_verdict, spec, coeffs, BOUND) == refusal, (spec, coeffs)
+
+
+# AST nodes of the 186 criterion-6 evaluators together.  The evaluators
+# that also build the boundary document and return early came to 138,770
+# when this ceiling was set (those returning only the numbers: 73,992);
+# compiling them is a cost paid once per member and process.
+EVALUATOR_NODE_CEILING = 139_000
+
+
+def test_generated_evaluators_stay_compact():
+    total = sum(
+        sum(1 for _ in ast.walk(ast.parse(compiled_member(FamilySpec.make(case, **p)).source)))
+        for case in CASE_IDS
+        for p in SWEEP_GRIDS[case]
+    )
+    assert total < EVALUATOR_NODE_CEILING
