@@ -14,10 +14,10 @@ block is read with the parameter rows built and every row condition
 resolved, into bit masks indexed by coordinate value, and the outcome of
 each row mask met is kept.  Its verdict numbers become integer forms in
 the cell's nef coordinates c, read from the intersection matrix of each
-nef generator: D^3 is a cubic form, D^2.D_rho a quadratic form per ray,
-the face degrees, the pairings and the primitive-collection levels of D
-are linear forms, and the nef tests of D + K and D - E' compare levels
-with constants.  The forms are written out, zero terms dropped, each
+nef generator: D^2.D_rho is a quadratic form per ray, D^3 sums those
+times D's ray coefficients, the face degrees, the pairings and the
+primitive-collection levels of D are linear forms, and the nef tests of
+D + K and D - E' compare levels with constants.  The forms are written out, zero terms dropped, each
 shared form once and no test whose outcome is fixed on every cell, as
 the source of one integer function of c, executed once where it can read
 no global or builtin name, so every number is exact for integers of any
@@ -249,8 +249,8 @@ class Verdict(NamedTuple):
 
 # Compiled members.  On one family member every number the verdict reads is
 # a small integer polynomial in the cell's nef coordinates c, D = sum c_a N_a
-# (Fulton, Introduction to Toric Varieties, 5.2): D^3 is a cubic form,
-# D^2.D_rho a quadratic form over the monomials c_a c_b, and D.D_rho.D_k,
+# (Fulton, Introduction to Toric Varieties, 5.2): D^2.D_rho is a quadratic
+# form over the monomials c_a c_b, D^3 = D^2.D reads those, and D.D_rho.D_k,
 # the primitive-collection levels of D, the degrees and the pairings of a
 # configuration are linear forms.  Their coefficients come from the
 # intersection matrix of each nef generator, once per member, and are
@@ -306,7 +306,7 @@ def _positive(terms: Form, pure: set[str]) -> bool:
 def _evaluator_source(
     r: int,
     labels: Sequence[str],
-    cube: Form,
+    nef: Sequence[Sequence[int]],
     squares: Sequence[Form],
     offs: Sequence[Form],
     levels: Sequence[Form],
@@ -317,7 +317,8 @@ def _evaluator_source(
     guard: bool,
 ) -> str:
     """Source of ``numbers(c0, c1[, c2])`` (see ``CompiledMember``) from a
-    member's forms over the monomials q<a><b> = c_a c_b.
+    member's forms over the monomials q<a><b> = c_a c_b and the ray
+    coefficients of its nef generators N_a.
 
     The face of rho is 2-dimensional iff D^2.D_rho > 0, else a segment iff
     its off-diagonal sum is nonzero (a nef D meets each curve D_rho.D_k
@@ -352,7 +353,9 @@ def _evaluator_source(
 
     sq = [value(f"s{rho}", _sum_source(f)) for rho, f in enumerate(squares)]
     of = [value(f"o{rho}", _sum_source(f)) for rho, f in enumerate(offs)]
-    local[f"{_sum_source(cube)} > 0"] = "big"
+    # D^3 = sum over a and rho of c_a N_a[rho] D^2.D_rho.
+    volume = [(k, f"{ca}*{s}") for ca, x in zip(cs, nef) for k, s in zip(x, sq) if s != "0"]
+    local[f"{_sum_source(volume)} > 0"] = "big"
     linear = set(cs)
     entries, tests, seen = [], [], set()
     for rho, (label, s, o) in enumerate(zip(labels, sq, of)):
@@ -580,14 +583,6 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     def form(x: Sequence[int], rho: int) -> list[tuple[int, str]]:
         return [(_dot(x, m[rho]), ca) for m, ca in zip(mats, cs)]
 
-    # N_a.N_b.N_c = sum over rho of N_c's coefficient times N_a.N_b.D_rho,
-    # times the number of distinct orders of (a, b, c).
-    cube = [
-        ((1 if a == c else 3 if a == b or b == c else 6) * _dot(gens[c].coeffs, triple[a][b]),
-         f"q{a}{b}*c{c}")
-        for a, b in pairs
-        for c in range(b, r)
-    ]
     squares = [
         [((1 if a == b else 2) * triple[a][b][rho], f"q{a}{b}") for a, b in pairs]
         for rho in range(fan.nrays)
@@ -610,7 +605,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         floor = [collection_level(c, eprime.coeffs) for c in fan.collections]
         config_forms.append(([form(k_minus, j) for j in eff], floor))
     source = _evaluator_source(
-        r, fan.ray_labels, cube, squares, offs, levels,
+        r, fan.ray_labels, [g.coeffs for g in gens], squares, offs, levels,
         [-collection_level(c, canonical) for c in fan.collections],
         [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
     )

@@ -4,12 +4,17 @@ A family is selected by a case id (a key of ``catalog.CASES``) together
 with its integer parameters.  Rays are primitive integer 3-vectors, maximal
 cones are 3-element ray index sets, and primitive collections (the minimal
 ray sets not spanning a cone) are stored with their exact positive relations.
+
+Every fan is built by ``generic_fan``, which checks it exactly
+(``verify_smooth_complete``) and recomputes its collections; a family's
+cones are the ray triples that hold none of its stored collections.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
@@ -120,29 +125,52 @@ class Fan(NamedTuple):
 def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
     """The failures of the smoothness and completeness checks, spelled out:
     a ray that is not primitive or lies in no maximal cone, a cone of |det|
-    other than 1, a 2-face in other than two maximal cones, or no maximal
-    cones; empty when none."""
+    other than 1, a 2-face in other than two maximal cones or with both on
+    one side, a point inside the first cone that another cone holds, or no
+    maximal cones; empty when none.
+
+    The test is exact.  Let every cone be unimodular and every 2-face
+    {i, j} lie in two cones with apexes a, b on opposite sides (det(u_i,
+    u_j, u_a) and det(u_i, u_j, u_b) of opposite signs).  Crossing a 2-face
+    then leaves one cone and enters the other, so off the 2-faces every
+    point lies in the same number k of cones.  The sum of the first cone's
+    rays lies inside it, so k = 1 when no other closed cone holds it.  By
+    the same count the cones at a ray cover a neighbourhood of it, so no
+    ray lies in a cone without it; cones that cover space once and hold no
+    ray but their own meet in common faces, so they form a fan.
+    """
     failures: list[str] = []
-    used = {i for cone in fan.max_cones for i in cone}
-    for i, u in enumerate(fan.rays):
+    rays, cones = fan.rays, fan.max_cones
+    used = {i for cone in cones for i in cone}
+    for i, u in enumerate(rays):
         if gcd(*u) != 1:
             failures.append(f"ray {i} is not primitive")
         if i not in used:
             failures.append(f"ray {i} lies in no maximal cone")
-    for cone in fan.max_cones:
-        det = IntMat.from_rows(fan.rays[i] for i in cone).det()
-        if abs(det) != 1:
-            failures.append(f"cone {cone} has |det| = {abs(det)}")
-    incidence: dict[tuple[int, int], int] = {}
-    for cone in fan.max_cones:
-        s = sorted(cone)
-        for pair in ((s[0], s[1]), (s[0], s[2]), (s[1], s[2])):
-            incidence[pair] = incidence.get(pair, 0) + 1
-    for pair, count in sorted(incidence.items()):
-        if count != 2:
-            failures.append(f"2-face {pair} lies in {count} maximal cones")
-    if not fan.max_cones:
+    # Per 2-face {i, j}, the side of each maximal cone on it: the sign of
+    # det(u_i, u_j, u_apex), the apex being the cone's third ray, which is
+    # det(u_a, u_b, u_c) for the sorted cone up to the permutation's sign.
+    sides: dict[tuple[int, int], list[int]] = {}
+    dets = []
+    for cone in cones:
+        a, b, c = sorted(cone)
+        d = IntMat.from_rows((rays[a], rays[b], rays[c])).det()
+        for pair, side in (((a, b), d), ((a, c), -d), ((b, c), d)):
+            sides.setdefault(pair, []).append(side)
+        dets.append(d)
+    failures += [f"cone {c} has |det| = {abs(d)}" for c, d in zip(cones, dets) if abs(d) != 1]
+    for pair, signs in sorted(sides.items()):
+        if len(signs) != 2:
+            failures.append(f"2-face {pair} lies in {len(signs)} maximal cones")
+        elif signs[0] * signs[1] > 0:
+            failures.append(f"2-face {pair} has both its cones on one side")
+    if not cones:
         failures.append("fan has no maximal cones")
+    elif all(abs(d) == 1 for d in dets):
+        point = tuple(sum(rays[i][k] for i in cones[0]) for k in range(3))
+        hits = sum(min(cone_coordinates(fan, cone, point)[0]) >= 0 for cone in cones)
+        if hits != 1:
+            failures.append(f"point {point} inside cone {cones[0]} lies in {hits} maximal cones")
     return tuple(failures)
 
 
@@ -172,65 +200,30 @@ def find_containing_cone(fan: Fan, u: Sequence[int]):
 def cones_from_collections(
     rays: Sequence[Vec3], collections: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, int, int], ...]:
-    """Maximal cones = 3-subsets of rays containing no collection.
-
-    The result is checked for smoothness and completeness; inconsistent
-    input raises FanGeometryError.
-    """
-    from itertools import combinations
-
+    """Maximal cones = 3-subsets of rays containing no collection."""
     csets = [frozenset(c) for c in collections]
-    cones = tuple(
+    return tuple(
         trip
         for trip in combinations(range(len(rays)), 3)
         if not any(c <= frozenset(trip) for c in csets)
     )
-    fan = Fan(tuple(tuple(u) for u in rays), cones, tuple(f"D_{i+1}" for i in range(len(rays))))
-    _check_geometry(fan)
-    return cones
-
-
-def _check_geometry(fan: Fan) -> None:
-    """Raise FanGeometryError unless the fan is smooth and complete.
-
-    verify_smooth_complete counts cones per 2-face, which a fan that covers
-    space twice also passes, so generic probe points must each lie in
-    exactly one maximal cone (each unimodular by then, so nonsingular).
-    """
-    failures = verify_smooth_complete(fan)
-    if failures:
-        raise FanGeometryError("; ".join(failures))
-    probes = [(97, 61, 31), (-89, 53, -29), (41, -103, 67), (-59, -71, -113), (13, 37, 101)]
-    for p in probes:
-        hits = 0
-        boundary = False
-        for cone in fan.max_cones:
-            nums, _ = cone_coordinates(fan, cone, p)
-            if all(n > 0 for n in nums):
-                hits += 1
-            elif all(n >= 0 for n in nums):
-                boundary = True
-        if boundary:
-            continue
-        if hits != 1:
-            raise FanGeometryError(f"probe point {p} lies in {hits} cone interiors")
 
 
 def minimal_nonfaces(fan: Fan) -> set[frozenset[int]]:
     """Recompute primitive collections as minimal non-faces of the cone complex.
 
     Every proper subset of a minimal non-face is a cone of at most three
-    rays, so no minimal non-face has more than four.
+    rays, so no minimal non-face has more than four.  A four-ray one has
+    all four of its triples as cones; those close a sphere, which in a
+    smooth complete fan is the whole fan, so it occurs only on four rays.
     """
-    from itertools import combinations
-
     faces = set()
     for cone in fan.max_cones:
         for k in range(1, 4):
             for sub in combinations(sorted(cone), k):
                 faces.add(frozenset(sub))
     nonfaces = []
-    for k in range(2, min(fan.nrays, 4) + 1):
+    for k in range(2, (4 if fan.nrays == 4 else min(fan.nrays, 3)) + 1):
         for sub in combinations(range(fan.nrays), k):
             s = frozenset(sub)
             if s in faces:
@@ -284,27 +277,27 @@ def family_record(fan: Fan) -> tuple[Case, dict[str, int]]:
 def build_family_fan(spec: FamilySpec) -> Fan:
     """Construct and validate the fan of a classified family.
 
-    Primitive collections are part of the stored classification data; the
-    reconstruction of the maximal cones from them, plus the recomputation of
-    minimal non-faces, serves as the consistency check.  Parameters are
-    validated first, so geometry that fails past that point is corrupt
-    catalog data and raises InternalInconsistencyError.
+    Primitive collections are part of the stored classification data: the
+    maximal cones are the ray triples holding none of them, and
+    ``generic_fan`` checks that fan and recomputes its minimal non-faces,
+    which must be the stored collections (kept in their stored order).
+    Parameters are validated first, so geometry that fails past that point
+    is corrupt catalog data and raises InternalInconsistencyError.
     """
     spec.validate()
     record = CASES[spec.case_id]
-    rays, labels, colls = tuple(record.rays(**spec.as_dict())), record.labels, record.collections
+    rays, colls = tuple(record.rays(**spec.as_dict())), record.collections
     try:
-        cones = cones_from_collections(rays, colls)
-        fan = Fan(rays, cones, labels, family=spec)
-        filled = tuple(primitive_relation(fan, c) for c in colls)
+        fan = generic_fan(rays, cones_from_collections(rays, colls), record.labels)
     except FanGeometryError as exc:
         raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from exc
-    fan = Fan(rays, cones, labels, collections=filled, family=spec)
-    if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
+    by_rays = {c.rays: c for c in fan.collections}
+    stored = [tuple(sorted(c)) for c in colls]
+    if set(by_rays) != set(stored):
         raise InternalInconsistencyError(
             f"case {spec.case_id}: stored collections disagree with recomputed minimal non-faces"
         )
-    return fan
+    return fan._replace(collections=tuple(by_rays[c] for c in stored), family=spec)
 
 
 def family_fan(case_id: str, **params: int) -> Fan:
@@ -313,7 +306,9 @@ def family_fan(case_id: str, **params: int) -> Fan:
 
 def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> Fan:
-    """Fan from raw data; collections are recomputed, a non-integer entry is a ValueError."""
+    """Fan from raw data, checked by ``verify_smooth_complete`` (a failure
+    is a FanGeometryError); collections are recomputed, a non-integer entry
+    is a ValueError."""
     try:
         rays_t = tuple(tuple(map(index, u)) for u in rays)
         cones_t = tuple(tuple(sorted(map(index, c))) for c in max_cones)
@@ -322,11 +317,13 @@ def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]
     if labels is None:
         labels = [f"D_{i+1}" for i in range(len(rays_t))]
     fan = Fan(rays_t, cones_t, tuple(labels))
-    _check_geometry(fan)
+    failures = verify_smooth_complete(fan)
+    if failures:
+        raise FanGeometryError("; ".join(failures))
     colls = tuple(
         primitive_relation(fan, tuple(sorted(s))) for s in sorted(minimal_nonfaces(fan), key=sorted)
     )
-    return Fan(rays_t, cones_t, tuple(labels), collections=colls)
+    return fan._replace(collections=colls)
 
 
 def fan_to_json(fan: Fan) -> dict:

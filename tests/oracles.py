@@ -12,7 +12,8 @@ P(D1 + D2) from the vertices of P(D1) and P(D2), and
 ``pairwise_difference_moves`` embeds the difference of every point pair of
 P(E') on its own, as ``section_difference_moves`` did before it embedded
 each distinct difference once.  ``all_minimal_nonfaces`` tries ray sets of
-every size, where ``fans.minimal_nonfaces`` stops at four rays.
+every size, or of up to four rays on every fan, where
+``fans.minimal_nonfaces`` tries four-ray sets only on a fan of four rays.
 """
 
 from functools import lru_cache
@@ -253,13 +254,14 @@ def pairwise_difference_moves(eprime) -> tuple[Vec, ...]:
     return tuple(sorted(diffs))
 
 
-def all_minimal_nonfaces(fan) -> set[frozenset[int]]:
-    """Minimal non-faces of the cone complex among ray sets of every size."""
+def all_minimal_nonfaces(fan, largest: int | None = None) -> set[frozenset[int]]:
+    """Minimal non-faces of the cone complex among ray sets of every size,
+    or of at most ``largest`` rays."""
     faces = {frozenset(sub) for cone in fan.max_cones for k in (1, 2, 3)
              for sub in combinations(cone, k)}
     return {
         frozenset(sub)
-        for k in range(2, fan.nrays + 1)
+        for k in range(2, min(fan.nrays, largest or fan.nrays) + 1)
         for sub in combinations(range(fan.nrays), k)
         if frozenset(sub) not in faces
         and all(frozenset(t) in faces for t in combinations(sub, k - 1))

@@ -10,7 +10,7 @@ import pytest
 from torhyp.cli import main
 
 from test_classify import child_env
-from test_fans import UNUSED_RAY_FAN, p3_subdivision
+from test_fans import FOLDED_FAN, UNUSED_RAY_FAN, p3_subdivision
 
 
 def run(capsys, *argv):
@@ -593,9 +593,13 @@ def test_faces_on_a_described_fan_matches_the_case(tmp_path, capsys, member, gen
      {"case": "2.0.1", "params": {"l": 1.5}}, "got 1.5"),
     # Each 2-face lies in two cones, yet the one cone covers space twice.
     (["nef", "--D", '{"coeffs": {"D_1": 1}}'],
-     {"rays": P3_RAYS[:3], "max_cones": [[0, 1, 2], [0, 1, 2]]}, "lies in 2 cone interiors"),
+     {"rays": P3_RAYS[:3], "max_cones": [[0, 1, 2], [0, 1, 2]]}, "lies in 2 maximal cones"),
     # Every cone is fine, but a ray outside them all has no divisor.
     (["nef", "--D", '{"coeffs": {"D_5": -1}}'], UNUSED_RAY_FAN, "ray 4 lies in no maximal cone"),
+    # Every 2-face lies in two cones, but one cone folds back over another.
+    *[([verb, "--D", '{"coeffs": {"D_1": 1}}'], FOLDED_FAN,
+       "2-face (0, 1) has both its cones on one side")
+      for verb in ("nef", "polytope", "points", "faces")],
 ])
 def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
     # Each malformed input ends in one JSON error document with exit 1:
@@ -633,7 +637,7 @@ def test_faces_refuses_both_coeffs_and_d(capsys):
 
 def test_many_ray_fan_file_ends_quickly(tmp_path):
     # 24 rays: the minimal non-faces are found among the sets of at most
-    # four rays, not among all 2^24 ray sets.
+    # three rays, not among all 2^24 ray sets.
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(p3_subdivision(24)))
     proc = subprocess.run(

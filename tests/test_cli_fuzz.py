@@ -8,7 +8,8 @@ mix valid and invalid cases, parameters, divisors, bounds and ranges; the
 parameters are small or huge, never in between, so no run does real work
 for long.  A ``--fan`` file is missing or one of a few fixed documents,
 written once per module: a 24-ray smooth complete fan, a fan with a ray in
-no maximal cone and one with a repeated cone.  The settings are fixed, so
+no maximal cone, one with a repeated cone, one folded over itself and one
+cone listed twice.  The settings are fixed, so
 the examples are the same each run.
 """
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from torhyp.catalog import CASES
 from torhyp.cli import main
 
-from test_fans import UNUSED_RAY_FAN, p3_subdivision
+from test_fans import DUPLICATED_CONE_FAN, FOLDED_FAN, UNUSED_RAY_FAN, p3_subdivision
 
 HUGE = 10**30
 # Mostly small valid values, so that many runs get past argument checks.
@@ -44,6 +45,8 @@ FAN_DOCUMENTS = {
         "rays": UNUSED_RAY_FAN["rays"][:4],
         "max_cones": [*UNUSED_RAY_FAN["max_cones"], [0, 1, 2]],
     },
+    "folded.json": FOLDED_FAN,
+    "duplicated-cone.json": DUPLICATED_CONE_FAN,
 }
 
 

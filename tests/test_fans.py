@@ -14,6 +14,7 @@ from torhyp.fans import (
     family_fan,
     fan_from_json,
     fan_to_json,
+    generic_fan,
     is_splitting,
     minimal_nonfaces,
     primitive_relation,
@@ -40,6 +41,21 @@ ALL_SPECS = [(case, params) for case in CASE_IDS for params in PARAM_GRID[case]]
 UNUSED_RAY_FAN = {
     "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
     "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
+
+# P^3 with cone (0, 1, 2) replaced by the three cones around a new ray
+# (1, 1, -1), which lies inside cone (0, 1, 3): each 2-face lies in two
+# cones, but (0, 1, 3) and (0, 1, 4) sit on one side of 2-face (0, 1).
+FOLDED_FAN = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, -1]],
+    "max_cones": [[0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 0, 4]],
+}
+
+# One unimodular cone listed twice: each 2-face lies in two cones, and the
+# cones cover the octant twice.
+DUPLICATED_CONE_FAN = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "max_cones": [[0, 1, 2], [0, 1, 2]],
 }
 
 
@@ -111,6 +127,59 @@ def test_minimal_nonfaces_match_every_size(nrays):
     # P^3 itself has the four-ray collection; its blow-ups have two-ray ones.
     fan = fan_from_json(p3_subdivision(nrays))
     assert minimal_nonfaces(fan) == all_minimal_nonfaces(fan)
+
+
+@pytest.mark.parametrize("nrays", [4, 5, 6, 8, 12, 17, 24, 30])
+def test_minimal_nonfaces_match_four_ray_search(nrays):
+    # Only the four-ray fan is searched among four-ray sets.
+    fan = fan_from_json(p3_subdivision(nrays))
+    assert minimal_nonfaces(fan) == all_minimal_nonfaces(fan, largest=4)
+
+
+def fan_of(document: dict) -> Fan:
+    return Fan(tuple(map(tuple, document["rays"])), tuple(map(tuple, document["max_cones"])),
+               tuple(f"D_{i + 1}" for i in range(len(document["rays"]))))
+
+
+def test_folded_fan_refused():
+    failures = verify_smooth_complete(fan_of(FOLDED_FAN))
+    assert "2-face (0, 1) has both its cones on one side" in failures
+    with pytest.raises(FanGeometryError, match=r"2-face \(0, 1\) has both its cones on one side"):
+        fan_from_json(FOLDED_FAN)
+
+
+def test_duplicated_cone_refused():
+    failures = verify_smooth_complete(fan_of(DUPLICATED_CONE_FAN))
+    assert "point (1, 1, 1) inside cone (0, 1, 2) lies in 2 maximal cones" in failures
+    assert "2-face (0, 1) has both its cones on one side" in failures
+
+
+@pytest.mark.parametrize("case,params", [("2.0.1", {"l": 1}), ("3.0.1", {"r": 1, "a": 2, "b": 3}),
+                                         ("3.1.4", {"b1": 1, "b2": 0})])
+def test_mirrored_apex_refused(case, params):
+    # Negating one ray flips the side of every cone at it across the 2-face
+    # opposite the ray, while the cone on the other side stays put.
+    fan = family_fan(case, **params)
+    for a in range(fan.nrays):
+        rays = tuple(tuple(-x for x in u) if i == a else u for i, u in enumerate(fan.rays))
+        failures = verify_smooth_complete(fan._replace(rays=rays))
+        opposite = {tuple(i for i in cone if i != a) for cone in fan.max_cones if a in cone}
+        for pair in opposite:
+            assert f"2-face {pair} has both its cones on one side" in failures, (a, failures)
+
+
+def test_every_criterion_1_fan_is_smooth_complete():
+    from test_acceptance import PARAM_GRIDS, iter_specs
+
+    specs = list(iter_specs(PARAM_GRIDS))
+    assert len(specs) == 186
+    for spec in specs:
+        assert verify_smooth_complete(build_family_fan(spec)) == (), spec
+
+
+@pytest.mark.parametrize("nrays", [4, 5, 8, 16, 24, 32, 48])
+def test_p3_subdivisions_are_smooth_complete(nrays):
+    assert verify_smooth_complete(fan_of(p3_subdivision(nrays))) == ()
 
 
 def test_unused_ray_detected():
@@ -198,7 +267,7 @@ def test_nonsmooth_cone_detected():
 def test_cones_from_collections_rejects_garbage():
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]
     with pytest.raises(FanGeometryError):
-        cones_from_collections(rays, [(0, 1)])
+        generic_fan(rays, cones_from_collections(rays, [(0, 1)]))
 
 
 def test_primitive_relation_rejects_incomplete():
