@@ -9,35 +9,14 @@ at most one (or a degenerate surface class), and everything else is Open.
 The reference tables record the sharper published classification; the
 comparator only demands that the two never contradict each other.
 
-Each family member is compiled once (``compiled_member``).  Its table
-block is read with the parameter rows built and every row condition
-resolved, into bit masks indexed by coordinate value, and the outcome of
-each row mask met is kept.  Its verdict numbers become integer forms in
-the cell's nef coordinates c, read from the intersection matrix of each
-nef generator: D^2.D_rho is a quadratic form per ray, D^3 sums those
-times D's ray coefficients, the face degrees, the pairings and the
-primitive-collection levels of D are linear forms, and the nef tests of
-D + K and D - E' compare levels with constants.  The forms are written out, zero terms dropped, each
-shared form once and no test whose outcome is fixed on every cell, as
-the source of one integer function of c, executed once where it can read
-no global or builtin name, so every number is exact for integers of any
-size.  That function builds the boundary document (face dimension and
-interior count per ray) and finds the first ray whose face carries a
-curve of genus at most one; it returns there, before the degrees and
-pairings, when D is not big, has such a ray, or D + K is not nef.  What
-holds for every cell (independent generator classes, nef generators, an
-ample reference class) is proven there once, and each configuration's
-connected-sections certificate is decided once
-(``toric_ideal.section_certificate``: an existence scan per proven move,
-the guarded difference set only when one fails).  So a cell costs one
-call of that function, a bit-mask match of the rows and, past the
-boundary and adjoint tests, a loop over the configurations with, for a
-Hyperbolic cell, an integer comparison of ratios for epsilon.
-``boundary_genus_profile`` and ``positivity_certificate`` compute the
-same numbers for any divisor from its own intersection matrix, as the
-verdict's ``boundary`` and ``positivity`` documents, and are the oracles
-of the forms.  Cells outside every block of their case (negative
-parameters of the five-collection cases, for instance) are Unlisted.
+Each family member is compiled once (``compiled_member``): its table
+block into bit masks (``CompiledTable``) and its verdict numbers into one
+generated integer function of the cell's nef coordinates
+(``_evaluator_source``), whose nef tests of D + K and D - E' read the
+levels of D on the wall curves (``fans.walls``).  ``boundary_genus_profile``
+and ``positivity_certificate`` compute the same numbers for any divisor
+and are the oracles of the forms.  Cells outside every block of their
+case (negative parameters of the five-collection cases) are Unlisted.
 """
 
 from __future__ import annotations
@@ -55,12 +34,12 @@ from .divisors import (
     canonical_divisor,
     character,
     class_of,
-    collection_level,
     divisor,
     is_ample,
     is_nef,
     nef_combination,
     nef_generators,
+    wall_degrees,
 )
 from .fans import (
     FAN_CACHE_SIZE,
@@ -251,8 +230,8 @@ class Verdict(NamedTuple):
 # a small integer polynomial in the cell's nef coordinates c, D = sum c_a N_a
 # (Fulton, Introduction to Toric Varieties, 5.2): D^2.D_rho is a quadratic
 # form over the monomials c_a c_b, D^3 = D^2.D reads those, and D.D_rho.D_k,
-# the primitive-collection levels of D, the degrees and the pairings of a
-# configuration are linear forms.  Their coefficients come from the
+# the levels D.V of D on the wall curves V, the degrees and the pairings of
+# a configuration are linear forms.  Their coefficients come from the
 # intersection matrix of each nef generator, once per member, and are
 # written out as the source of one straight-line function of c.
 
@@ -521,14 +500,11 @@ class CompiledMember(NamedTuple):
     ``numbers(c0, c1[, c2])`` is an integer function of the cell,
     generated from the member's forms (``_evaluator_source``; ``source``
     keeps its text).  It returns None when a listed generator is not nef
-    and D is not either (the level of D on some primitive collection is
-    negative).  Otherwise it returns (boundary, low, degrees, pairings):
-    the ``boundary`` document that ``boundary_genus_profile`` gives, with
-    the face of each ray from D^2.D_rho and the off-diagonal sum
-    sum(D.D_rho.D_k, k != rho); ``low``, the index of the first ray whose
-    face carries a curve of genus at most one; and, only when D is big,
-    has no such ray and D + K is nef (each level P at least -level(K, P)),
-    the degrees H.D.F_j over the effective generators F_j and per
+    and D is not either (D.V < 0 on some wall curve V).  Otherwise it
+    returns (boundary, low, degrees, pairings): the ``boundary`` document
+    that ``boundary_genus_profile`` gives; ``low``, the index of the first
+    ray whose face carries a curve of genus at most one; and, only when D
+    is big, has no such ray and D + K is nef, the degrees H.D.F_j over the effective generators F_j and per
     configuration the pairings (E + K).D.F_j = D^2.F_j + (K - E').D.F_j,
     None for a configuration whose E' or D - E' is not nef.  Where it
     returns early the degrees and pairings are None.
@@ -588,8 +564,25 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         for rho in range(fan.nrays)
     ]
     offs = [[(sum(m[rho]) - m[rho][rho], ca) for m, ca in zip(mats, cs)] for rho in range(fan.nrays)]
-    levels = [[(collection_level(coll, g.coeffs), ca) for g, ca in zip(gens, cs)]
-              for coll in fan.collections]
+    # The level D.V of D on a wall curve V is the form f = (N_a.V)_a in c.
+    # Walls of one form are one curve class (the generator classes are a
+    # basis), so each distinct form is tested once, against the floor X.V
+    # (X = -K or E') of its first wall.  When every unit form occurs, on
+    # curves V_a, a form f >= 0 is the class sum f_a V_a, so X.V =
+    # sum f_a X.V_a and the unit tests c_a >= X.V_a imply f(c) >= X.V:
+    # only the units and the signed forms are kept.
+    first: dict[tuple[int, ...], int] = {}
+    for w, f in enumerate(zip(*(wall_degrees(fan, g.coeffs) for g in gens))):
+        first.setdefault(f, w)
+    units = {tuple(int(a == b) for b in range(r)) for a in range(r)}
+    every_unit = units <= first.keys()
+    kept = [(f, w) for f, w in first.items() if not every_unit or f in units or min(f) < 0]
+
+    def floor(x: Sequence[int]) -> list[int]:
+        degrees = wall_degrees(fan, x)
+        return [degrees[w] for _, w in kept]
+
+    levels = [list(zip(f, cs)) for f, _ in kept]
     eff = [fan.label_index(lab) for lab in record.eff(**params)]
     canonical = canonical_divisor(fan).coeffs
     # Per configuration: None where E' is not nef, else its (K - E').D.F_j
@@ -602,11 +595,10 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
             config_forms.append(None)
             continue
         k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
-        floor = [collection_level(c, eprime.coeffs) for c in fan.collections]
-        config_forms.append(([form(k_minus, j) for j in eff], floor))
+        config_forms.append(([form(k_minus, j) for j in eff], floor(eprime.coeffs)))
     source = _evaluator_source(
         r, fan.ray_labels, [g.coeffs for g in gens], squares, offs, levels,
-        [-collection_level(c, canonical) for c in fan.collections],
+        [-k for k in floor(canonical)],
         [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
     )
     return CompiledMember(

@@ -122,7 +122,7 @@ def cmd_describe(args) -> dict:
     ref = record.canonical(**params)
     out = {
         "fan": _fans.fan_to_json(fan),
-        "splitting": _fans.is_splitting(fan.collections),
+        "splitting": _fans.is_splitting(record.collections),
         "picard": {
             "rank": basis.rank,
             "basis": list(basis.labels()),
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    verb("describe", cmd_describe, help="rays, cones, collections, cones and canonical data")
+    verb("describe", cmd_describe,
+         help="rays, cones, collections, Picard basis, nef and effective generators, canonical class")
     p = verb("nef", cmd_nef, help="nef/ample/big tests for a divisor")
     p.add_argument("--D", required=True, help='divisor JSON, e.g. {"coeffs": {"D_2": 1}}')
     p = verb("polytope", cmd_polytope, help="H-representation, vertices, points, volume")

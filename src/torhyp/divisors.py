@@ -6,7 +6,8 @@ Z^3 maps to the principal divisors m -> (<m, u_rho>)_rho.  On a catalog fan
 Pic is free of rank 2 or 3, and a class is the tuple of its coordinates in
 the case's basis of ray divisors, read through the stored class map B,
 which ``picard_basis`` proves exact.  On any fan, ``character`` tests for
-the zero class by solving for m.
+the zero class by solving for m, and nef and ample read the wall curves
+(``fans.walls``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .fans import (
     FAN_CACHE_SIZE,
     Fan,
     InternalInconsistencyError,
-    PrimitiveCollection,
     family_record,
     json_int,
+    walls,
 )
 from .intlin import IntMat, solve_3x3, solve_exact
 
@@ -93,34 +94,23 @@ def ray_divisor(fan: Fan, label: str) -> TDivisor:
 
 
 def is_nef(d: TDivisor) -> bool:
-    """Nef test: one inequality per primitive collection.
-
-    For a collection P with relation sum(u_P) = sum(c_s u_s) the divisor is
-    nef iff sum(a_rho, rho in P) >= sum(c_s a_s), for every collection.
-    """
-    return _positivity(d, strict=False)
+    """D.V(tau) >= 0 on the curve of every wall tau; these curves span the
+    Mori cone of any complete toric variety, so the test is exact on every
+    fan, projective or not."""
+    return min(wall_degrees(d.fan, d.coeffs)) >= 0
 
 
 def is_ample(d: TDivisor) -> bool:
-    return _positivity(d, strict=True)
+    """Ample test (toric Kleiman criterion): D.V(tau) > 0 on every wall;
+    no divisor passes on a fan that is not projective."""
+    return min(wall_degrees(d.fan, d.coeffs)) > 0
 
 
-def _positivity(d: TDivisor, strict: bool) -> bool:
-    if not d.fan.collections:
-        raise ValueError("fan carries no primitive collections")
-    for coll in d.fan.collections:
-        level = collection_level(coll, d.coeffs)
-        if level < 0 or (strict and level == 0):
-            return False
-    return True
-
-
-def collection_level(coll: PrimitiveCollection, coeffs: Sequence[int]) -> int:
-    """sum(a_rho, rho in P) - sum(c_s a_s): the degree of the divisor on the
-    curve class of the primitive relation of P, linear in the coefficients."""
-    return sum(coeffs[i] for i in coll.rays) - sum(
-        c * coeffs[i] for i, c in zip(coll.relation_cone, coll.relation_coeffs)
-    )
+def wall_degrees(fan: Fan, coeffs: Sequence[int]) -> list[int]:
+    """D.V(tau) = a_a + a_b + c_i a_i + c_j a_j over the walls tau of the
+    fan, in the order of ``fans.walls``; linear in the coefficients."""
+    return [coeffs[a] + coeffs[b] + ci * coeffs[i] + cj * coeffs[j]
+            for i, j, a, b, ci, cj in walls(fan)]
 
 
 def is_big(d: TDivisor) -> bool:

@@ -1,13 +1,14 @@
 """Fans of the nine classified toric threefold families.
 
 A family is selected by a case id (a key of ``catalog.CASES``) together
-with its integer parameters.  Rays are primitive integer 3-vectors, maximal
-cones are 3-element ray index sets, and primitive collections (the minimal
-ray sets not spanning a cone) are stored with their exact positive relations.
+with its integer parameters.  Rays are primitive integer 3-vectors and
+maximal cones are 3-element ray index sets.
 
 Every fan is built by ``generic_fan``, which checks it exactly
-(``verify_smooth_complete``) and recomputes its collections; a family's
-cones are the ray triples that hold none of its stored collections.
+(``verify_smooth_complete``); nef and ample read its wall relations
+(``walls``).  A family's cones are the ray triples that hold none of its
+stored primitive collections (the minimal ray sets not spanning a cone),
+which must be the fan's minimal non-faces (``build_family_fan``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import CASES, Case
-from .intlin import IntMat, solve_3x3
+from .intlin import solve_3x3
 
 Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
-# The size of every per-fan cache (fans, Picard bases, class maps, Markov
-# proofs, boundedness of normal sets, intersection tensors, compiled
-# members): one entry per family member in use; the criterion-1 grid has 186.
+# The size of every per-fan cache (fans, wall relations, Picard bases, class
+# maps, Markov proofs, boundedness of normal sets, intersection tensors,
+# compiled members): one entry per family member in use; the criterion-1
+# grid has 186.
 FAN_CACHE_SIZE = 256
 
 
@@ -83,27 +85,12 @@ class FamilySpec(NamedTuple):
                 raise ParameterError(violation)
 
 
-class PrimitiveCollection(NamedTuple):
-    """Minimal non-face of the fan together with its positive relation.
-
-    The ray sum u_{rho_1} + ... + u_{rho_k} equals
-    sum(c * u_sigma for sigma, c in zip(relation_cone, relation_coeffs))
-    with every coefficient strictly positive; both sides are empty exactly
-    when the ray sum is zero.
-    """
-
-    rays: tuple[int, ...]
-    relation_cone: tuple[int, ...] = ()
-    relation_coeffs: tuple[int, ...] = ()
-
-
 class Fan(NamedTuple):
     """Smooth complete fan in R^3 with labelled rays."""
 
     rays: tuple[Vec3, ...]
     max_cones: tuple[tuple[int, int, int], ...]
     ray_labels: tuple[str, ...]
-    collections: tuple[PrimitiveCollection, ...] = ()
     family: FamilySpec | None = None
 
     @property
@@ -122,12 +109,35 @@ class Fan(NamedTuple):
         raise KeyError(f"no ray labelled {label!r}")
 
 
+def _det(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
+    """det(u, v, w) of three integer 3-vectors (the rows)."""
+    return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def _two_faces(fan: Fan) -> tuple[list[int], dict[tuple[int, int], list[tuple[int, int]]]]:
+    """The determinant of each maximal cone, and per 2-face {i, j} the
+    (apex, side) of each maximal cone on it: the apex is the cone's third
+    ray and the side the sign of det(u_i, u_j, u_apex), which is
+    det(u_a, u_b, u_c) for the sorted cone up to the permutation's sign."""
+    rays = fan.rays
+    dets, faces = [], {}
+    for cone in fan.max_cones:
+        a, b, c = sorted(cone)
+        d = _det(rays[a], rays[b], rays[c])
+        for pair, apex, side in (((a, b), c, d), ((a, c), b, -d), ((b, c), a, d)):
+            faces.setdefault(pair, []).append((apex, side))
+        dets.append(d)
+    return dets, faces
+
+
 def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
     """The failures of the smoothness and completeness checks, spelled out:
-    a ray that is not primitive or lies in no maximal cone, a cone of |det|
-    other than 1, a 2-face in other than two maximal cones or with both on
-    one side, a point inside the first cone that another cone holds, or no
-    maximal cones; empty when none.
+    a ray that is not primitive or lies in no maximal cone, a cone that
+    repeats a ray (reported alone, as it has no three 2-faces), a cone of
+    |det| other than 1, a 2-face in other than two maximal cones or with
+    both on one side, a point inside the first cone that another cone
+    holds, or no maximal cones; empty when none.
 
     The test is exact.  Let every cone be unimodular and every 2-face
     {i, j} lie in two cones with apexes a, b on opposite sides (det(u_i,
@@ -147,22 +157,15 @@ def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
             failures.append(f"ray {i} is not primitive")
         if i not in used:
             failures.append(f"ray {i} lies in no maximal cone")
-    # Per 2-face {i, j}, the side of each maximal cone on it: the sign of
-    # det(u_i, u_j, u_apex), the apex being the cone's third ray, which is
-    # det(u_a, u_b, u_c) for the sorted cone up to the permutation's sign.
-    sides: dict[tuple[int, int], list[int]] = {}
-    dets = []
-    for cone in cones:
-        a, b, c = sorted(cone)
-        d = IntMat.from_rows((rays[a], rays[b], rays[c])).det()
-        for pair, side in (((a, b), d), ((a, c), -d), ((b, c), d)):
-            sides.setdefault(pair, []).append(side)
-        dets.append(d)
+    repeats = [f"cone {c} repeats a ray" for c in cones if len(set(c)) < 3]
+    if repeats:
+        return (*failures, *repeats)
+    dets, faces = _two_faces(fan)
     failures += [f"cone {c} has |det| = {abs(d)}" for c, d in zip(cones, dets) if abs(d) != 1]
-    for pair, signs in sorted(sides.items()):
-        if len(signs) != 2:
-            failures.append(f"2-face {pair} lies in {len(signs)} maximal cones")
-        elif signs[0] * signs[1] > 0:
+    for pair, sides in sorted(faces.items()):
+        if len(sides) != 2:
+            failures.append(f"2-face {pair} lies in {len(sides)} maximal cones")
+        elif sides[0][1] * sides[1][1] > 0:
             failures.append(f"2-face {pair} has both its cones on one side")
     if not cones:
         failures.append("fan has no maximal cones")
@@ -172,6 +175,26 @@ def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
         if hits != 1:
             failures.append(f"point {point} inside cone {cones[0]} lies in {hits} maximal cones")
     return tuple(failures)
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def walls(fan: Fan) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(i, j, a, b, c_i, c_j) per wall, the 2-face {i, j} with apexes a
+    and b, in sorted order, from u_a + u_b + c_i u_i + c_j u_j = 0.
+
+    The wall's curve meets D = sum a_rho D_rho in a_a + a_b + c_i a_i +
+    c_j a_j, and these curves span the Mori cone of any complete toric
+    variety (Cox, Little and Schenck, Toric Varieties, 6.3-6.4).  On a
+    smooth complete fan d = det(u_i, u_j, u_a) = +-1 and u_b lies across
+    the wall, so u_a + u_b = -c_i u_i - c_j u_j gives c_i, c_j by Cramer.
+    """
+    rays = fan.rays
+    out = []
+    for (i, j), ((a, d), (b, _)) in sorted(_two_faces(fan)[1].items()):
+        u, v, w = rays[i], rays[j], rays[a]
+        s = (w[0] + rays[b][0], w[1] + rays[b][1], w[2] + rays[b][2])
+        out.append((i, j, a, b, -d * _det(s, v, w), -d * _det(u, s, w)))
+    return tuple(out)
 
 
 def cone_coordinates(fan: Fan, cone: Sequence[int], u: Sequence[int]):
@@ -233,36 +256,39 @@ def minimal_nonfaces(fan: Fan) -> set[frozenset[int]]:
     return set(nonfaces)
 
 
-def primitive_relation(fan: Fan, rays: Sequence[int]) -> PrimitiveCollection:
-    """Fill in the positive relation of a primitive collection.
+def primitive_relation(fan: Fan, rays: Sequence[int]) -> dict:
+    """The positive relation of a primitive collection, as ``describe``
+    prints it: the ray sum u_{rho_1} + ... + u_{rho_k} over ``"rays"``
+    equals sum(c * u_sigma) over ``"relation_cone"`` and
+    ``"relation_coeffs"``, every c strictly positive; both lists are empty
+    exactly when the ray sum is zero.
 
     Finds the smallest cone containing the ray sum and its unique expansion
     there, which Cramer's rule gives exactly; a fractional coefficient
     (possible only on a cone that is not unimodular) is refused.
     """
-    idx = tuple(sorted(rays))
+    idx = sorted(rays)
     total = tuple(sum(fan.rays[i][k] for i in idx) for k in range(3))
     if total == (0, 0, 0):
-        return PrimitiveCollection(idx)
+        return {"rays": idx, "relation_cone": [], "relation_coeffs": []}
     hit = find_containing_cone(fan, total)
     if hit is None:
         raise FanGeometryError(f"ray sum {total} lies in no cone; fan not complete")
     cone, nums, den = hit
     support = [(i, n) for i, n in zip(cone, nums) if n]
     if any(n % den for _, n in support):
-        raise FanGeometryError(f"relation for {idx} has a fractional coefficient")
-    return PrimitiveCollection(
-        idx, tuple(i for i, _ in support), tuple(n // den for _, n in support)
-    )
+        raise FanGeometryError(f"relation for {tuple(idx)} has a fractional coefficient")
+    return {"rays": idx, "relation_cone": [i for i, _ in support],
+            "relation_coeffs": [n // den for _, n in support]}
 
 
-def is_splitting(collections: Sequence[PrimitiveCollection]) -> bool:
+def is_splitting(collections: Sequence[Sequence[int]]) -> bool:
     """True when no two primitive collections share a ray."""
     seen: set[int] = set()
     for c in collections:
-        if seen & set(c.rays):
+        if seen & set(c):
             return False
-        seen |= set(c.rays)
+        seen |= set(c)
     return True
 
 
@@ -278,11 +304,11 @@ def build_family_fan(spec: FamilySpec) -> Fan:
     """Construct and validate the fan of a classified family.
 
     Primitive collections are part of the stored classification data: the
-    maximal cones are the ray triples holding none of them, and
-    ``generic_fan`` checks that fan and recomputes its minimal non-faces,
-    which must be the stored collections (kept in their stored order).
-    Parameters are validated first, so geometry that fails past that point
-    is corrupt catalog data and raises InternalInconsistencyError.
+    maximal cones are the ray triples holding none of them, ``generic_fan``
+    checks that fan, and its minimal non-faces must be the stored
+    collections.  Parameters are validated first, so geometry that fails
+    past that point is corrupt catalog data and raises
+    InternalInconsistencyError.
     """
     spec.validate()
     record = CASES[spec.case_id]
@@ -291,13 +317,11 @@ def build_family_fan(spec: FamilySpec) -> Fan:
         fan = generic_fan(rays, cones_from_collections(rays, colls), record.labels)
     except FanGeometryError as exc:
         raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from exc
-    by_rays = {c.rays: c for c in fan.collections}
-    stored = [tuple(sorted(c)) for c in colls]
-    if set(by_rays) != set(stored):
+    if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
         raise InternalInconsistencyError(
             f"case {spec.case_id}: stored collections disagree with recomputed minimal non-faces"
         )
-    return fan._replace(collections=tuple(by_rays[c] for c in stored), family=spec)
+    return fan._replace(family=spec)
 
 
 def family_fan(case_id: str, **params: int) -> Fan:
@@ -307,8 +331,7 @@ def family_fan(case_id: str, **params: int) -> Fan:
 def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> Fan:
     """Fan from raw data, checked by ``verify_smooth_complete`` (a failure
-    is a FanGeometryError); collections are recomputed, a non-integer entry
-    is a ValueError."""
+    is a FanGeometryError); a non-integer entry is a ValueError."""
     try:
         rays_t = tuple(tuple(map(index, u)) for u in rays)
         cones_t = tuple(tuple(sorted(map(index, c))) for c in max_cones)
@@ -320,27 +343,20 @@ def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]
     failures = verify_smooth_complete(fan)
     if failures:
         raise FanGeometryError("; ".join(failures))
-    colls = tuple(
-        primitive_relation(fan, tuple(sorted(s))) for s in sorted(minimal_nonfaces(fan), key=sorted)
-    )
-    return fan._replace(collections=colls)
+    return fan
 
 
 def fan_to_json(fan: Fan) -> dict:
+    """Rays, cones and labels; a catalog fan adds its stored primitive
+    collections with their relations, its case and its parameters."""
     out: dict = {
         "rays": [list(u) for u in fan.rays],
         "max_cones": [list(c) for c in fan.max_cones],
         "ray_labels": list(fan.ray_labels),
-        "collections": [
-            {
-                "rays": list(c.rays),
-                "relation_cone": list(c.relation_cone),
-                "relation_coeffs": list(c.relation_coeffs),
-            }
-            for c in fan.collections
-        ],
     }
     if fan.family is not None:
+        colls = CASES[fan.family.case_id].collections
+        out["collections"] = [primitive_relation(fan, c) for c in colls]
         out["case"] = fan.family.case_id
         out["params"] = fan.family.as_dict()
     return out

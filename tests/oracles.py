@@ -14,6 +14,9 @@ P(E') on its own, as ``section_difference_moves`` did before it embedded
 each distinct difference once.  ``all_minimal_nonfaces`` tries ray sets of
 every size, or of up to four rays on every fan, where
 ``fans.minimal_nonfaces`` tries four-ray sets only on a fan of four rays.
+``collection_levels`` is Batyrev's nef and ample test on a projective fan,
+from the primitive collections and their relations, which
+``divisors.is_nef`` and ``is_ample`` used before they read the walls.
 """
 
 from functools import lru_cache
@@ -30,7 +33,7 @@ from torhyp.classify import (
     table_lookup,
 )
 from torhyp.divisors import ample_reference, canonical_divisor, divisor, is_nef
-from torhyp.fans import build_family_fan
+from torhyp.fans import build_family_fan, minimal_nonfaces, primitive_relation
 from torhyp.intlin import IntMat, Vec
 from torhyp.polytopes import HPolytope, _dot, lattice_points, offset_polytope, vertices
 from torhyp.toric_ideal import DEFAULT_MARKOV_BOUND, section_certificate
@@ -266,3 +269,20 @@ def all_minimal_nonfaces(fan, largest: int | None = None) -> set[frozenset[int]]
         if frozenset(sub) not in faces
         and all(frozenset(t) in faces for t in combinations(sub, k - 1))
     }
+
+
+def collection_relations(fan) -> list[dict]:
+    """The positive relation of every primitive collection of the fan."""
+    return [primitive_relation(fan, s) for s in sorted(minimal_nonfaces(fan), key=sorted)]
+
+
+def collection_levels(relations: list[dict], coeffs) -> list[int]:
+    """sum(a_rho, rho in P) - sum(c_s a_s) per primitive collection P with
+    relation sum(u_P) = sum(c_s u_s): the degree of D on the curve class of
+    the relation.  On a projective fan D is nef iff every level is >= 0 and
+    ample iff every level is > 0 (Batyrev)."""
+    return [
+        sum(coeffs[i] for i in rel["rays"])
+        - sum(c * coeffs[i] for i, c in zip(rel["relation_cone"], rel["relation_coeffs"]))
+        for rel in relations
+    ]

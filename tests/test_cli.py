@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from torhyp.cli import main
 
 from test_classify import child_env
-from test_fans import FOLDED_FAN, UNUSED_RAY_FAN, p3_subdivision
+from test_fans import FOLDED_FAN, REPEATED_RAY_FAN, TWISTED_FAN, UNUSED_RAY_FAN, p3_subdivision
 
 
 def run(capsys, *argv):
@@ -636,8 +637,8 @@ def test_faces_refuses_both_coeffs_and_d(capsys):
 
 
 def test_many_ray_fan_file_ends_quickly(tmp_path):
-    # 24 rays: the minimal non-faces are found among the sets of at most
-    # three rays, not among all 2^24 ray sets.
+    # 24 rays: nef and ample read the fan's 66 walls, and no ray set is
+    # searched.
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(p3_subdivision(24)))
     proc = subprocess.run(
@@ -647,6 +648,48 @@ def test_many_ray_fan_file_ends_quickly(tmp_path):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["nef"] is False
+
+
+def test_four_hundred_ray_fan_file_ends_within_a_second(tmp_path):
+    # A cold process checks the fan and reads its 1,194 walls: linear in
+    # the cones, where a search of ray pairs for primitive collections
+    # took seconds at 96 rays.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(p3_subdivision(400)))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "torhyp.cli", "nef", "--fan", str(path),
+         "--D", '{"coeffs": {"D_1": 1}}'],
+        capture_output=True, env=child_env(), text=True, timeout=10,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["nef"] is False
+    assert elapsed < 1, elapsed
+
+
+def test_cone_repeating_a_ray_is_named(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(REPEATED_RAY_FAN))
+    code, data = run_json(capsys, "nef", "--fan", str(path), "--D", '{"coeffs": {"D_1": 1}}')
+    assert code == 1
+    assert data == {"schema": "torhyp/1",
+                    "error": "ray 2 lies in no maximal cone; cone (0, 0, 1) repeats a ray"}
+
+
+def test_twisted_fan_has_no_ample_divisor(tmp_path, capsys):
+    # The fan is smooth and complete but not projective: nef divisors
+    # exist (-K among them), ample ones do not.
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(TWISTED_FAN))
+    rng = random.Random("twisted")
+    divisors = [{f"D_{i}": rng.randint(0, 2) for i in range(1, 8)} for _ in range(60)]
+    nef = []
+    for coeffs in [{f"D_{i}": 1 for i in range(1, 8)}, *divisors]:
+        code, data = run_json(capsys, "nef", "--fan", str(path), "--D", json.dumps({"coeffs": coeffs}))
+        assert code == 0 and data["ample"] is False, coeffs
+        nef.append(data["nef"])
+    assert nef[0] and 1 < sum(nef) < len(nef)
 
 
 def test_well_formed_fan_file_still_reads(tmp_path, capsys):

@@ -7,9 +7,10 @@ catalog is consistent, so any input that reaches it is misreported.  Inputs
 mix valid and invalid cases, parameters, divisors, bounds and ranges; the
 parameters are small or huge, never in between, so no run does real work
 for long.  A ``--fan`` file is missing or one of a few fixed documents,
-written once per module: a 24-ray smooth complete fan, a fan with a ray in
-no maximal cone, one with a repeated cone, one folded over itself and one
-cone listed twice.  The settings are fixed, so
+written once per module: a 24-ray smooth complete fan, Fulton's smooth
+complete fan that is not projective, a fan with a ray in no maximal cone,
+one with a repeated cone, one folded over itself and one cone listed
+twice.  The settings are fixed, so
 the examples are the same each run.
 """
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from torhyp.catalog import CASES
 from torhyp.cli import main
 
-from test_fans import DUPLICATED_CONE_FAN, FOLDED_FAN, UNUSED_RAY_FAN, p3_subdivision
+from test_fans import DUPLICATED_CONE_FAN, FOLDED_FAN, TWISTED_FAN, UNUSED_RAY_FAN, p3_subdivision
 
 HUGE = 10**30
 # Mostly small valid values, so that many runs get past argument checks.
@@ -40,6 +41,7 @@ BOUNDS = st.sampled_from(["1", "2", "2", "3", "3", "0", "-1"])
 OUTS = st.sampled_from(["csv", "json", "x"])
 FAN_DOCUMENTS = {
     "subdivision.json": p3_subdivision(24),
+    "twisted.json": TWISTED_FAN,
     "unused-ray.json": UNUSED_RAY_FAN,
     "repeated-cone.json": {
         "rays": UNUSED_RAY_FAN["rays"][:4],

@@ -14,6 +14,7 @@ evaluators' total size stays under a fixed ceiling.
 import ast
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -187,7 +188,9 @@ def test_nef_refusal_precedes_the_early_return(monkeypatch):
 # that also build the boundary document and return early, reading D^3
 # from the squares D^2.D_rho, came to 134,162 when this ceiling was set
 # (with D^3 as its own cubic form: 138,770; returning only the numbers:
-# 73,992); compiling them is a cost paid once per member and process.
+# 73,992), and to 133,044 with levels read off the walls and only the unit
+# and signed forms kept; compiling them is a cost paid once per member and
+# process.
 EVALUATOR_NODE_CEILING = 134_400
 
 
@@ -198,3 +201,14 @@ def test_generated_evaluators_stay_compact():
         for p in SWEEP_GRIDS[case]
     )
     assert total < EVALUATOR_NODE_CEILING
+
+
+def test_block_members_test_unit_levels_only():
+    # Where the generators are nef every wall level is a form >= 0, and the
+    # unit forms c_a occur among them, so the nef tests of D + K and D - E'
+    # read c_a < k_a alone.
+    for case in CASE_IDS:
+        for p in SWEEP_GRIDS[case]:
+            source = compiled_member(FamilySpec.make(case, **p)).source
+            tested = re.findall(r"(?:if|or) ([^:<>]+?) < -?\d+", source)
+            assert tested and all(re.fullmatch(r"c\d", t) for t in tested), (case, p, tested)

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,12 +15,16 @@ from torhyp.divisors import (
     is_ample,
     is_big,
     is_nef,
+    nef_combination,
     nef_coordinates,
     nef_generators,
     picard_basis,
     ray_divisor,
 )
-from torhyp.fans import family_fan, find_containing_cone
+from torhyp.fans import build_family_fan, family_fan, fan_from_json, find_containing_cone
+
+from oracles import collection_levels, collection_relations
+from test_fans import p3_subdivision
 
 CASES = [
     ("2.0.1", {"l": 0}),
@@ -220,3 +226,69 @@ def test_divisor_and_class_arithmetic():
     e = ray_divisor(fan, "D_1")
     assert class_of(3 * d - e) == tuple(3 * x - y for x, y in zip(class_of(d), class_of(e)))
     assert class_of(-d) == tuple(-x for x in class_of(d))
+
+
+def perturbed(rng: random.Random, fan, base) -> tuple[int, ...]:
+    """base with up to two coefficients moved by one, plus a principal
+    divisor <m, u_rho> with m in -2..2, which leaves the class alone."""
+    coeffs = list(base)
+    for _ in range(rng.randint(0, 2)):
+        coeffs[rng.randrange(fan.nrays)] += rng.choice((-1, 1))
+    m = [rng.randint(-2, 2) for _ in range(3)]
+    return tuple(x + sum(p * q for p, q in zip(m, u)) for x, u in zip(coeffs, fan.rays))
+
+
+def assert_walls_match_collections(fan, divisors, counts: Counter) -> None:
+    relations = collection_relations(fan)
+    for coeffs in divisors:
+        d = divisor(fan, coeffs)
+        levels = collection_levels(relations, coeffs)
+        assert (is_nef(d), is_ample(d)) == (min(levels) >= 0, min(levels) > 0), coeffs
+        counts[is_nef(d), is_ample(d)] += 1
+
+
+def test_walls_match_collection_levels_on_criterion_1_members():
+    # Every member of the criterion-1 grid, negative twists included, over
+    # nef combinations moved off and on the cone's boundary.
+    from test_acceptance import PARAM_GRIDS, iter_specs
+
+    rng = random.Random("walls:catalog")
+    counts: Counter = Counter()
+    for spec in iter_specs(PARAM_GRIDS):
+        fan = build_family_fan(spec)
+        rank = len(nef_generators(fan))
+        bases = [nef_combination(fan, [rng.randint(0, 3) for _ in range(rank)]) for _ in range(100)]
+        assert_walls_match_collections(fan, [perturbed(rng, fan, b.coeffs) for b in bases], counts)
+    assert sum(counts.values()) == 18_600
+    assert min(counts[False, False], counts[True, False], counts[True, True]) > 1000, counts
+
+
+def ample_on_subdivision(nrays: int) -> list[int]:
+    """An ample divisor on ``p3_subdivision(nrays)``: D_4 on P^3, then at
+    each blow-up 3 pi*D - E.  Scaled by 3, every edge of the polytope is at
+    least 3 long, so cutting the blown-up vertex back by 1 leaves a
+    polytope of the same normal fan as the new one."""
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    coeffs = [0, 0, 0, 1]
+    while len(coeffs) < nrays:
+        a, b, c = cones.pop(0)
+        coeffs = [3 * x for x in coeffs] + [3 * (coeffs[a] + coeffs[b] + coeffs[c]) - 1]
+        n = len(coeffs) - 1
+        cones += [(a, b, n), (a, c, n), (b, c, n)]
+    return coeffs
+
+
+@pytest.mark.parametrize("nrays", [4, 5, 6, 8, 12, 16, 24, 32, 48])
+def test_walls_match_collection_levels_on_subdivisions(nrays):
+    # The pull-back of the hyperplane class (nef, not ample past four
+    # rays), its multiples and an ample class, each moved by one.
+    rng = random.Random(f"walls:{nrays}")
+    fan = fan_from_json(p3_subdivision(nrays))
+    hyperplane = [max(0, -min(u)) for u in fan.rays]
+    ample = ample_on_subdivision(nrays)
+    assert is_ample(divisor(fan, ample)) and is_nef(divisor(fan, hyperplane))
+    bases = [[k * h for h in hyperplane] for k in range(4)] + [ample] * 2
+    counts: Counter = Counter()
+    divisors = [perturbed(rng, fan, bases[i % len(bases)]) for i in range(300)]
+    assert_walls_match_collections(fan, divisors, counts)
+    assert counts[False, False] and counts[True, False] and counts[True, True], counts

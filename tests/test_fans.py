@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torhyp.catalog import CASES
 from torhyp.fans import (
     CASE_IDS,
     FamilySpec,
@@ -19,6 +20,7 @@ from torhyp.fans import (
     minimal_nonfaces,
     primitive_relation,
     verify_smooth_complete,
+    walls,
 )
 
 from oracles import all_minimal_nonfaces
@@ -58,6 +60,19 @@ DUPLICATED_CONE_FAN = {
     "max_cones": [[0, 1, 2], [0, 1, 2]],
 }
 
+# A cone that repeats a ray: it has no three 2-faces to check.
+REPEATED_RAY_FAN = {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "max_cones": [[0, 0, 1]]}
+
+# Fulton's smooth complete fan that is not projective: the cones around
+# (1, 1, 1) are twisted, so the curves of the walls {2, 4}, {1, 6} and
+# {0, 5} have classes summing to zero and no divisor meets all three
+# positively.
+TWISTED_FAN = {
+    "rays": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6], [1, 5, 6], [2, 4, 6],
+                  [3, 4, 5], [3, 4, 6], [3, 5, 6]],
+}
+
 
 def p3_subdivision(nrays: int) -> dict:
     """Fan JSON of P^3 blown up at torus-fixed points until it has nrays
@@ -76,7 +91,7 @@ def p3_subdivision(nrays: int) -> dict:
 def test_case_201_l0_printed_data():
     fan = family_fan("2.0.1", l=0)
     assert fan.rays == ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1))
-    assert {c.rays for c in fan.collections} == {(0, 1), (2, 3, 4)}
+    assert minimal_nonfaces(fan) == {frozenset((0, 1)), frozenset((2, 3, 4))}
     assert len(fan.max_cones) == 6
 
 
@@ -86,8 +101,8 @@ def test_case_301_product_of_lines():
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
     }
     assert len(fan.max_cones) == 8
-    assert is_splitting(fan.collections)
-    assert len(fan.collections) == 3
+    assert is_splitting(CASES["3.0.1"].collections)
+    assert len(minimal_nonfaces(fan)) == 3
 
 
 def test_parameter_violations():
@@ -119,7 +134,7 @@ def test_family_fan_smooth_complete(case, params):
 @pytest.mark.parametrize("case,params", ALL_SPECS)
 def test_minimal_nonfaces_match_collections(case, params):
     fan = family_fan(case, **params)
-    assert minimal_nonfaces(fan) == {frozenset(c.rays) for c in fan.collections}
+    assert minimal_nonfaces(fan) == {frozenset(c) for c in CASES[case].collections}
 
 
 @pytest.mark.parametrize("nrays", [4, 5, 6, 7, 9, 12])
@@ -182,6 +197,43 @@ def test_p3_subdivisions_are_smooth_complete(nrays):
     assert verify_smooth_complete(fan_of(p3_subdivision(nrays))) == ()
 
 
+def test_repeated_ray_named():
+    assert verify_smooth_complete(fan_of(REPEATED_RAY_FAN)) == (
+        "ray 2 lies in no maximal cone", "cone (0, 0, 1) repeats a ray",
+    )
+
+
+def test_twisted_fan_is_smooth_complete():
+    assert verify_smooth_complete(fan_of(TWISTED_FAN)) == ()
+    assert fan_from_json(TWISTED_FAN).nrays == 7
+
+
+def wall_vectors(fan: Fan) -> dict[tuple[int, int], list[int]]:
+    """Per wall {i, j}, the degrees D_rho.V(tau) over the rays."""
+    vectors = {}
+    for i, j, a, b, ci, cj in walls(fan):
+        v = [0] * fan.nrays
+        v[a], v[b], v[i], v[j] = 1, 1, ci, cj
+        vectors[i, j] = v
+    return vectors
+
+
+def test_twisted_fan_walls_sum_to_zero():
+    # D.V1 + D.V2 + D.V3 = 0 for every D: the witness that none is ample.
+    vectors = wall_vectors(fan_from_json(TWISTED_FAN))
+    assert [sum(x) for x in zip(vectors[2, 4], vectors[1, 6], vectors[0, 5])] == [0] * 7
+
+
+@pytest.mark.parametrize("nrays", [4, 5, 8, 24])
+def test_wall_relations_hold(nrays):
+    # sum_rho (D_rho.V) u_rho = 0 on each wall, with 1 at both apexes.
+    fan = fan_from_json(p3_subdivision(nrays))
+    vectors = wall_vectors(fan)
+    assert len(vectors) == 3 * len(fan.max_cones) // 2
+    for v in vectors.values():
+        assert [sum(x * u[k] for x, u in zip(v, fan.rays)) for k in range(3)] == [0, 0, 0]
+
+
 def test_unused_ray_detected():
     rays, cones = UNUSED_RAY_FAN["rays"], UNUSED_RAY_FAN["max_cones"]
     fan = Fan(tuple(map(tuple, rays)), tuple(map(tuple, cones)), ("a", "b", "c", "d", "e"))
@@ -192,44 +244,44 @@ def test_unused_ray_detected():
 def test_splitting_predicate(case, params):
     fan = family_fan(case, **params)
     expected = case in ("2.0.1", "2.0.2", "3.0.1", "3.0.2")
-    assert is_splitting(fan.collections) is expected
+    assert is_splitting(CASES[case].collections) is expected
 
 
 @pytest.mark.parametrize("case,params", ALL_SPECS)
 def test_relations_substitute_exactly(case, params):
     fan = family_fan(case, **params)
-    for coll in fan.collections:
-        total = tuple(sum(fan.rays[i][k] for i in coll.rays) for k in range(3))
+    for rays in CASES[case].collections:
+        coll = primitive_relation(fan, rays)
+        total = tuple(sum(fan.rays[i][k] for i in coll["rays"]) for k in range(3))
         expansion = tuple(
-            sum(c * fan.rays[i][k] for i, c in zip(coll.relation_cone, coll.relation_coeffs))
+            sum(c * fan.rays[i][k] for i, c in zip(coll["relation_cone"], coll["relation_coeffs"]))
             for k in range(3)
         )
         assert total == expansion
-        assert all(c > 0 for c in coll.relation_coeffs)
+        assert all(c > 0 for c in coll["relation_coeffs"])
 
 
 def test_relation_201_collections():
     fan = family_fan("2.0.1", l=2)
-    rel = {c.rays: c for c in fan.collections}
-    assert rel[(0, 1)].relation_cone == ()
-    assert rel[(2, 3, 4)].relation_cone == (0,)
-    assert rel[(2, 3, 4)].relation_coeffs == (2,)
+    assert primitive_relation(fan, (0, 1))["relation_cone"] == []
+    assert primitive_relation(fan, (2, 3, 4))["relation_cone"] == [0]
+    assert primitive_relation(fan, (2, 3, 4))["relation_coeffs"] == [2]
     fan0 = family_fan("2.0.1", l=0)
-    rel0 = {c.rays: c for c in fan0.collections}
-    assert rel0[(2, 3, 4)].relation_cone == ()
+    assert primitive_relation(fan0, (2, 3, 4))["relation_cone"] == []
 
 
 def test_relation_311_zero_pair():
     fan = family_fan("3.1.1", b1=1)
-    rel = {c.rays: c for c in fan.collections}
     t1 = fan.label_index("D_t1")
     z1 = fan.label_index("D_z1")
-    assert rel[tuple(sorted((t1, z1)))].relation_cone == ()
+    assert {t1, z1} in map(set, CASES["3.1.1"].collections)
+    assert primitive_relation(fan, (t1, z1))["relation_cone"] == []
     # y1 + z1 = u1 with coefficient 1
     y1 = fan.label_index("D_y1")
     u1 = fan.label_index("D_u1")
-    assert rel[tuple(sorted((y1, z1)))].relation_cone == (u1,)
-    assert rel[tuple(sorted((y1, z1)))].relation_coeffs == (1,)
+    assert {y1, z1} in map(set, CASES["3.1.1"].collections)
+    assert primitive_relation(fan, (y1, z1))["relation_cone"] == [u1]
+    assert primitive_relation(fan, (y1, z1))["relation_coeffs"] == [1]
 
 
 def test_cones_from_collections_oracle_201():
@@ -304,7 +356,8 @@ def test_json_generic_fan():
     del data["case"], data["params"]
     again = fan_from_json(data)
     assert again.rays == fan.rays
-    assert {c.rays for c in again.collections} == {c.rays for c in fan.collections}
+    assert "collections" not in fan_to_json(again)
+    assert minimal_nonfaces(again) == minimal_nonfaces(fan)
 
 
 def test_label_aliases_31x():
