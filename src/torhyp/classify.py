@@ -35,6 +35,7 @@ from .divisors import (
     character,
     class_of,
     divisor,
+    intersection_matrix,
     is_ample,
     is_nef,
     nef_combination,
@@ -51,7 +52,6 @@ from .fans import (
     family_record,
 )
 from .intlin import IntMat
-from .polytopes import intersection_matrix
 from .toric_ideal import DEFAULT_MARKOV_BOUND, check_bound, section_certificate
 
 UNLISTED = "Unlisted"

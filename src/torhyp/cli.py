@@ -223,7 +223,7 @@ def cmd_connected_sections(args) -> dict:
 
 
 def cmd_intersect(args) -> dict:
-    fan = _fan_from_args(args, need_catalog=True)
+    fan = _fan_from_args(args)
     ds = [_divisor_from_flag(fan, t) for t in (args.d1, args.d2, args.d3)]
     prod = _poly.triple_intersection(*ds)
     return {"divisors": [d.label_dict() for d in ds], "product": prod}

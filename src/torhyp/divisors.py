@@ -1,4 +1,4 @@
-"""Torus-invariant divisors: positivity, Picard classes, nef coordinates.
+"""Torus-invariant divisors: positivity, intersection numbers, Picard classes.
 
 A divisor is a per-ray integer coefficient vector D = sum a_rho D_rho.  Its
 class lives in Pic, the cokernel of 0 -> M -> Z^r -> Pic -> 0, where M =
@@ -6,8 +6,9 @@ Z^3 maps to the principal divisors m -> (<m, u_rho>)_rho.  On a catalog fan
 Pic is free of rank 2 or 3, and a class is the tuple of its coordinates in
 the case's basis of ray divisors, read through the stored class map B,
 which ``picard_basis`` proves exact.  On any fan, ``character`` tests for
-the zero class by solving for m, and nef and ample read the wall curves
-(``fans.walls``).
+the zero class by solving for m, and the wall curves (``fans.walls``)
+give nef and ample and, with one dual vector per ray, every triple
+product (``intersection_matrix``), so bigness too.
 """
 
 from __future__ import annotations
@@ -113,13 +114,47 @@ def wall_degrees(fan: Fan, coeffs: Sequence[int]) -> list[int]:
             for i, j, a, b, ci, cj in walls(fan)]
 
 
+def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
+    """The degrees D.D_i.D_j of D on the pairs of ray divisors, indexed
+    [i][j], read off the walls.
+
+    For i != j, D_i and D_j meet in the curve V(tau) of the wall tau =
+    {i, j} when that is a 2-face of the fan, and are disjoint otherwise,
+    so D.D_i.D_j is the wall degree of tau or 0.  For the diagonal take a
+    maximal cone (rho, p, q) with delta = det(u_rho, u_p, u_q) = +-1 and
+    m = delta (u_p x u_q): then <m, u_rho> = delta^2 = 1 and <m, u_p> =
+    <m, u_q> = 0.  div chi^m = sum_k <m, u_k> D_k is principal, so D_rho
+    ~ -sum_{k != rho} <m, u_k> D_k and D.D_rho^2 = -sum_{k != rho} <m, u_k>
+    D.D_rho.D_k, where only the k with {rho, k} a wall contribute.  So
+    each wall adds its degree to two off-diagonal entries and one term to
+    each of its two diagonal entries (Cox, Little and Schenck, Toric
+    Varieties, 6.3-6.4).
+    """
+    fan = d.fan
+    rays, n = fan.rays, fan.nrays
+    dual: dict[int, tuple[int, ...]] = {}
+    for cone in fan.max_cones:
+        for rho in cone:
+            if rho not in dual:
+                p, q = (rays[k] for k in cone if k != rho)
+                m = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+                delta = sum(map(mul, rays[rho], m))
+                dual[rho] = tuple(delta * x for x in m)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j, *_), degree in zip(walls(fan), wall_degrees(fan, d.coeffs)):
+        if degree:
+            rows[i][j] = rows[j][i] = degree
+            rows[i][i] -= sum(map(mul, dual[i], rays[j])) * degree
+            rows[j][j] -= sum(map(mul, dual[j], rays[i])) * degree
+    return tuple(map(tuple, rows))
+
+
 def is_big(d: TDivisor) -> bool:
     """A nef divisor is big iff its top self-intersection D^3 is positive."""
     if not is_nef(d):
         raise ValueError("bigness via D^3 assumes a nef divisor")
-    from .polytopes import triple_intersection
-
-    return triple_intersection(d, d, d) > 0
+    matrix = intersection_matrix(d)
+    return sum(x * sum(map(mul, d.coeffs, row)) for x, row in zip(d.coeffs, matrix) if x) > 0
 
 
 class PicBasis(NamedTuple):

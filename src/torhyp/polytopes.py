@@ -6,10 +6,11 @@ set.  Vertices are the feasible solutions of the inequality triples, by
 Cramer's rule.  Lattice points come from integer scans over the ranges of
 the projections that Fourier-Motzkin elimination gives, and volumes from
 pyramids with a vertex as apex over fan-triangulated facets.  Triple
-intersection numbers come from the cones of the fan alone, as one cached
-integer tensor over the ray divisors.  Faces of P(D) and their interior
-lattice points, counted by a strict-inequality scan, are the independent
-check of the boundary genera that ``classify`` reads off that tensor.
+intersection numbers contract the intersection matrix that
+``divisors.intersection_matrix`` reads off the walls.  Faces of P(D) and
+their interior lattice points, counted by a strict-inequality scan, are
+the independent check of the boundary genera that ``classify`` reads off
+that matrix.
 ``idp_check`` names the first point of P(E+E') that is no sum of points
 of P(E) and P(E'), or None.
 """
@@ -22,7 +23,7 @@ from itertools import combinations
 from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
-from .divisors import TDivisor, is_nef
+from .divisors import TDivisor, intersection_matrix, is_nef
 from .fans import FAN_CACHE_SIZE, Fan
 from .intlin import solve_3x3
 
@@ -330,63 +331,16 @@ def _sub(a, b):
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def intersection_tensor(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Triple products D_a.D_b.D_c of the ray divisors of a smooth complete
-    fan, indexed [a][b][c].
-
-    Three distinct rays meet in one point when they span a maximal cone and
-    not at all otherwise.  A repeated factor D_a is traded for a linearly
-    equivalent sum: with sigma a maximal cone holding the other two factors
-    and m the dual vector of u_a in sigma (integral, sigma being
-    unimodular), div(chi^m) = D_a + sum(<m, u_rho> D_rho, rho outside sigma)
-    is principal, and each D_rho with rho outside sigma is distinct from the
-    other factors (Cox-Little-Schenck, Toric Varieties).
-    """
-    cones = {frozenset(c) for c in fan.max_cones}
-
-    # Keyed by sorted ray triples, C(nrays + 2, 3) at most, and dropped
-    # with the call.
-    @lru_cache(maxsize=None)
-    def product(key: tuple[int, int, int]) -> int:
-        if len(set(key)) == 3:
-            return 1 if frozenset(key) in cones else 0
-        a = key[1]  # sorted with a repeat: the middle index repeats
-        others = list(key)
-        others.remove(a)
-        sigma = next((c for c in fan.max_cones if set(others) <= set(c)), None)
-        if sigma is None:
-            return 0
-        m, det = solve_3x3([fan.rays[i] for i in sigma], [int(i == a) for i in sigma])
-        if det != 1:
-            raise ValueError(f"cone {sigma} is not unimodular")
-        return -sum(
-            _dot(m, u) * product(tuple(sorted((rho, *others))))
-            for rho, u in enumerate(fan.rays)
-            if rho not in sigma
-        )
-
-    n = range(fan.nrays)
-    return tuple(
-        tuple(tuple(product(tuple(sorted((a, b, c)))) for c in n) for b in n) for a in n
-    )
-
-
-def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
-    """The degrees D.D_a.D_b of D on the pairs of ray divisors, indexed [a][b]."""
-    tensor = intersection_tensor(d.fan)
-    n = range(d.fan.nrays)
-    rows = [[0] * d.fan.nrays for _ in n]
-    for c, x in enumerate(d.coeffs):
-        if x:
-            for a in n:
-                row, t = rows[a], tensor[c][a]
-                for b in n:
-                    row[b] += x * t[b]
-    return tuple(tuple(row) for row in rows)
+    """Triple products D_a.D_b.D_c of the ray divisors, indexed [a][b][c]:
+    a dense view stacking the intersection matrix of each D_a."""
+    n = fan.nrays
+    return tuple(intersection_matrix(TDivisor(fan, tuple(int(i == a) for i in range(n))))
+                 for a in range(n))
 
 
 def triple_intersection(d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
-    """Triple intersection number of three divisors: their ray coefficients
-    contracted with the fan's intersection tensor."""
+    """Triple intersection number of three divisors: the coefficients of
+    d2 and d3 contracted with the intersection matrix of d1."""
     if d2.fan.rays != d1.fan.rays or d3.fan.rays != d1.fan.rays:
         raise ValueError("arguments live on different fans")
     matrix = intersection_matrix(d1)

@@ -17,6 +17,9 @@ every size, or of up to four rays on every fan, where
 ``collection_levels`` is Batyrev's nef and ample test on a projective fan,
 from the primitive collections and their relations, which
 ``divisors.is_nef`` and ``is_ample`` used before they read the walls.
+``cone_intersection_tensor`` computes every triple product by a recursion
+over ray triples through the maximal cones, as the package did before
+``divisors.intersection_matrix`` read them off the walls.
 """
 
 from functools import lru_cache
@@ -34,7 +37,7 @@ from torhyp.classify import (
 )
 from torhyp.divisors import ample_reference, canonical_divisor, divisor, is_nef
 from torhyp.fans import build_family_fan, minimal_nonfaces, primitive_relation
-from torhyp.intlin import IntMat, Vec
+from torhyp.intlin import IntMat, Vec, solve_3x3
 from torhyp.polytopes import HPolytope, _dot, lattice_points, offset_polytope, vertices
 from torhyp.toric_ideal import DEFAULT_MARKOV_BOUND, section_certificate
 
@@ -286,3 +289,44 @@ def collection_levels(relations: list[dict], coeffs) -> list[int]:
         - sum(c * coeffs[i] for i, c in zip(rel["relation_cone"], rel["relation_coeffs"]))
         for rel in relations
     ]
+
+
+def cone_intersection_tensor(fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Triple products D_a.D_b.D_c of the ray divisors of a smooth complete
+    fan, indexed [a][b][c].
+
+    Three distinct rays meet in one point when they span a maximal cone and
+    not at all otherwise.  A repeated factor D_a is traded for a linearly
+    equivalent sum: with sigma a maximal cone holding the other two factors
+    and m the dual vector of u_a in sigma (integral, sigma being
+    unimodular), div(chi^m) = D_a + sum(<m, u_rho> D_rho, rho outside sigma)
+    is principal, and each D_rho with rho outside sigma is distinct from the
+    other factors (Cox-Little-Schenck, Toric Varieties).
+    """
+    cones = {frozenset(c) for c in fan.max_cones}
+
+    # Keyed by sorted ray triples, C(nrays + 2, 3) at most, and dropped
+    # with the call.
+    @lru_cache(maxsize=None)
+    def product(key: tuple[int, int, int]) -> int:
+        if len(set(key)) == 3:
+            return 1 if frozenset(key) in cones else 0
+        a = key[1]  # sorted with a repeat: the middle index repeats
+        others = list(key)
+        others.remove(a)
+        sigma = next((c for c in fan.max_cones if set(others) <= set(c)), None)
+        if sigma is None:
+            return 0
+        m, det = solve_3x3([fan.rays[i] for i in sigma], [int(i == a) for i in sigma])
+        if det != 1:
+            raise ValueError(f"cone {sigma} is not unimodular")
+        return -sum(
+            _dot(m, u) * product(tuple(sorted((rho, *others))))
+            for rho, u in enumerate(fan.rays)
+            if rho not in sigma
+        )
+
+    n = range(fan.nrays)
+    return tuple(
+        tuple(tuple(product(tuple(sorted((a, b, c)))) for c in n) for b in n) for a in n
+    )

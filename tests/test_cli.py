@@ -514,6 +514,23 @@ def test_faces_on_a_generic_fan(tmp_path, capsys):
     assert data["counts"] == [6, 6, 6, 6]
 
 
+def test_intersect_on_a_generic_fan(tmp_path, capsys):
+    # Three coordinate planes of P^3 meet in one point; the pulled-back
+    # hyperplane class of a blow-up of P^3 at points has H^3 = 1.
+    fan_file = tmp_path / "p3.json"
+    fan_file.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES}))
+    code, data = run_json(capsys, "intersect", "--fan", str(fan_file),
+                          "--d1", '{"coeffs": {"D_1": 1}}', "--d2", '{"coeffs": {"D_2": 1}}',
+                          "--d3", '{"coeffs": {"D_3": 1}}')
+    assert code == 0 and data["product"] == 1
+    document = p3_subdivision(24)
+    fan_file.write_text(json.dumps(document))
+    h = json.dumps({"coeffs": {f"D_{i + 1}": -min(u) for i, u in enumerate(document["rays"])
+                               if min(u) < 0}})
+    code, data = run_json(capsys, "intersect", "--fan", str(fan_file), "--d1", h, "--d2", h, "--d3", h)
+    assert code == 0 and data["product"] == 1
+
+
 def test_faces_refuses_a_principal_divisor_on_a_generic_fan(tmp_path, capsys):
     # D_1 - D_4 is the divisor of the character (1, 0, 0).
     fan_file = tmp_path / "p3.json"
@@ -530,6 +547,8 @@ def test_faces_refuses_a_principal_divisor_on_a_generic_fan(tmp_path, capsys):
     (["polytope", "--D", '{"class": [1]}'], '{"class": ...}'),
     (["idp", "--E", '{"coeffs": {"D_1": 1}}', "--Eprime", '{"class": [1]}'], '{"class": ...}'),
     (["faces", "--coeffs", "1"], "--coeffs"),
+    (["intersect", "--d1", '{"coeffs": {"D_1": 1}}', "--d2", '{"coeffs": {"D_2": 1}}',
+      "--d3", '{"class": [1]}'], '{"class": ...}'),
 ], ids=lambda x: x[0] if isinstance(x, list) else None)
 def test_catalog_only_input_on_a_generic_fan_names_the_fix(tmp_path, capsys, argv, needs):
     # Class coordinates and table coefficients read a catalog fan's Picard
@@ -666,6 +685,25 @@ def test_four_hundred_ray_fan_file_ends_within_a_second(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["nef"] is False
     assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize("verb", ["nef", "faces"])
+def test_four_hundred_ray_fan_file_reads_a_big_class_within_a_second(tmp_path, verb):
+    # The pulled-back hyperplane class is nef and big: its triple products
+    # come from the 1,194 walls, where the cone recursion over ray triples
+    # took seconds at 96 rays.
+    document = p3_subdivision(400)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(document))
+    h = {f"D_{i + 1}": -min(u) for i, u in enumerate(document["rays"]) if min(u) < 0}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torhyp.cli", verb, "--fan", str(path),
+         "--D", json.dumps({"coeffs": h})],
+        capture_output=True, env=child_env(), text=True, timeout=1,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert (data["big"] if verb == "nef" else data["boundary"]["big"]) is True
 
 
 def test_cone_repeating_a_ray_is_named(tmp_path, capsys):

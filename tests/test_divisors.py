@@ -12,6 +12,7 @@ from torhyp.divisors import (
     divisor,
     divisor_from_json,
     eff_generators,
+    intersection_matrix,
     is_ample,
     is_big,
     is_nef,
@@ -23,8 +24,8 @@ from torhyp.divisors import (
 )
 from torhyp.fans import build_family_fan, family_fan, fan_from_json, find_containing_cone
 
-from oracles import collection_levels, collection_relations
-from test_fans import p3_subdivision
+from oracles import collection_levels, collection_relations, cone_intersection_tensor
+from test_fans import TWISTED_FAN, p3_subdivision
 
 CASES = [
     ("2.0.1", {"l": 0}),
@@ -193,6 +194,11 @@ def test_is_big_examples():
     assert not is_big(divisor(fan, {"D_3": 1}))
     with pytest.raises(ValueError):
         is_big(divisor(fan, {"D_2": -1}))
+    # P^3 blown up at a point: the pulled-back hyperplane class is big, and
+    # the class of the projection from the point is nef but not big.
+    fan = fan_from_json(p3_subdivision(5))
+    assert is_big(divisor(fan, [0, 0, 0, 1, 0]))
+    assert not is_big(divisor(fan, [0, 0, 0, 1, -1]))
 
 
 def test_divisor_from_json():
@@ -292,3 +298,31 @@ def test_walls_match_collection_levels_on_subdivisions(nrays):
     divisors = [perturbed(rng, fan, bases[i % len(bases)]) for i in range(300)]
     assert_walls_match_collections(fan, divisors, counts)
     assert counts[False, False] and counts[True, False] and counts[True, True], counts
+
+
+def assert_matrix_matches_cone_tensor(rng: random.Random, fan, count: int) -> None:
+    tensor = cone_intersection_tensor(fan)
+    n = range(fan.nrays)
+    for _ in range(count):
+        coeffs = [rng.randint(-4, 4) for _ in n]
+        expected = tuple(
+            tuple(sum(x * tensor[k][a][b] for k, x in enumerate(coeffs) if x) for b in n)
+            for a in n
+        )
+        assert intersection_matrix(divisor(fan, coeffs)) == expected, coeffs
+
+
+def test_intersection_matrix_matches_cone_tensor_on_criterion_1_members():
+    from test_acceptance import PARAM_GRIDS, iter_specs
+
+    rng = random.Random("matrix:catalog")
+    for spec in iter_specs(PARAM_GRIDS):
+        assert_matrix_matches_cone_tensor(rng, build_family_fan(spec), 10)
+
+
+@pytest.mark.parametrize("nrays", [None, 4, 5, 6, 8, 12, 16, 24, 32, 48],
+                         ids=lambda n: "twisted" if n is None else str(n))
+def test_intersection_matrix_matches_cone_tensor_on_generic_fans(nrays):
+    # Subdivisions of P^3, and Fulton's fan, which is not projective.
+    fan = fan_from_json(TWISTED_FAN if nrays is None else p3_subdivision(nrays))
+    assert_matrix_matches_cone_tensor(random.Random(f"matrix:{nrays}"), fan, 6)

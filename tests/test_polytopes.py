@@ -13,7 +13,7 @@ from torhyp.divisors import (
     nef_generators,
     ray_divisor,
 )
-from torhyp.fans import build_family_fan, family_fan
+from torhyp.fans import build_family_fan, family_fan, fan_from_json
 from torhyp.intlin import solve_3x3
 from torhyp.polytopes import (
     HPolytope,
@@ -390,6 +390,40 @@ def test_self_intersection_is_six_times_volume():
             checked += 1
         vertices.cache_clear()
     assert checked > 4000
+
+
+@pytest.mark.parametrize("nrays", [None, 4, 5, 6, 8, 12, 16, 24],
+                         ids=lambda n: "twisted" if n is None else str(n))
+def test_self_intersection_is_six_times_volume_on_generic_fans(nrays):
+    """D^3 from the wall-derived matrix against the volume of P(D) for nef
+    D: every coefficient vector 0..2 on Fulton's fan, which is not
+    projective, and on subdivisions of P^3 sums of multiples of the
+    pulled-back hyperplane class and an ample class, moved at random."""
+    from test_divisors import ample_on_subdivision, perturbed
+    from test_fans import TWISTED_FAN, p3_subdivision
+
+    if nrays is None:
+        fan = fan_from_json(TWISTED_FAN)
+        candidates = itertools.product((0, 1, 2), repeat=fan.nrays)
+    else:
+        fan = fan_from_json(p3_subdivision(nrays))
+        rng = random.Random(f"volume:{nrays}")
+        hyperplane = [max(0, -min(u)) for u in fan.rays]
+        ample = ample_on_subdivision(nrays)
+        bases = [[j * h + k * a for h, a in zip(hyperplane, ample)]
+                 for j in range(3) for k in range(2)]
+        candidates = [perturbed(rng, fan, bases[i % len(bases)]) for i in range(60)]
+    checked = big = 0
+    for coeffs in candidates:
+        d = divisor(fan, coeffs)
+        if not is_nef(d):
+            continue
+        cube = triple_intersection(d, d, d)
+        assert cube == 6 * volume(polytope_of(d)), coeffs
+        checked += 1
+        big += cube > 0
+    vertices.cache_clear()
+    assert checked >= 20 and big >= 10, (checked, big)
 
 
 def test_triple_unit_301():
