@@ -497,7 +497,8 @@ _CASE_302 = _CASE_301._replace(
 # unrestricted integers; the basis, the nef generators and the shape of the
 # configuration list are shared.  The tables cover nonnegative parameters
 # only: below zero the listed nef generators are no longer all nef, so no
-# block applies there and such cells are Unlisted.
+# block applies there and such cells are Unlisted.  Where every twist is
+# negative, D_z1 replaces the third effective generator.
 
 
 def _five_collection_configs(zero_cond, z1_cond) -> tuple[SectionConfig, ...]:
@@ -591,7 +592,7 @@ _CASE_311 = Case(
     params=("b1",),
     rays=lambda b1: [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_v2", "D_u1", "D_y1", "D_t1", "D_z1"),
-    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 2, -1, -2),
     gale_rows=lambda b1: [[1, 1, 0, 1, -b1 - 1, 0], [0, 0, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
@@ -605,7 +606,7 @@ _CASE_312 = Case(
     params=("b1",),
     rays=lambda b1: [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_u1", "D_y1", "D_y2", "D_t1", "D_z1"),
-    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
     canonical=lambda b1: (b1 - 2, 0, -2),
     gale_rows=lambda b1: [[1, 0, 1, 1, -b1 - 1, 0], [0, 1, -1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
@@ -621,7 +622,7 @@ _CASE_313 = Case(
         (1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)
     ],
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"),
-    eff=lambda b1, c2: ("D_u1", "D_y1", "D_t1") if b1 >= c2 else ("D_u1", "D_y1", "D_z2"),
+    eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
     canonical=lambda b1, c2: (b1 + c2 - 1, -1, -3),
     gale_rows=lambda b1, c2: [[1, 0, 1, -b1 - 1, 0, -c2], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, 1, 1]],
@@ -676,7 +677,7 @@ _CASE_314 = Case(
         (1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)
     ],
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"),
-    eff=lambda b1, b2: ("D_u1", "D_y1", "D_t1") if b1 >= b2 else ("D_u1", "D_y1", "D_t2"),
+    eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
     canonical=lambda b1, b2: (b1 + b2, -2, -3),
     gale_rows=lambda b1, b2: [
@@ -735,7 +736,7 @@ _CASE_315 = Case(
     params=("b1",),
     rays=lambda b1: [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_u1", "D_u2", "D_y1", "D_t1", "D_z1"),
-    eff=lambda **_: ("D_u1", "D_y1", "D_t1"),
+    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 1, -2, -2),
     gale_rows=lambda b1: [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],

@@ -7,16 +7,15 @@ exact, a column per ray and a row per Picard basis ray).  A move set M in
 L = ker(B) is a Markov basis when every fiber {v in Z^r_{>=0} : B v = t}
 is connected by M.  The fan's reference move set is proven once by
 algebra: it spans L and its binomial ideal is saturated, checked by
-binomial Buchberger runs.  Every other set is
-decided by membership: it is a Markov basis iff it joins the two sides
-of each reference move inside that move's fiber.  The difference set of
-a polytope P(E') that holds every proven move is therefore a Markov
-basis, and whether it holds one is a single existence scan, so
-``section_certificate`` forms that set only when a move is missing.
-Where neither settles the question, every fiber touched by a vector of
-coordinate sum <= bound is searched.  A fiber is in bijection with the
-lattice points of a bounded polytope in the character lattice Z^3
-(bounded because the fan is complete), and each move with its character
+binomial Buchberger runs.  Every move set is then decided one of two
+ways.  A set that holds each proven move up to sign is a Markov basis
+and is certified without a search; for the difference set of a polytope
+P(E') each membership is one existence scan, so ``section_certificate``
+forms that set only when a move is missing.  Every other set is
+searched: each fiber touched by a vector of coordinate sum <= bound is
+tested for connectivity.  A fiber is in bijection with the lattice
+points of a bounded polytope in the character lattice Z^3 (bounded
+because the fan is complete), and each move with its character
 (``divisors.character``), so every search runs there on 3-d points.
 ``connected_sections_check`` returns the document that
 ``connected-sections`` prints.
@@ -29,7 +28,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, gcd
 from operator import index, le, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .divisors import TDivisor, character, divisor_from_class, is_nef, picard_basis
 from .fans import (
@@ -315,59 +314,38 @@ def _proven_candidate(fan: Fan) -> tuple[Vec, ...] | None:
     return moves if _markov_proof(fan, moves) else None
 
 
-def _first_disconnected(fan: Fan, moves: Sequence[Vec], rhs_seq: Iterable[Vec]) -> int | None:
-    """Index of the first fiber {<d, u_rho> >= rhs} the moves leave
-    disconnected, or None when they connect every fiber.
+def _proven_certificate(fan: Fan, holds: Callable[[Vec], bool], bound: int) -> FiberCertificate | None:
+    """The certificate of a move set that holds each proven move up to
+    sign, as ``holds`` tells; None when the fan's reference set is not
+    proven or the set lacks one of its moves.
+
+    Such a set generates the ideal of the proven basis, which is I_L, so it
+    is a Markov basis: it connects every fiber of every degree, and the
+    fibers up to the bound are reported connected without a search.
+    """
+    proven = _proven_candidate(fan)
+    if proven is None or not all(map(holds, proven)):
+        return None
+    return FiberCertificate(bound, _degree_image_count(fan, bound), True)
+
+
+def _bounded_search(fan: Fan, moves: Sequence[Vec], bound: int) -> FiberCertificate:
+    """Connectivity of every fiber touched by a vector of coordinate sum
+    <= bound, in the order of the packed images (``_degree_images``); the
+    first disconnected one is named with the count checked so far.
 
     A fiber {v >= 0 : B v = t} is in bijection with the lattice points d of
     {<d, u_rho> >= -v0_rho}, v = v0 + A d, and a move mv = A delta acts
     there as d -> d + delta, so the moves are pulled back to Z^3 once and
     each search runs on the lattice points.
     """
+    packed, unpack = _degree_images(fan, bound)
     deltas = _character_moves(fan, moves)
-    for i, rhs in enumerate(rhs_seq):
+    for i, t in enumerate(packed):
+        rhs = tuple(-c for c in divisor_from_class(fan, unpack(t)).coeffs)
         if not _connected_under(lattice_points(offset_polytope(fan, rhs)), deltas):
-            return i
-    return None
-
-
-def _is_markov(fan: Fan, moves: Sequence[Vec]) -> bool:
-    """Whether moves in ker(B) form a Markov basis, decided by membership.
-
-    With a proven basis M, I_{M'} is I_L iff every x^{m+} - x^{m-}, m in M,
-    lies in I_{M'}, i.e. iff m+ and m- are joined by M' inside their one
-    fiber.  That holds iff M' connects each such fiber: a Markov basis
-    connects every fiber, and a connected fiber joins m+ to m-.  The fiber
-    of m+ is the lattice points of {<d, u_rho> >= -m+_rho}.  False when
-    the fan's reference set is not proven or a fiber exceeds the lattice
-    scan budget; the caller then searches the bounded fibers.
-    """
-    proven = _proven_candidate(fan)
-    if proven is None:
-        return False
-    given = set(moves) | {tuple(-x for x in m) for m in moves}
-    pending = [m for m in proven if m not in given]
-    if not pending:
-        return True
-    rhs_seq = (tuple(-max(x, 0) for x in m) for m in pending)
-    try:
-        return _first_disconnected(fan, moves, rhs_seq) is None
-    except EnumerationGuardError:
-        return False
-
-
-def _bounded_search(
-    fan: Fan, moves: Sequence[Vec], images: tuple[list[int], Callable[[int], Vec]], bound: int
-) -> FiberCertificate:
-    """Connectivity of every fiber over the given packed images
-    (``_degree_images``), in their order, each decoded as it is reached;
-    the first disconnected one is named with the count checked so far."""
-    packed, unpack = images
-    rhs_seq = (tuple(-c for c in divisor_from_class(fan, unpack(t)).coeffs) for t in packed)
-    i = _first_disconnected(fan, moves, rhs_seq)
-    if i is None:
-        return FiberCertificate(bound, len(packed), True)
-    return FiberCertificate(bound, i + 1, False, unpack(packed[i]))
+            return FiberCertificate(bound, i + 1, False, unpack(t))
+    return FiberCertificate(bound, len(packed), True)
 
 
 def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
@@ -375,14 +353,10 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
 
     The certificate states that every fiber reached by a vector of
     coordinate sum <= bound is connected, or names the first that is not.
-    A set that is a Markov basis connects every fiber of every degree, so
-    when the fan's reference set is proven (_markov_proof) and the given
-    set is decided Markov by membership (_is_markov), every fiber up to
-    the bound is connected and none is searched.  Otherwise the bounded
-    search runs and names the first disconnected fiber, exactly as a
-    proof-free check would; this covers sets that are not Markov bases
-    and fans whose reference set is not proven.  A bound below one would
-    certify nothing, so it is rejected.
+    A set that holds the proven reference moves up to sign is certified
+    without a search (``_proven_certificate``); every other set, on any
+    fan, goes to the bounded search.  A bound below one would certify
+    nothing, so it is rejected.
     """
     check_bound(bound)
     b = gale_matrix(fan)
@@ -397,9 +371,9 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
         if any(mv):
             moves.append(mv)
     _check_degree_budget(fan, bound)
-    if _is_markov(fan, moves):
-        return FiberCertificate(bound, _degree_image_count(fan, bound), True)
-    return _bounded_search(fan, moves, _degree_images(fan, bound), bound)
+    given = set(moves) | {tuple(-x for x in m) for m in moves}
+    cert = _proven_certificate(fan, given.__contains__, bound)
+    return cert or _bounded_search(fan, moves, bound)
 
 
 def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
@@ -425,28 +399,25 @@ def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
 
 def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> FiberCertificate:
     """markov_verify(fan, section_difference_moves(eprime), bound), decided
-    without forming the difference set when the fan's moves are proven.
+    without forming the difference set when it holds the proven moves.
 
     The difference set of P(E') is closed under negation, so it contains a
     proven move m up to sign iff it contains m, that is iff the pull-back
     delta of m is a difference of two lattice points of P(E').  Those are
     the lattice points d of P(E') cap (P(E') - delta), the polytope
     {<d, u_rho> >= -e'_rho + m-_rho}, one scan that stops at its first
-    point.  When every proven move passes, the set holds the proven basis
-    up to sign and is Markov by the ``not pending`` branch of _is_markov,
-    whose certificate is returned.  Otherwise the difference set is formed
-    under its pair guard and verified; past that guard
-    EnumerationGuardError is raised.
+    point: the membership test ``_proven_certificate`` is given.  When a
+    scan fails, the difference set is formed under its pair guard, past
+    which EnumerationGuardError is raised, and verified.
     """
     check_bound(bound)
     fan = eprime.fan
-    proven = _proven_candidate(fan)
-    if proven is not None and all(
-        has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
-        for m in proven
-    ):
-        return FiberCertificate(bound, _degree_image_count(fan, bound), True)
-    return markov_verify(fan, section_difference_moves(eprime), bound)
+
+    def holds(m: Vec) -> bool:
+        return has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
+
+    cert = _proven_certificate(fan, holds, bound)
+    return cert or markov_verify(fan, section_difference_moves(eprime), bound)
 
 
 def connected_sections_check(

@@ -17,6 +17,7 @@ from torhyp.classify import (
     UNLISTED,
     applicable_configs,
     boundary_genus_profile,
+    compiled_member,
     derive_verdict,
     positivity_certificate,
     surface_divisor,
@@ -35,7 +36,7 @@ from torhyp.divisors import (
 )
 from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
-from torhyp.toric_ideal import InternalInconsistencyError
+from torhyp.toric_ideal import FiberCertificate, InternalInconsistencyError
 
 from oracles import low_genus_entry
 
@@ -561,6 +562,24 @@ def test_positivity_degenerate_degree_is_inconsistent(monkeypatch):
     monkeypatch.setattr(classify_module, "intersection_matrix", lambda _: (row,) * 5)
     with pytest.raises(InternalInconsistencyError):
         positivity_certificate(d, e, ample_reference(fan))
+
+
+def test_disconnected_certificate_leaves_the_cell_open(monkeypatch):
+    # Cell (3, 4) of 2.0.1 at l = 2 is Hyperbolic through E' = D_2.  With
+    # every configuration's certificate disconnected, no configuration
+    # passes: the cell is Open and ``tried`` keeps the certificate.
+    spec = spec_of("2.0.1", l=2)
+    assert derive_verdict(spec, (3, 4)).outcome == HYPERBOLIC
+    cert = FiberCertificate(6, 5, False, (1, 2))
+    monkeypatch.setattr(classify_module, "section_certificate", lambda eprime, bound: cert)
+    compiled_member.cache_clear()
+    try:
+        v = derive_verdict(spec, (3, 4))
+    finally:
+        monkeypatch.undo()
+        compiled_member.cache_clear()
+    assert v.outcome == OPEN and v.evidence["reason"] == "no derivation applies"
+    assert {"config": "D_2", "connected_sections": cert.as_json()} in v.evidence["tried"]
 
 
 @pytest.mark.parametrize("case,params,coeffs", [

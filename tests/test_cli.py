@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -168,6 +170,8 @@ def test_markov_large_coordinates(capsys):
     (["--pretty"], "required: verb"),
     (["paint", "--case", "2.0.1"], "invalid choice: 'paint'"),
     (["sweep", "--case", "2.0.1", "--l", "2", "--out", "xml"], "invalid choice: 'xml'"),
+    (["markov", "--bound", "3"], "give either --case with its parameters or --fan FILE"),
+    (["faces", "--case", "2.0.1", "--l", "2"], "faces wants --coeffs or --D"),
 ])
 def test_usage_errors_exit1(capsys, argv, message):
     # Argument errors end like every other invalid input: one JSON error
@@ -287,6 +291,17 @@ def test_sweep_csv(capsys):
     assert len(lines) == 10
 
 
+def test_sweep_json_rows_match_csv(capsys):
+    argv = ["sweep", "--case", "2.0.1", "--l", "2", "--range", "0..2", "--bound", "4"]
+    code, data = run_json(capsys, *argv, "--out", "json")
+    assert code == 0 and set(data) == {"schema", "rows"}
+    code, out = run(capsys, *argv)
+    assert code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(csv_rows) == 9
+    assert [{k: str(v) for k, v in row.items()} for row in data["rows"]] == csv_rows
+
+
 def test_invalid_parameter_exit1(capsys):
     code, data = run_json(capsys, "classify", "--case", "2.0.2", "--l1", "3", "--l2", "1",
                           "--coeffs", "1,1")
@@ -359,6 +374,11 @@ def test_internal_inconsistency_exit2(capsys, monkeypatch, rows, argv):
     {"pic_basis": ("D_1", "D_2")},
     # A repeated label leaves four complement rays.
     {"pic_basis": ("D_2", "D_2")},
+    # The same cones, but (0, 1, 2) holds the collection (0, 1) and so is
+    # no minimal non-face.
+    {"collections": ((0, 1), (2, 3, 4), (0, 1, 2))},
+    # Reference coordinates that are not the class of K.
+    {"canonical": lambda l: (0, 0)},
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.

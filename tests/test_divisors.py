@@ -22,7 +22,13 @@ from torhyp.divisors import (
     picard_basis,
     ray_divisor,
 )
-from torhyp.fans import build_family_fan, family_fan, fan_from_json, find_containing_cone
+from torhyp.fans import (
+    FamilySpec,
+    build_family_fan,
+    family_fan,
+    fan_from_json,
+    find_containing_cone,
+)
 
 from oracles import collection_levels, collection_relations, cone_intersection_tensor
 from test_fans import TWISTED_FAN, p3_subdivision
@@ -147,31 +153,45 @@ def test_nef_generator_combos(fan):
             assert not is_nef(d)
 
 
-def test_eff_generators_cover_all_rays(fan):
-    """Every ray divisor class decomposes nonnegatively over the printed
-    effective generators."""
+def rays_outside_eff_cone(fan):
+    """Ray labels whose class is no nonnegative combination of the printed
+    effective generators' classes, tried over every basis among them
+    (Caratheodory)."""
     from itertools import combinations
 
     from torhyp.intlin import IntMat, solve_exact
 
-    gens = eff_generators(fan)
-    basis = picard_basis(fan)
-    gen_classes = [class_of(g) for g in gens]
-    for i in range(fan.nrays):
-        target = class_of(ray_divisor(fan, fan.ray_labels[i]))
-        found = False
-        for subset in combinations(range(len(gens)), basis.rank):
-            mat = IntMat.from_rows(
-                [[gen_classes[j][c] for j in subset] for c in range(basis.rank)]
-            )
-            try:
-                sol = solve_exact(mat, list(target))
-            except Exception:
-                continue
-            if sol is not None and all(x >= 0 for x in sol):
-                found = True
-                break
-        assert found, f"ray {fan.ray_labels[i]} outside the printed effective cone"
+    rank = picard_basis(fan).rank
+    gen_classes = [class_of(g) for g in eff_generators(fan)]
+    bases = [IntMat.from_rows(list(zip(*subset))) for subset in combinations(gen_classes, rank)]
+    bases = [mat for mat in bases if mat.det() != 0]
+    return [
+        label for label in fan.ray_labels
+        if not any(min(solve_exact(mat, list(class_of(ray_divisor(fan, label))))) >= 0
+                   for mat in bases)
+    ]
+
+
+def test_eff_generators_cover_all_rays(fan):
+    """Every ray divisor class decomposes nonnegatively over the printed
+    effective generators."""
+    assert rays_outside_eff_cone(fan) == []
+
+
+def test_eff_generators_generate_at_negative_twists():
+    # The ray classes generate the effective cone, so the printed
+    # generators do iff every ray class lies in their cone.  The criterion-1
+    # grid has b1 = -1 in 3.1.1, 3.1.2 and 3.1.5; 3.1.3 and 3.1.4 are
+    # added with both twists negative, of mixed sign, or zero.
+    from test_acceptance import PARAM_GRIDS, iter_specs
+
+    twists = [(b1, x) for b1 in (-2, -1, 0) for x in (-3, -1, 0)]
+    specs = list(iter_specs(PARAM_GRIDS))
+    specs += [FamilySpec.make("3.1.3", b1=b1, c2=x) for b1, x in twists]
+    specs += [FamilySpec.make("3.1.4", b1=b1, b2=x) for b1, x in twists]
+    specs += [FamilySpec.make(case, b1=-3) for case in ("3.1.1", "3.1.2", "3.1.5")]
+    for spec in specs:
+        assert rays_outside_eff_cone(build_family_fan(spec)) == [], spec
 
 
 def test_nef_coordinates_roundtrip(fan):
