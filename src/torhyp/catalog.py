@@ -4,18 +4,17 @@ A record holds every stored fact about one case: parameter names and the
 parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
 the Picard basis, nef and effective cone generators, the canonical
-reference coordinates, the encoded presentation matrix B and Markov move
-set, the connected-sections configurations and the reference verdict
-table.  Entries that depend on the family parameters are functions of
-them.
+reference coordinates, the Markov move set, the connected-sections
+configurations and the reference verdict table.  Entries that depend on
+the family parameters are functions of them.
 
 Facts that follow from these are derived where they are used: surface
 classes and the ample reference class are combinations of the nef
-generators, and the table coefficient names follow from the Picard rank.
-The other stored facts are checked where they are read: B is proven to be
-the class map of the Picard basis (``divisors.picard_basis``), and the
-canonical coordinates must be the class of K, the nef generators a nef
-basis and the Markov moves in ker B.
+generators, the class map B is read off the rays and the Picard basis
+(``divisors.picard_basis``), and the table coefficient names follow from
+the Picard rank.  The other stored facts are checked where they are read:
+the canonical coordinates must be the class of K, the nef generators a
+nef basis and the Markov moves in ker B.
 
 This module imports nothing from the package.
 """
@@ -139,7 +138,6 @@ class Case(NamedTuple):
     nef: Callable[..., list[dict[str, int]]]
     eff: Callable[..., tuple[str, ...]]
     canonical: Callable[..., tuple[int, ...]]
-    gale_rows: Callable[..., list[list[int]]]
     markov: Callable[..., list[list[int]]]
     configs: tuple[SectionConfig, ...]
     tables: tuple[TableBlock, ...]
@@ -162,7 +160,6 @@ _CASE_201 = Case(
     nef=lambda **_: [{"D_2": 1}, {"D_3": 1}],
     eff=lambda **_: ("D_1", "D_3"),
     canonical=lambda l: (-2, l - 3),
-    gale_rows=lambda l: [[1, 1, 0, 0, 0], [-l, 0, 1, 1, 1]],
     markov=lambda l: [[1, -1, 0, 0, l], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]],
     configs=(
         SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
@@ -232,7 +229,6 @@ _CASE_202 = Case(
     nef=lambda **_: [{"D_3": 1}, {"D_4": 1}],
     eff=lambda **_: ("D_2", "D_4"),
     canonical=lambda l1, l2: (-3, l1 + l2 - 2),
-    gale_rows=lambda l1, l2: [[1, 1, 1, 0, 0], [-l1, -l2, 0, 1, 1]],
     markov=lambda l1, l2: [[1, -1, 0, 0, l1 - l2], [0, 1, -1, 0, l2], [0, 0, 0, 1, -1]],
     configs=(
         SectionConfig(
@@ -274,7 +270,7 @@ _CASE_202 = Case(
 
 
 # Rank 3 splitting fans: 3.0.1 (b >= 0) and 3.0.2 (b < 0) share the fan,
-# the basis, the canonical class and the presentation.
+# the basis and the canonical class.
 
 
 def _general_301_hyp_rows(p: Params) -> list[TableRow]:
@@ -307,7 +303,6 @@ _CASE_301 = Case(
     nef=lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
     eff=lambda **_: ("D_1", "D_3", "D_5"),
     canonical=lambda r, a, b: (-2 + a + r, -2 + b, -2),
-    gale_rows=lambda r, a, b: [[1, 1, -r, 0, -a, 0], [0, 0, 1, 1, -b, 0], [0, 0, 0, 0, 1, 1]],
     markov=lambda r, a, b: [
         [1, -1, 0, 0, 0, 0], [0, r, 1, -1, 0, 0], [0, a + b * r, b, 0, 1, -1]
     ],
@@ -595,7 +590,6 @@ _CASE_311 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 2, -1, -2),
-    gale_rows=lambda b1: [[1, 1, 0, 1, -b1 - 1, 0], [0, 0, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
     markov=lambda b1: [[1, 0, -1, -1, 0, 0], [0, 1, -1, -1, 0, 0], [0, 0, b1, b1 + 1, 1, -1]],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_311(),
@@ -609,7 +603,6 @@ _CASE_312 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
     canonical=lambda b1: (b1 - 2, 0, -2),
-    gale_rows=lambda b1: [[1, 0, 1, 1, -b1 - 1, 0], [0, 1, -1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
     markov=lambda b1: [[1, -1, -1, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, b1, b1 + 1, 0, 1, -1]],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_312(),
@@ -625,7 +618,6 @@ _CASE_313 = Case(
     eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
     canonical=lambda b1, c2: (b1 + c2 - 1, -1, -3),
-    gale_rows=lambda b1, c2: [[1, 0, 1, -b1 - 1, 0, -c2], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, 1, 1]],
     markov=lambda b1, c2: [
         [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, -1, 0], [0, b1 - c2, b1 + 1 - c2, 1, 0, -1]
     ],
@@ -680,9 +672,6 @@ _CASE_314 = Case(
     eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
     canonical=lambda b1, b2: (b1 + b2, -2, -3),
-    gale_rows=lambda b1, b2: [
-        [1, 0, 1, -b1 - 1, -b2 - 1, 0], [0, 1, -1, 1, 1, 0], [0, 0, 0, 1, 1, 1]
-    ],
     markov=lambda b1, b2: [
         [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, 0, -1], [0, b1 - b2, b1 - b2, 1, -1, 0]
     ],
@@ -739,7 +728,6 @@ _CASE_315 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 1, -2, -2),
-    gale_rows=lambda b1: [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
     markov=lambda b1: [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=(

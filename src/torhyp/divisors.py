@@ -4,8 +4,8 @@ A divisor is a per-ray integer coefficient vector D = sum a_rho D_rho.  Its
 class lives in Pic, the cokernel of 0 -> M -> Z^r -> Pic -> 0, where M =
 Z^3 maps to the principal divisors m -> (<m, u_rho>)_rho.  On a catalog fan
 Pic is free of rank 2 or 3, and a class is the tuple of its coordinates in
-the case's basis of ray divisors, read through the stored class map B,
-which ``picard_basis`` proves exact.  On any fan, ``character`` tests for
+the case's basis of ray divisors, read through the class map B that
+``picard_basis`` builds from the rays.  On any fan, ``character`` tests for
 the zero class by solving for m, and the wall curves (``fans.walls``)
 give nef and ample and, with one dual vector per ray, every triple
 product (``intersection_matrix``), so bigness too.
@@ -22,6 +22,7 @@ from .fans import (
     FAN_CACHE_SIZE,
     Fan,
     InternalInconsistencyError,
+    cone_coordinates,
     family_record,
     json_int,
     walls,
@@ -121,14 +122,13 @@ def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
     For i != j, D_i and D_j meet in the curve V(tau) of the wall tau =
     {i, j} when that is a 2-face of the fan, and are disjoint otherwise,
     so D.D_i.D_j is the wall degree of tau or 0.  For the diagonal take a
-    maximal cone (rho, p, q) with delta = det(u_rho, u_p, u_q) = +-1 and
-    m = delta (u_p x u_q): then <m, u_rho> = delta^2 = 1 and <m, u_p> =
-    <m, u_q> = 0.  div chi^m = sum_k <m, u_k> D_k is principal, so D_rho
-    ~ -sum_{k != rho} <m, u_k> D_k and D.D_rho^2 = -sum_{k != rho} <m, u_k>
-    D.D_rho.D_k, where only the k with {rho, k} a wall contribute.  So
-    each wall adds its degree to two off-diagonal entries and one term to
-    each of its two diagonal entries (Cox, Little and Schenck, Toric
-    Varieties, 6.3-6.4).
+    maximal cone (rho, p, q) and solve <m, u_rho> = 1, <m, u_p> = <m, u_q>
+    = 0, integrally as the cone is unimodular.  div chi^m = sum_k <m, u_k>
+    D_k is principal, so D_rho ~ -sum_{k != rho} <m, u_k> D_k and
+    D.D_rho^2 = -sum_{k != rho} <m, u_k> D.D_rho.D_k, where only the k
+    with {rho, k} a wall contribute.  So each wall adds its degree to two
+    off-diagonal entries and one term to each of its two diagonal entries
+    (Cox, Little and Schenck, Toric Varieties, 6.3-6.4).
     """
     fan = d.fan
     rays, n = fan.rays, fan.nrays
@@ -136,10 +136,7 @@ def intersection_matrix(d: TDivisor) -> tuple[tuple[int, ...], ...]:
     for cone in fan.max_cones:
         for rho in cone:
             if rho not in dual:
-                p, q = (rays[k] for k in cone if k != rho)
-                m = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-                delta = sum(map(mul, rays[rho], m))
-                dual[rho] = tuple(delta * x for x in m)
+                dual[rho] = solve_3x3([rays[k] for k in cone], [int(k == rho) for k in cone])[0]
     rows = [[0] * n for _ in range(n)]
     for (i, j, *_), degree in zip(walls(fan), wall_degrees(fan, d.coeffs)):
         if degree:
@@ -179,37 +176,37 @@ class PicBasis(NamedTuple):
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def picard_basis(fan: Fan) -> PicBasis:
-    """Basis of Pic for a catalog fan with its class map B, the record's
-    stored ``gale_rows``, proven against the rays.
+    """Basis of Pic for a catalog fan with its class map B, read off the rays.
 
     Let A be the ray matrix (rays as rows, the map M = Z^3 -> Z^r), S the
-    basis rays and T the other rays.  Three checks are made: T has three
-    rays with |det A_T| = 1, B is the identity on the columns S, and B A =
-    0.  They are complete.  A_T unimodular makes A injective and gives, for
-    every v in Z^r, an m with (A m)_T = v_T, so Z^r = im A + Z^S.  B is the
-    identity on Z^S, so it is onto; B A = 0 puts im A in ker B, and v = A m
-    + w with w on S lies in ker B only if w = B w = 0.  So ker B = im A, the
-    sequence 0 -> M -> Z^r -> Z^k -> 0 is exact, B is the class map and
-    D_S is a basis of the free cokernel Pic.  A record that fails a check
-    raises InternalInconsistencyError.
+    record's basis rays and T the other rays.  T must be three rays that
+    form a lattice basis; then each u_s is sum_t lambda_st u_t with integer
+    lambda_s (``fans.cone_coordinates``), and B has the row e_s - sum_t
+    lambda_st e_t for each s in S.  So B A = 0 and B is the identity on the
+    columns S by construction.  A_T unimodular makes A injective and gives,
+    for every v in Z^r, an m with (A m)_T = v_T, so Z^r = im A + Z^S.  B is
+    onto, and v = A m + w with w on S lies in ker B only if w = B w = 0.  So
+    ker B = im A, the sequence 0 -> M -> Z^r -> Z^k -> 0 is exact and D_S
+    is a basis of the free cokernel Pic (Cox, Little and Schenck, Toric
+    Varieties, 4.1.3).  A record whose T is no lattice basis raises
+    InternalInconsistencyError.
     """
     if fan.family is None:
         raise ValueError("picard_basis needs a catalog fan")
-    record, params = family_record(fan)
+    record, _ = family_record(fan)
     try:
         basis = tuple(fan.label_index(lab) for lab in record.pic_basis)
     except KeyError as exc:
         raise InternalInconsistencyError(f"Picard basis: {exc.args[0]}") from exc
     others = [i for i in range(fan.nrays) if i not in basis]
-    if len(others) != 3 or abs(IntMat.from_rows(fan.rays[i] for i in others).det()) != 1:
+    sols = len(others) == 3 and [cone_coordinates(fan, others, fan.rays[s]) for s in basis]
+    if not sols or any(sol is None or sol[1] != 1 for sol in sols):
         raise InternalInconsistencyError("basis complement is not a lattice basis; fan data corrupt")
-    rows = record.gale_rows(**params)
-    if len(rows) != len(basis) or any(len(row) != fan.nrays for row in rows):
-        raise InternalInconsistencyError("stored class map has the wrong shape")
-    if any(row[s] != (c == k) for c, row in enumerate(rows) for k, s in enumerate(basis)):
-        raise InternalInconsistencyError("stored class map is not the identity on the basis rays")
-    if any(sum(x * u[j] for x, u in zip(row, fan.rays)) for row in rows for j in range(3)):
-        raise InternalInconsistencyError("stored class map does not kill the lattice relations")
+    rows = [[0] * fan.nrays for _ in basis]
+    for row, s, (lam, _) in zip(rows, basis, sols):
+        row[s] = 1
+        for t, x in zip(others, lam):
+            row[t] = -x
     return PicBasis(fan, basis, IntMat.from_rows(rows))
 
 

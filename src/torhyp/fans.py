@@ -133,7 +133,8 @@ def _two_faces(fan: Fan) -> tuple[list[int], dict[tuple[int, int], list[tuple[in
 
 def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
     """The failures of the smoothness and completeness checks, spelled out:
-    a ray that is not primitive or lies in no maximal cone, a cone that
+    a ray that is no 3-vector (reported alone), a ray that is not
+    primitive or lies in no maximal cone, a cone that
     repeats a ray (reported alone, as it has no three 2-faces), a cone of
     |det| other than 1, a 2-face in other than two maximal cones or with
     both on one side, a point inside the first cone that another cone
@@ -149,8 +150,11 @@ def verify_smooth_complete(fan: Fan) -> tuple[str, ...]:
     ray lies in a cone without it; cones that cover space once and hold no
     ray but their own meet in common faces, so they form a fan.
     """
-    failures: list[str] = []
     rays, cones = fan.rays, fan.max_cones
+    short = [f"ray {i} has {len(u)} coordinates, not 3" for i, u in enumerate(rays) if len(u) != 3]
+    if short:
+        return tuple(short)
+    failures: list[str] = []
     used = {i for cone in cones for i in cone}
     for i, u in enumerate(rays):
         if gcd(*u) != 1:

@@ -62,11 +62,15 @@ def polytope_of(d: TDivisor) -> HPolytope:
 
 
 def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
-    """{m : <m, u_rho> >= rhs_rho}; a non-integer offset is a ValueError."""
+    """{m : <m, u_rho> >= rhs_rho}; a non-integer offset, or other than
+    one per ray, is a ValueError."""
     try:
-        return HPolytope(tuple(fan.rays), tuple(map(index, rhs)))
+        offsets = tuple(map(index, rhs))
     except TypeError:
         raise ValueError("polytope offsets are integers") from None
+    if len(offsets) != fan.nrays:
+        raise ValueError(f"{len(offsets)} polytope offsets given for {fan.nrays} rays")
+    return HPolytope(tuple(fan.rays), offsets)
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)

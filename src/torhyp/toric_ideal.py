@@ -2,8 +2,8 @@
 
 The short exact sequence 0 -> Z^3 -> Z^r -> Z^k -> 0 of a catalog fan is
 realised by the ray matrix A (rays as rows) and the class map B
-(``gale_matrix``, the stored matrix that ``divisors.picard_basis`` proves
-exact, a column per ray and a row per Picard basis ray).  A move set M in
+(``gale_matrix``, which ``divisors.picard_basis`` builds from the rays,
+a column per ray and a row per Picard basis ray).  A move set M in
 L = ker(B) is a Markov basis when every fiber {v in Z^r_{>=0} : B v = t}
 is connected by M.  The fan's reference move set is proven once by
 algebra: it spans L and its binomial ideal is saturated, checked by
@@ -35,6 +35,7 @@ from .fans import (
     FAN_CACHE_SIZE,
     Fan,
     InternalInconsistencyError,
+    _det,
     family_record,
     find_containing_cone,
 )
@@ -91,8 +92,8 @@ def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
 
 
 def gale_matrix(fan: Fan) -> IntMat:
-    """Class map B, columns the rays and rows the Picard basis rays: the
-    record's stored matrix, proven exact by ``picard_basis``."""
+    """Class map B, columns the rays and rows the Picard basis rays, as
+    ``picard_basis`` reads it off the rays."""
     return picard_basis(fan).reduction
 
 
@@ -301,7 +302,7 @@ def _markov_proof(fan: Fan, moves: Sequence[Vec]) -> bool:
     Buchberger run exceeds its step budget: the proof is then left undone.
     """
     deltas = _character_moves(fan, moves)
-    if gcd(*(IntMat.from_rows(t).det() for t in combinations(deltas, 3))) != 1:
+    if gcd(*(_det(*t) for t in combinations(deltas, 3))) != 1:
         return False
     omega = _grading(fan)
     return all(_saturated_in(moves, omega, i) for i in range(fan.nrays))
@@ -366,6 +367,8 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
             mv = tuple(map(index, mv))
         except TypeError:
             raise ValueError(f"candidate move {mv} has a non-integer entry") from None
+        if len(mv) != fan.nrays:
+            raise ValueError(f"candidate move {mv} has {len(mv)} entries for {fan.nrays} rays")
         if any(x != 0 for x in b.mul_vec(mv)):
             raise ValueError(f"candidate move {mv} is not in the kernel of the class map")
         if any(mv):

@@ -20,6 +20,9 @@ from the primitive collections and their relations, which
 ``cone_intersection_tensor`` computes every triple product by a recursion
 over ray triples through the maximal cones, as the package did before
 ``divisors.intersection_matrix`` read them off the walls.
+``PRINTED_CLASS_MAPS`` holds the class map B of each case as the paper
+prints it, which the catalog stored until ``divisors.picard_basis`` read
+B off the rays.
 """
 
 from functools import lru_cache
@@ -330,3 +333,20 @@ def cone_intersection_tensor(fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(
         tuple(tuple(product(tuple(sorted((a, b, c)))) for c in n) for b in n) for a in n
     )
+
+
+# The printed class maps B per case, a row per Picard basis ray and a
+# column per ray; 3.0.1 and 3.0.2 share theirs.
+PRINTED_CLASS_MAPS = {
+    "2.0.1": lambda l: [[1, 1, 0, 0, 0], [-l, 0, 1, 1, 1]],
+    "2.0.2": lambda l1, l2: [[1, 1, 1, 0, 0], [-l1, -l2, 0, 1, 1]],
+    "3.0.1": lambda r, a, b: [[1, 1, -r, 0, -a, 0], [0, 0, 1, 1, -b, 0], [0, 0, 0, 0, 1, 1]],
+    "3.1.1": lambda b1: [[1, 1, 0, 1, -b1 - 1, 0], [0, 0, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+    "3.1.2": lambda b1: [[1, 0, 1, 1, -b1 - 1, 0], [0, 1, -1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+    "3.1.3": lambda b1, c2: [[1, 0, 1, -b1 - 1, 0, -c2], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, 1, 1]],
+    "3.1.4": lambda b1, b2: [
+        [1, 0, 1, -b1 - 1, -b2 - 1, 0], [0, 1, -1, 1, 1, 0], [0, 0, 0, 1, 1, 1]
+    ],
+    "3.1.5": lambda b1: [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
+}
+PRINTED_CLASS_MAPS["3.0.2"] = PRINTED_CLASS_MAPS["3.0.1"]

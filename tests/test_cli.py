@@ -341,23 +341,40 @@ def run_on_corrupt_record(capsys, monkeypatch, change, verb, *argv):
             cache.cache_clear()
 
 
+VERBS = [["describe"], ["markov", "--bound", "3"], ["classify", "--coeffs", "1,1"]]
+
+
 @pytest.mark.parametrize("rows", [
-    # 9s on the basis columns D_2, D_3.
-    [[9, 9, 9, 9, 9], [0, 0, 0, 0, 0]],
-    # Rows of length 4.
-    [[1, 1, 0, 0], [-3, 0, 1, 1]],
-    # One row.
-    [[1, 1, 0, 0, 0]],
-    # The identity on the basis columns, but it does not kill the rays.
-    [[1, 1, 0, 0, 0], [-3, 0, 1, 1, 2]],
+    # The last ray doubled: not primitive, and four cones of |det| 2.
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [6, -2, -2]],
+    # Rows of length 2.
+    [[1, 0], [-1, 0], [0, 1], [0, 0], [3, -1]],
+    # Four rows: the cones on (0, 2), (0, 3), (1, 2), (1, 3) have no second side.
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # Unimodular cones that do not cover space once.
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [3, 1, 1]],
 ])
-@pytest.mark.parametrize("argv", [
-    ["describe"], ["markov", "--bound", "3"], ["classify", "--coeffs", "1,1"],
-], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
 def test_internal_inconsistency_exit2(capsys, monkeypatch, rows, argv):
-    # A stored class map that fails its proof is corrupt package data,
-    # whichever verb reads it first.
-    code, data = run_on_corrupt_record(capsys, monkeypatch, {"gale_rows": lambda l: rows}, *argv)
+    # The class map is read off the rays, so stored ray rows that give no
+    # smooth complete fan are corrupt package data, whichever verb reads
+    # them first.
+    code, data = run_on_corrupt_record(capsys, monkeypatch, {"rays": lambda **_: rows}, *argv)
+    assert code == 2
+    assert set(data) == {"schema", "internal_error"}
+
+
+@pytest.mark.parametrize("pic_basis", [
+    # The complement D_3, D_4, D_5 has determinant 3 at l = 3.
+    ("D_1", "D_2"),
+    # The complement D_1, D_2, D_3 has rank 2.
+    ("D_4", "D_5"),
+], ids=["complement-det3", "complement-rank2"])
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+def test_corrupt_pic_basis_exit2(capsys, monkeypatch, pic_basis, argv):
+    # A Picard basis whose complement is no lattice basis gives no class
+    # map; that is corrupt package data, whichever verb reads it first.
+    code, data = run_on_corrupt_record(capsys, monkeypatch, {"pic_basis": pic_basis}, *argv)
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
 

@@ -1,9 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from torhyp.catalog import CASES as CATALOG
 from torhyp.divisors import (
     TDivisor,
     ample_reference,
@@ -24,13 +26,19 @@ from torhyp.divisors import (
 )
 from torhyp.fans import (
     FamilySpec,
+    ParameterError,
     build_family_fan,
     family_fan,
     fan_from_json,
     find_containing_cone,
 )
 
-from oracles import collection_levels, collection_relations, cone_intersection_tensor
+from oracles import (
+    PRINTED_CLASS_MAPS,
+    collection_levels,
+    collection_relations,
+    cone_intersection_tensor,
+)
 from test_fans import TWISTED_FAN, p3_subdivision
 
 CASES = [
@@ -101,6 +109,23 @@ def test_pic_reduction_kills_relations(fan):
     for pos, i in enumerate(basis.basis_rays):
         unit = tuple(1 if t == pos else 0 for t in range(basis.rank))
         assert class_of(ray_divisor(fan, fan.ray_labels[i])) == unit
+
+
+def test_class_map_is_the_printed_one_on_small_members():
+    # Every member with parameters in -4..4: the class map read off the
+    # rays is the matrix the paper prints, so a mistyped ray fails here.
+    checked = 0
+    for case, record in CATALOG.items():
+        for values in product(range(-4, 5), repeat=len(record.params)):
+            params = dict(zip(record.params, values))
+            try:
+                spec = FamilySpec.make(case, **params)
+            except ParameterError:
+                continue
+            reduction = picard_basis(build_family_fan(spec)).reduction
+            assert reduction.to_rows() == PRINTED_CLASS_MAPS[case](**params), spec
+            checked += 1
+    assert checked == 434
 
 
 def test_class_of_201_printed_relations():

@@ -316,6 +316,13 @@ def test_nonsmooth_cone_detected():
     assert any("not primitive" in f for f in failures)
 
 
+def test_ray_that_is_no_3_vector_detected():
+    # A wrong-length ray is reported alone; the determinant test would
+    # index past its end.
+    with pytest.raises(FanGeometryError, match="ray 0 has 2 coordinates, not 3"):
+        generic_fan([(1, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+
+
 def test_cones_from_collections_rejects_garbage():
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]
     with pytest.raises(FanGeometryError):

@@ -246,6 +246,15 @@ def test_existence_scan_is_guarded():
     assert has_lattice_point(polytope_of(divisor(fan, {"D_1": 10**5, "D_4": 10**5, "D_6": 10**5})))
 
 
+@pytest.mark.parametrize("length", [3, 4, 6])
+def test_offset_polytope_refuses_other_than_one_offset_per_ray(length):
+    # One offset per ray, or the polytope would silently lose a facet or
+    # fail inside the lattice scan.
+    fan = family_fan("2.0.1", l=2)
+    with pytest.raises(ValueError, match=f"{length} polytope offsets given for 5 rays"):
+        offset_polytope(fan, (-2,) * length)
+
+
 def test_lattice_points_201_count9():
     fan = family_fan("2.0.1", l=1)
     p = polytope_of(divisor(fan, {"D_2": 1, "D_3": 1}))

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -165,6 +166,16 @@ def test_bound_below_one_rejected(bound):
     fan = family_fan("2.0.1", l=2)
     with pytest.raises(ValueError):
         markov_verify(fan, markov_candidate(fan), bound=bound)
+
+
+@pytest.mark.parametrize("move, message", [
+    ((1, 0, 0, 0, 0), "is not in the kernel of the class map"),
+    ((1, -1, 0, 0), "has 4 entries for 5 rays"),
+])
+def test_markov_verify_names_a_refused_move(move, message):
+    fan = family_fan("2.0.1", l=2)
+    with pytest.raises(ValueError, match=f"candidate move {re.escape(str(move))} {message}"):
+        markov_verify(fan, [move], 2)
 
 
 def test_dropping_essential_move_fails():
