@@ -10,13 +10,15 @@ The reference tables record the sharper published classification; the
 comparator only demands that the two never contradict each other.
 
 Each family member is compiled once (``compiled_member``): its table
-block into bit masks (``CompiledTable``) and its verdict numbers into one
-generated integer function of the cell's nef coordinates
-(``_evaluator_source``), whose nef tests of D + K and D - E' read the
-levels of D on the wall curves (``fans.walls``).  ``boundary_genus_profile``
-and ``positivity_certificate`` compute the same numbers for any divisor
-and are the oracles of the forms.  Cells outside every block of their
-case (negative parameters of the five-collection cases) are Unlisted.
+block into bit masks (``CompiledTable``) and its verdict numbers, the
+cell's mask among them, into one generated integer function of the
+cell's nef coordinates (``_evaluator_source``), whose nef tests of D + K
+and D - E' read the levels of D on the wall curves (``fans.walls``); a
+verdict keeps its boundary as numbers until it is printed.
+``boundary_genus_profile``, ``positivity_certificate`` and ``table_lookup``
+compute the same numbers for any cell and are the evaluator's oracles.
+Cells outside every block of their case (negative parameters of the
+five-collection cases) are Unlisted.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ from .fans import (
     Fan,
     InternalInconsistencyError,
     ParameterError,
+    _det,
     build_family_fan,
     family_record,
 )
-from .intlin import IntMat
 from .toric_ideal import DEFAULT_MARKOV_BOUND, check_bound, section_certificate
 
 UNLISTED = "Unlisted"
@@ -99,7 +101,7 @@ def boundary_genus_profile(d: TDivisor) -> dict:
     curve.  A nontrivial divisor that is not big always has a genus-zero
     boundary curve, which the profile records by the big flag; its faces
     count zero interior points, P(D) being flat.  Returns the verdict's
-    ``boundary`` document.
+    ``boundary`` document, rendered as a verdict renders its own.
     """
     if character(d.fan, d.coeffs) is not None:
         raise ValueError("the zero class has no boundary profile")
@@ -107,18 +109,26 @@ def boundary_genus_profile(d: TDivisor) -> dict:
         raise ValueError("boundary profiles assume a nef divisor")
     matrix = intersection_matrix(d)
     squares = [sum(x * m for x, m in zip(d.coeffs, row)) for row in matrix]
-    big = sum(x * s for x, s in zip(d.coeffs, squares)) > 0
-    entries = []
+    faces = [sum(x * s for x, s in zip(d.coeffs, squares)) > 0]
     for i, (row, square) in enumerate(zip(matrix, squares)):
-        if square > 0:
-            dim = 2
-        else:
-            dim = 1 if any(m for k, m in enumerate(row) if k != i) else 0
+        dim = 2 if square > 0 else 1 if any(m for k, m in enumerate(row) if k != i) else 0
         # K = -(sum of all D_k), so D.D_rho.(D + D_rho + K) reads off the row.
-        count = 1 + (square + row[i] - sum(row)) // 2 if big and dim == 2 else 0
-        entries.append({"ray": d.fan.ray_labels[i], "face_dim": dim,
-                        "interior_count": count, "carries_curve": dim > 0})
-    return {"big": big, "entries": entries}
+        faces += [dim, 1 + (square + row[i] - sum(row)) // 2]
+    return boundary_json(tuple(zip(d.fan.ray_labels, range(1, len(faces), 2))), faces)
+
+
+def boundary_json(layout: Sequence[tuple[str, int]], faces: Sequence) -> dict:
+    """The ``boundary`` document of faces = (big, then a face dimension and
+    a raw genus 1 + (D^2.D_rho - off)/2 per slot), ``layout`` pairing each
+    ray label with the position of its dimension.  The raw genus is the
+    interior count where D is big and the face 2-dimensional, else 0."""
+    big = faces[0]
+    return {"big": big, "entries": [
+        {"ray": label, "face_dim": faces[k],
+         "interior_count": faces[k + 1] if big and faces[k] == 2 else 0,
+         "carries_curve": faces[k] > 0}
+        for label, k in layout
+    ]}
 
 
 def applicable_configs(fan: Fan) -> list[SectionConfig]:
@@ -200,12 +210,14 @@ class Verdict(NamedTuple):
 
     Parts of the evidence that depend on the member alone (certificates,
     E' labels, generator labels) are built once and shared between
-    verdicts, so evidence is read, never mutated.
+    verdicts, so evidence is read, never mutated.  ``boundary`` holds the
+    (layout, faces) that ``as_json`` renders as the last evidence key.
     """
 
     outcome: str
     evidence: dict
     table: TableOutcome
+    boundary: tuple | None = None
 
     @property
     def agree(self) -> bool:
@@ -219,8 +231,11 @@ class Verdict(NamedTuple):
         return pair == {HYPERBOLIC, NOT_HYPERBOLIC}
 
     def as_json(self) -> dict:
+        evidence = self.evidence
+        if self.boundary is not None:
+            evidence = {**evidence, "boundary": boundary_json(*self.boundary)}
         return {
-            "derived": {"outcome": self.outcome, "evidence": self.evidence},
+            "derived": {"outcome": self.outcome, "evidence": evidence},
             "table": self.table.as_json(),
             "agree": self.agree,
         }
@@ -282,9 +297,21 @@ def _positive(terms: Form, pure: set[str]) -> bool:
     return all(k >= 0 for k, _ in terms) and all(k > 0 for k, x in terms if x in pure)
 
 
+def _mask_source(index: Sequence[Sequence[int]]) -> str:
+    """Source of a cell's row mask (``CompiledTable``): per coordinate a tuple
+    of constants, cut before the run of entries equal to its last."""
+    parts = []
+    for i, admit in enumerate(index):
+        n = len(admit) - 1
+        while n and admit[n - 1] == admit[-1]:
+            n -= 1
+        parts.append(f"({admit[:n]}[c{i}] if c{i} < {n} else {admit[-1]})" if n else str(admit[-1]))
+    return " & ".join(parts) or "-1"
+
+
 def _evaluator_source(
     r: int,
-    labels: Sequence[str],
+    index: Sequence[Sequence[int]],
     nef: Sequence[Sequence[int]],
     squares: Sequence[Form],
     offs: Sequence[Form],
@@ -294,21 +321,25 @@ def _evaluator_source(
     eff: Sequence[int],
     configs: Sequence[tuple[Sequence[Form], Sequence[int]] | None],
     guard: bool,
-) -> str:
+) -> tuple[str, list[int]]:
     """Source of ``numbers(c0, c1[, c2])`` (see ``CompiledMember``) from a
-    member's forms over the monomials q<a><b> = c_a c_b and the ray
-    coefficients of its nef generators N_a.
+    member's table masks and its forms over the monomials q<a><b> = c_a c_b
+    and the ray coefficients of its nef generators N_a, with each ray's
+    position in the faces.
 
     The face of rho is 2-dimensional iff D^2.D_rho > 0, else a segment iff
     its off-diagonal sum is nonzero (a nef D meets each curve D_rho.D_k
     nonnegatively), and a 2-dimensional face of a big D counts
     1 + (D^2.D_rho - off)/2 interior points, by adjunction
-    2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off.  ``guard`` (a listed
-    generator is not nef) puts the nef test of D first.  Each distinct
-    form is one local, however many rays share it, and no test is written
-    whose outcome the coefficients fix on every cell: an off-diagonal sum
-    positive at every c >= 0, c != 0, a level (>= 0 once D is nef) against
-    a constant <= 0, a ray whose numbers an earlier ray already tested.
+    2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off.  That raw genus is
+    written unguarded: a face of dimension <= 1 has D^2.D_rho = 0, so its
+    raw genus is 1 - ceil(off/2) <= 1, and the low-genus test reads it as
+    it read a count of 0.  ``guard`` (a listed generator is not nef) puts
+    the nef test of D first.  Each distinct form is one local, however
+    many rays share it, and no test is written whose outcome the
+    coefficients fix on every cell: an off-diagonal sum positive at every
+    c >= 0, c != 0, a level (>= 0 once D is nef) against a constant <= 0,
+    a ray whose numbers an earlier ray already tested.
     """
     cs = [f"c{a}" for a in range(r)]
     level_text = [_sum_source(f) for f in levels]
@@ -336,33 +367,33 @@ def _evaluator_source(
     volume = [(k, f"{ca}*{s}") for ca, x in zip(cs, nef) for k, s in zip(x, sq) if s != "0"]
     local[f"{_sum_source(volume)} > 0"] = "big"
     linear = set(cs)
-    entries, tests, seen = [], [], set()
-    for rho, (label, s, o) in enumerate(zip(labels, sq, of)):
+    # Each distinct (dimension, raw genus) pair is one slot of the faces.
+    slot: dict[tuple[str, str], int] = {}
+    slots, tests = [], []
+    for rho, (s, o) in enumerate(zip(sq, of)):
         segment = "1" if _positive(offs[rho], linear) else f"1 if {o} else 0"
         d = value(f"d{rho}", f"2 if {s} > 0 else {segment}")
-        g = value(f"g{rho}", f"1 + ({s} - {o})//2 if big and {s} > 0 else 0")
-        # The face is a point only where the dimension can read 0.
-        carries = "True" if segment == "1" else f"{d} > 0"
-        entries.append(
-            f'{{"ray": {label!r}, "face_dim": {d}, "interior_count": {g}, "carries_curve": {carries}}}'
-        )
-        # The first ray whose face carries a curve of genus <= 1 (a segment
-        # counts 0); a ray with the numbers of one already tested adds
-        # nothing.
-        if (d, g) not in seen:
-            seen.add((d, g))
-            tests.append(f"{rho} if {g} <= 1" if carries == "True" else f"{rho} if {d} and {g} <= 1")
+        g = value(f"g{rho}", f"1 + ({s} - {o})//2")
+        # The first ray whose face carries a curve of genus <= 1 (a face
+        # that is a point carries none); a ray with the numbers of one
+        # already tested adds nothing.
+        if (d, g) not in slot:
+            slot[d, g] = 1 + 2 * len(slot)
+            tests.append(f"{rho} if {g} <= 1" if segment == "1" else f"{rho} if {d} and {g} <= 1")
+        slots.append(slot[d, g])
+    faces = ", ".join(["big", *(x for pair in slot for x in pair)])
     body = [
-        f'    b = {{"big": big, "entries": {_list_source(entries)}}}',
+        f"    mask = {_mask_source(index)}",
+        f"    f = ({faces})",
         "    if not big:",
-        "        return b, None, None, None",
+        "        return mask, f, None, None, None",
         f"    low = {' else '.join([*tests, 'None'])}",
         "    if low is not None:",
-        "        return b, low, None, None",
+        "        return mask, f, low, None, None",
     ]
     adjoint_fails = below(adjoint)
     if adjoint_fails:
-        body += [f"    if {' or '.join(adjoint_fails)}:", "        return b, None, None, None"]
+        body += [f"    if {' or '.join(adjoint_fails)}:", "        return mask, f, None, None, None"]
     pairings = []
     for config in configs:
         if config is None:
@@ -373,13 +404,13 @@ def _evaluator_source(
         fails = below(floor)
         pairings.append(f"None if {' or '.join(fails)} else {alphas}" if fails else alphas)
     betas_text = _list_source([_sum_source(f) for f in betas])
-    body.append(f"    return b, None, {betas_text}, {_list_source(pairings)}")
+    body.append(f"    return mask, f, None, {betas_text}, {_list_source(pairings)}")
     text = "\n".join([*(f"    {name} = {form}" for form, name in local.items()), *body])
     # The monomials c_a c_b that some term reads, as locals q<a><b>.
     monomials = [
         f"    q{a}{b} = c{a}*c{b}" for a in range(r) for b in range(a, r) if f"q{a}{b}" in text
     ]
-    return "\n".join([*lines, *monomials, text, ""])
+    return "\n".join([*lines, *monomials, text, ""]), slots
 
 
 def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
@@ -415,9 +446,6 @@ class CompiledConfig:
         return self._cert[1]
 
 
-_NO_BLOCK = TableOutcome(UNLISTED, (), None, False, False)
-
-
 class CompiledTable:
     """A member's table block with its rows as bit masks.
 
@@ -427,11 +455,12 @@ class CompiledTable:
     reads all values above its threshold alike, so index[i] lists the
     values up to one past coordinate i's largest threshold and a larger
     value reads its last entry.  A cell matches the orders whose bits
-    survive the and over its coordinates, and the outcome of each such
-    mask is kept in ``memo``, which holds at most the product over the
-    coordinates of their numbers of distinct entries.  Each row is (outcome, the bits of its orders, the
-    bit of its printed order, whether a match through another order is
-    unresolved).
+    survive the and over its coordinates; the member's ``numbers`` reads
+    that mask from its own copy of the tables, and ``lookup`` is its
+    oracle.  The outcome of each mask is kept in ``memo``, which holds at
+    most the product over the coordinates of their numbers of distinct
+    entries.  Each row is (outcome, the bits of its orders, the bit of its
+    printed order, whether a match through another order is unresolved).
     """
 
     __slots__ = ("block", "index", "rows", "memo")
@@ -442,18 +471,16 @@ class CompiledTable:
 
     def lookup(self, coeffs: tuple[int, ...]) -> TableOutcome:
         """Outcome of a cell of nonnegative ints."""
-        if self.block is None:
-            return _NO_BLOCK
         mask = -1
         for admit, v in zip(self.index, coeffs):
             mask &= admit[v] if v < len(admit) else admit[-1]
-        outcome = self.memo.get(mask)
-        if outcome is None:
-            outcome = self.memo[mask] = self._outcome(mask)
-        return outcome
+        return self.memo.get(mask) or self.outcome(mask)
 
-    def _outcome(self, mask: int) -> TableOutcome:
+    def outcome(self, mask: int) -> TableOutcome:
+        """Outcome of a row mask, kept in ``memo``."""
         block = self.block
+        if block is None:
+            return self.memo.setdefault(mask, TableOutcome(UNLISTED, (), None, False, False))
         hits = [
             (outcome, uncertain and not mask & printed)
             for outcome, orders, printed, uncertain in self.rows
@@ -464,7 +491,8 @@ class CompiledTable:
         matched = tuple(dict.fromkeys(o for o, _ in hits))
         ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
         value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
-        return TableOutcome(value, matched, block.name, block.imported, ambiguous)
+        outcome = TableOutcome(value, matched, block.name, block.imported, ambiguous)
+        return self.memo.setdefault(mask, outcome)
 
 
 def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
@@ -498,21 +526,25 @@ class CompiledMember(NamedTuple):
     """Everything ``derive_verdict`` reads about one family member.
 
     ``numbers(c0, c1[, c2])`` is an integer function of the cell,
-    generated from the member's forms (``_evaluator_source``; ``source``
-    keeps its text).  It returns None when a listed generator is not nef
-    and D is not either (D.V < 0 on some wall curve V).  Otherwise it
-    returns (boundary, low, degrees, pairings): the ``boundary`` document
-    that ``boundary_genus_profile`` gives; ``low``, the index of the first
-    ray whose face carries a curve of genus at most one; and, only when D
-    is big, has no such ray and D + K is nef, the degrees H.D.F_j over the effective generators F_j and per
-    configuration the pairings (E + K).D.F_j = D^2.F_j + (K - E').D.F_j,
-    None for a configuration whose E' or D - E' is not nef.  Where it
-    returns early the degrees and pairings are None.
+    generated from the member's table masks and forms
+    (``_evaluator_source``; ``source`` keeps its text).  It returns None
+    when a listed generator is not nef and D is not either (D.V < 0 on
+    some wall curve V).  Otherwise it returns (mask, faces, low, degrees,
+    pairings): the cell's row mask (the key of ``table.memo``); the faces
+    that ``boundary_json`` renders with ``layout``, a face dimension and
+    raw genus per distinct pair of ray forms; ``low``, the index of the
+    first ray whose face carries a curve of genus at most one; and, only
+    when D is big, has no such ray and D + K is nef, the degrees H.D.F_j
+    over the effective generators F_j and per configuration the pairings
+    (E + K).D.F_j = D^2.F_j + (K - E').D.F_j, None for a configuration
+    whose E' or D - E' is not nef.  Where it returns early the degrees
+    and pairings are None.
     """
 
     fan: Fan
     names: tuple[str, ...]
     table: CompiledTable
+    layout: tuple[tuple[str, int], ...]
     ample: bool
     eff_labels: list[str]
     configs: tuple[CompiledConfig, ...]
@@ -539,7 +571,9 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     block = next((b for b in record.tables if b.applies(params)), None)
     gens = nef_generators(fan)
     classes = [class_of(g) for g in gens]
-    if len(gens) != len(record.coeff_names) or IntMat.from_rows(classes).det() == 0:
+    # A 2x2 determinant is the 3x3 one with a unit row and column added.
+    square = [(*x, 0) for x in classes] + [(0, 0, 1)] if len(classes) == 2 else classes
+    if len(gens) != len(record.coeff_names) or [len(x) for x in square] != [3] * 3 or not _det(*square):
         raise InternalInconsistencyError(f"case {spec.case_id}: the nef generators are not a basis")
     h = ample_reference(fan)
     generators_nef, ample = all(is_nef(g) for g in gens), is_ample(h)
@@ -596,15 +630,17 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
             continue
         k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
         config_forms.append(([form(k_minus, j) for j in eff], floor(eprime.coeffs)))
-    source = _evaluator_source(
-        r, fan.ray_labels, [g.coeffs for g in gens], squares, offs, levels,
+    table = _compile_table(block, params)
+    source, slots = _evaluator_source(
+        r, table.index, [g.coeffs for g in gens], squares, offs, levels,
         [-k for k in floor(canonical)],
         [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
     )
     return CompiledMember(
         fan=fan,
         names=record.coeff_names,
-        table=_compile_table(block, params),
+        table=table,
+        layout=tuple(zip(fan.ray_labels, slots)),
         ample=ample,
         eff_labels=[fan.ray_labels[j] for j in eff],
         configs=tuple(configs),
@@ -622,43 +658,36 @@ def derive_verdict(
     (or the class is trivial or not big); Hyperbolic when the boundary is
     clean and some listed configuration passes the connected-sections,
     adjoint-nef, and positivity checks; Open otherwise.  Every number, the
-    boundary document included, is read from one call of the member's
-    compiled ``numbers``, which returns early for a class that is not big,
-    has a boundary curve of genus <= 1 or a non-nef adjoint class;
-    ``boundary_genus_profile`` and ``positivity_certificate`` compute the
-    same numbers for any divisor.  A Markov bound below one is refused on
-    every cell, as ``markov_verify`` refuses it.
+    table mask and the boundary faces included, is read from one call of
+    the member's compiled ``numbers``, which returns early for a class
+    that is not big, has a boundary curve of genus <= 1 or a non-nef
+    adjoint class; the boundary stays those numbers until the verdict is
+    printed.  A Markov bound below one is refused on every cell, as
+    ``markov_verify`` refuses it.
     """
     check_bound(bound)
     m = compiled_member(spec)
     c = _cell(spec.case_id, m.names, coeffs)
-    table = m.table.lookup(c)
-    # The generator classes are a basis (proven at the compile), so only the
-    # zero combination is the trivial class.
-    if not any(c):
-        return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
     out = m.numbers(*c)
     if out is None:
         raise ValueError("boundary profiles assume a nef divisor")
-    boundary, low, betas, pairings = out
+    mask, faces, low, betas, pairings = out
+    table = m.table.memo.get(mask) or m.table.outcome(mask)
     if betas is None:
         if low is not None:
-            entry = boundary["entries"][low]
-            evidence = {
-                "reason": "boundary curve of genus <= 1",
-                "ray": entry["ray"],
-                "face_dim": entry["face_dim"],
-                "genus": entry["interior_count"],
-                "boundary": boundary,
-            }
-            return Verdict(NOT_HYPERBOLIC, evidence, table)
-        if boundary["big"]:
-            return Verdict(OPEN, {"reason": "adjoint class not nef", "boundary": boundary}, table)
-        return Verdict(
-            NOT_HYPERBOLIC,
-            {"reason": "class not big: genus 0 boundary curve", "boundary": boundary},
-            table,
-        )
+            label, k = m.layout[low]
+            dim = faces[k]
+            evidence = {"reason": "boundary curve of genus <= 1", "ray": label, "face_dim": dim,
+                        "genus": faces[k + 1] if dim == 2 else 0}
+            return Verdict(NOT_HYPERBOLIC, evidence, table, (m.layout, faces))
+        if faces[0]:
+            return Verdict(OPEN, {"reason": "adjoint class not nef"}, table, (m.layout, faces))
+        # The generator classes are a basis (proven at the compile), so only
+        # the zero combination is the trivial class.
+        if not any(c):
+            return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
+        reason = {"reason": "class not big: genus 0 boundary curve"}
+        return Verdict(NOT_HYPERBOLIC, reason, table, (m.layout, faces))
     tried: list[dict] = []
     for config, alphas in zip(m.configs, pairings):
         if not config.nef:
@@ -682,16 +711,9 @@ def derive_verdict(
         if min(betas) < 1:
             raise InternalInconsistencyError("positive pairing with a degenerate degree")
         epsilon = pos["epsilon"] = _epsilon(alphas, betas)
-        evidence = {
-            "config": config.name,
-            "eprime": config.labels,
-            "connected_sections": cert,
-            "adjoint_nef": True,
-            "positivity": pos,
-            "epsilon": epsilon,
-            "boundary": boundary,
-        }
-        return Verdict(HYPERBOLIC, evidence, table)
+        evidence = {"config": config.name, "eprime": config.labels, "connected_sections": cert,
+                    "adjoint_nef": True, "positivity": pos, "epsilon": epsilon}
+        return Verdict(HYPERBOLIC, evidence, table, (m.layout, faces))
     return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)
 
 

@@ -66,31 +66,6 @@ class IntMat(_MatFields):
             raise ValueError("shape mismatch")
         return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
 
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 def rational_rank(m: IntMat) -> int:
     """Rank over the rationals, by exact Gaussian elimination."""

@@ -20,9 +20,11 @@ from the primitive collections and their relations, which
 ``cone_intersection_tensor`` computes every triple product by a recursion
 over ray triples through the maximal cones, as the package did before
 ``divisors.intersection_matrix`` read them off the walls.
-``PRINTED_CLASS_MAPS`` holds the class map B of each case as the paper
-prints it, which the catalog stored until ``divisors.picard_basis`` read
-B off the rays.
+``det`` is the Bareiss determinant of any square matrix, for the
+Smith-form and unimodularity checks; the package computes its 3x3
+determinants inline (``fans._det``).  ``PRINTED_CLASS_MAPS`` holds the
+class map B of each case as the paper prints it, which the catalog
+stored until ``divisors.picard_basis`` read B off the rays.
 """
 
 from functools import lru_cache
@@ -118,6 +120,32 @@ def low_genus_entry(profile: dict) -> dict | None:
     return next(
         (e for e in profile["entries"] if e["carries_curve"] and e["interior_count"] <= 1), None
     )
+
+
+def det(m: IntMat) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def identity(n: int) -> IntMat:

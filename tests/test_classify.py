@@ -199,7 +199,7 @@ def test_derive_verdict_cells(case, params, coeffs, derived, table):
         assert ev["connected_sections"]["connected"]
         assert ev["adjoint_nef"] is True
         assert all(a >= 1 for a in ev["positivity"]["pairings"])
-        assert ev["boundary"]["big"]
+        assert v.as_json()["derived"]["evidence"]["boundary"]["big"]
 
 
 def test_derive_verdict_trivial_class():

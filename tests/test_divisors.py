@@ -38,6 +38,7 @@ from oracles import (
     collection_levels,
     collection_relations,
     cone_intersection_tensor,
+    det,
 )
 from test_fans import TWISTED_FAN, p3_subdivision
 
@@ -189,7 +190,7 @@ def rays_outside_eff_cone(fan):
     rank = picard_basis(fan).rank
     gen_classes = [class_of(g) for g in eff_generators(fan)]
     bases = [IntMat.from_rows(list(zip(*subset))) for subset in combinations(gen_classes, rank)]
-    bases = [mat for mat in bases if mat.det() != 0]
+    bases = [mat for mat in bases if det(mat) != 0]
     return [
         label for label in fan.ray_labels
         if not any(min(solve_exact(mat, list(class_of(ray_divisor(fan, label))))) >= 0

@@ -157,7 +157,8 @@ def test_library_entry_points_refuse_non_integers(bad):
 def test_generated_evaluators_are_exact():
     # Each compiled member's evaluator is generated at run time, out of
     # reach of the source scan above: scan its source, and check that it
-    # reads no global or builtin name, only its arguments and locals.
+    # reads no global or builtin name, no default and no closure cell,
+    # only its arguments, its constants and its locals.
     from torhyp.classify import compiled_member
     from torhyp.fans import CASE_IDS, FamilySpec
 
@@ -168,6 +169,9 @@ def test_generated_evaluators_are_exact():
             m = compiled_member(FamilySpec.make(case, **params))
             assert forbidden_uses(m.source) == [], (case, params)
             assert m.numbers.__code__.co_names == (), (case, params)
+            assert m.numbers.__defaults__ is None, (case, params)
+            assert m.numbers.__kwdefaults__ is None, (case, params)
+            assert m.numbers.__closure__ is None, (case, params)
 
 
 def test_generator_refuses_non_integer_coefficients(monkeypatch):
