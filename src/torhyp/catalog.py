@@ -4,17 +4,18 @@ A record holds every stored fact about one case: parameter names and the
 parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
 the Picard basis, nef and effective cone generators, the canonical
-reference coordinates, the Markov move set, the connected-sections
-configurations and the reference verdict table.  Entries that depend on
-the family parameters are functions of them.
+reference coordinates, the Markov moves (as characters in Z^3), the
+connected-sections configurations and the reference verdict table.
+Entries that depend on the family parameters are functions of them.
 
 Facts that follow from these are derived where they are used: surface
 classes and the ample reference class are combinations of the nef
 generators, the class map B is read off the rays and the Picard basis
-(``divisors.picard_basis``), and the table coefficient names follow from
-the Picard rank.  The other stored facts are checked where they are read:
-the canonical coordinates must be the class of K, the nef generators a
-nef basis and the Markov moves in ker B.
+(``divisors.picard_basis``), the Markov moves are the characters
+embedded by the ray matrix A, so they lie in ker B = im A, and the table
+coefficient names follow from the Picard rank.  The other stored facts
+are checked where they are read: the canonical coordinates must be the
+class of K and the nef generators a nef basis.
 
 This module imports nothing from the package.
 """
@@ -138,7 +139,7 @@ class Case(NamedTuple):
     nef: Callable[..., list[dict[str, int]]]
     eff: Callable[..., tuple[str, ...]]
     canonical: Callable[..., tuple[int, ...]]
-    markov: Callable[..., list[list[int]]]
+    markov: Callable[..., list[Vec3]]  # a character delta per move A delta
     configs: tuple[SectionConfig, ...]
     tables: tuple[TableBlock, ...]
 
@@ -160,7 +161,7 @@ _CASE_201 = Case(
     nef=lambda **_: [{"D_2": 1}, {"D_3": 1}],
     eff=lambda **_: ("D_1", "D_3"),
     canonical=lambda l: (-2, l - 3),
-    markov=lambda l: [[1, -1, 0, 0, l], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
         SectionConfig("D_2", lambda p: p["l"] >= 1, lambda p: {"D_2": 1}),
@@ -229,7 +230,7 @@ _CASE_202 = Case(
     nef=lambda **_: [{"D_3": 1}, {"D_4": 1}],
     eff=lambda **_: ("D_2", "D_4"),
     canonical=lambda l1, l2: (-3, l1 + l2 - 2),
-    markov=lambda l1, l2: [[1, -1, 0, 0, l1 - l2], [0, 1, -1, 0, l2], [0, 0, 0, 1, -1]],
+    markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         SectionConfig(
             "D_3+D_4", lambda p: p["l1"] == 0 and p["l2"] == 0, lambda p: {"D_3": 1, "D_4": 1}
@@ -303,9 +304,7 @@ _CASE_301 = Case(
     nef=lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
     eff=lambda **_: ("D_1", "D_3", "D_5"),
     canonical=lambda r, a, b: (-2 + a + r, -2 + b, -2),
-    markov=lambda r, a, b: [
-        [1, -1, 0, 0, 0, 0], [0, r, 1, -1, 0, 0], [0, a + b * r, b, 0, 1, -1]
-    ],
+    markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
     configs=(
         SectionConfig(
             "D_1+D_4+D_6",
@@ -590,7 +589,7 @@ _CASE_311 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 2, -1, -2),
-    markov=lambda b1: [[1, 0, -1, -1, 0, 0], [0, 1, -1, -1, 0, 0], [0, 0, b1, b1 + 1, 1, -1]],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_311(),
 )
@@ -603,7 +602,7 @@ _CASE_312 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
     canonical=lambda b1: (b1 - 2, 0, -2),
-    markov=lambda b1: [[1, -1, -1, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, b1, b1 + 1, 0, 1, -1]],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_312(),
 )
@@ -618,9 +617,7 @@ _CASE_313 = Case(
     eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
     canonical=lambda b1, c2: (b1 + c2 - 1, -1, -3),
-    markov=lambda b1, c2: [
-        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, -1, 0], [0, b1 - c2, b1 + 1 - c2, 1, 0, -1]
-    ],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(
         lambda p: p["b1"] == 0 and p["c2"] == 0,
         lambda p: not (p["b1"] == 0 and p["c2"] == 0),
@@ -672,9 +669,7 @@ _CASE_314 = Case(
     eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
     canonical=lambda b1, b2: (b1 + b2, -2, -3),
-    markov=lambda b1, b2: [
-        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, 0, -1], [0, b1 - b2, b1 - b2, 1, -1, 0]
-    ],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(
         lambda p: p["b1"] == 0 and p["b2"] == 0,
         lambda p: not (p["b1"] == 0 and p["b2"] == 0),
@@ -728,7 +723,7 @@ _CASE_315 = Case(
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
     canonical=lambda b1: (b1 - 1, -2, -2),
-    markov=lambda b1: [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]],
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=(
         TableBlock(

@@ -26,10 +26,10 @@ from .intlin import solve_3x3
 Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
-# The size of every per-fan cache (fans, wall relations, Picard bases, class
-# maps, Markov proofs, boundedness of normal sets, the dense view of the
-# triple products, compiled members): one entry per family member in use;
-# the criterion-1 grid has 186.  Intersection matrices are not cached.
+# The size of every per-fan cache (fans, wall relations, Picard bases,
+# Markov proofs, fiber counts, boundedness of normal sets, the dense view of
+# the triple products, compiled members): one entry per family member in
+# use; the criterion-1 grid has 186.  Intersection matrices are not cached.
 FAN_CACHE_SIZE = 256
 
 

@@ -133,11 +133,18 @@ def _eliminate(cons: list[tuple]) -> list[tuple]:
     """Fourier-Motzkin: rows (c_1, ..., c_k, r), meaning sum c_i x_i >= r,
     of the projection that drops x_k.  Rows free of x_k are kept, and each
     pair of a lower (c_k > 0) and an upper (c_k < 0) bound on x_k gives the
-    positive combination that cancels x_k."""
+    positive combination that cancels x_k.  More pairs than
+    LATTICE_SCAN_GUARD are refused before any is formed."""
+    lower = [c for c in cons if c[-2] > 0]
+    upper = [c for c in cons if c[-2] < 0]
+    if len(lower) * len(upper) > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"{len(lower)} x {len(upper)} elimination pairs exceed the budget of {LATTICE_SCAN_GUARD}"
+        )
     return [(*c[:-2], c[-1]) for c in cons if c[-2] == 0] + [
         tuple(-bk * x + ak * y for x, y in zip((*a, ar), (*b, br)))
-        for *a, ak, ar in cons if ak > 0
-        for *b, bk, br in cons if bk < 0
+        for *a, ak, ar in lower
+        for *b, bk, br in upper
     ]
 
 
@@ -165,7 +172,9 @@ def _scan(p: HPolytope) -> Iterator[Vec3]:
     read belong to the projection before and hold throughout the scan.
     Each (x, y) row and each point costs one unit of LATTICE_SCAN_GUARD,
     rows charged before they are scanned, so a thin polytope whose rows
-    hold no point is refused as early as one full of points.
+    hold no point is refused as early as one full of points; an
+    elimination step of more row pairs than that budget is refused before
+    it is formed.
     """
     if not _bounded(p.normals):
         raise UnboundedPolytopeError("inequality system is unbounded")

@@ -5,20 +5,19 @@ realised by the ray matrix A (rays as rows) and the class map B
 (``gale_matrix``, which ``divisors.picard_basis`` builds from the rays,
 a column per ray and a row per Picard basis ray).  A move set M in
 L = ker(B) is a Markov basis when every fiber {v in Z^r_{>=0} : B v = t}
-is connected by M.  The fan's reference move set is proven once by
-algebra: it spans L and its binomial ideal is saturated, checked by
-binomial Buchberger runs.  Every move set is then decided one of two
-ways.  A set that holds each proven move up to sign is a Markov basis
-and is certified without a search; for the difference set of a polytope
-P(E') each membership is one existence scan, so ``section_certificate``
-forms that set only when a move is missing.  Every other set is
-searched: each fiber touched by a vector of coordinate sum <= bound is
-tested for connectivity.  A fiber is in bijection with the lattice
-points of a bounded polytope in the character lattice Z^3 (bounded
-because the fan is complete), and each move with its character
-(``divisors.character``), so every search runs there on 3-d points.
-``connected_sections_check`` returns the document that
-``connected-sections`` prints.
+is connected by M.  L = im(A), so each move is A delta for one character
+delta in Z^3, and moves are kept as characters: the catalog stores them,
+a given move is pulled back once (``divisors.character``).  The fan's
+reference set is proven once by algebra: it spans L and its binomial
+ideal is saturated, checked by binomial Buchberger runs.  A set that
+holds each proven move up to sign is then a Markov basis, certified
+without a search; for the difference set of P(E') each membership is one
+existence scan, so ``section_certificate`` forms that set only when a
+move is missing.  Every other set is searched: each fiber touched by a
+vector of coordinate sum <= bound is in bijection with the lattice
+points of a polytope in Z^3 (bounded because the fan is complete), on
+which a move translates by its character.  ``connected_sections_check``
+returns the document that ``connected-sections`` prints.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, gcd
 from operator import index, le, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .divisors import TDivisor, character, divisor_from_class, is_nef, picard_basis
 from .fans import (
@@ -77,18 +76,22 @@ class FiberCertificate(NamedTuple):
         }
 
 
-def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
-    """The reference Markov move set per case, parameters substituted; a
-    move outside ker(B) is bad package data (InternalInconsistencyError)."""
+def _reference_characters(fan: Fan) -> tuple[Vec, ...]:
+    """The catalog's characters of the reference moves, parameters substituted."""
     record, p = family_record(fan)
-    moves = tuple(tuple(c) for c in record.markov(**p))
-    b = gale_matrix(fan)
-    for mv in moves:
-        if any(b.mul_vec(mv)):
-            raise InternalInconsistencyError(
-                f"case {fan.family.case_id}: Markov move {mv} is not in the kernel of the class map"
-            )
-    return moves
+    return tuple(map(tuple, record.markov(**p)))
+
+
+def _embed(fan: Fan, delta: Vec) -> Vec:
+    """The move A delta, whose entries are the pairings <delta, u_rho>."""
+    x, y, z = delta
+    return tuple(u[0] * x + u[1] * y + u[2] * z for u in fan.rays)
+
+
+def markov_candidate(fan: Fan) -> tuple[Vec, ...]:
+    """The reference Markov move set per case: the catalog's characters
+    embedded by the ray matrix, so every move lies in ker(B) = im(A)."""
+    return tuple(_embed(fan, d) for d in _reference_characters(fan))
 
 
 def gale_matrix(fan: Fan) -> IntMat:
@@ -115,11 +118,11 @@ def fiber_elements(fan: Fan, image: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _connected_under(points: Sequence[Vec], deltas: Sequence[Vec]) -> bool:
+def _connected_under(points: Sequence[Vec], deltas: Collection[Vec]) -> bool:
     """Connectivity of a finite set of points in Z^3 under the signed moves.
 
     The points are the lattice points of one fiber in the character
-    lattice and the deltas the moves pulled back there, so a step is three
+    lattice and the deltas the characters of the moves, so a step is three
     integer additions and a set lookup.
     """
     steps = {d for dx, dy, dz in deltas for d in ((dx, dy, dz), (-dx, -dy, -dz))}
@@ -143,16 +146,6 @@ def check_bound(bound: int) -> None:
         raise ValueError(f"the Markov bound must be at least 1, got {bound}")
 
 
-def _check_degree_budget(fan: Fan, bound: int) -> None:
-    """Refuse a bound whose C(bound + r, r) vectors exceed the lattice scan
-    budget, before any enumeration."""
-    r = fan.nrays
-    if comb(bound + r, r) > LATTICE_SCAN_GUARD:
-        raise EnumerationGuardError(
-            f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
-        )
-
-
 def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec]]:
     """Distinct images of nonnegative vectors with coordinate sum <= bound,
     packed as integers in ascending order, with the decoder of a packed
@@ -167,9 +160,12 @@ def _degree_images(fan: Fan, bound: int) -> tuple[list[int], Callable[[int], Vec
     integer sums.  There are C(bound + r, r) such vectors; past the
     lattice scan budget the enumeration is refused before it starts.
     """
-    _check_degree_budget(fan, bound)
-    b = gale_matrix(fan)
     r = fan.nrays
+    if comb(bound + r, r) > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"degree bound {bound} would enumerate more than {LATTICE_SCAN_GUARD} vectors"
+        )
+    b = gale_matrix(fan)
     radix = 2 * bound * max(map(abs, b.entries)) + 1
 
     def unpack(x: int) -> Vec:
@@ -195,19 +191,6 @@ def _degree_image_count(fan: Fan, bound: int) -> int:
     """The number of fibers up to the bound, the count of _degree_images,
     which a Markov set's certificate reports without searching them."""
     return len(_degree_images(fan, bound)[0])
-
-
-def _character_moves(fan: Fan, moves: Sequence[Vec]) -> list[Vec]:
-    """The character delta in Z^3 of each move, <delta, u_rho> = move_rho.
-
-    Moves in ker(B) lie in the image of the ray matrix because
-    0 -> M -> Z^r -> Pic -> 0 is exact.
-    """
-    deltas = [character(fan, mv) for mv in moves]
-    if None in deltas:
-        mv = moves[deltas.index(None)]
-        raise InternalInconsistencyError(f"move {mv} is not in the image of the ray matrix")
-    return deltas
 
 
 def _grading(fan: Fan) -> Vec:
@@ -290,35 +273,35 @@ def _saturated_in(moves: Sequence[Vec], omega: Vec, i: int) -> bool | None:
     return not any(lead[i] for lead, _ in basis)
 
 
-def _markov_proof(fan: Fan, moves: Sequence[Vec]) -> bool:
-    """Whether the moves, all in ker(B), provably form a Markov basis.
+def _markov_proof(fan: Fan, deltas: Sequence[Vec]) -> bool:
+    """Whether the moves A delta provably form a Markov basis.
 
     A set M spanning L = ker(B) is a Markov basis iff its binomial ideal
     I_M equals I_M : (x_1 ... x_r)^inf (Diaconis-Sturmfels 1998, Thm 3.1,
     with Sturmfels, Lemma 12.2), which holds iff I_M : x_i^inf = I_M for
     every variable.  The ray matrix A maps Z^3 onto L, one to one, so M
-    spans L iff the pull-backs of its moves (_character_moves) span Z^3,
-    that is iff their 3x3 determinants have gcd 1.  False also when a
-    Buchberger run exceeds its step budget: the proof is then left undone.
+    spans L iff the characters span Z^3, that is iff their 3x3
+    determinants have gcd 1.  False also when a Buchberger run exceeds its
+    step budget: the proof is then left undone.
     """
-    deltas = _character_moves(fan, moves)
     if gcd(*(_det(*t) for t in combinations(deltas, 3))) != 1:
         return False
     omega = _grading(fan)
+    moves = [_embed(fan, d) for d in deltas]
     return all(_saturated_in(moves, omega, i) for i in range(fan.nrays))
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _proven_candidate(fan: Fan) -> tuple[Vec, ...] | None:
-    """The fan's reference move set if _markov_proof holds for it."""
-    moves = tuple(m for m in markov_candidate(fan) if any(m))
-    return moves if _markov_proof(fan, moves) else None
+    """The fan's nonzero reference characters if _markov_proof holds for them."""
+    deltas = tuple(d for d in _reference_characters(fan) if any(d))
+    return deltas if _markov_proof(fan, deltas) else None
 
 
 def _proven_certificate(fan: Fan, holds: Callable[[Vec], bool], bound: int) -> FiberCertificate | None:
     """The certificate of a move set that holds each proven move up to
-    sign, as ``holds`` tells; None when the fan's reference set is not
-    proven or the set lacks one of its moves.
+    sign, as ``holds`` tells of its character; None when the fan's
+    reference set is not proven or the set lacks one of its moves.
 
     Such a set generates the ideal of the proven basis, which is I_L, so it
     is a Markov basis: it connects every fiber of every degree, and the
@@ -330,18 +313,17 @@ def _proven_certificate(fan: Fan, holds: Callable[[Vec], bool], bound: int) -> F
     return FiberCertificate(bound, _degree_image_count(fan, bound), True)
 
 
-def _bounded_search(fan: Fan, moves: Sequence[Vec], bound: int) -> FiberCertificate:
-    """Connectivity of every fiber touched by a vector of coordinate sum
-    <= bound, in the order of the packed images (``_degree_images``); the
-    first disconnected one is named with the count checked so far.
+def _bounded_search(fan: Fan, deltas: Collection[Vec], bound: int) -> FiberCertificate:
+    """Connectivity under the moves A delta of every fiber touched by a
+    vector of coordinate sum <= bound, in the order of the packed images
+    (``_degree_images``); the first disconnected one is named with the
+    count checked so far.
 
     A fiber {v >= 0 : B v = t} is in bijection with the lattice points d of
-    {<d, u_rho> >= -v0_rho}, v = v0 + A d, and a move mv = A delta acts
-    there as d -> d + delta, so the moves are pulled back to Z^3 once and
-    each search runs on the lattice points.
+    {<d, u_rho> >= -v0_rho}, v = v0 + A d, and a move A delta acts there as
+    d -> d + delta, so each search runs on the lattice points.
     """
     packed, unpack = _degree_images(fan, bound)
-    deltas = _character_moves(fan, moves)
     for i, t in enumerate(packed):
         rhs = tuple(-c for c in divisor_from_class(fan, unpack(t)).coeffs)
         if not _connected_under(lattice_points(offset_polytope(fan, rhs)), deltas):
@@ -354,14 +336,15 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
 
     The certificate states that every fiber reached by a vector of
     coordinate sum <= bound is connected, or names the first that is not.
-    A set that holds the proven reference moves up to sign is certified
-    without a search (``_proven_certificate``); every other set, on any
-    fan, goes to the bounded search.  A bound below one would certify
-    nothing, so it is rejected.
+    Each move is pulled back once to its character; a move that has none
+    is outside ker(B) = im(A) and is refused.  A set that holds the proven
+    reference moves up to sign is certified without a search
+    (``_proven_certificate``); every other set, on any fan, goes to the
+    bounded search.  A bound below one would certify nothing, so it is
+    rejected.
     """
     check_bound(bound)
-    b = gale_matrix(fan)
-    moves = []
+    deltas = set()
     for mv in candidate:
         try:
             mv = tuple(map(index, mv))
@@ -369,14 +352,26 @@ def markov_verify(fan: Fan, candidate: Sequence[Vec], bound: int = DEFAULT_MARKO
             raise ValueError(f"candidate move {mv} has a non-integer entry") from None
         if len(mv) != fan.nrays:
             raise ValueError(f"candidate move {mv} has {len(mv)} entries for {fan.nrays} rays")
-        if any(x != 0 for x in b.mul_vec(mv)):
+        delta = character(fan, mv)
+        if delta is None:
             raise ValueError(f"candidate move {mv} is not in the kernel of the class map")
-        if any(mv):
-            moves.append(mv)
-    _check_degree_budget(fan, bound)
-    given = set(moves) | {tuple(-x for x in m) for m in moves}
+        if any(delta):
+            deltas.add(delta)
+    given = deltas | {(-x, -y, -z) for x, y, z in deltas}
     cert = _proven_certificate(fan, given.__contains__, bound)
-    return cert or _bounded_search(fan, moves, bound)
+    return cert or _bounded_search(fan, deltas, bound)
+
+
+def _section_differences(eprime: TDivisor) -> set[Vec]:
+    """The distinct differences of two distinct lattice points of P(E'),
+    each pair taken in one order; an E' with more point pairs than the
+    lattice scan budget is refused before any difference is formed."""
+    pts = lattice_points(offset_polytope(eprime.fan, tuple(-c for c in eprime.coeffs)))
+    if len(pts) ** 2 > LATTICE_SCAN_GUARD:
+        raise EnumerationGuardError(
+            f"{len(pts)}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
+        )
+    return {(a - x, b - y, c - z) for i, (a, b, c) in enumerate(pts) for x, y, z in pts[i + 1:]}
 
 
 def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
@@ -384,19 +379,10 @@ def section_difference_moves(eprime: TDivisor) -> tuple[Vec, ...]:
 
     The embedding m -> (<m, u_rho>)_rho identifies lattice points of P(E')
     with their monomial exponent vectors; differences land in ker(B).
-    Moves are normalised up to sign, so each pair of distinct points is
-    taken in one order; the distinct differences in Z^3 are collected first
-    and each is embedded once.  An E' with more point pairs than the
-    lattice scan budget is refused before any difference is formed.
+    Moves are normalised up to sign; the distinct differences in Z^3 are
+    collected first (``_section_differences``) and each is embedded once.
     """
-    fan = eprime.fan
-    pts = lattice_points(offset_polytope(fan, tuple(-c for c in eprime.coeffs)))
-    if len(pts) ** 2 > LATTICE_SCAN_GUARD:
-        raise EnumerationGuardError(
-            f"{len(pts)}^2 point differences exceed the budget of {LATTICE_SCAN_GUARD}"
-        )
-    diffs = {(a - x, b - y, c - z) for i, (a, b, c) in enumerate(pts) for x, y, z in pts[i + 1:]}
-    embedded = (tuple(u[0] * x + u[1] * y + u[2] * z for u in fan.rays) for x, y, z in diffs)
+    embedded = (_embed(eprime.fan, d) for d in _section_differences(eprime))
     return tuple(sorted({max(emb, tuple(-c for c in emb)) for emb in embedded}))
 
 
@@ -405,22 +391,23 @@ def section_certificate(eprime: TDivisor, bound: int = DEFAULT_MARKOV_BOUND) -> 
     without forming the difference set when it holds the proven moves.
 
     The difference set of P(E') is closed under negation, so it contains a
-    proven move m up to sign iff it contains m, that is iff the pull-back
-    delta of m is a difference of two lattice points of P(E').  Those are
-    the lattice points d of P(E') cap (P(E') - delta), the polytope
-    {<d, u_rho> >= -e'_rho + m-_rho}, one scan that stops at its first
-    point: the membership test ``_proven_certificate`` is given.  When a
-    scan fails, the difference set is formed under its pair guard, past
-    which EnumerationGuardError is raised, and verified.
+    proven move m = A delta up to sign iff delta is a difference of two
+    lattice points of P(E').  Those are the lattice points d of
+    P(E') cap (P(E') - delta), the polytope {<d, u_rho> >= -e'_rho + m-_rho},
+    one scan that stops at its first point: the membership test
+    ``_proven_certificate`` is given.  When a scan fails, the differences
+    are formed under their pair guard, past which EnumerationGuardError is
+    raised, and searched.
     """
     check_bound(bound)
     fan = eprime.fan
 
-    def holds(m: Vec) -> bool:
-        return has_lattice_point(offset_polytope(fan, [max(-x, 0) - c for x, c in zip(m, eprime.coeffs)]))
+    def holds(delta: Vec) -> bool:
+        rhs = [max(-x, 0) - c for x, c in zip(_embed(fan, delta), eprime.coeffs)]
+        return has_lattice_point(offset_polytope(fan, rhs))
 
     cert = _proven_certificate(fan, holds, bound)
-    return cert or markov_verify(fan, section_difference_moves(eprime), bound)
+    return cert or _bounded_search(fan, _section_differences(eprime), bound)
 
 
 def connected_sections_check(
@@ -430,7 +417,8 @@ def connected_sections_check(
     verify_idp: bool = True,
 ) -> dict:
     """Sufficient criterion for (E+E', E) to have connected sections: the
-    difference set of P(E') passes the Markov verification.
+    difference set of P(E') passes the Markov verification, as
+    ``section_certificate`` decides it.
 
     Both divisors must be nef; the decomposition property of the pair holds
     on these fans for every nef pair and is re-checked by enumeration when
@@ -443,7 +431,7 @@ def connected_sections_check(
         raise ValueError("connected-sections check needs a nef pair")
     moves = section_difference_moves(eprime)
     idp_ok = idp_check(e, eprime) is None if verify_idp else None
-    cert = markov_verify(e.fan, moves, bound)
+    cert = section_certificate(eprime, bound)
     return {
         "moves": [list(m) for m in moves],
         "certificate": cert.as_json(),

@@ -24,7 +24,9 @@ over ray triples through the maximal cones, as the package did before
 Smith-form and unimodularity checks; the package computes its 3x3
 determinants inline (``fans._det``).  ``PRINTED_CLASS_MAPS`` holds the
 class map B of each case as the paper prints it, which the catalog
-stored until ``divisors.picard_basis`` read B off the rays.
+stored until ``divisors.picard_basis`` read B off the rays, and
+``PRINTED_MARKOV`` the printed Markov moves, which the catalog stored
+until it kept their characters in Z^3.
 """
 
 from functools import lru_cache
@@ -378,3 +380,23 @@ PRINTED_CLASS_MAPS = {
     "3.1.5": lambda b1: [[1, 0, 0, 1, -b1 - 1, 0], [0, 1, 1, -1, 1, 0], [0, 0, 0, 0, 1, 1]],
 }
 PRINTED_CLASS_MAPS["3.0.2"] = PRINTED_CLASS_MAPS["3.0.1"]
+
+# The printed Markov move lists per case, a move per row and a column per
+# ray; 3.0.1 and 3.0.2 share theirs.
+PRINTED_MARKOV = {
+    "2.0.1": lambda l: [[1, -1, 0, 0, l], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]],
+    "2.0.2": lambda l1, l2: [[1, -1, 0, 0, l1 - l2], [0, 1, -1, 0, l2], [0, 0, 0, 1, -1]],
+    "3.0.1": lambda r, a, b: [
+        [1, -1, 0, 0, 0, 0], [0, r, 1, -1, 0, 0], [0, a + b * r, b, 0, 1, -1]
+    ],
+    "3.1.1": lambda b1: [[1, 0, -1, -1, 0, 0], [0, 1, -1, -1, 0, 0], [0, 0, b1, b1 + 1, 1, -1]],
+    "3.1.2": lambda b1: [[1, -1, -1, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, b1, b1 + 1, 0, 1, -1]],
+    "3.1.3": lambda b1, c2: [
+        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, -1, 0], [0, b1 - c2, b1 + 1 - c2, 1, 0, -1]
+    ],
+    "3.1.4": lambda b1, b2: [
+        [1, -1, -1, 0, 0, 0], [0, b1, b1 + 1, 1, 0, -1], [0, b1 - b2, b1 - b2, 1, -1, 0]
+    ],
+    "3.1.5": lambda b1: [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]],
+}
+PRINTED_MARKOV["3.0.2"] = PRINTED_MARKOV["3.0.1"]

@@ -62,6 +62,7 @@ from torhyp.toric_ideal import (
 
 from oracles import (
     PRINTED_CLASS_MAPS,
+    PRINTED_MARKOV,
     det,
     integer_kernel,
     mat_mul,
@@ -159,8 +160,9 @@ def catalog_certificates():
 
 def test_criterion_1_presentation_and_markov(catalog_certificates):
     """The class maps B read off the rays are the printed ones and
-    annihilate the ray map, and the printed move sets pass the bounded
-    Markov verification on the full grids."""
+    annihilate the ray map, the catalog's Markov characters embed to the
+    printed move sets, and those pass the bounded Markov verification on
+    the full grids."""
     t0 = time.time()
     checked = 0
     for spec, (markov_cert, _) in catalog_certificates.items():
@@ -170,11 +172,13 @@ def test_criterion_1_presentation_and_markov(catalog_certificates):
         a = IntMat.from_rows(fan.rays)
         for j in range(3):
             assert b.mul_vec(a.col(j)) == (0,) * b.rows
+        printed = PRINTED_MARKOV[spec.case_id](**spec.as_dict())
+        assert markov_candidate(fan) == tuple(map(tuple, printed)), spec
         assert markov_cert.connected, (spec, markov_cert)
         assert markov_cert.degree_bound == BOUND
         checked += 1
     print(
-        f"\nACCEPTANCE 1 PASS: printed presentation matrices match the class maps of the rays and "
+        f"\nACCEPTANCE 1 PASS: printed presentation matrices and move sets match the rays and "
         f"{checked} move-set certificates connect all fibers at bound {BOUND} "
         f"({FIXTURE_SECONDS['catalog_certificates'] + time.time() - t0:.1f}s with the "
         f"certificate fixture)"

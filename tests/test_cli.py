@@ -427,29 +427,36 @@ def test_corrupt_nef_generator_exit2(capsys, monkeypatch, nef, message):
     assert message in data["internal_error"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["markov", "--case", "2.0.1", "--l", "3", "--bound", "3"],
-    ["classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4"],
-], ids=lambda argv: argv[0])
-def test_corrupt_markov_move_exit2(capsys, monkeypatch, argv):
-    # A catalog move outside ker(B) is corrupt encoded data for every verb
-    # that reads the move set, not invalid input and not ignored.
+def test_non_spanning_catalog_characters_fall_to_the_search(capsys, monkeypatch):
+    # Catalog characters that span a proper sublattice of Z^3 are not
+    # proven: `markov` prints their moves with the bounded search's
+    # certificate, and `classify` decides its configuration by searching
+    # the difference set, which gives the document of the proven set.
     from torhyp.catalog import CASES
     from torhyp.classify import compiled_member
-    from torhyp.toric_ideal import _proven_candidate
+    from torhyp.fans import family_fan
+    from torhyp.toric_ideal import _bounded_search, _proven_candidate
 
-    moves = lambda l: [[1, -1, 0, 0, l + 1], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]]  # noqa: E731
-    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=moves))
-    _proven_candidate.cache_clear()
-    compiled_member.cache_clear()
+    classify = ["classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4"]
+    _, want = run_json(capsys, *classify)
+    deltas = [(1, 0, 0), (0, 1, 0), (0, 0, 2)]
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=lambda **_: deltas))
+    caches = (_proven_candidate, compiled_member)
+    for cache in caches:
+        cache.cache_clear()
     try:
-        code, data = run_json(capsys, *argv)
+        fan = family_fan("2.0.1", l=3)
+        assert _proven_candidate(fan) is None
+        code, data = run_json(capsys, "markov", "--case", "2.0.1", "--l", "3", "--bound", "3")
+        assert code == 0
+        assert data["candidate"] == [[1, -1, 0, 0, 3], [0, 0, 1, 0, -1], [0, 0, 0, 2, -2]]
+        assert data["certificate"] == _bounded_search(fan, deltas, 3).as_json()
+        assert data["certificate"]["connected"] is False
+        assert run_json(capsys, *classify) == (0, want)
     finally:
         monkeypatch.undo()
-        _proven_candidate.cache_clear()
-        compiled_member.cache_clear()
-    assert code == 2
-    assert "not in the kernel" in data["internal_error"]
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_bad_fan_geometry_exit1(tmp_path, capsys):
@@ -724,23 +731,48 @@ def test_four_hundred_ray_fan_file_ends_within_a_second(tmp_path):
     assert elapsed < 1, elapsed
 
 
+def run_on_hyperplane_class(tmp_path, verb, nrays, timeout):
+    """A cold `verb --fan` on p3_subdivision(nrays) with the pulled-back
+    hyperplane class, whose polytope is the unit simplex."""
+    document = p3_subdivision(nrays)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(document))
+    h = {f"D_{i + 1}": -min(u) for i, u in enumerate(document["rays"]) if min(u) < 0}
+    return subprocess.run(
+        [sys.executable, "-m", "torhyp.cli", verb, "--fan", str(path),
+         "--D", json.dumps({"coeffs": h})],
+        capture_output=True, env=child_env(), text=True, timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize("verb", ["nef", "faces"])
 def test_four_hundred_ray_fan_file_reads_a_big_class_within_a_second(tmp_path, verb):
     # The pulled-back hyperplane class is nef and big: its triple products
     # come from the 1,194 walls, where the cone recursion over ray triples
     # took seconds at 96 rays.
-    document = p3_subdivision(400)
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps(document))
-    h = {f"D_{i + 1}": -min(u) for i, u in enumerate(document["rays"]) if min(u) < 0}
-    proc = subprocess.run(
-        [sys.executable, "-m", "torhyp.cli", verb, "--fan", str(path),
-         "--D", json.dumps({"coeffs": h})],
-        capture_output=True, env=child_env(), text=True, timeout=1,
-    )
+    proc = run_on_hyperplane_class(tmp_path, verb, 400, timeout=1)
     assert proc.returncode == 0 and proc.stderr == ""
     data = json.loads(proc.stdout)
     assert (data["big"] if verb == "nef" else data["boundary"]["big"]) is True
+
+
+def test_four_hundred_ray_points_refuse_the_elimination(tmp_path):
+    # Eliminating y from the plane projection would pair 18,913 lower with
+    # 18,447 upper rows, 348,888,111 in all; the step is refused before any
+    # row is formed.
+    proc = run_on_hyperplane_class(tmp_path, "points", 400, timeout=10)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "schema": "torhyp/1",
+        "error": "18913 x 18447 elimination pairs exceed the budget of 1000000",
+    }
+
+
+def test_ninety_six_ray_points_answer(tmp_path):
+    # 661,821 elimination pairs, inside the budget.
+    proc = run_on_hyperplane_class(tmp_path, "points", 96, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["lattice_points"] == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 def test_cone_repeating_a_ray_is_named(tmp_path, capsys):

@@ -7,14 +7,12 @@ import pytest
 import torhyp.toric_ideal as ti
 from torhyp.classify import applicable_configs
 from torhyp.catalog import CASES
-from torhyp.divisors import divisor, is_nef, picard_basis, ray_divisor
-from torhyp.fans import ParameterError, family_fan
+from torhyp.divisors import character, divisor, is_nef, picard_basis, ray_divisor
+from torhyp.fans import ParameterError, build_family_fan, family_fan
 from torhyp.intlin import IntMat
 from torhyp.polytopes import EnumerationGuardError, lattice_points, polytope_of
 from torhyp.toric_ideal import (
-    InternalInconsistencyError,
     _bounded_search,
-    _character_moves,
     _degree_images,
     _grading,
     _markov_proof,
@@ -28,8 +26,9 @@ from torhyp.toric_ideal import (
     section_difference_moves,
 )
 
-from oracles import pairwise_difference_moves
+from oracles import PRINTED_MARKOV, pairwise_difference_moves
 from test_acceptance import PARAM_GRIDS
+from test_divisors import small_members
 from test_polytopes import MEMBERS
 
 GRID = [
@@ -277,14 +276,26 @@ def test_markov_verify_matches_fiber_graph_loop(case, params):
     assert not all(cert.connected for cert in certs[1:])
 
 
-def test_move_outside_ray_image_is_inconsistent():
-    # A move off the image of the ray matrix has no pullback to Z^3; on it
-    # the pullback pairs with the rays (1,0,0), (-1,0,0), (0,1,0), (0,0,1),
-    # (1,-1,-1) to give the move back.
-    fan = family_fan("2.0.1", l=1)
-    assert _character_moves(fan, [(1, -1, 0, 0, 1)]) == [(1, 0, 0)]
-    with pytest.raises(InternalInconsistencyError):
-        _character_moves(fan, [(1, 0, 0, 0, 0)])
+def characters(fan, moves):
+    """The nonzero moves pulled back to Z^3, each pairing with the rays to
+    give the move back."""
+    return [character(fan, m) for m in moves if any(m)]
+
+
+def test_reference_moves_are_the_printed_ones_on_small_members():
+    # Every member with parameters in -4..4: the catalog's characters,
+    # embedded by the ray matrix, are the move lists the paper prints, and
+    # each printed move pulls back to its character.
+    checked = 0
+    for case, params, spec in small_members():
+        fan = build_family_fan(spec)
+        printed = [tuple(m) for m in PRINTED_MARKOV[case](**params)]
+        assert list(markov_candidate(fan)) == printed, spec
+        assert [character(fan, m) for m in printed] == list(map(tuple, CASES[case].markov(**params)))
+        checked += 1
+    assert checked == 434
+    # A move off the image of the ray matrix has no character.
+    assert character(family_fan("2.0.1", l=1), (1, 0, 0, 0, 0)) is None
 
 
 def test_degree_images_guarded():
@@ -325,7 +336,7 @@ def bounded_certificate(fan, moves, bound):
     """Oracle: the fiber search over every degree image up to the bound,
     without the proven-basis certificate that markov_verify gives a set
     holding the proven moves."""
-    return _bounded_search(fan, [m for m in moves if any(m)], bound)
+    return _bounded_search(fan, characters(fan, moves), bound)
 
 
 def added(a, b, k=1):
@@ -345,7 +356,7 @@ def test_markov_verify_matches_bounded_search(case):
             sets.append(section_difference_moves(divisor(fan, config.eprime_coeffs(params))))
         for moves in sets:
             assert markov_verify(fan, moves, 4) == bounded_certificate(fan, moves, 4), (params, moves)
-        assert _markov_proof(fan, full), params
+        assert _markov_proof(fan, characters(fan, full)), params
 
 
 @pytest.mark.parametrize("case,params", MEMBERS, ids=str)
@@ -365,7 +376,7 @@ def test_non_spanning_sets_not_proven(case, params):
     full = markov_candidate(fan)
     doubled = [tuple(2 * x for x in m) for m in full]
     for moves in (doubled, full[1:]):
-        assert not _markov_proof(fan, moves)
+        assert not _markov_proof(fan, characters(fan, moves))
         assert markov_verify(fan, moves, 3) == bounded_certificate(fan, moves, 3)
     assert not markov_verify(fan, doubled, 3).connected
 
@@ -388,7 +399,7 @@ def test_membership_decides_other_bases():
 
 def test_unproven_candidate_falls_back_negative_313():
     fan = family_fan("3.1.3", b1=-1, c2=1)
-    assert not _markov_proof(fan, markov_candidate(fan))
+    assert not _markov_proof(fan, characters(fan, markov_candidate(fan)))
     cert = markov_verify(fan, markov_candidate(fan), 4)
     assert cert == bounded_certificate(fan, markov_candidate(fan), 4)
     assert cert.failing_fiber == (-3, 0, 4)
@@ -403,7 +414,7 @@ def test_step_budget_falls_back(monkeypatch):
     ti._proven_candidate.cache_clear()
     try:
         assert _saturated_in(full, _grading(fan), 0) is None
-        assert not _markov_proof(fan, full)
+        assert not _markov_proof(fan, characters(fan, full))
         assert markov_verify(fan, full, 3) == bounded_certificate(fan, full, 3)
         assert markov_verify(fan, full, 3).connected
     finally:
@@ -446,7 +457,7 @@ def test_saturation_matches_sympy(case, params):
     for moves in bases:
         per_variable = [_saturated_in(moves, omega, i) for i in range(fan.nrays)]
         assert per_variable == [saturated(moves, x) for x in xs], moves
-        assert _markov_proof(fan, moves) == all(per_variable)
+        assert _markov_proof(fan, characters(fan, moves)) == all(per_variable)
 
 
 def difference_set_certificate(eprime, bound):
@@ -461,7 +472,10 @@ def proven_moves_are_differences(eprime):
     proven = ti._proven_candidate(eprime.fan)
     moves = set(section_difference_moves(eprime))
     assert sorted(moves) == list(pairwise_difference_moves(eprime)), eprime.coeffs
-    return proven is not None and all(m in moves or tuple(-x for x in m) in moves for m in proven)
+    if proven is None:
+        return False
+    embedded = [ti._embed(eprime.fan, d) for d in proven]
+    return all(m in moves or tuple(-x for x in m) in moves for m in embedded)
 
 
 @pytest.mark.parametrize("case", list(PARAM_GRIDS))
