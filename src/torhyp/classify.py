@@ -13,8 +13,9 @@ Each family member is compiled once (``compiled_member``): its table
 block into bit masks (``CompiledTable``) and its verdict numbers, the
 cell's mask among them, into one generated integer function of the
 cell's nef coordinates (``_evaluator_source``), whose nef tests of D + K
-and D - E' read the levels of D on the wall curves (``fans.walls``); a
-verdict keeps its boundary as numbers until it is printed.
+and D - E' read the levels of D on the wall curves (``fans.walls``).
+``derive_verdict`` decides a cell, and raises every refusal, from those
+numbers; the verdict keeps them and builds its evidence only when read.
 ``boundary_genus_profile``, ``positivity_certificate`` and ``table_lookup``
 compute the same numbers for any cell and are the evaluator's oracles.
 Cells outside every block of their case (negative parameters of the
@@ -111,23 +112,24 @@ def boundary_genus_profile(d: TDivisor) -> dict:
     squares = [sum(x * m for x, m in zip(d.coeffs, row)) for row in matrix]
     faces = [sum(x * s for x, s in zip(d.coeffs, squares)) > 0]
     for i, (row, square) in enumerate(zip(matrix, squares)):
-        dim = 2 if square > 0 else 1 if any(m for k, m in enumerate(row) if k != i) else 0
-        # K = -(sum of all D_k), so D.D_rho.(D + D_rho + K) reads off the row.
-        faces += [dim, 1 + (square + row[i] - sum(row)) // 2]
+        faces += [square, sum(row) - row[i]]
     return boundary_json(tuple(zip(d.fan.ray_labels, range(1, len(faces), 2))), faces)
 
 
+def _face(square: int, off: int) -> tuple[int, int]:
+    """Dimension and genus of a ray's face (``boundary_genus_profile``) from
+    D^2.D_rho and off = D.D_rho.(sum of the other D_k) = D^2.D_rho - (2g - 2)."""
+    return (2, 1 + (square - off) // 2) if square > 0 else (1 if off else 0, 0)
+
+
 def boundary_json(layout: Sequence[tuple[str, int]], faces: Sequence) -> dict:
-    """The ``boundary`` document of faces = (big, then a face dimension and
-    a raw genus 1 + (D^2.D_rho - off)/2 per slot), ``layout`` pairing each
-    ray label with the position of its dimension.  The raw genus is the
-    interior count where D is big and the face 2-dimensional, else 0."""
-    big = faces[0]
-    return {"big": big, "entries": [
-        {"ray": label, "face_dim": faces[k],
-         "interior_count": faces[k + 1] if big and faces[k] == 2 else 0,
-         "carries_curve": faces[k] > 0}
-        for label, k in layout
+    """The ``boundary`` document of faces = (big, then D^2.D_rho and off
+    per slot), ``layout`` pairing each ray label with the position of its
+    D^2.D_rho.  The interior count is the genus where D is big, else 0."""
+    return {"big": faces[0], "entries": [
+        {"ray": label, "face_dim": dim, "interior_count": genus if faces[0] else 0,
+         "carries_curve": dim > 0}
+        for label, k in layout for dim, genus in [_face(faces[k], faces[k + 1])]
     ]}
 
 
@@ -205,19 +207,35 @@ def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
 # Verdict derivation.
 
 
-class Verdict(NamedTuple):
-    """A derived outcome with its evidence and the table's outcome.
-
-    Parts of the evidence that depend on the member alone (certificates,
-    E' labels, generator labels) are built once and shared between
-    verdicts, so evidence is read, never mutated.  ``boundary`` holds the
-    (layout, faces) that ``as_json`` renders as the last evidence key.
+class Verdict:
+    """A derived outcome with its evidence and the table's outcome, kept as
+    the member, evaluator tuple and bound it was decided from until read
+    (``_render_evidence``; ``as_json`` adds the boundary), or given as a
+    dict (the trivial class, the tests' oracle).  Evidence is shared with
+    the member, so it is read, never mutated.
     """
 
-    outcome: str
-    evidence: dict
-    table: TableOutcome
-    boundary: tuple | None = None
+    __slots__ = ("outcome", "table", "_evidence", "_member", "_numbers", "_bound")
+
+    def __init__(self, outcome: str, evidence: dict | None, table: TableOutcome,
+                 member: CompiledMember | None = None, numbers: tuple | None = None,
+                 bound: int = 0) -> None:
+        self.outcome, self._evidence, self.table = outcome, evidence, table
+        self._member, self._numbers, self._bound = member, numbers, bound
+
+    @property
+    def evidence(self) -> dict:
+        if self._evidence is None:
+            self._evidence = _render_evidence(self._member, self._numbers, self._bound)
+        return self._evidence
+
+    @property
+    def boundary(self) -> tuple | None:
+        """The (layout, faces) that ``as_json`` renders, if the kind has any."""
+        out = self._numbers
+        if out is not None and (out[3] is None or self.outcome != OPEN):
+            return self._member.layout, out[1]
+        return None
 
     @property
     def agree(self) -> bool:
@@ -231,9 +249,9 @@ class Verdict(NamedTuple):
         return pair == {HYPERBOLIC, NOT_HYPERBOLIC}
 
     def as_json(self) -> dict:
-        evidence = self.evidence
-        if self.boundary is not None:
-            evidence = {**evidence, "boundary": boundary_json(*self.boundary)}
+        evidence, boundary = self.evidence, self.boundary
+        if boundary is not None:
+            evidence = {**evidence, "boundary": boundary_json(*boundary)}
         return {
             "derived": {"outcome": self.outcome, "evidence": evidence},
             "table": self.table.as_json(),
@@ -327,27 +345,22 @@ def _evaluator_source(
     and the ray coefficients of its nef generators N_a, with each ray's
     position in the faces.
 
-    The face of rho is 2-dimensional iff D^2.D_rho > 0, else a segment iff
-    its off-diagonal sum is nonzero (a nef D meets each curve D_rho.D_k
-    nonnegatively), and a 2-dimensional face of a big D counts
-    1 + (D^2.D_rho - off)/2 interior points, by adjunction
-    2g - 2 = D.D_rho.(D + D_rho + K) = D^2.D_rho - off.  That raw genus is
-    written unguarded: a face of dimension <= 1 has D^2.D_rho = 0, so its
-    raw genus is 1 - ceil(off/2) <= 1, and the low-genus test reads it as
-    it read a count of 0.  ``guard`` (a listed generator is not nef) puts
-    the nef test of D first.  Each distinct form is one local, however
-    many rays share it, and no test is written whose outcome the
-    coefficients fix on every cell: an off-diagonal sum positive at every
-    c >= 0, c != 0, a level (>= 0 once D is nef) against a constant <= 0,
-    a ray whose numbers an earlier ray already tested.
+    The faces are D^2.D_rho and the off-diagonal sum off per ray (read by
+    ``_face``): a curve iff either is nonzero, of genus <= 1 iff
+    D^2.D_rho - off <= 1, which a face of dimension <= 1 always passes.
+    A cell with a negative coordinate returns None, as does a D that is not
+    nef where ``guard`` is set (a listed generator is not nef).  Each
+    distinct form is one local, however many rays share it, and no test is
+    written whose outcome the coefficients fix on every cell: an
+    off-diagonal sum positive at every c >= 0, c != 0, a level (>= 0 once
+    D is nef) against a constant <= 0, a ray whose numbers an earlier ray
+    already tested.
     """
     cs = [f"c{a}" for a in range(r)]
     level_text = [_sum_source(f) for f in levels]
-    lines = [f"def numbers({', '.join(cs)}):"]
     signed = [min(k for k, _ in f) < 0 for f in levels]
-    if guard and any(signed):
-        negative = [f"{t} < 0" for t, neg in zip(level_text, signed) if neg]
-        lines += [f"    if {' or '.join(negative)}:", "        return None"]
+    refused = [f"{' | '.join(cs)} < 0", *(f"{t} < 0" for t, n in zip(level_text, signed) if n and guard)]
+    lines = [f"def numbers({', '.join(cs)}):", f"    if {' or '.join(refused)}:", "        return None"]
 
     def below(floor: Sequence[int]) -> list[str]:
         # A level known to be >= 0 (no negative coefficient, or tested by
@@ -367,20 +380,19 @@ def _evaluator_source(
     volume = [(k, f"{ca}*{s}") for ca, x in zip(cs, nef) for k, s in zip(x, sq) if s != "0"]
     local[f"{_sum_source(volume)} > 0"] = "big"
     linear = set(cs)
-    # Each distinct (dimension, raw genus) pair is one slot of the faces.
+    # Each distinct (D^2.D_rho, off) pair is one slot of the faces.
     slot: dict[tuple[str, str], int] = {}
     slots, tests = [], []
     for rho, (s, o) in enumerate(zip(sq, of)):
-        segment = "1" if _positive(offs[rho], linear) else f"1 if {o} else 0"
-        d = value(f"d{rho}", f"2 if {s} > 0 else {segment}")
-        g = value(f"g{rho}", f"1 + ({s} - {o})//2")
         # The first ray whose face carries a curve of genus <= 1 (a face
         # that is a point carries none); a ray with the numbers of one
         # already tested adds nothing.
-        if (d, g) not in slot:
-            slot[d, g] = 1 + 2 * len(slot)
-            tests.append(f"{rho} if {g} <= 1" if segment == "1" else f"{rho} if {d} and {g} <= 1")
-        slots.append(slot[d, g])
+        if (s, o) not in slot:
+            slot[s, o] = 1 + 2 * len(slot)
+            low = f"{_sum_source([(1, s), (-1, o)])} <= 1"
+            carries = "" if _positive(offs[rho], linear) else f"({s} or {o}) and "
+            tests.append(f"{rho} if {carries}{low}")
+        slots.append(slot[s, o])
     faces = ", ".join(["big", *(x for pair in slot for x in pair)])
     body = [
         f"    mask = {_mask_source(index)}",
@@ -427,23 +439,31 @@ def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
+BOUNDS_KEPT = 4  # certificates and connectivity kept per bound, the oldest dropped
+
+
+def _keep(cache: dict, bound: int, value):
+    if len(cache) >= BOUNDS_KEPT:
+        del cache[next(iter(cache))]
+    cache[bound] = value
+    return value
+
+
 class CompiledConfig:
     """One applicable configuration E' of a member: whether E' is nef, its
-    labels, and the JSON of its Markov certificate at the bound last asked
-    for."""
+    labels, and the JSON of its Markov certificate per bound asked for."""
 
-    __slots__ = ("name", "eprime", "labels", "nef", "_cert")
+    __slots__ = ("name", "eprime", "labels", "nef", "certs")
 
     def __init__(self, name: str, eprime: TDivisor) -> None:
         self.name, self.eprime = name, eprime
         self.labels = eprime.label_dict()
         self.nef = is_nef(eprime)
-        self._cert: tuple[int, dict] | None = None
+        self.certs: dict[int, dict] = {}
 
     def certificate(self, bound: int) -> dict:
-        if self._cert is None or self._cert[0] != bound:
-            self._cert = (bound, section_certificate(self.eprime, bound).as_json())
-        return self._cert[1]
+        cert = self.certs.get(bound)
+        return cert or _keep(self.certs, bound, section_certificate(self.eprime, bound).as_json())
 
 
 class CompiledTable:
@@ -528,17 +548,19 @@ class CompiledMember(NamedTuple):
     ``numbers(c0, c1[, c2])`` is an integer function of the cell,
     generated from the member's table masks and forms
     (``_evaluator_source``; ``source`` keeps its text).  It returns None
-    when a listed generator is not nef and D is not either (D.V < 0 on
-    some wall curve V).  Otherwise it returns (mask, faces, low, degrees,
-    pairings): the cell's row mask (the key of ``table.memo``); the faces
-    that ``boundary_json`` renders with ``layout``, a face dimension and
-    raw genus per distinct pair of ray forms; ``low``, the index of the
+    for a cell with a negative coordinate, and when a listed generator is
+    not nef and D is not either (D.V < 0 on some wall curve V).  Otherwise
+    it returns (mask, faces, low, degrees, pairings): the cell's row mask
+    (the key of ``table.memo``); the faces that ``boundary_json`` renders
+    with ``layout``, the big flag and then D^2.D_rho and the off-diagonal
+    sum per distinct pair of ray forms; ``low``, the index of the
     first ray whose face carries a curve of genus at most one; and, only
     when D is big, has no such ray and D + K is nef, the degrees H.D.F_j
     over the effective generators F_j and per configuration the pairings
     (E + K).D.F_j = D^2.F_j + (K - E').D.F_j, None for a configuration
     whose E' or D - E' is not nef.  Where it returns early the degrees
-    and pairings are None.
+    and pairings are None.  ``live`` keeps per bound each configuration's
+    certificate connectivity, None until a cell asks.
     """
 
     fan: Fan
@@ -550,6 +572,7 @@ class CompiledMember(NamedTuple):
     configs: tuple[CompiledConfig, ...]
     source: str
     numbers: Callable[..., tuple | None]
+    live: dict[int, list[bool | None]]
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -646,6 +669,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         configs=tuple(configs),
         source=source,
         numbers=_compile_numbers(source),
+        live={},
     )
 
 
@@ -657,64 +681,74 @@ def derive_verdict(
     NotHyperbolic when the boundary contains a curve of genus at most one
     (or the class is trivial or not big); Hyperbolic when the boundary is
     clean and some listed configuration passes the connected-sections,
-    adjoint-nef, and positivity checks; Open otherwise.  Every number, the
-    table mask and the boundary faces included, is read from one call of
-    the member's compiled ``numbers``, which returns early for a class
-    that is not big, has a boundary curve of genus <= 1 or a non-nef
-    adjoint class; the boundary stays those numbers until the verdict is
-    printed.  A Markov bound below one is refused on every cell, as
-    ``markov_verify`` refuses it.
+    adjoint-nef, and positivity checks; Open otherwise.  Decided from one
+    call of the member's compiled ``numbers`` and the connectivity of its
+    certificates, kept per bound; the evidence is built when read.  Every
+    refusal is raised here, as ``_cell`` and the oracles raise it: a bound
+    below one, a bad cell, a D not nef, a non-ample H, a degenerate degree.
     """
     check_bound(bound)
     m = compiled_member(spec)
-    c = _cell(spec.case_id, m.names, coeffs)
-    out = m.numbers(*c)
+    try:
+        out = m.numbers(*map(index, coeffs))
+    except TypeError:  # not integers, or not the case's number of them
+        out = None
     if out is None:
+        _cell(spec.case_id, m.names, coeffs)
         raise ValueError("boundary profiles assume a nef divisor")
     mask, faces, low, betas, pairings = out
     table = m.table.memo.get(mask) or m.table.outcome(mask)
     if betas is None:
-        if low is not None:
-            label, k = m.layout[low]
-            dim = faces[k]
-            evidence = {"reason": "boundary curve of genus <= 1", "ray": label, "face_dim": dim,
-                        "genus": faces[k + 1] if dim == 2 else 0}
-            return Verdict(NOT_HYPERBOLIC, evidence, table, (m.layout, faces))
-        if faces[0]:
-            return Verdict(OPEN, {"reason": "adjoint class not nef"}, table, (m.layout, faces))
         # The generator classes are a basis (proven at the compile), so only
         # the zero combination is the trivial class.
-        if not any(c):
+        if not faces[0] and not any(coeffs):
             return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
-        reason = {"reason": "class not big: genus 0 boundary curve"}
-        return Verdict(NOT_HYPERBOLIC, reason, table, (m.layout, faces))
-    tried: list[dict] = []
-    for config, alphas in zip(m.configs, pairings):
-        if not config.nef:
-            # Out of the catalog's parameter domain (negative twists).
-            tried.append({"config": config.name, "skip": "E' not nef"})
-            continue
-        if alphas is None:
-            tried.append({"config": config.name, "skip": "E = D - E' not nef"})
-            continue
-        cert = config.certificate(bound)
-        if not cert["connected"]:
-            tried.append({"config": config.name, "connected_sections": cert})
+        # Big with no low-genus ray: the adjoint class is not nef.
+        return Verdict(OPEN if faces[0] and low is None else NOT_HYPERBOLIC, None, table, m, out)
+    live = m.live.get(bound) or _keep(m.live, bound, [None] * len(pairings))
+    for j, alphas in enumerate(pairings):
+        if alphas is not None and live[j] is None:
+            live[j] = m.configs[j].certificate(bound)["connected"]
+        if alphas is None or not live[j]:
             continue
         if not m.ample:
             raise ValueError("the degree normaliser must be ample")
-        pos = {"pairings": alphas, "degrees": betas, "effective_generators": m.eff_labels}
-        if min(alphas) < 1:
-            pos["epsilon"] = None
-            tried.append({"config": config.name, "connected_sections": cert, "positivity": pos})
+        if min(alphas) >= 1:
+            if min(betas) < 1:
+                raise InternalInconsistencyError("positive pairing with a degenerate degree")
+            return Verdict(HYPERBOLIC, None, table, m, out, bound)
+    return Verdict(OPEN, None, table, m, out, bound)
+
+
+def _render_evidence(m: CompiledMember, out: tuple, bound: int) -> dict:
+    """The evidence but the boundary of a verdict decided from the member's
+    evaluator tuple at the bound, configurations walked in catalog order."""
+    _, faces, low, betas, pairings = out
+    if betas is None:
+        if low is not None:
+            label, k = m.layout[low]
+            dim, genus = _face(faces[k], faces[k + 1])
+            return {"reason": "boundary curve of genus <= 1", "ray": label, "face_dim": dim,
+                    "genus": genus}
+        return {"reason": "adjoint class not nef" if faces[0]
+                else "class not big: genus 0 boundary curve"}
+    tried: list[dict] = []
+    for config, alphas in zip(m.configs, pairings):
+        tried.append(record := {"config": config.name})
+        if not config.nef or alphas is None:
+            # E' is not nef only out of the catalog's parameter domain.
+            record["skip"] = "E = D - E' not nef" if config.nef else "E' not nef"
             continue
-        if min(betas) < 1:
-            raise InternalInconsistencyError("positive pairing with a degenerate degree")
-        epsilon = pos["epsilon"] = _epsilon(alphas, betas)
-        evidence = {"config": config.name, "eprime": config.labels, "connected_sections": cert,
+        cert = record["connected_sections"] = config.certificate(bound)
+        if not cert["connected"]:
+            continue
+        pos = record["positivity"] = {"pairings": alphas, "degrees": betas,
+                                      "effective_generators": m.eff_labels, "epsilon": None}
+        if min(alphas) >= 1:
+            epsilon = pos["epsilon"] = _epsilon(alphas, betas)
+            return {"config": config.name, "eprime": config.labels, "connected_sections": cert,
                     "adjoint_nef": True, "positivity": pos, "epsilon": epsilon}
-        return Verdict(HYPERBOLIC, evidence, table, (m.layout, faces))
-    return Verdict(OPEN, {"reason": "no derivation applies", "tried": tried}, table)
+    return {"reason": "no derivation applies", "tried": tried}
 
 
 def sweep(
@@ -727,11 +761,6 @@ def sweep(
 
     names = CASES[spec.case_id].coeff_names
     for coeffs in product(coeff_range, repeat=len(names)):
-        verdict = derive_verdict(spec, coeffs, bound)
-        row = {"case": spec.case_id}
-        row.update(spec.as_dict())
-        row.update(dict(zip(names, coeffs)))
-        row["derived"] = verdict.outcome
-        row["table"] = verdict.table.value
-        row["agree"] = verdict.agree
-        yield row
+        v = derive_verdict(spec, coeffs, bound)
+        yield {"case": spec.case_id, **spec.as_dict(), **dict(zip(names, coeffs)),
+               "derived": v.outcome, "table": v.table.value, "agree": v.agree}

@@ -7,9 +7,10 @@ cells, on cells of every criterion-6 member with coordinates of 10^6, 10^12
 and 10^40 (the generated evaluator has no width limit), and on members off
 the grid, where a listed nef generator is not nef or the parameter lies
 past the grid.  A Markov bound below one is refused on every cell, the
-nef refusal comes before the evaluator's early returns, a verdict renders
-its boundary only when printed, and the evaluators' total size stays
-under a fixed ceiling.
+nef refusal comes before the evaluator's early returns, every refusal is
+raised by ``derive_verdict`` itself, a verdict builds its evidence and its
+boundary only when read, each bound's certificate is kept, and the
+evaluators' total size stays under a fixed ceiling.
 """
 
 import ast
@@ -25,6 +26,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torhyp.classify import (
+    BOUNDS_KEPT,
     _epsilon,
     _sum_source,
     boundary_genus_profile,
@@ -36,6 +38,7 @@ from torhyp.classify import (
 )
 from torhyp.divisors import is_nef
 from torhyp.fans import CASE_IDS, FamilySpec, build_family_fan
+from torhyp.toric_ideal import section_certificate
 
 from oracles import low_genus_entry, reference_verdict
 from test_acceptance import BOUND, SWEEP_GRIDS
@@ -96,9 +99,19 @@ def test_compiled_matches_reference_off_the_grid(case, params):
     assert (raised > 0) == case.startswith("3.1")
 
 
-@pytest.mark.parametrize("coeffs", [(1, 2, 3), (-1, 2), (0, -1)], ids=str)
-def test_compiled_matches_reference_on_invalid_cells(coeffs):
-    spec = FamilySpec.make("2.0.1", l=2)
+INVALID_CELLS = [
+    *(pytest.param("2.0.1", {"l": 2}, c, id=str(c))
+      for c in [(1, 2, 3), (-1, 2), (0, -1), (2.0, 3), ("2", 3), (Fraction(2), 3), Fraction(2)]),
+    pytest.param("3.0.1", {"r": 1, "a": 1, "b": 1}, (1, 2), id="3.0.1-(1, 2)"),
+]
+
+
+@pytest.mark.parametrize("case,params,coeffs", INVALID_CELLS)
+def test_compiled_matches_reference_on_invalid_cells(case, params, coeffs):
+    # The evaluator's call reads the cell, so a cell of the wrong length or
+    # one that is not integers is refused there; the refusal keeps the
+    # oracle's type and message.
+    spec = FamilySpec.make(case, **params)
     want = outcome(reference_verdict, spec, coeffs, BOUND)
     assert isinstance(want, tuple) and outcome(derive_verdict, spec, coeffs, BOUND) == want
 
@@ -221,14 +234,133 @@ def test_verdicts_render_their_boundary_only_when_printed(monkeypatch):
         assert "boundary" not in evidence[:-1], coeffs
 
 
+REFUSED = ("_render_evidence", "_epsilon", "boundary_json")
+
+
+def refuse_rendering(patched, classify):
+    def refuse(*args):
+        raise AssertionError("evidence built before it was read")
+
+    for name in REFUSED:
+        patched.setattr(classify, name, refuse)
+
+
+def test_sweeps_and_verdicts_build_no_evidence(monkeypatch):
+    # A verdict keeps the evaluator's numbers and builds its evidence, its
+    # epsilon and its boundary only when read: with all three refused, a
+    # sweep and the derivation of every cell, verdicts of all six kinds,
+    # still run, and read afterwards each kind matches the reference
+    # document byte for byte.
+    import torhyp.classify as classify
+
+    spec = FamilySpec.make("3.0.1", r=0, a=1, b=1)
+    with monkeypatch.context() as patched:
+        refuse_rendering(patched, classify)
+        assert len(list(sweep(spec, range(9), BOUND))) == 9**3
+        verdicts = [(coeffs, derive_verdict(spec, coeffs, BOUND)) for coeffs in cells("3.0.1")]
+    kinds = {}
+    for coeffs, v in verdicts:
+        kinds.setdefault(v.evidence.get("reason"), (coeffs, v))
+    assert kinds.keys() == {
+        "trivial class",
+        "class not big: genus 0 boundary curve",
+        "boundary curve of genus <= 1",
+        "adjoint class not nef",
+        "no derivation applies",
+        None,  # Hyperbolic
+    }
+    for coeffs, v in kinds.values():
+        want = reference_verdict(spec, coeffs, BOUND).as_json()
+        assert json.dumps(v.as_json()) == json.dumps(want), coeffs
+
+
+def test_refusals_are_raised_by_derive_verdict(monkeypatch):
+    # Every refusal is raised by derive_verdict itself, with the oracle's
+    # type and message, while the evidence cannot be built: a bound below
+    # one, a cell that is negative, of the wrong length or not integers, a
+    # D that is not nef off the grid, and, on a patched member, a non-ample
+    # H and a degenerate degree on a cell that is otherwise Hyperbolic.
+    import torhyp.classify as classify
+
+    two = FamilySpec.make("2.0.1", l=2)
+    off = FamilySpec.make("3.1.1", b1=-1)
+    fan = build_family_fan(off)
+    not_nef = next(c for c in cells("3.1.1") if any(c) and not is_nef(surface_divisor(fan, c)))
+    refusals = [(two, (3, 4), 0), (two, (-1, 2), BOUND), (two, (1, 2, 3), BOUND),
+                (two, (2.0, 3), BOUND), (off, not_nef, BOUND)]
+    wants = [outcome(reference_verdict, *r) for r in refusals]
+    assert wants[0] == ("ValueError", "the Markov bound must be at least 1, got 0")
+    assert wants[-1] == ("ValueError", "boundary profiles assume a nef divisor")
+    m = compiled_member(two)
+    assert derive_verdict(two, (3, 4), BOUND).outcome == "Hyperbolic"
+
+    def degenerate(*c):
+        mask, faces, low, betas, pairings = m.numbers(*c)
+        return mask, faces, low, [0, *betas[1:]], pairings
+
+    patches = [
+        (m._replace(ample=False), ("ValueError", "the degree normaliser must be ample")),
+        (m._replace(numbers=degenerate),
+         ("InternalInconsistencyError", "positive pairing with a degenerate degree")),
+    ]
+    with monkeypatch.context() as patched:
+        refuse_rendering(patched, classify)
+        for (spec, coeffs, bound), (kind, message) in zip(refusals, wants):
+            with pytest.raises((ValueError, RuntimeError), match=re.escape(message)) as caught:
+                derive_verdict(spec, coeffs, bound)
+            assert type(caught.value).__name__ == kind, (coeffs, bound)
+        for member, (kind, message) in patches:
+            patched.setattr(classify, "compiled_member", lambda spec: member)
+            with pytest.raises((ValueError, RuntimeError), match=re.escape(message)) as caught:
+                derive_verdict(two, (3, 4), BOUND)
+            assert type(caught.value).__name__ == kind
+
+
+def test_certificates_are_kept_per_bound(monkeypatch):
+    # Keeping only the last bound asked for, the 729 cells of 3.0.1 at
+    # r = a = b = 1 derived at bounds 2 and 6 in turn made 808 calls of
+    # section_certificate.  Each bound's certificate is kept, so its one
+    # configuration is certified once per bound, and printing every verdict
+    # afterwards certifies nothing more.  Past BOUNDS_KEPT bounds the oldest
+    # is dropped, from the certificates and the member's connectivity alike.
+    import torhyp.classify as classify
+
+    calls = []
+
+    def counted(eprime, bound):
+        calls.append(bound)
+        return section_certificate(eprime, bound)
+
+    spec = FamilySpec.make("3.0.1", r=1, a=1, b=1)
+    monkeypatch.setattr(classify, "section_certificate", counted)
+    compiled_member.cache_clear()
+    try:
+        verdicts = [derive_verdict(spec, c, (2, 6)[i % 2]) for i, c in enumerate(cells("3.0.1"))]
+        m = compiled_member(spec)
+        assert len(m.configs) == 1 and sorted(calls) == [2, 6]
+        for v in verdicts:
+            v.as_json()
+        assert sorted(calls) == [2, 6]
+        hyperbolic = next(c for c, v in zip(cells("3.0.1"), verdicts) if v.outcome == "Hyperbolic")
+        for bound in range(1, BOUNDS_KEPT + 3):
+            derive_verdict(spec, hyperbolic, bound).as_json()
+        assert len(m.live) == len(m.configs[0].certs) == BOUNDS_KEPT
+        assert list(m.live) == list(m.configs[0].certs) == list(range(3, BOUNDS_KEPT + 3))
+    finally:
+        monkeypatch.undo()
+        compiled_member.cache_clear()
+
+
 # AST nodes of the 186 criterion-6 evaluators together.  The evaluators
 # that built the boundary document themselves came to 133,044 (levels read
 # off the walls, only the unit and signed forms kept); returning the table
 # mask and the faces as numbers in its place, each mask table a tuple of
-# constants up to its last repeated entry, they come to 122,775, and this
-# ceiling allows 1% over that.  Compiling them is a cost paid once per
-# member and process.
-EVALUATOR_NODE_CEILING = 124_000
+# constants up to its last repeated entry, they came to 122,775.  With the
+# sign test of the cell written first and the faces kept as D^2.D_rho and
+# off, no dimension or genus computed, they come to 106,093, and this
+# ceiling allows under 1% over that.  Compiling them is a cost paid once
+# per member and process.
+EVALUATOR_NODE_CEILING = 107_000
 
 
 def test_generated_evaluators_stay_compact():
@@ -244,10 +376,13 @@ def test_block_members_test_unit_levels_only():
     # Where the generators are nef every wall level is a form >= 0, and the
     # unit forms c_a occur among them, so the nef tests of D + K and D - E'
     # read c_a < k_a alone.  The mask line's tests bound a table index,
-    # not a level, and are left out.
+    # not a level, and are left out, as is the sign test of the cell that
+    # opens every evaluator, and nothing else, on these members.
     for case in CASE_IDS:
         for p in SWEEP_GRIDS[case]:
             source = compiled_member(FamilySpec.make(case, **p)).source
-            lines = [line for line in source.splitlines() if not line.startswith("    mask = ")]
+            sign = f"    if {' | '.join(f'c{a}' for a in range(len(cells(case)[0])))} < 0:"
+            assert source.splitlines()[1:3] == [sign, "        return None"], (case, p)
+            lines = [line for line in source.splitlines()[3:] if not line.startswith("    mask = ")]
             tested = [t for line in lines for t in re.findall(r"(?:if|or) ([^:<>]+?) < -?\d+", line)]
             assert tested and all(re.fullmatch(r"c\d", t) for t in tested), (case, p, tested)
