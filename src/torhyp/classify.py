@@ -439,14 +439,7 @@ def _epsilon(alphas: Sequence[int], betas: Sequence[int]) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-BOUNDS_KEPT = 4  # certificates and connectivity kept per bound, the oldest dropped
-
-
-def _keep(cache: dict, bound: int, value):
-    if len(cache) >= BOUNDS_KEPT:
-        del cache[next(iter(cache))]
-    cache[bound] = value
-    return value
+BOUNDS_KEPT = 4  # certificates kept per configuration, the oldest bound dropped
 
 
 class CompiledConfig:
@@ -463,7 +456,11 @@ class CompiledConfig:
 
     def certificate(self, bound: int) -> dict:
         cert = self.certs.get(bound)
-        return cert or _keep(self.certs, bound, section_certificate(self.eprime, bound).as_json())
+        if cert is None:
+            if len(self.certs) >= BOUNDS_KEPT:
+                del self.certs[next(iter(self.certs))]
+            cert = self.certs[bound] = section_certificate(self.eprime, bound).as_json()
+        return cert
 
 
 class CompiledTable:
@@ -559,8 +556,7 @@ class CompiledMember(NamedTuple):
     over the effective generators F_j and per configuration the pairings
     (E + K).D.F_j = D^2.F_j + (K - E').D.F_j, None for a configuration
     whose E' or D - E' is not nef.  Where it returns early the degrees
-    and pairings are None.  ``live`` keeps per bound each configuration's
-    certificate connectivity, None until a cell asks.
+    and pairings are None.
     """
 
     fan: Fan
@@ -572,7 +568,6 @@ class CompiledMember(NamedTuple):
     configs: tuple[CompiledConfig, ...]
     source: str
     numbers: Callable[..., tuple | None]
-    live: dict[int, list[bool | None]]
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -669,7 +664,6 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         configs=tuple(configs),
         source=source,
         numbers=_compile_numbers(source),
-        live={},
     )
 
 
@@ -683,33 +677,33 @@ def derive_verdict(
     clean and some listed configuration passes the connected-sections,
     adjoint-nef, and positivity checks; Open otherwise.  Decided from one
     call of the member's compiled ``numbers`` and the connectivity of its
-    certificates, kept per bound; the evidence is built when read.  Every
+    certificates at the bound; the evidence is built when read.  Every
     refusal is raised here, as ``_cell`` and the oracles raise it: a bound
     below one, a bad cell, a D not nef, a non-ample H, a degenerate degree.
     """
     check_bound(bound)
     m = compiled_member(spec)
+    c = coeffs
     try:
-        out = m.numbers(*map(index, coeffs))
+        if type(c) is not tuple:  # the cell is read again below, so not an iterator
+            c = tuple(c)
+        out = m.numbers(*map(index, c))
     except TypeError:  # not integers, or not the case's number of them
         out = None
     if out is None:
-        _cell(spec.case_id, m.names, coeffs)
+        _cell(spec.case_id, m.names, c)
         raise ValueError("boundary profiles assume a nef divisor")
     mask, faces, low, betas, pairings = out
     table = m.table.memo.get(mask) or m.table.outcome(mask)
     if betas is None:
         # The generator classes are a basis (proven at the compile), so only
         # the zero combination is the trivial class.
-        if not faces[0] and not any(coeffs):
+        if not faces[0] and not any(c):
             return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
         # Big with no low-genus ray: the adjoint class is not nef.
         return Verdict(OPEN if faces[0] and low is None else NOT_HYPERBOLIC, None, table, m, out)
-    live = m.live.get(bound) or _keep(m.live, bound, [None] * len(pairings))
-    for j, alphas in enumerate(pairings):
-        if alphas is not None and live[j] is None:
-            live[j] = m.configs[j].certificate(bound)["connected"]
-        if alphas is None or not live[j]:
+    for config, alphas in zip(m.configs, pairings):
+        if alphas is None or not config.certificate(bound)["connected"]:
             continue
         if not m.ample:
             raise ValueError("the degree normaliser must be ample")
