@@ -3,19 +3,20 @@
 A record holds every stored fact about one case: parameter names and the
 parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
-the Picard basis, nef and effective cone generators, the canonical
-reference coordinates, the Markov moves (as characters in Z^3), the
-connected-sections configurations and the reference verdict table.
-Entries that depend on the family parameters are functions of them.
+the Picard basis, nef and effective cone generators, the Markov moves
+(as characters in Z^3), the connected-sections configurations and the
+reference verdict table.  Entries that depend on the family parameters
+are functions of them; a table row's coefficient predicates and its
+parameter condition are integer intervals.
 
 Facts that follow from these are derived where they are used: surface
 classes and the ample reference class are combinations of the nef
 generators, the class map B is read off the rays and the Picard basis
-(``divisors.picard_basis``), the Markov moves are the characters
-embedded by the ray matrix A, so they lie in ker B = im A, and the table
-coefficient names follow from the Picard rank.  The other stored facts
-are checked where they are read: the canonical coordinates must be the
-class of K and the nef generators a nef basis.
+(``divisors.picard_basis``), the canonical class is the class of
+K = -sum D_rho, the Markov moves are the characters embedded by the ray
+matrix A, so they lie in ker B = im A, and the table coefficient names
+follow from the Picard rank.  The nef generators are checked where they
+are read: they must be a nef basis.
 
 This module imports nothing from the package.
 """
@@ -44,41 +45,29 @@ class SectionConfig(NamedTuple):
     eprime_coeffs: Callable[[Params], dict[str, int]]
 
 
-# Reference verdict tables.  A row predicate per coefficient is one of
-# ("ge", n), ("le", n), ("eq", n), ("in", values) or ("any", None).
+# Reference verdict tables.  A row predicate per coefficient, and a row's
+# condition on one parameter, is an integer interval (lo, hi), with hi None
+# where there is no upper bound; coefficients are nonnegative, and a printed
+# set (_in) lists consecutive values.
 
 
 def _ge(n):
-    return ("ge", n)
+    return (n, None)
 
 
 def _le(n):
-    return ("le", n)
+    return (0, n)
 
 
 def _eq(n):
-    return ("eq", n)
+    return (n, n)
 
 
 def _in(*vals):
-    return ("in", tuple(vals))
+    return (vals[0], vals[-1])
 
 
-_ANY = ("any", None)
-
-
-def pred_holds(pred, value: int) -> bool:
-    """Whether one coordinate predicate admits a value."""
-    op, arg = pred
-    if op == "ge":
-        return value >= arg
-    if op == "le":
-        return value <= arg
-    if op == "eq":
-        return value == arg
-    if op == "in":
-        return value in arg
-    return True
+_ANY = (0, None)
 
 
 class TableRow(NamedTuple):
@@ -88,7 +77,8 @@ class TableRow(NamedTuple):
     # The printed row leaves open whether it holds in every coordinate
     # order; a cell it matches only through a reordering stays unresolved.
     uncertain_permutation: bool = False
-    cond: Callable[[Params], bool] | None = None
+    # (parameter, interval): the row holds only where the parameter lies in it.
+    cond: tuple[str, tuple[int, int | None]] | None = None
 
     @property
     def orders(self) -> tuple:
@@ -125,7 +115,8 @@ class Case(NamedTuple):
 
     The parameter-dependent entries rays ... markov take the parameters as
     keyword arguments; predicates (requires, configurations, table blocks)
-    take the parameter mapping.
+    take the parameter mapping.  The canonical class is not stored: it is
+    read off K.
     """
 
     params: tuple[str, ...]
@@ -138,7 +129,6 @@ class Case(NamedTuple):
     pic_basis: tuple[str, ...]
     nef: Callable[..., list[dict[str, int]]]
     eff: Callable[..., tuple[str, ...]]
-    canonical: Callable[..., tuple[int, ...]]
     markov: Callable[..., list[Vec3]]  # a character delta per move A delta
     configs: tuple[SectionConfig, ...]
     tables: tuple[TableBlock, ...]
@@ -160,7 +150,6 @@ _CASE_201 = Case(
     pic_basis=("D_2", "D_3"),
     nef=lambda **_: [{"D_2": 1}, {"D_3": 1}],
     eff=lambda **_: ("D_1", "D_3"),
-    canonical=lambda l: (-2, l - 3),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
@@ -229,7 +218,6 @@ _CASE_202 = Case(
     pic_basis=("D_3", "D_4"),
     nef=lambda **_: [{"D_3": 1}, {"D_4": 1}],
     eff=lambda **_: ("D_2", "D_4"),
-    canonical=lambda l1, l2: (-3, l1 + l2 - 2),
     markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         SectionConfig(
@@ -270,8 +258,8 @@ _CASE_202 = Case(
 )
 
 
-# Rank 3 splitting fans: 3.0.1 (b >= 0) and 3.0.2 (b < 0) share the fan,
-# the basis and the canonical class.
+# Rank 3 splitting fans: 3.0.1 (b >= 0) and 3.0.2 (b < 0) share the fan
+# and the basis.
 
 
 def _general_301_hyp_rows(p: Params) -> list[TableRow]:
@@ -303,7 +291,6 @@ _CASE_301 = Case(
     pic_basis=("D_1", "D_4", "D_6"),
     nef=lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
     eff=lambda **_: ("D_1", "D_3", "D_5"),
-    canonical=lambda r, a, b: (-2 + a + r, -2 + b, -2),
     markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
     configs=(
         SectionConfig(
@@ -347,21 +334,14 @@ _CASE_301 = Case(
             (
                 TableRow(HYPERBOLIC, (_ge(2), _ge(3), _ge(3))),
                 TableRow(HYPERBOLIC, (_ge(3), _ge(4), _eq(2))),
-                TableRow(
-                    HYPERBOLIC,
-                    (_ge(2), _eq(2), _ge(4)),
-                    cond=lambda p: p["r"] != 1,
-                ),
-                TableRow(
-                    HYPERBOLIC,
-                    (_ge(3), _eq(2), _ge(4)),
-                    cond=lambda p: p["r"] == 1,
-                ),
+                # Printed for r != 1, which is r >= 2 in this block.
+                TableRow(HYPERBOLIC, (_ge(2), _eq(2), _ge(4)), cond=("r", _ge(2))),
+                TableRow(HYPERBOLIC, (_ge(3), _eq(2), _ge(4)), cond=("r", _eq(1))),
                 TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _in(2, 3))),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _eq(3), _eq(2))),
                 TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2))),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=lambda p: p["r"] == 1),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=("r", _eq(1))),
             ),
             imported=True,
         ),
@@ -383,15 +363,15 @@ _CASE_301 = Case(
             rows=(
                 TableRow(NOT_HYPERBOLIC, (_le(0), _le(1), _ANY)),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
-                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=lambda p: p["b"] == 0),
-                TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=lambda p: p["a"] == 0),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=lambda p: p["a"] == 0),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=lambda p: p["a"] == 1),
-                TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=lambda p: p["a"] == 2),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=lambda p: p["r"] == 0),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=lambda p: p["r"] == 0),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=lambda p: p["r"] == 1),
-                TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=lambda p: p["r"] == 2),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=("b", _eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=("a", _eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=("a", _eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=("a", _eq(1))),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=("a", _eq(2))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=("r", _eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=("r", _eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=("r", _eq(1))),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=("r", _eq(2))),
             ),
         ),
     ),
@@ -509,6 +489,16 @@ _FIVE_COLLECTION = dict(
     nef=lambda **_: [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}],
 )
 
+# 3.1.1, 3.1.2 and 3.1.5 have the one twist b1 and share everything else
+# but the rays, labels, collections and tables.
+_ONE_TWIST = dict(
+    _FIVE_COLLECTION,
+    params=("b1",),
+    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
+    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
+)
+
 
 def _blocks_311():
     hyp = [(_ge(4), _ge(3), _ge(2)), (_ge(4), _eq(2), _ge(3)), (_ge(4), _eq(0), _ge(5))]
@@ -582,28 +572,18 @@ def _blocks_312():
 
 
 _CASE_311 = Case(
-    **_FIVE_COLLECTION,
-    params=("b1",),
+    **_ONE_TWIST,
     rays=lambda b1: [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_v2", "D_u1", "D_y1", "D_t1", "D_z1"),
-    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
-    canonical=lambda b1: (b1 - 2, -1, -2),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_311(),
 )
 
 _CASE_312 = Case(
-    **_FIVE_COLLECTION,
-    params=("b1",),
+    **_ONE_TWIST,
     rays=lambda b1: [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_u1", "D_y1", "D_y2", "D_t1", "D_z1"),
-    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
-    canonical=lambda b1: (b1 - 2, 0, -2),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=_blocks_312(),
 )
 
@@ -616,7 +596,6 @@ _CASE_313 = Case(
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"),
     eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
-    canonical=lambda b1, c2: (b1 + c2 - 1, -1, -3),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(
         lambda p: p["b1"] == 0 and p["c2"] == 0,
@@ -668,7 +647,6 @@ _CASE_314 = Case(
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"),
     eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
-    canonical=lambda b1, b2: (b1 + b2, -2, -3),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(
         lambda p: p["b1"] == 0 and p["b2"] == 0,
@@ -716,15 +694,10 @@ _CASE_314 = Case(
 )
 
 _CASE_315 = Case(
-    **_FIVE_COLLECTION,
-    params=("b1",),
+    **_ONE_TWIST,
     rays=lambda b1: [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)],
     labels=("D_v1", "D_u1", "D_u2", "D_y1", "D_t1", "D_z1"),
-    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
-    canonical=lambda b1: (b1 - 1, -2, -2),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
     tables=(
         TableBlock(
             "all",

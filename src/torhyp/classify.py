@@ -30,7 +30,7 @@ from math import gcd
 from operator import index, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, pred_holds
+from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock
 from .divisors import (
     TDivisor,
     ample_reference,
@@ -512,21 +512,23 @@ class CompiledTable:
         return self.memo.setdefault(mask, outcome)
 
 
+def _within(v: int, interval: tuple[int, int | None]) -> bool:
+    lo, hi = interval
+    return lo <= v and (hi is None or v <= hi)
+
+
 def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
     if block is None:
         return CompiledTable(None, (), ())
     rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
-    rows = [(r, r.orders) for r in rows if r.cond is None or r.cond(params)]
+    rows = [(r, r.orders) for r in rows if r.cond is None or _within(params[r.cond[0]], r.cond[1])]
     orders = [order for _, row_orders in rows for order in row_orders]
 
     def admits(i: int) -> tuple[int, ...]:
-        cuts = [
-            x for op, arg in (order[i] for order in orders) if op != "any"
-            for x in (arg if op == "in" else (arg,))
-        ]
-        top = max(max(cuts, default=-1) + 1, 0)
+        column = [order[i] for order in orders]
+        top = max(max(lo if hi is None else hi for lo, hi in column) + 1, 0)
         return tuple(
-            sum(1 << b for b, order in enumerate(orders) if pred_holds(order[i], v))
+            sum(1 << b for b, (lo, hi) in enumerate(column) if lo <= v and (hi is None or v <= hi))
             for v in range(top + 1)
         )
 
@@ -559,7 +561,6 @@ class CompiledMember(NamedTuple):
     and pairings are None.
     """
 
-    fan: Fan
     names: tuple[str, ...]
     table: CompiledTable
     layout: tuple[tuple[str, int], ...]
@@ -655,7 +656,6 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
     )
     return CompiledMember(
-        fan=fan,
         names=record.coeff_names,
         table=table,
         layout=tuple(zip(fan.ray_labels, slots)),

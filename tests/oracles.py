@@ -24,9 +24,11 @@ over ray triples through the maximal cones, as the package did before
 Smith-form and unimodularity checks; the package computes its 3x3
 determinants inline (``fans._det``).  ``PRINTED_CLASS_MAPS`` holds the
 class map B of each case as the paper prints it, which the catalog
-stored until ``divisors.picard_basis`` read B off the rays, and
+stored until ``divisors.picard_basis`` read B off the rays,
 ``PRINTED_MARKOV`` the printed Markov moves, which the catalog stored
-until it kept their characters in Z^3.
+until it kept their characters in Z^3, and ``PRINTED_CANONICAL`` the
+printed coordinates of the canonical class, which the catalog stored
+until the class was read off K.
 """
 
 from functools import lru_cache
@@ -400,3 +402,17 @@ PRINTED_MARKOV = {
     "3.1.5": lambda b1: [[1, -1, 0, -1, 0, 0], [0, -1, 1, 0, 0, 0], [0, b1, 0, b1 + 1, 1, -1]],
 }
 PRINTED_MARKOV["3.0.2"] = PRINTED_MARKOV["3.0.1"]
+
+# The printed canonical class per case in its Picard basis; 3.0.1 and
+# 3.0.2 share theirs.
+PRINTED_CANONICAL = {
+    "2.0.1": lambda l: (-2, l - 3),
+    "2.0.2": lambda l1, l2: (-3, l1 + l2 - 2),
+    "3.0.1": lambda r, a, b: (-2 + a + r, -2 + b, -2),
+    "3.1.1": lambda b1: (b1 - 2, -1, -2),
+    "3.1.2": lambda b1: (b1 - 2, 0, -2),
+    "3.1.3": lambda b1, c2: (b1 + c2 - 1, -1, -3),
+    "3.1.4": lambda b1, b2: (b1 + b2, -2, -3),
+    "3.1.5": lambda b1: (b1 - 1, -2, -2),
+}
+PRINTED_CANONICAL["3.0.2"] = PRINTED_CANONICAL["3.0.1"]

@@ -334,24 +334,17 @@ def test_derived_surface_and_ample_classes(case, params, coeffs, surface, ample)
 # through its unresolved permutation, kept as the oracle of the one-pass
 # ``table_lookup``.  Each row's cells are enumerated over the whole
 # coefficient grid at once, as products of the values each coordinate
-# predicate admits, instead of testing the row cell by cell.
+# interval admits, instead of testing the row cell by cell.
 GRID = range(9)
 
 
-def _admitted(pred, grid=GRID):
-    op, arg = pred
-    tests = {
-        "ge": lambda v: v >= arg,
-        "le": lambda v: v <= arg,
-        "eq": lambda v: v == arg,
-        "in": lambda v: v in arg,
-        "any": lambda v: True,
-    }
-    return [v for v in grid if tests[op](v)]
+def _admitted(interval, grid=GRID):
+    lo, hi = interval
+    return [v for v in grid if v >= lo and (hi is None or v <= hi)]
 
 
 def _row_cells(row, params, allow_permute, grid=GRID):
-    if row.cond is not None and not row.cond(params):
+    if row.cond is not None and not _admitted(row.cond[1], [params[row.cond[0]]]):
         return set()
     orders = set(itertools.permutations(row.preds)) if row.permute and allow_permute else {row.preds}
     return {
@@ -471,6 +464,34 @@ def test_table_lookup_above_the_last_cut(case):
     for coeffs, expected in two_pass_lookups(spec, ABOVE_THE_CUTS).items():
         t = table_lookup(spec, coeffs)
         assert (t.value, t.matched, t.block, t.imported, t.ambiguous) == expected, coeffs
+
+
+def test_table_predicates_and_conditions_are_intervals():
+    # Every row predicate and row condition is an integer interval (lo, hi)
+    # with hi None where it is unbounded, and a condition names one of the
+    # case's parameters; the catalog stores no canonical class.
+    def interval(x):
+        return (
+            type(x) is tuple and len(x) == 2 and type(x[0]) is int
+            and (x[1] is None or type(x[1]) is int and x[0] <= x[1])
+        )
+
+    conds = 0
+    for record in CASES.values():
+        assert "canonical" not in record._fields
+        for block in record.tables:
+            rows = list(block.rows)
+            if block.param_rows is not None:
+                for values in itertools.product(range(5), repeat=len(record.params)):
+                    rows += block.param_rows(dict(zip(record.params, values)))
+            for row in rows:
+                assert len(row.preds) == len(record.coeff_names)
+                assert all(interval(pred) for pred in row.preds), row
+                if row.cond is not None:
+                    name, bounds = row.cond
+                    assert name in record.params and interval(bounds), row
+                    conds += 1
+    assert conds == 12
 
 
 def test_table_row_orders_built_once():

@@ -394,8 +394,6 @@ def test_corrupt_pic_basis_exit2(capsys, monkeypatch, pic_basis, argv):
     # The same cones, but (0, 1, 2) holds the collection (0, 1) and so is
     # no minimal non-face.
     {"collections": ((0, 1), (2, 3, 4), (0, 1, 2))},
-    # Reference coordinates that are not the class of K.
-    {"canonical": lambda l: (0, 0)},
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.
