@@ -5,9 +5,9 @@ parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
 the Picard basis, nef and effective cone generators, the Markov moves
 (as characters in Z^3), the connected-sections configurations and the
-reference verdict table.  Entries that depend on the family parameters
-are functions of them; a table row's coefficient predicates and its
-parameter condition are integer intervals.
+reference verdict table.  Parameter-dependent entries are functions of the
+parameters; the conditions choosing a table block, row or configuration
+group are integer intervals, per coefficient or per parameter (a box).
 
 Facts that follow from these are derived where they are used: surface
 classes and the ample reference class are combinations of the nef
@@ -34,21 +34,26 @@ NOT_HYPERBOLIC = "NotHyperbolic"
 OPEN = "Open"
 
 
-# Connected-sections configurations: per case, the listed auxiliary nef
-# divisors E' (by parameter condition); the configuration splits the surface
-# class as D = E + E'.
+# A condition is an integer interval (lo, hi), hi None where unbounded: per
+# coefficient in a table row's predicate, and per parameter in a box, the
+# (parameter, interval) pairs that must all hold; the box () always holds.
+# Coefficients are nonnegative, so _le(n) = (0, n) serves row predicates
+# only, and a printed set (_in) lists consecutive values.
+Interval = tuple[int, int | None]
+Box = tuple[tuple[str, Interval], ...]
 
 
-class SectionConfig(NamedTuple):
-    name: str
-    applies: Callable[[Params], bool]
-    eprime_coeffs: Callable[[Params], dict[str, int]]
+def within(v: int, interval: Interval) -> bool:
+    lo, hi = interval
+    return lo <= v and (hi is None or v <= hi)
 
 
-# Reference verdict tables.  A row predicate per coefficient, and a row's
-# condition on one parameter, is an integer interval (lo, hi), with hi None
-# where there is no upper bound; coefficients are nonnegative, and a printed
-# set (_in) lists consecutive values.
+def holds(box: Box, params: Params) -> bool:
+    return all(within(params[name], interval) for name, interval in box)
+
+
+def _box(**intervals: Interval) -> Box:
+    return tuple(intervals.items())
 
 
 def _ge(n):
@@ -70,6 +75,13 @@ def _in(*vals):
 _ANY = (0, None)
 
 
+class SectionConfig(NamedTuple):
+    """A listed auxiliary nef divisor E'; it splits the surface class as D = E + E'."""
+
+    name: str
+    eprime_coeffs: Callable[[Params], dict[str, int]]
+
+
 class TableRow(NamedTuple):
     outcome: str
     preds: tuple
@@ -77,8 +89,7 @@ class TableRow(NamedTuple):
     # The printed row leaves open whether it holds in every coordinate
     # order; a cell it matches only through a reordering stays unresolved.
     uncertain_permutation: bool = False
-    # (parameter, interval): the row holds only where the parameter lies in it.
-    cond: tuple[str, tuple[int, int | None]] | None = None
+    cond: Box = ()
 
     @property
     def orders(self) -> tuple:
@@ -90,8 +101,10 @@ class TableRow(NamedTuple):
 
 
 class TableBlock(NamedTuple):
+    """A printed table, serving the members in its domain that no earlier block serves."""
+
     name: str
-    applies: Callable[[Params], bool]
+    domain: Box
     rows: tuple[TableRow, ...]
     imported: bool = False
     # The general rank-3 splitting block lists its hyperbolic region as
@@ -114,9 +127,9 @@ class Case(NamedTuple):
     """Everything stored about one case; see the module docstring.
 
     The parameter-dependent entries rays ... markov take the parameters as
-    keyword arguments; predicates (requires, configurations, table blocks)
-    take the parameter mapping.  The canonical class is not stored: it is
-    read off K.
+    keyword arguments, requires and E' the parameter mapping.  The first
+    block or configuration group whose box holds is chosen, so a printed
+    union is a box after the boxes it excludes.  K gives the canonical class.
     """
 
     params: tuple[str, ...]
@@ -130,8 +143,15 @@ class Case(NamedTuple):
     nef: Callable[..., list[dict[str, int]]]
     eff: Callable[..., tuple[str, ...]]
     markov: Callable[..., list[Vec3]]  # a character delta per move A delta
-    configs: tuple[SectionConfig, ...]
+    configs: tuple[tuple[Box, tuple[SectionConfig, ...]], ...]
     tables: tuple[TableBlock, ...]
+
+    def block_at(self, params: Params) -> TableBlock | None:
+        """The first block whose domain holds; None leaves the cells Unlisted."""
+        return next((b for b in self.tables if holds(b.domain, params)), None)
+
+    def configs_at(self, params: Params) -> tuple[SectionConfig, ...]:
+        return next((group for box, group in self.configs if holds(box, params)), ())
 
     @property
     def coeff_names(self) -> tuple[str, ...]:
@@ -152,13 +172,13 @@ _CASE_201 = Case(
     eff=lambda **_: ("D_1", "D_3"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
-        SectionConfig("D_2+D_3", lambda p: p["l"] == 0, lambda p: {"D_2": 1, "D_3": 1}),
-        SectionConfig("D_2", lambda p: p["l"] >= 1, lambda p: {"D_2": 1}),
+        (_box(l=_eq(0)), (SectionConfig("D_2+D_3", lambda p: {"D_2": 1, "D_3": 1}),)),
+        (_box(l=_ge(1)), (SectionConfig("D_2", lambda p: {"D_2": 1}),)),
     ),
     tables=(
         TableBlock(
             "l=0",
-            lambda p: p["l"] == 0,
+            _box(l=_eq(0)),
             _rows(
                 [(_ge(3), _ge(4)), (_eq(2), _ge(5))],
                 [(_le(1), _ANY), (_ANY, _le(3)), (_eq(2), _eq(4))],
@@ -168,7 +188,7 @@ _CASE_201 = Case(
         ),
         TableBlock(
             "l=1",
-            lambda p: p["l"] == 1,
+            _box(l=_eq(1)),
             _rows(
                 [(_ge(3), _ge(4)), (_eq(2), _ge(5)), (_ge(5), _eq(0))],
                 [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_le(4), _eq(0))],
@@ -178,7 +198,7 @@ _CASE_201 = Case(
         ),
         TableBlock(
             "l=2",
-            lambda p: p["l"] == 2,
+            _box(l=_eq(2)),
             _rows(
                 [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
                 [(_le(1), _ANY), (_ANY, _in(1, 2, 3)), (_eq(2), _eq(0))],
@@ -187,7 +207,7 @@ _CASE_201 = Case(
         ),
         TableBlock(
             "l=3",
-            lambda p: p["l"] == 3,
+            _box(l=_eq(3)),
             _rows(
                 [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(4), _eq(0))],
                 [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
@@ -196,7 +216,7 @@ _CASE_201 = Case(
         ),
         TableBlock(
             "l>=4",
-            lambda p: p["l"] >= 4,
+            _box(l=_ge(4)),
             _rows(
                 [(_ge(3), _ge(4)), (_eq(2), _ge(7)), (_ge(3), _eq(0))],
                 [(_le(1), _ANY), (_ANY, _in(1, 2, 3))],
@@ -220,15 +240,13 @@ _CASE_202 = Case(
     eff=lambda **_: ("D_2", "D_4"),
     markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
-        SectionConfig(
-            "D_3+D_4", lambda p: p["l1"] == 0 and p["l2"] == 0, lambda p: {"D_3": 1, "D_4": 1}
-        ),
-        SectionConfig("D_3", lambda p: p["l2"] >= 1, lambda p: {"D_3": 1}),
+        (_box(l1=_eq(0), l2=_eq(0)), (SectionConfig("D_3+D_4", lambda p: {"D_3": 1, "D_4": 1}),)),
+        (_box(l2=_ge(1)), (SectionConfig("D_3", lambda p: {"D_3": 1}),)),
     ),
     tables=(
         TableBlock(
             "l1=l2=0",
-            lambda p: p["l1"] == 0 and p["l2"] == 0,
+            _box(l1=_eq(0), l2=_eq(0)),
             _rows(
                 [(_ge(4), _ge(3)), (_ge(5), _eq(2))],
                 [(_le(3), _ANY), (_ANY, _le(1)), (_eq(4), _eq(2))],
@@ -238,7 +256,7 @@ _CASE_202 = Case(
         ),
         TableBlock(
             "l1=0,l2>=1",
-            lambda p: p["l1"] == 0 and p["l2"] >= 1,
+            _box(l1=_eq(0), l2=_ge(1)),
             _rows(
                 [(_ge(5), _ge(2))],
                 [(_le(3), _ANY), (_ANY, _le(1))],
@@ -247,7 +265,7 @@ _CASE_202 = Case(
         ),
         TableBlock(
             "l1>=1",
-            lambda p: p["l1"] >= 1,
+            _box(l1=_ge(1)),
             _rows(
                 [(_ge(5), _ANY)],
                 [(_le(3), _ANY)],
@@ -293,29 +311,19 @@ _CASE_301 = Case(
     eff=lambda **_: ("D_1", "D_3", "D_5"),
     markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
     configs=(
-        SectionConfig(
-            "D_1+D_4+D_6",
-            lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
-            lambda p: {"D_1": 1, "D_4": 1, "D_6": 1},
+        (
+            _box(r=_eq(0), a=_eq(0), b=_eq(0)),
+            (SectionConfig("D_1+D_4+D_6", lambda p: {"D_1": 1, "D_4": 1, "D_6": 1}),),
         ),
-        SectionConfig(
-            "D_4+D_6",
-            lambda p: p["b"] == 0 and p["r"] + p["a"] >= 1,
-            lambda p: {"D_4": 1, "D_6": 1},
-        ),
-        SectionConfig(
-            "D_1+D_6",
-            lambda p: p["b"] >= 1 and p["r"] + p["a"] == 0,
-            lambda p: {"D_1": 1, "D_6": 1},
-        ),
-        SectionConfig(
-            "D_6", lambda p: p["b"] >= 1 and p["r"] + p["a"] >= 1, lambda p: {"D_6": 1}
-        ),
+        # Past the first group b = 0 means r + a >= 1; past the second, b >= 1.
+        (_box(b=_eq(0)), (SectionConfig("D_4+D_6", lambda p: {"D_4": 1, "D_6": 1}),)),
+        (_box(r=_eq(0), a=_eq(0)), (SectionConfig("D_1+D_6", lambda p: {"D_1": 1, "D_6": 1}),)),
+        ((), (SectionConfig("D_6", lambda p: {"D_6": 1}),)),
     ),
     tables=(
         TableBlock(
             "(0,0,0)",
-            lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0,
+            _box(r=_eq(0), a=_eq(0), b=_eq(0)),
             (
                 TableRow(HYPERBOLIC, (_ge(3), _ge(3), _ge(3)), permute=True),
                 TableRow(
@@ -330,24 +338,24 @@ _CASE_301 = Case(
         ),
         TableBlock(
             "(>=1,0,0)",
-            lambda p: p["r"] >= 1 and p["a"] == 0 and p["b"] == 0,
+            _box(r=_ge(1), a=_eq(0), b=_eq(0)),
             (
                 TableRow(HYPERBOLIC, (_ge(2), _ge(3), _ge(3))),
                 TableRow(HYPERBOLIC, (_ge(3), _ge(4), _eq(2))),
                 # Printed for r != 1, which is r >= 2 in this block.
-                TableRow(HYPERBOLIC, (_ge(2), _eq(2), _ge(4)), cond=("r", _ge(2))),
-                TableRow(HYPERBOLIC, (_ge(3), _eq(2), _ge(4)), cond=("r", _eq(1))),
+                TableRow(HYPERBOLIC, (_ge(2), _eq(2), _ge(4)), cond=_box(r=_ge(2))),
+                TableRow(HYPERBOLIC, (_ge(3), _eq(2), _ge(4)), cond=_box(r=_eq(1))),
                 TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), permute=True),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _in(2, 3))),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _eq(3), _eq(2))),
                 TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2))),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=("r", _eq(1))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ge(1)), cond=_box(r=_eq(1))),
             ),
             imported=True,
         ),
         TableBlock(
             "(>=3,>=3,>=1)",
-            lambda p: p["r"] >= 3 and p["a"] >= 3 and p["b"] >= 1,
+            _box(r=_ge(3), a=_ge(3), b=_ge(1)),
             (
                 TableRow(HYPERBOLIC, (_ANY, _ge(2), _ge(3))),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _le(1), _ANY)),
@@ -357,21 +365,21 @@ _CASE_301 = Case(
         ),
         TableBlock(
             "general",
-            lambda p: True,
+            (),
             hyp_yields_to_nothyp=True,
             param_rows=_general_301_hyp_rows,
             rows=(
                 TableRow(NOT_HYPERBOLIC, (_le(0), _le(1), _ANY)),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
-                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=("b", _eq(0))),
-                TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=("a", _eq(0))),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=("a", _eq(0))),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=("a", _eq(1))),
-                TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=("a", _eq(2))),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=("r", _eq(0))),
-                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=("r", _eq(0))),
-                TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=("r", _eq(1))),
-                TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=("r", _eq(2))),
+                TableRow(NOT_HYPERBOLIC, (_ANY, _eq(2), _eq(2)), cond=_box(b=_eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(1), _ANY, _ANY), cond=_box(a=_eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _ANY, _eq(2)), cond=_box(a=_eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _eq(2)), cond=_box(a=_eq(1))),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _ANY, _eq(2)), cond=_box(a=_eq(2))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _ANY, _ANY), cond=_box(r=_eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=_box(r=_eq(0))),
+                TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=_box(r=_eq(1))),
+                TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=_box(r=_eq(2))),
             ),
         ),
     ),
@@ -382,21 +390,17 @@ _CASE_302 = _CASE_301._replace(
     nef=lambda r, a, b: [{"D_1": 1}, {"D_4": 1}, {"D_4": -b, "D_6": 1}],
     eff=lambda r, a, b: ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6"),
     configs=(
-        SectionConfig(
-            "D_1+D_6-bD_4",
-            lambda p: p["r"] + p["a"] == 0,
-            lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1},
+        (
+            _box(r=_eq(0), a=_eq(0)),
+            (SectionConfig("D_1+D_6-bD_4", lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1}),),
         ),
-        SectionConfig(
-            "D_6-bD_4",
-            lambda p: p["r"] + p["a"] >= 1,
-            lambda p: {"D_4": -p["b"], "D_6": 1},
-        ),
+        # r + a >= 1.
+        ((), (SectionConfig("D_6-bD_4", lambda p: {"D_4": -p["b"], "D_6": 1}),)),
     ),
     tables=(
         TableBlock(
             "(0,0)",
-            lambda p: p["r"] == 0 and p["a"] == 0,
+            _box(r=_eq(0), a=_eq(0)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [
@@ -411,7 +415,7 @@ _CASE_302 = _CASE_301._replace(
         ),
         TableBlock(
             "(0,>=1)",
-            lambda p: p["r"] == 0 and p["a"] >= 1,
+            _box(r=_eq(0), a=_ge(1)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _ge(2))],
@@ -420,7 +424,7 @@ _CASE_302 = _CASE_301._replace(
         ),
         TableBlock(
             "(>=1,0)",
-            lambda p: p["r"] >= 1 and p["a"] == 0,
+            _box(r=_ge(1), a=_eq(0)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [
@@ -434,7 +438,7 @@ _CASE_302 = _CASE_301._replace(
         ),
         TableBlock(
             "(>=1,1)",
-            lambda p: p["r"] >= 1 and p["a"] == 1,
+            _box(r=_ge(1), a=_eq(1)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_le(1), _ge(2), _eq(2))],
@@ -443,7 +447,7 @@ _CASE_302 = _CASE_301._replace(
         ),
         TableBlock(
             "(>=1,2)",
-            lambda p: p["r"] >= 1 and p["a"] == 2,
+            _box(r=_ge(1), a=_eq(2)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY), (_eq(0), _ge(2), _eq(2))],
@@ -456,7 +460,7 @@ _CASE_302 = _CASE_301._replace(
         ),
         TableBlock(
             "(>=1,>=3)",
-            lambda p: p["r"] >= 1 and p["a"] >= 3,
+            _box(r=_ge(1), a=_ge(3)),
             _rows(
                 [(_ge(4), _ge(2), _ge(4))],
                 [(_ANY, _ANY, _le(1)), (_ANY, _le(1), _ANY)],
@@ -475,11 +479,13 @@ _CASE_302 = _CASE_301._replace(
 # negative, D_z1 replaces the third effective generator.
 
 
-def _five_collection_configs(zero_cond, z1_cond) -> tuple[SectionConfig, ...]:
+def _five_collection_configs(zero: Box, z1: Box):
     return (
-        SectionConfig("D_u1+D_z1", zero_cond, lambda p: {"D_u1": 1, "D_z1": 1}),
-        SectionConfig("D_v1+D_z1", zero_cond, lambda p: {"D_v1": 1, "D_z1": 1}),
-        SectionConfig("D_z1", z1_cond, lambda p: {"D_z1": 1}),
+        (zero, (
+            SectionConfig("D_u1+D_z1", lambda p: {"D_u1": 1, "D_z1": 1}),
+            SectionConfig("D_v1+D_z1", lambda p: {"D_v1": 1, "D_z1": 1}),
+        )),
+        (z1, (SectionConfig("D_z1", lambda p: {"D_z1": 1}),)),
     )
 
 
@@ -496,7 +502,7 @@ _ONE_TWIST = dict(
     params=("b1",),
     eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    configs=_five_collection_configs(lambda p: p["b1"] == 0, lambda p: p["b1"] > 1),
+    configs=_five_collection_configs(_box(b1=_eq(0)), _box(b1=_ge(2))),
 )
 
 
@@ -507,7 +513,7 @@ def _blocks_311():
     return (
         TableBlock(
             "b1=0",
-            lambda p: p["b1"] == 0,
+            _box(b1=_eq(0)),
             _rows(
                 hyp,
                 nothyp + [(_eq(0), _eq(0), _le(3)), (_eq(0), _ge(2), _le(3))],
@@ -516,7 +522,7 @@ def _blocks_311():
         ),
         TableBlock(
             "b1=1",
-            lambda p: p["b1"] == 1,
+            _box(b1=_eq(1)),
             _rows(
                 hyp,
                 nothyp + [(_eq(0), _eq(0), _le(2)), (_eq(0), _ge(2), _le(2))],
@@ -525,7 +531,7 @@ def _blocks_311():
         ),
         TableBlock(
             "b1>=2",
-            lambda p: p["b1"] >= 2,
+            _box(b1=_ge(2)),
             _rows(
                 hyp,
                 nothyp,
@@ -542,7 +548,7 @@ def _blocks_312():
     return (
         TableBlock(
             "b1=0",
-            lambda p: p["b1"] == 0,
+            _box(b1=_eq(0)),
             _rows(
                 hyp,
                 nothyp
@@ -552,7 +558,7 @@ def _blocks_312():
         ),
         TableBlock(
             "b1=1",
-            lambda p: p["b1"] == 1,
+            _box(b1=_eq(1)),
             _rows(
                 hyp,
                 nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(2))],
@@ -561,7 +567,7 @@ def _blocks_312():
         ),
         TableBlock(
             "b1>=2",
-            lambda p: p["b1"] >= 2,
+            _box(b1=_ge(2)),
             _rows(
                 hyp,
                 nothyp + [(_ge(4), _eq(0), _le(1)), (_eq(0), _eq(0), _le(1))],
@@ -597,14 +603,11 @@ _CASE_313 = Case(
     eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
-    configs=_five_collection_configs(
-        lambda p: p["b1"] == 0 and p["c2"] == 0,
-        lambda p: not (p["b1"] == 0 and p["c2"] == 0),
-    ),
+    configs=_five_collection_configs(_box(b1=_eq(0), c2=_eq(0)), ()),
     tables=(
         TableBlock(
             "c2=0",
-            lambda p: p["c2"] == 0 and p["b1"] >= 0,
+            _box(c2=_eq(0), b1=_ge(0)),
             _rows(
                 [(_ge(2), _ge(4), _ge(2))],
                 [
@@ -619,7 +622,7 @@ _CASE_313 = Case(
         ),
         TableBlock(
             "b1=0,c2=1",
-            lambda p: p["b1"] == 0 and p["c2"] == 1,
+            _box(b1=_eq(0), c2=_eq(1)),
             _rows(
                 [(_ge(1), _ge(4), _ge(2))],
                 [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
@@ -627,8 +630,9 @@ _CASE_313 = Case(
             ),
         ),
         TableBlock(
+            # b1 = 0, c2 >= 2 or b1 >= 1, c2 >= 1: the rest of the quadrant.
             "c2-positive",
-            lambda p: (p["b1"] == 0 and p["c2"] >= 2) or (p["b1"] >= 1 and p["c2"] >= 1),
+            _box(b1=_ge(0), c2=_ge(1)),
             _rows(
                 [(_ANY, _ge(4), _ge(2))],
                 [(_ANY, _in(1, 2, 3), _ANY), (_ANY, _ANY, _le(1)), (_ANY, _eq(0), _le(3))],
@@ -648,14 +652,11 @@ _CASE_314 = Case(
     eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
-    configs=_five_collection_configs(
-        lambda p: p["b1"] == 0 and p["b2"] == 0,
-        lambda p: not (p["b1"] == 0 and p["b2"] == 0),
-    ),
+    configs=_five_collection_configs(_box(b1=_eq(0), b2=_eq(0)), ()),
     tables=(
         TableBlock(
             "b1=b2=0",
-            lambda p: p["b1"] == 0 and p["b2"] == 0,
+            _box(b1=_eq(0), b2=_eq(0)),
             _rows(
                 [(_ge(1), _ge(2), _ge(4))],
                 [
@@ -668,8 +669,18 @@ _CASE_314 = Case(
             ),
         ),
         TableBlock(
+            "both-positive",
+            _box(b1=_ge(1), b2=_ge(1)),
+            _rows(
+                [(_ANY, _ge(2), _ge(4))],
+                [(_ANY, _ANY, _in(1, 2, 3)), (_ANY, _le(1), _ANY), (_ANY, _le(3), _eq(0))],
+                [(_ANY, _ge(4), _eq(0))],
+            ),
+        ),
+        TableBlock(
+            # b1 >= 1, b2 = 0 or b1 = 0, b2 >= 1: the rest of the quadrant.
             "one-positive",
-            lambda p: (p["b1"] >= 1 and p["b2"] == 0) or (p["b1"] == 0 and p["b2"] >= 1),
+            _box(b1=_ge(0), b2=_ge(0)),
             _rows(
                 [(_ANY, _ge(2), _ge(4))],
                 [
@@ -679,15 +690,6 @@ _CASE_314 = Case(
                     (_le(1), _ANY, _eq(0)),
                 ],
                 [(_ge(2), _ge(4), _eq(0))],
-            ),
-        ),
-        TableBlock(
-            "both-positive",
-            lambda p: p["b1"] >= 1 and p["b2"] >= 1,
-            _rows(
-                [(_ANY, _ge(2), _ge(4))],
-                [(_ANY, _ANY, _in(1, 2, 3)), (_ANY, _le(1), _ANY), (_ANY, _le(3), _eq(0))],
-                [(_ANY, _ge(4), _eq(0))],
             ),
         ),
     ),
@@ -701,7 +703,7 @@ _CASE_315 = Case(
     tables=(
         TableBlock(
             "all",
-            lambda p: p["b1"] >= 0,
+            _box(b1=_ge(0)),
             _rows(
                 [(_ge(2), _ANY, _ge(5)), (_ge(2), _ge(1), _eq(4))],
                 [

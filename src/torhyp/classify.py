@@ -30,7 +30,7 @@ from math import gcd
 from operator import index, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock
+from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, holds, within
 from .divisors import (
     TDivisor,
     ample_reference,
@@ -135,7 +135,7 @@ def boundary_json(layout: Sequence[tuple[str, int]], faces: Sequence) -> dict:
 
 def applicable_configs(fan: Fan) -> list[SectionConfig]:
     record, p = family_record(fan)
-    return [c for c in record.configs if c.applies(p)]
+    return list(record.configs_at(p))
 
 
 def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> dict:
@@ -512,23 +512,18 @@ class CompiledTable:
         return self.memo.setdefault(mask, outcome)
 
 
-def _within(v: int, interval: tuple[int, int | None]) -> bool:
-    lo, hi = interval
-    return lo <= v and (hi is None or v <= hi)
-
-
 def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
     if block is None:
         return CompiledTable(None, (), ())
     rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
-    rows = [(r, r.orders) for r in rows if r.cond is None or _within(params[r.cond[0]], r.cond[1])]
+    rows = [(r, r.orders) for r in rows if holds(r.cond, params)]
     orders = [order for _, row_orders in rows for order in row_orders]
 
     def admits(i: int) -> tuple[int, ...]:
         column = [order[i] for order in orders]
         top = max(max(lo if hi is None else hi for lo, hi in column) + 1, 0)
         return tuple(
-            sum(1 << b for b, (lo, hi) in enumerate(column) if lo <= v and (hi is None or v <= hi))
+            sum(1 << b for b, pred in enumerate(column) if within(v, pred))
             for v in range(top + 1)
         )
 
@@ -587,7 +582,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     """
     fan = build_family_fan(spec)
     record, params = family_record(fan)
-    block = next((b for b in record.tables if b.applies(params)), None)
+    block = record.block_at(params)
     gens = nef_generators(fan)
     classes = [class_of(g) for g in gens]
     # A 2x2 determinant is the 3x3 one with a unit row and column added.

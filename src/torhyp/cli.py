@@ -91,13 +91,7 @@ def _divisor_from_flag(fan: _fans.Fan, text: str) -> _div.TDivisor:
         raise CliError(f"divisor must be JSON ({exc})")
     if fan.family is None and isinstance(data, dict) and "class" in data and "coeffs" not in data:
         raise CliError(f'{{"class": ...}} needs a catalog fan (--case); {_COEFFS_ON_ANY_FAN}')
-    try:
-        return _div.divisor_from_json(fan, data)
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its message.
-        raise CliError(str(exc.args[0]))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return _div.divisor_from_json(fan, data)
 
 
 def _coeffs_from_flag(text: str) -> tuple[int, ...]:

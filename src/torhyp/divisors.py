@@ -76,12 +76,16 @@ class TDivisor(_DivisorFields):
 
 
 def divisor(fan: Fan, coeffs: Mapping[str, int] | Sequence[int]) -> TDivisor:
-    """Divisor from coefficients or a label -> coeff map; non-integers are a ValueError."""
+    """Divisor from coefficients or a label -> coeff map; non-integers, and
+    two labels of one ray (a label and its D_k alias), are a ValueError."""
     try:
         if isinstance(coeffs, Mapping):
-            vec = [0] * fan.nrays
+            vec, given = [0] * fan.nrays, {}
             for label, c in coeffs.items():
-                vec[fan.label_index(label)] = index(c)
+                i = fan.label_index(label)
+                if given.setdefault(i, label) != label:
+                    raise ValueError(f"ray {i} is given twice, as {given[i]!r} and {label!r}")
+                vec[i] = index(c)
             return TDivisor(fan, tuple(vec))
         return TDivisor(fan, tuple(map(index, coeffs)))
     except TypeError:
@@ -193,8 +197,8 @@ def picard_basis(fan: Fan) -> PicBasis:
     record, _ = family_record(fan)
     try:
         basis = tuple(fan.label_index(lab) for lab in record.pic_basis)
-    except KeyError as exc:
-        raise InternalInconsistencyError(f"Picard basis: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"Picard basis: {exc}") from exc
     others = [i for i in range(fan.nrays) if i not in basis]
     sols = len(others) == 3 and [cone_coordinates(fan, others, fan.rays[s]) for s in basis]
     if not sols or any(sol is None or sol[1] != 1 for sol in sols):

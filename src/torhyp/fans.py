@@ -101,12 +101,11 @@ class Fan(NamedTuple):
         for i, lab in enumerate(self.ray_labels):
             if lab == label:
                 return i
-        # Numeric aliases D_1 ... D_n are always accepted.
-        if label.startswith("D_"):
-            tail = label[2:]
-            if tail.isdigit() and 1 <= int(tail) <= self.nrays:
-                return int(tail) - 1
-        raise KeyError(f"no ray labelled {label!r}")
+        # The aliases D_1 ... D_n, in ASCII digits with no leading zero.
+        tail = label[2:] if label.startswith("D_") else ""
+        if tail.isascii() and tail.isdigit() and tail[0] != "0" and int(tail) <= self.nrays:
+            return int(tail) - 1
+        raise ValueError(f"no ray labelled {label!r}")
 
 
 def _det(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
@@ -401,6 +400,12 @@ def fan_from_json(data: Mapping) -> Fan:
         or not all(isinstance(x, str) for x in labels)
     ):
         raise ValueError("fan JSON 'ray_labels' must list one string per ray")
+    # Each label, and each alias D_k, must name its own ray.
+    named: dict[str, int] = {}
+    for i, label in enumerate(labels or ()):
+        for name in (label, f"D_{i + 1}"):
+            if (j := named.setdefault(name, i)) != i:
+                raise ValueError(f"fan JSON 'ray_labels': {name!r} names both ray {j} and ray {i}")
     return generic_fan(rays, cones, labels)
 
 

@@ -28,7 +28,10 @@ stored until ``divisors.picard_basis`` read B off the rays,
 ``PRINTED_MARKOV`` the printed Markov moves, which the catalog stored
 until it kept their characters in Z^3, and ``PRINTED_CANONICAL`` the
 printed coordinates of the canonical class, which the catalog stored
-until the class was read off K.
+until the class was read off K.  ``PRINTED_BLOCKS`` and
+``PRINTED_CONFIGS`` hold the parameter conditions of the table blocks and
+of the connected-sections configurations as printed, which the catalog
+stored as functions until it chose both by the first box that holds.
 """
 
 from functools import lru_cache
@@ -416,3 +419,87 @@ PRINTED_CANONICAL = {
     "3.1.5": lambda b1: (b1 - 1, -2, -2),
 }
 PRINTED_CANONICAL["3.0.2"] = PRINTED_CANONICAL["3.0.1"]
+
+# The printed parameter condition of each table block, in the printed
+# order; a member's block is the first whose condition holds.
+PRINTED_BLOCKS = {
+    "2.0.1": (
+        ("l=0", lambda p: p["l"] == 0),
+        ("l=1", lambda p: p["l"] == 1),
+        ("l=2", lambda p: p["l"] == 2),
+        ("l=3", lambda p: p["l"] == 3),
+        ("l>=4", lambda p: p["l"] >= 4),
+    ),
+    "2.0.2": (
+        ("l1=l2=0", lambda p: p["l1"] == 0 and p["l2"] == 0),
+        ("l1=0,l2>=1", lambda p: p["l1"] == 0 and p["l2"] >= 1),
+        ("l1>=1", lambda p: p["l1"] >= 1),
+    ),
+    "3.0.1": (
+        ("(0,0,0)", lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0),
+        ("(>=1,0,0)", lambda p: p["r"] >= 1 and p["a"] == 0 and p["b"] == 0),
+        ("(>=3,>=3,>=1)", lambda p: p["r"] >= 3 and p["a"] >= 3 and p["b"] >= 1),
+        ("general", lambda p: True),
+    ),
+    "3.0.2": (
+        ("(0,0)", lambda p: p["r"] == 0 and p["a"] == 0),
+        ("(0,>=1)", lambda p: p["r"] == 0 and p["a"] >= 1),
+        ("(>=1,0)", lambda p: p["r"] >= 1 and p["a"] == 0),
+        ("(>=1,1)", lambda p: p["r"] >= 1 and p["a"] == 1),
+        ("(>=1,2)", lambda p: p["r"] >= 1 and p["a"] == 2),
+        ("(>=1,>=3)", lambda p: p["r"] >= 1 and p["a"] >= 3),
+    ),
+    "3.1.1": (
+        ("b1=0", lambda p: p["b1"] == 0),
+        ("b1=1", lambda p: p["b1"] == 1),
+        ("b1>=2", lambda p: p["b1"] >= 2),
+    ),
+    "3.1.3": (
+        ("c2=0", lambda p: p["c2"] == 0 and p["b1"] >= 0),
+        ("b1=0,c2=1", lambda p: p["b1"] == 0 and p["c2"] == 1),
+        ("c2-positive", lambda p: (p["b1"] == 0 and p["c2"] >= 2) or (p["b1"] >= 1 and p["c2"] >= 1)),
+    ),
+    "3.1.4": (
+        ("b1=b2=0", lambda p: p["b1"] == 0 and p["b2"] == 0),
+        ("one-positive", lambda p: (p["b1"] >= 1 and p["b2"] == 0) or (p["b1"] == 0 and p["b2"] >= 1)),
+        ("both-positive", lambda p: p["b1"] >= 1 and p["b2"] >= 1),
+    ),
+    "3.1.5": (("all", lambda p: p["b1"] >= 0),),
+}
+PRINTED_BLOCKS["3.1.2"] = PRINTED_BLOCKS["3.1.1"]
+
+# The printed parameter condition of each connected-sections configuration;
+# a member lists every configuration whose condition holds.
+PRINTED_CONFIGS = {
+    "2.0.1": (("D_2+D_3", lambda p: p["l"] == 0), ("D_2", lambda p: p["l"] >= 1)),
+    "2.0.2": (
+        ("D_3+D_4", lambda p: p["l1"] == 0 and p["l2"] == 0),
+        ("D_3", lambda p: p["l2"] >= 1),
+    ),
+    "3.0.1": (
+        ("D_1+D_4+D_6", lambda p: p["r"] == 0 and p["a"] == 0 and p["b"] == 0),
+        ("D_4+D_6", lambda p: p["b"] == 0 and p["r"] + p["a"] >= 1),
+        ("D_1+D_6", lambda p: p["b"] >= 1 and p["r"] + p["a"] == 0),
+        ("D_6", lambda p: p["b"] >= 1 and p["r"] + p["a"] >= 1),
+    ),
+    "3.0.2": (
+        ("D_1+D_6-bD_4", lambda p: p["r"] + p["a"] == 0),
+        ("D_6-bD_4", lambda p: p["r"] + p["a"] >= 1),
+    ),
+    "3.1.1": (
+        ("D_u1+D_z1", lambda p: p["b1"] == 0),
+        ("D_v1+D_z1", lambda p: p["b1"] == 0),
+        ("D_z1", lambda p: p["b1"] > 1),
+    ),
+    "3.1.3": (
+        ("D_u1+D_z1", lambda p: p["b1"] == 0 and p["c2"] == 0),
+        ("D_v1+D_z1", lambda p: p["b1"] == 0 and p["c2"] == 0),
+        ("D_z1", lambda p: not (p["b1"] == 0 and p["c2"] == 0)),
+    ),
+    "3.1.4": (
+        ("D_u1+D_z1", lambda p: p["b1"] == 0 and p["b2"] == 0),
+        ("D_v1+D_z1", lambda p: p["b1"] == 0 and p["b2"] == 0),
+        ("D_z1", lambda p: not (p["b1"] == 0 and p["b2"] == 0)),
+    ),
+}
+PRINTED_CONFIGS["3.1.2"] = PRINTED_CONFIGS["3.1.5"] = PRINTED_CONFIGS["3.1.1"]

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import torhyp
+import torhyp.catalog as catalog_module
 import torhyp.classify as classify_module
 from torhyp.classify import (
     AMBIGUOUS,
@@ -24,7 +26,7 @@ from torhyp.classify import (
     sweep,
     table_lookup,
 )
-from torhyp.catalog import CASES
+from torhyp.catalog import CASES, holds
 from torhyp.divisors import (
     ample_reference,
     canonical_divisor,
@@ -38,7 +40,7 @@ from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
 from torhyp.toric_ideal import FiberCertificate, InternalInconsistencyError
 
-from oracles import low_genus_entry
+from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, low_genus_entry
 
 
 def spec_of(case, **params):
@@ -344,7 +346,7 @@ def _admitted(interval, grid=GRID):
 
 
 def _row_cells(row, params, allow_permute, grid=GRID):
-    if row.cond is not None and not _admitted(row.cond[1], [params[row.cond[0]]]):
+    if not holds(row.cond, params):
         return set()
     orders = set(itertools.permutations(row.preds)) if row.permute and allow_permute else {row.preds}
     return {
@@ -359,7 +361,7 @@ def two_pass_lookups(spec, grid=GRID):
     params = spec.as_dict()
     ncoef = len(CASES[spec.case_id].coeff_names)
     cells = list(itertools.product(grid, repeat=ncoef))
-    block = next((b for b in CASES[spec.case_id].tables if b.applies(params)), None)
+    block = CASES[spec.case_id].block_at(params)
     if block is None:
         return {c: (UNLISTED, (), None, False, False) for c in cells}
     rows = list(block.rows)
@@ -393,6 +395,17 @@ def two_pass_lookups(spec, grid=GRID):
     return out
 
 
+def _members_in(values):
+    """Every member of every case with parameters in ``values`` that passes
+    its case's parameter checks."""
+    for case, record in CASES.items():
+        for vals in itertools.product(values, repeat=len(record.params)):
+            try:
+                yield FamilySpec.make(case, **dict(zip(record.params, vals)))
+            except ParameterError:
+                pass
+
+
 def _lookup_specs():
     """Every criterion-6 member, and every member of every case with
     parameters in -3..5."""
@@ -401,12 +414,7 @@ def _lookup_specs():
         for case, grid in CRITERION_6_GRIDS.items()
         for params in grid
     }
-    for case, record in CASES.items():
-        for values in itertools.product(range(-3, 6), repeat=len(record.params)):
-            try:
-                specs.add(FamilySpec.make(case, **dict(zip(record.params, values))))
-            except ParameterError:
-                pass
+    specs.update(_members_in(range(-3, 6)))
     return sorted(specs, key=lambda s: (s.case_id, s.params))
 
 
@@ -467,19 +475,31 @@ def test_table_lookup_above_the_last_cut(case):
 
 
 def test_table_predicates_and_conditions_are_intervals():
-    # Every row predicate and row condition is an integer interval (lo, hi)
-    # with hi None where it is unbounded, and a condition names one of the
-    # case's parameters; the catalog stores no canonical class.
+    # Every row predicate is an integer interval (lo, hi) with hi None where
+    # it is unbounded.  Every row condition, block domain and configuration
+    # group is a box: (parameter, interval) pairs over distinct parameters
+    # of the case, none an interval without a lower bound.  The catalog
+    # stores no canonical class.
     def interval(x):
         return (
             type(x) is tuple and len(x) == 2 and type(x[0]) is int
             and (x[1] is None or type(x[1]) is int and x[0] <= x[1])
         )
 
+    def box(x, params):
+        names = [pair[0] for pair in x if type(pair) is tuple and len(pair) == 2]
+        return (
+            type(x) is tuple and len(names) == len(x) == len(set(names))
+            and set(names) <= set(params) and all(interval(bounds) for _, bounds in x)
+        )
+
     conds = 0
     for record in CASES.values():
         assert "canonical" not in record._fields
+        for group, configs in record.configs:
+            assert box(group, record.params) and configs, group
         for block in record.tables:
+            assert box(block.domain, record.params), block.name
             rows = list(block.rows)
             if block.param_rows is not None:
                 for values in itertools.product(range(5), repeat=len(record.params)):
@@ -487,11 +507,62 @@ def test_table_predicates_and_conditions_are_intervals():
             for row in rows:
                 assert len(row.preds) == len(record.coeff_names)
                 assert all(interval(pred) for pred in row.preds), row
-                if row.cond is not None:
-                    name, bounds = row.cond
-                    assert name in record.params and interval(bounds), row
-                    conds += 1
+                assert box(row.cond, record.params), row
+                conds += len(row.cond)
     assert conds == 12
+
+
+def _functions(x):
+    """The function objects in x, a value or nested tuples of values."""
+    if callable(x):
+        return 1
+    return sum(map(_functions, x)) if isinstance(x, tuple) else 0
+
+
+def test_catalog_choices_hold_no_callable():
+    # Table blocks, with their rows and domains, and the boxes of the
+    # configuration groups are data.  The functions left there are the
+    # general 3.0.1 block's parameter-dependent rows and one E'
+    # coefficient function per configuration.
+    for record in CASES.values():
+        for block in record.tables:
+            assert _functions(block._replace(param_rows=None)) == 0, block.name
+        for group, configs in record.configs:
+            assert _functions(group) == 0, group
+            assert all(_functions(config) == 1 for config in configs), group
+    assert "applies" not in catalog_module.TableBlock._fields
+    assert "applies" not in catalog_module.SectionConfig._fields
+    assert not hasattr(classify_module, "_within")
+
+
+# The catalog's lambdas by AST count: 122 before the table predicates and
+# row conditions were intervals, 94 before the block and configuration
+# conditions were boxes, 47 since.  The ceiling keeps them from coming back.
+CATALOG_LAMBDA_CEILING = 47
+
+
+def test_catalog_lambdas_stay_few():
+    with open(catalog_module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    assert sum(isinstance(node, ast.Lambda) for node in ast.walk(tree)) <= CATALOG_LAMBDA_CEILING
+
+
+def test_blocks_and_configurations_are_the_printed_ones():
+    # The first box that holds picks the block and the configurations the
+    # printed conditions pick, on every member with parameters in -7..9.
+    # The two printed disjunctions of 3.1.3 and 3.1.4 and the two printed
+    # complements are boxes through the order.
+    checked = 0
+    for spec in _members_in(range(-7, 10)):
+        params = spec.as_dict()
+        record = CASES[spec.case_id]
+        block = record.block_at(params)
+        printed = next((name for name, ok in PRINTED_BLOCKS[spec.case_id] if ok(params)), None)
+        assert (block and block.name) == printed, spec
+        names = [name for name, ok in PRINTED_CONFIGS[spec.case_id] if ok(params)]
+        assert [c.name for c in record.configs_at(params)] == names, spec
+        checked += 1
+    assert checked == 2394
 
 
 def test_table_row_orders_built_once():

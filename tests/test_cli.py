@@ -662,6 +662,22 @@ def test_faces_on_a_described_fan_matches_the_case(tmp_path, capsys, member, gen
     *[([verb, "--D", '{"coeffs": {"D_1": 1}}'], FOLDED_FAN,
        "2-face (0, 1) has both its cones on one side")
       for verb in ("nef", "polytope", "points", "faces")],
+    # A label and its alias name one ray.
+    (["nef", "--case", "3.1.1", "--b1", "0", "--D", '{"coeffs": {"D_v1": 1, "D_1": -5}}'],
+     None, "ray 0 is given twice, as 'D_v1' and 'D_1'"),
+    (["nef", "--D", '{"coeffs": {"y": 1, "D_2": 1}}'],
+     {"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": ["x", "y", "z", "w"]},
+     "ray 1 is given twice, as 'y' and 'D_2'"),
+    # Two rays of one label, and a label that is another ray's alias.
+    (["polytope", "--D", '{"coeffs": {"y": 1}}'],
+     {"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": ["x", "x", "y", "z"]},
+     "'x' names both ray 0 and ray 1"),
+    (["polytope", "--D", '{"coeffs": {"y": 1}}'],
+     {"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": ["D_2", "y", "z", "w"]},
+     "'D_2' names both ray 0 and ray 1"),
+    # The aliases are D_1 ... D_n in ASCII digits, with no leading zero.
+    *[(["nef", "--D", json.dumps({"coeffs": {label: 1}})], {"rays": P3_RAYS, "max_cones": P3_CONES},
+       f"no ray labelled {label!r}") for label in ("D_02", "D_\u0662", "D_0", "D_+2", "D_5")],
 ])
 def test_malformed_input_exit1(tmp_path, capsys, argv, fan_file, message):
     # Each malformed input ends in one JSON error document with exit 1:
@@ -802,6 +818,20 @@ def test_well_formed_fan_file_still_reads(tmp_path, capsys):
     path.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES,
                                 "ray_labels": ["x", "y", "z", "w"]}))
     code, data = run_json(capsys, "points", "--fan", str(path), "--D", '{"coeffs": {"w": 1}}')
+    assert code == 0 and data["count"] == 4
+
+
+@pytest.mark.parametrize("labels,label", [
+    (["x", "y", "z", "w"], "D_4"),
+    # A ray may carry its own alias, and a label that is no alias is free.
+    (["D_1", "y", "z", "D_4"], "D_4"),
+    (["x", "D_01", "z", "w"], "D_01"),
+])
+def test_fan_file_labels_and_aliases_read(tmp_path, capsys, labels, label):
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps({"rays": P3_RAYS, "max_cones": P3_CONES, "ray_labels": labels}))
+    d = json.dumps({"coeffs": {label: 1}})
+    code, data = run_json(capsys, "points", "--fan", str(path), "--D", d)
     assert code == 0 and data["count"] == 4
 
 
