@@ -3,20 +3,20 @@
 A record holds every stored fact about one case: parameter names and the
 parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
-the Picard basis, nef and effective cone generators, the Markov moves
-(as characters in Z^3), the connected-sections configurations and the
+the Picard basis, the effective cone generators, the Markov moves (as
+characters in Z^3), the connected-sections configurations and the
 reference verdict table.  Parameter-dependent entries are functions of the
 parameters; the conditions choosing a table block, row or configuration
 group are integer intervals, per coefficient or per parameter (a box).
 
-Facts that follow from these are derived where they are used: surface
-classes and the ample reference class are combinations of the nef
-generators, the class map B is read off the rays and the Picard basis
-(``divisors.picard_basis``), the canonical class is the class of
-K = -sum D_rho, the Markov moves are the characters embedded by the ray
-matrix A, so they lie in ker B = im A, and the table coefficient names
-follow from the Picard rank.  The nef generators are checked where they
-are read: they must be a nef basis.
+Facts that follow from these are derived where they are used: the class
+map B is read off the rays and the Picard basis
+(``divisors.picard_basis``), the nef cone generators off the walls
+(``divisors.nef_generators``), surface classes and the ample reference
+class are combinations of those generators, the canonical class is the
+class of K = -sum D_rho, the Markov moves are the characters embedded by
+the ray matrix A, so they lie in ker B = im A, and the table coefficient
+names follow from the Picard rank.
 
 This module imports nothing from the package.
 """
@@ -140,7 +140,6 @@ class Case(NamedTuple):
     labels: tuple[str, ...]
     collections: tuple[tuple[int, ...], ...]
     pic_basis: tuple[str, ...]
-    nef: Callable[..., list[dict[str, int]]]
     eff: Callable[..., tuple[str, ...]]
     markov: Callable[..., list[Vec3]]  # a character delta per move A delta
     configs: tuple[tuple[Box, tuple[SectionConfig, ...]], ...]
@@ -168,7 +167,6 @@ _CASE_201 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1), (2, 3, 4)),
     pic_basis=("D_2", "D_3"),
-    nef=lambda **_: [{"D_2": 1}, {"D_3": 1}],
     eff=lambda **_: ("D_1", "D_3"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
@@ -236,7 +234,6 @@ _CASE_202 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1, 2), (3, 4)),
     pic_basis=("D_3", "D_4"),
-    nef=lambda **_: [{"D_3": 1}, {"D_4": 1}],
     eff=lambda **_: ("D_2", "D_4"),
     markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
@@ -307,7 +304,6 @@ _CASE_301 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5", "D_6"),
     collections=((0, 1), (2, 3), (4, 5)),
     pic_basis=("D_1", "D_4", "D_6"),
-    nef=lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
     eff=lambda **_: ("D_1", "D_3", "D_5"),
     markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
     configs=(
@@ -387,7 +383,6 @@ _CASE_301 = Case(
 
 _CASE_302 = _CASE_301._replace(
     requires=_REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
-    nef=lambda r, a, b: [{"D_1": 1}, {"D_4": 1}, {"D_4": -b, "D_6": 1}],
     eff=lambda r, a, b: ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6"),
     configs=(
         (
@@ -472,11 +467,11 @@ _CASE_302 = _CASE_301._replace(
 
 
 # Rank 3 with five primitive collections (3.1.1 - 3.1.5).  Parameters are
-# unrestricted integers; the basis, the nef generators and the shape of the
-# configuration list are shared.  The tables cover nonnegative parameters
-# only: below zero the listed nef generators are no longer all nef, so no
-# block applies there and such cells are Unlisted.  Where every twist is
-# negative, D_z1 replaces the third effective generator.
+# unrestricted integers; the basis and the shape of the configuration list
+# are shared.  The tables cover nonnegative parameters only: below zero the
+# nef cone the walls cut out is not the printed one, so no block applies
+# there and such cells are Unlisted.  Where every twist is negative, D_z1
+# replaces the third effective generator.
 
 
 def _five_collection_configs(zero: Box, z1: Box):
@@ -492,7 +487,6 @@ def _five_collection_configs(zero: Box, z1: Box):
 _FIVE_COLLECTION = dict(
     requires=(),
     pic_basis=("D_v1", "D_u1", "D_z1"),
-    nef=lambda **_: [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}],
 )
 
 # 3.1.1, 3.1.2 and 3.1.5 have the one twist b1 and share everything else

@@ -36,7 +36,6 @@ from .divisors import (
     ample_reference,
     canonical_divisor,
     character,
-    class_of,
     divisor,
     intersection_matrix,
     is_ample,
@@ -51,7 +50,6 @@ from .fans import (
     Fan,
     InternalInconsistencyError,
     ParameterError,
-    _det,
     build_family_fan,
     family_record,
 )
@@ -338,7 +336,6 @@ def _evaluator_source(
     betas: Sequence[Form],
     eff: Sequence[int],
     configs: Sequence[tuple[Sequence[Form], Sequence[int]] | None],
-    guard: bool,
 ) -> tuple[str, list[int]]:
     """Source of ``numbers(c0, c1[, c2])`` (see ``CompiledMember``) from a
     member's table masks and its forms over the monomials q<a><b> = c_a c_b
@@ -348,25 +345,19 @@ def _evaluator_source(
     The faces are D^2.D_rho and the off-diagonal sum off per ray (read by
     ``_face``): a curve iff either is nonzero, of genus <= 1 iff
     D^2.D_rho - off <= 1, which a face of dimension <= 1 always passes.
-    A cell with a negative coordinate returns None, as does a D that is not
-    nef where ``guard`` is set (a listed generator is not nef).  Each
-    distinct form is one local, however many rays share it, and no test is
-    written whose outcome the coefficients fix on every cell: an
-    off-diagonal sum positive at every c >= 0, c != 0, a level (>= 0 once
-    D is nef) against a constant <= 0, a ray whose numbers an earlier ray
+    A cell with a negative coordinate returns None.  Each distinct form is
+    one local, however many rays share it, and no test is written whose
+    outcome the coefficients fix on every cell: an off-diagonal sum
+    positive at every c >= 0, c != 0, a level (>= 0, the generators being
+    nef) against a constant <= 0, a ray whose numbers an earlier ray
     already tested.
     """
     cs = [f"c{a}" for a in range(r)]
     level_text = [_sum_source(f) for f in levels]
-    signed = [min(k for k, _ in f) < 0 for f in levels]
-    refused = [f"{' | '.join(cs)} < 0", *(f"{t} < 0" for t, n in zip(level_text, signed) if n and guard)]
-    lines = [f"def numbers({', '.join(cs)}):", f"    if {' or '.join(refused)}:", "        return None"]
+    lines = [f"def numbers({', '.join(cs)}):", f"    if {' | '.join(cs)} < 0:", "        return None"]
 
     def below(floor: Sequence[int]) -> list[str]:
-        # A level known to be >= 0 (no negative coefficient, or tested by
-        # the guard) never falls below a constant <= 0.
-        return [f"{t} < {k}" for t, k, neg in zip(level_text, floor, signed)
-                if k > 0 or (neg and not guard)]
+        return [f"{t} < {k}" for t, k in zip(level_text, floor) if k > 0]
 
     # The locals, text -> name, in an order that defines each before use.
     local: dict[str, str] = {}
@@ -542,13 +533,12 @@ class CompiledMember(NamedTuple):
     ``numbers(c0, c1[, c2])`` is an integer function of the cell,
     generated from the member's table masks and forms
     (``_evaluator_source``; ``source`` keeps its text).  It returns None
-    for a cell with a negative coordinate, and when a listed generator is
-    not nef and D is not either (D.V < 0 on some wall curve V).  Otherwise
-    it returns (mask, faces, low, degrees, pairings): the cell's row mask
-    (the key of ``table.memo``); the faces that ``boundary_json`` renders
-    with ``layout``, the big flag and then D^2.D_rho and the off-diagonal
-    sum per distinct pair of ray forms; ``low``, the index of the
-    first ray whose face carries a curve of genus at most one; and, only
+    for a cell with a negative coordinate, and otherwise (mask, faces,
+    low, degrees, pairings): the cell's row mask (the key of
+    ``table.memo``); the faces that ``boundary_json`` renders with
+    ``layout``, the big flag and then D^2.D_rho and the off-diagonal sum
+    per distinct pair of ray forms; ``low``, the index of the first ray
+    whose face carries a curve of genus at most one; and, only
     when D is big, has no such ray and D + K is nef, the degrees H.D.F_j
     over the effective generators F_j and per configuration the pairings
     (E + K).D.F_j = D^2.F_j + (K - E').D.F_j, None for a configuration
@@ -559,7 +549,6 @@ class CompiledMember(NamedTuple):
     names: tuple[str, ...]
     table: CompiledTable
     layout: tuple[tuple[str, int], ...]
-    ample: bool
     eff_labels: list[str]
     configs: tuple[CompiledConfig, ...]
     source: str
@@ -568,34 +557,19 @@ class CompiledMember(NamedTuple):
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def compiled_member(spec: FamilySpec) -> CompiledMember:
-    """Compile a member's table block and verdict forms, and prove once
-    what holds for every cell.
+    """Compile a member's table block and verdict forms.
 
-    The nef generators must have independent classes, so c != 0 is a
-    nonzero class.  Where a table block applies, the catalog's reference
-    domain, they must be nef, so c >= 0 is a nef D, and their sum H must
-    be ample.  A failure is corrupt catalog data and raises
-    InternalInconsistencyError.  Outside that domain (negative twists of
-    the five-collection cases) a listed generator may fail to be nef: D is
-    then tested per cell, and a non-ample H is refused when a positivity
-    certificate needs it, as ``positivity_certificate`` does.
+    The nef generators are the rank-many extremal rays of the nef cone
+    (``nef_generators``, which refuses any other count), so their classes
+    are independent and c != 0 is a nonzero class, c >= 0 is a nef D, and
+    their sum H is ample: a nonzero wall form that is >= 0 on a spanning
+    set is positive on its sum.
     """
     fan = build_family_fan(spec)
     record, params = family_record(fan)
     block = record.block_at(params)
     gens = nef_generators(fan)
-    classes = [class_of(g) for g in gens]
-    # A 2x2 determinant is the 3x3 one with a unit row and column added.
-    square = [(*x, 0) for x in classes] + [(0, 0, 1)] if len(classes) == 2 else classes
-    if len(gens) != len(record.coeff_names) or [len(x) for x in square] != [3] * 3 or not _det(*square):
-        raise InternalInconsistencyError(f"case {spec.case_id}: the nef generators are not a basis")
     h = ample_reference(fan)
-    generators_nef, ample = all(is_nef(g) for g in gens), is_ample(h)
-    if block is not None and not (generators_nef and ample):
-        what = "a nef generator is not nef"
-        if generators_nef:
-            what = "the sum of the nef generators is not ample"
-        raise InternalInconsistencyError(f"case {spec.case_id} at {params}: {what}")
     # mats[a][rho][s] = N_a.D_rho.D_s, so _dot(x, mats[a][rho]) = X.N_a.D_rho,
     # and triple[a][b][rho] = N_a.N_b.D_rho.
     mats = [intersection_matrix(g) for g in gens]
@@ -615,16 +589,16 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     # The level D.V of D on a wall curve V is the form f = (N_a.V)_a in c.
     # Walls of one form are one curve class (the generator classes are a
     # basis), so each distinct form is tested once, against the floor X.V
-    # (X = -K or E') of its first wall.  When every unit form occurs, on
-    # curves V_a, a form f >= 0 is the class sum f_a V_a, so X.V =
-    # sum f_a X.V_a and the unit tests c_a >= X.V_a imply f(c) >= X.V:
-    # only the units and the signed forms are kept.
+    # (X = -K or E') of its first wall.  Every form is >= 0, the generators
+    # being nef.  When every unit form occurs, on curves V_a, a form f is
+    # the class sum f_a V_a, so X.V = sum f_a X.V_a and the unit tests
+    # c_a >= X.V_a imply f(c) >= X.V: only the units are kept.
     first: dict[tuple[int, ...], int] = {}
     for w, f in enumerate(zip(*(wall_degrees(fan, g.coeffs) for g in gens))):
         first.setdefault(f, w)
     units = {tuple(int(a == b) for b in range(r)) for a in range(r)}
     every_unit = units <= first.keys()
-    kept = [(f, w) for f, w in first.items() if not every_unit or f in units or min(f) < 0]
+    kept = [(f, w) for f, w in first.items() if not every_unit or f in units]
 
     def floor(x: Sequence[int]) -> list[int]:
         degrees = wall_degrees(fan, x)
@@ -648,13 +622,12 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     source, slots = _evaluator_source(
         r, table.index, [g.coeffs for g in gens], squares, offs, levels,
         [-k for k in floor(canonical)],
-        [form(h.coeffs, j) for j in eff], eff, config_forms, guard=not generators_nef,
+        [form(h.coeffs, j) for j in eff], eff, config_forms,
     )
     return CompiledMember(
         names=record.coeff_names,
         table=table,
         layout=tuple(zip(fan.ray_labels, slots)),
-        ample=ample,
         eff_labels=[fan.ray_labels[j] for j in eff],
         configs=tuple(configs),
         source=source,
@@ -674,7 +647,7 @@ def derive_verdict(
     call of the member's compiled ``numbers`` and the connectivity of its
     certificates at the bound; the evidence is built when read.  Every
     refusal is raised here, as ``_cell`` and the oracles raise it: a bound
-    below one, a bad cell, a D not nef, a non-ample H, a degenerate degree.
+    below one, a bad cell, a degenerate degree.
     """
     check_bound(bound)
     m = compiled_member(spec)
@@ -685,14 +658,13 @@ def derive_verdict(
         out = m.numbers(*map(index, c))
     except TypeError:  # not integers, or not the case's number of them
         out = None
-    if out is None:
+    if out is None:  # numbers refuses only the cells that _cell refuses
         _cell(spec.case_id, m.names, c)
-        raise ValueError("boundary profiles assume a nef divisor")
     mask, faces, low, betas, pairings = out
     table = m.table.memo.get(mask) or m.table.outcome(mask)
     if betas is None:
-        # The generator classes are a basis (proven at the compile), so only
-        # the zero combination is the trivial class.
+        # The generator classes are independent (``nef_generators``), so
+        # only the zero combination is the trivial class.
         if not faces[0] and not any(c):
             return Verdict(NOT_HYPERBOLIC, {"reason": "trivial class"}, table)
         # Big with no low-genus ray: the adjoint class is not nef.
@@ -700,8 +672,6 @@ def derive_verdict(
     for config, alphas in zip(m.configs, pairings):
         if alphas is None or not config.certificate(bound)["connected"]:
             continue
-        if not m.ample:
-            raise ValueError("the degree normaliser must be ample")
         if min(alphas) >= 1:
             if min(betas) < 1:
                 raise InternalInconsistencyError("positive pairing with a degenerate degree")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 from operator import index, mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -247,12 +249,40 @@ def canonical_divisor(fan: Fan) -> TDivisor:
     return TDivisor(fan, (-1,) * fan.nrays)
 
 
-# Reference data from the case catalog: nef and effective cone generators.
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def nef_generators(fan: Fan) -> tuple[TDivisor, ...]:
+    """The extremal rays of the nef cone, read off the walls, each as its
+    representative on the basis rays.
 
-
-def nef_generators(fan: Fan) -> list[TDivisor]:
-    record, p = family_record(fan)
-    return [divisor(fan, g) for g in record.nef(**p)]
+    A class is nef iff its degree on every wall curve is >= 0 (``is_nef``),
+    an integer form on the class coordinates whose entries are the degrees
+    of the basis ray divisors.  An extremal ray of the cone these forms cut
+    out lies on two independent forms: in rank 3 it is the cross product
+    of two distinct forms, in rank 2 that of one form with (0, 0, 1).  A
+    candidate taken with the sign that is >= 0 on every form lies on two
+    independent forms that are >= 0 on the cone, so it spans an extremal
+    ray; a candidate of mixed sign is dropped.  The rays are made primitive
+    and sorted by their reversed class coordinates, the printed order.  A
+    cone of other than rank-many rays raises InternalInconsistencyError.
+    """
+    basis = picard_basis(fan)
+    units = [[int(i == s) for i in range(fan.nrays)] for s in basis.basis_rays]
+    forms = list({f for f in zip(*(wall_degrees(fan, u) for u in units)) if any(f)})
+    if basis.rank == 2:
+        forms = [(*f, 0) for f in forms]
+    pairs = combinations(forms, 2) if basis.rank == 3 else ((f, (0, 0, 1)) for f in forms)
+    rays = set()
+    for (a, b, c), (x, y, z) in pairs:
+        u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
+        degrees = [p * u + q * v + s * w for p, q, s in forms]
+        if not (u or v or w) or min(degrees) < 0 < max(degrees):
+            continue
+        g = gcd(u, v, w) if min(degrees) >= 0 else -gcd(u, v, w)
+        rays.add((u // g, v // g, w // g)[:basis.rank])
+    if len(rays) != basis.rank:
+        raise InternalInconsistencyError(
+            f"expected {basis.rank} extremal rays of the nef cone, the walls give {len(rays)}")
+    return tuple(divisor_from_class(fan, v) for v in sorted(rays, key=lambda v: v[::-1]))
 
 
 def eff_generators(fan: Fan) -> list[TDivisor]:
@@ -262,12 +292,8 @@ def eff_generators(fan: Fan) -> list[TDivisor]:
 
 def nef_combination(fan: Fan, combo: Sequence[int]) -> TDivisor:
     """The divisor sum(c_i * N_i) over the nef cone generators N_i."""
-    record, p = family_record(fan)
-    coeffs = [0] * fan.nrays
-    for c, gen in zip(combo, record.nef(**p)):
-        for label, x in gen.items():
-            coeffs[fan.label_index(label)] += c * x
-    return TDivisor(fan, tuple(coeffs))
+    columns = zip(*(g.coeffs for g in nef_generators(fan)))
+    return TDivisor(fan, tuple(sum(map(mul, combo, col)) for col in columns))
 
 
 def ample_reference(fan: Fan) -> TDivisor:

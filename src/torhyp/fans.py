@@ -26,10 +26,11 @@ from .intlin import solve_3x3
 Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
-# The size of every per-fan cache (fans, wall relations, Picard bases,
-# Markov proofs, fiber counts, boundedness of normal sets, the dense view of
-# the triple products, compiled members): one entry per family member in
-# use; the criterion-1 grid has 186.  Intersection matrices are not cached.
+# The size of every per-fan cache (fans, wall relations, Picard bases, nef
+# cone generators, Markov proofs, fiber counts, boundedness of normal sets,
+# the dense view of the triple products, compiled members): one entry per
+# family member in use; the criterion-1 grid has 186.  Intersection
+# matrices are not cached.
 FAN_CACHE_SIZE = 256
 
 
@@ -309,8 +310,8 @@ def build_family_fan(spec: FamilySpec) -> Fan:
     Primitive collections are part of the stored classification data: the
     maximal cones are the ray triples holding none of them, ``generic_fan``
     checks that fan, and its minimal non-faces must be the stored
-    collections.  Parameters are validated first, so geometry that fails
-    past that point is corrupt catalog data and raises
+    collections.  Parameters are validated first, so a fan or labels that
+    fail past that point are corrupt catalog data and raise
     InternalInconsistencyError.
     """
     spec.validate()
@@ -318,7 +319,7 @@ def build_family_fan(spec: FamilySpec) -> Fan:
     rays, colls = tuple(record.rays(**spec.as_dict())), record.collections
     try:
         fan = generic_fan(rays, cones_from_collections(rays, colls), record.labels)
-    except FanGeometryError as exc:
+    except ValueError as exc:  # a FanGeometryError, or labels that do not fit the rays
         raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from exc
     if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
         raise InternalInconsistencyError(
@@ -334,7 +335,9 @@ def family_fan(case_id: str, **params: int) -> Fan:
 def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> Fan:
     """Fan from raw data, checked by ``verify_smooth_complete`` (a failure
-    is a FanGeometryError); a non-integer entry is a ValueError."""
+    is a FanGeometryError); a non-integer entry is a ValueError, and so are
+    labels other than one string per ray, or a label or alias D_k that
+    names two rays."""
     try:
         rays_t = tuple(tuple(map(index, u)) for u in rays)
         cones_t = tuple(tuple(sorted(map(index, c))) for c in max_cones)
@@ -342,6 +345,16 @@ def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]
         raise ValueError("fan rays and cones hold integers") from None
     if labels is None:
         labels = [f"D_{i+1}" for i in range(len(rays_t))]
+    elif (not isinstance(labels, (list, tuple)) or len(labels) != len(rays_t)
+          or not all(isinstance(x, str) for x in labels)):
+        raise ValueError("fan JSON 'ray_labels' must list one string per ray")
+    else:
+        # Each label, and each alias D_k, must name its own ray.
+        named: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            for name in (label, f"D_{i + 1}"):
+                if (j := named.setdefault(name, i)) != i:
+                    raise ValueError(f"fan JSON 'ray_labels': {name!r} names both ray {j} and ray {i}")
     fan = Fan(rays_t, cones_t, tuple(labels))
     failures = verify_smooth_complete(fan)
     if failures:
@@ -393,20 +406,7 @@ def fan_from_json(data: Mapping) -> Fan:
     rays, cones = _json_triples(data, "rays"), _json_triples(data, "max_cones")
     if any(not 0 <= i < len(rays) for cone in cones for i in cone):
         raise ValueError(f"a maximal cone indexes a ray outside 0..{len(rays) - 1}")
-    labels = data.get("ray_labels")
-    if labels is not None and (
-        not isinstance(labels, list)
-        or len(labels) != len(rays)
-        or not all(isinstance(x, str) for x in labels)
-    ):
-        raise ValueError("fan JSON 'ray_labels' must list one string per ray")
-    # Each label, and each alias D_k, must name its own ray.
-    named: dict[str, int] = {}
-    for i, label in enumerate(labels or ()):
-        for name in (label, f"D_{i + 1}"):
-            if (j := named.setdefault(name, i)) != i:
-                raise ValueError(f"fan JSON 'ray_labels': {name!r} names both ray {j} and ray {i}")
-    return generic_fan(rays, cones, labels)
+    return generic_fan(rays, cones, data.get("ray_labels"))
 
 
 def fan_from_json_str(text: str) -> Fan:

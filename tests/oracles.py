@@ -31,7 +31,9 @@ printed coordinates of the canonical class, which the catalog stored
 until the class was read off K.  ``PRINTED_BLOCKS`` and
 ``PRINTED_CONFIGS`` hold the parameter conditions of the table blocks and
 of the connected-sections configurations as printed, which the catalog
-stored as functions until it chose both by the first box that holds.
+stored as functions until it chose both by the first box that holds, and
+``PRINTED_NEF`` the printed nef cone generators, which the catalog stored
+until ``divisors.nef_generators`` read them off the walls.
 """
 
 from functools import lru_cache
@@ -503,3 +505,17 @@ PRINTED_CONFIGS = {
     ),
 }
 PRINTED_CONFIGS["3.1.2"] = PRINTED_CONFIGS["3.1.5"] = PRINTED_CONFIGS["3.1.1"]
+
+# The printed nef cone generators per case, in the printed order, each as
+# its divisor on the Picard basis rays; 3.1.1 - 3.1.5 share theirs, which
+# are nef at twists >= 0 only.
+PRINTED_NEF = {
+    "2.0.1": lambda **_: [{"D_2": 1}, {"D_3": 1}],
+    "2.0.2": lambda **_: [{"D_3": 1}, {"D_4": 1}],
+    "3.0.1": lambda **_: [{"D_1": 1}, {"D_4": 1}, {"D_6": 1}],
+    "3.0.2": lambda r, a, b: [{"D_1": 1}, {"D_4": 1}, {"D_4": -b, "D_6": 1}],
+}
+PRINTED_NEF.update(dict.fromkeys(
+    ("3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5"),
+    lambda **_: [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}],
+))

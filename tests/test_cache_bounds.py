@@ -42,6 +42,7 @@ def test_the_per_member_and_per_fan_caches_are_seen():
         "torhyp.classify.compiled_member",
         "torhyp.fans.build_family_fan",
         "torhyp.divisors.picard_basis",
+        "torhyp.divisors.nef_generators",
         "torhyp.polytopes.intersection_tensor",
     } <= found
 

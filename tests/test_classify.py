@@ -35,12 +35,13 @@ from torhyp.divisors import (
     eff_generators,
     is_ample,
     is_nef,
+    nef_generators,
 )
 from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
 from torhyp.toric_ideal import FiberCertificate, InternalInconsistencyError
 
-from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, low_genus_entry
+from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, PRINTED_NEF, low_genus_entry
 
 
 def spec_of(case, **params):
@@ -302,7 +303,8 @@ def test_verdict_contradiction_flag():
 
 # Surface classes and the ample reference are combinations of the nef
 # generators; these values pin both to the case formulas they replaced,
-# including negative parameters.
+# including negative parameters.  At a negative twist of 3.1.x the nef cone
+# is the one the walls cut out, not the printed one: there D_z1 is not nef.
 DERIVED_FACTS = [
     ("2.0.1", {"l": 2}, (2, 3), {"D_2": 2, "D_3": 3}, {"D_2": 1, "D_3": 1}),
     ("2.0.2", {"l1": 1, "l2": 3}, (2, 3), {"D_3": 2, "D_4": 3}, {"D_3": 1, "D_4": 1}),
@@ -311,13 +313,13 @@ DERIVED_FACTS = [
     ("3.0.2", {"r": 1, "a": 2, "b": -2}, (1, 2, 3),
      {"D_1": 1, "D_4": 8, "D_6": 3}, {"D_1": 1, "D_4": 3, "D_6": 1}),
     ("3.1.1", {"b1": -2}, (1, 2, 3),
-     {"D_v1": 1, "D_u1": 3, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+     {"D_v1": 8, "D_u1": 3, "D_z1": 5}, {"D_v1": 4, "D_u1": 1, "D_z1": 2}),
     ("3.1.2", {"b1": 3}, (2, 0, 1),
      {"D_v1": 2, "D_u1": 1, "D_z1": 1}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
     ("3.1.3", {"b1": -1, "c2": 2}, (0, 4, 1),
-     {"D_u1": 1, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+     {"D_v1": 4, "D_u1": 1, "D_z1": 5}, {"D_v1": 2, "D_u1": 1, "D_z1": 2}),
     ("3.1.4", {"b1": 2, "b2": -1}, (3, 1, 0),
-     {"D_v1": 3, "D_z1": 1}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
+     {"D_v1": 4, "D_z1": 1}, {"D_v1": 2, "D_u1": 1, "D_z1": 2}),
     ("3.1.5", {"b1": 0}, (1, 2, 3),
      {"D_v1": 1, "D_u1": 3, "D_z1": 5}, {"D_v1": 1, "D_u1": 1, "D_z1": 2}),
 ]
@@ -537,8 +539,9 @@ def test_catalog_choices_hold_no_callable():
 
 # The catalog's lambdas by AST count: 122 before the table predicates and
 # row conditions were intervals, 94 before the block and configuration
-# conditions were boxes, 47 since.  The ceiling keeps them from coming back.
-CATALOG_LAMBDA_CEILING = 47
+# conditions were boxes, 47 before the nef generators were read off the
+# walls, 42 since.  The ceiling keeps them from coming back.
+CATALOG_LAMBDA_CEILING = 42
 
 
 def test_catalog_lambdas_stay_few():
@@ -563,6 +566,28 @@ def test_blocks_and_configurations_are_the_printed_ones():
         assert [c.name for c in record.configs_at(params)] == names, spec
         checked += 1
     assert checked == 2394
+
+
+def test_nef_generators_are_nef_and_the_printed_ones():
+    # On every member with parameters in -7..9 the generators read off the
+    # walls are nef and sum to an ample class.  On the printed domain, each
+    # member of 2.0.x and 3.0.x and of 3.1.x at twists >= 0, they are the
+    # printed generators, as classes, in the printed order and as the
+    # printed divisors.  Below zero the printed D_z1 of 3.1.x is not nef.
+    assert "nef" not in catalog_module.Case._fields
+    checked = printed_domain = 0
+    for spec in _members_in(range(-7, 10)):
+        fan, params = build_family_fan(spec), spec.as_dict()
+        gens = nef_generators(fan)
+        assert all(is_nef(g) for g in gens) and is_ample(ample_reference(fan)), spec
+        checked += 1
+        if spec.case_id.startswith("3.1") and min(params.values()) < 0:
+            continue
+        printed = [divisor(fan, g) for g in PRINTED_NEF[spec.case_id](**params)]
+        assert [class_of(g) for g in gens] == [class_of(g) for g in printed], spec
+        assert [g.label_dict() for g in gens] == [g.label_dict() for g in printed], spec
+        printed_domain += 1
+    assert (checked, printed_domain) == (2394, 1995)
 
 
 def test_table_row_orders_built_once():
@@ -679,7 +704,7 @@ def test_disconnected_certificate_leaves_the_cell_open(monkeypatch):
     ("3.1.3", {"b1": -1, "c2": 0}, (4, 4, 2)),
 ])
 def test_tables_unlisted_below_reference_domain(case, params, coeffs):
-    # Below b1 = 0 a listed nef generator is not nef, so the printed rows
+    # Below b1 = 0 the nef cone is not the printed one, so the printed rows
     # say nothing about the cell.
     v = derive_verdict(spec_of(case, **params), coeffs, bound=2)
     assert v.table.value == UNLISTED and v.table.block is None

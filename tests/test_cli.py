@@ -126,8 +126,8 @@ def test_intersect_verb(capsys):
 
 @pytest.mark.parametrize("case", ["3.1.1", "3.1.2", "3.1.5"])
 def test_intersect_out_of_domain_is_integral(capsys, case):
-    # At b1 = -1 the listed nef generators are not all nef; D^3 of an ample
-    # class is still an integer and equals six times the volume of P(D).
+    # At b1 = -1, outside the tables' domain, D^3 of an ample class is an
+    # integer and equals six times the volume of P(D).
     d = '{"coeffs": {"D_v1": 2, "D_u1": 1, "D_z1": 2}}'
     code, data = run_json(capsys, "intersect", "--case", case, "--b1", "-1",
                           "--d1", d, "--d2", d, "--d3", d)
@@ -255,13 +255,43 @@ def test_unknown_ray_label_message(capsys):
     assert data["error"] == "no ray labelled 'D_9'"
 
 
-def test_sweep_error_prints_one_document(capsys):
-    # Outside the reference domain a later cell fails; no CSV row may be
-    # printed ahead of the error document.
-    code, data = run_json(capsys, "sweep", "--case", "3.1.1", "--b1", "-1", "--range", "0..3",
+def test_sweep_error_prints_one_document(capsys, monkeypatch):
+    # A cell that fails after earlier cells were derived leaves one error
+    # document; no CSV row may be printed ahead of it.
+    import torhyp.classify as classify
+
+    derive = classify.derive_verdict
+
+    def fail_late(spec, coeffs, bound):
+        if coeffs == (3, 3):
+            raise ValueError("a late cell fails")
+        return derive(spec, coeffs, bound)
+
+    monkeypatch.setattr(classify, "derive_verdict", fail_late)
+    code, data = run_json(capsys, "sweep", "--case", "2.0.1", "--l", "2", "--range", "0..4",
                           "--bound", "2")
     assert code == 1
-    assert set(data) == {"schema", "error"}
+    assert data == {"schema": "torhyp/1", "error": "a late cell fails"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "3.1.1", "--b1", "-1", "--coeffs", "0,1,0"],
+    ["--case", "3.1.3", "--b1", "-2", "--c2", "1", "--coeffs", "0,3,4"],
+], ids=["3.1.1", "3.1.3"])
+def test_negative_twist_cells_are_answered(capsys, argv):
+    # Below zero the nef cone read off the walls is not the printed one, so
+    # every cell c >= 0 is nef and gets a derived outcome, with no table.
+    code, data = run_json(capsys, "classify", *argv)
+    assert code == 0
+    assert data["table"]["outcome"] == "Unlisted"
+
+
+def test_describe_prints_the_nef_cone_at_a_negative_twist(capsys):
+    code, data = run_json(capsys, "describe", "--case", "3.1.1", "--b1", "-1")
+    assert code == 0
+    gens = data["nef_generators"]
+    assert [g["class"]["coords"] for g in gens] == [[1, 0, 0], [1, 0, 1], [0, 1, 1]]
+    assert all(g["nef"] is True for g in gens)
 
 
 @pytest.mark.parametrize("text", ["0-3", "0..3..4", "a..b", ""])
@@ -402,27 +432,34 @@ def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     assert set(data) == {"schema", "internal_error"}
 
 
-@pytest.mark.parametrize("nef, message", [
-    # D_3 - 3 D_2 fails the nef inequality of the collection {D_1, D_2}.
-    (lambda **_: [{"D_2": 1}, {"D_3": 1, "D_2": -3}], "a nef generator is not nef"),
-    (lambda **_: [{"D_2": 1}, {"D_2": 2}], "the nef generators are not a basis"),
-], ids=["not-nef", "dependent"])
-def test_corrupt_nef_generator_exit2(capsys, monkeypatch, nef, message):
-    # The member's proofs run once, when it is compiled: a listed nef
-    # generator that is not nef where the tables apply, or generators with
-    # dependent classes, are corrupt catalog data for classify.
-    from torhyp.catalog import CASES
+@pytest.mark.parametrize("member, wall, rays", [
+    # A wall of form (-1, 0) on the basis (D_2, D_3) beside the unit forms:
+    # the cone flattens to one ray.
+    (["--case", "2.0.1", "--l", "3", "--coeffs", "1,1"], (1, 2, 0, 0, -1, 0), 1),
+    # A wall of form (1, 1, -1) on (D_1, D_4, D_6) cuts a corner off the
+    # first octant: four rays.
+    (["--case", "3.0.1", "--r", "0", "--a", "0", "--b", "0", "--coeffs", "1,1,1"],
+     (5, 1, 0, 3, -1, 0), 4),
+], ids=["flat", "four-rays"])
+def test_corrupt_wall_relations_exit2(capsys, monkeypatch, member, wall, rays):
+    # The nef generators are read off the walls when a member is compiled:
+    # a cone of other than rank-many rays is corrupt package data.
+    import torhyp.divisors as divisors
     from torhyp.classify import compiled_member
 
-    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(nef=nef))
-    compiled_member.cache_clear()
+    real = divisors.walls
+    monkeypatch.setattr(divisors, "walls", lambda fan: real(fan) + (wall,))
+    caches = (divisors.nef_generators, compiled_member)
+    for cache in caches:
+        cache.cache_clear()
     try:
-        code, data = run_json(capsys, "classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4")
+        code, data = run_json(capsys, "classify", *member)
     finally:
         monkeypatch.undo()
-        compiled_member.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert code == 2
-    assert message in data["internal_error"]
+    assert f"the walls give {rays}" in data["internal_error"]
 
 
 def test_non_spanning_catalog_characters_fall_to_the_search(capsys, monkeypatch):

@@ -5,12 +5,11 @@ the same error, on every criterion-6 cell with a zero coordinate (where
 faces degenerate and the defect cells lie), on a seeded sample of the other
 cells, on cells of every criterion-6 member with coordinates of 10^6, 10^12
 and 10^40 (the generated evaluator has no width limit), and on members off
-the grid, where a listed nef generator is not nef or the parameter lies
-past the grid.  A Markov bound below one is refused on every cell, the
-nef refusal comes before the evaluator's early returns, every refusal is
-raised by ``derive_verdict`` itself, a verdict builds its evidence and its
-boundary only when read, each bound's certificate is kept, and the
-evaluators' total size stays under a fixed ceiling.
+the grid, at a negative twist or a parameter past the grid.  A Markov
+bound below one is refused on every cell, every refusal is raised by
+``derive_verdict`` itself, a verdict builds its evidence and its boundary
+only when read, each bound's certificate is kept, and the evaluators'
+total size stays under a fixed ceiling.
 """
 
 import ast
@@ -29,18 +28,15 @@ from torhyp.classify import (
     BOUNDS_KEPT,
     _epsilon,
     _sum_source,
-    boundary_genus_profile,
     compiled_member,
     derive_verdict,
-    surface_divisor,
     sweep,
     table_lookup,
 )
-from torhyp.divisors import is_nef
-from torhyp.fans import CASE_IDS, FamilySpec, build_family_fan
+from torhyp.fans import CASE_IDS, FamilySpec
 from torhyp.toric_ideal import section_certificate
 
-from oracles import low_genus_entry, reference_verdict
+from oracles import reference_verdict
 from test_acceptance import BOUND, SWEEP_GRIDS
 
 OFF_GRID = {
@@ -95,8 +91,9 @@ def test_compiled_matches_reference_off_the_grid(case, params):
             want = outcome(reference_verdict, spec, coeffs, bound)
             assert outcome(derive_verdict, spec, coeffs, bound) == want, (spec, coeffs, bound)
             raised += isinstance(want, tuple)
-    # Below b1 = 0 some cells are not nef and both refuse them alike.
-    assert (raised > 0) == case.startswith("3.1")
+    # Below b1 = 0 the nef generators are read off the walls too, so every
+    # cell c >= 0 is nef and neither refuses one.
+    assert raised == 0
 
 
 INVALID_CELLS = [
@@ -173,32 +170,6 @@ def test_bound_below_one_is_refused_on_every_cell():
             next(sweep(spec, range(2), bound))
 
 
-def test_nef_refusal_precedes_the_early_return(monkeypatch):
-    # Off the domain the evaluator tests nefness before the boundary: cells
-    # that are not nef and, read through the boundary formulas regardless,
-    # not big or with a low-genus face are refused, never answered.
-    import torhyp.classify as classify
-
-    early = []
-    for case, params in [(c, p) for c, ps in OFF_GRID.items() if c.startswith("3.1") for p in ps]:
-        spec = FamilySpec.make(case, **params)
-        fan = build_family_fan(spec)
-        for coeffs in cells(case):
-            d = surface_divisor(fan, coeffs)
-            if not any(coeffs) or is_nef(d):
-                continue
-            with monkeypatch.context() as patched:
-                patched.setattr(classify, "is_nef", lambda d: True)
-                profile = boundary_genus_profile(d)
-            if not profile["big"] or low_genus_entry(profile) is not None:
-                early.append((spec, coeffs))
-    assert early
-    refusal = ("ValueError", "boundary profiles assume a nef divisor")
-    for spec, coeffs in early:
-        assert outcome(reference_verdict, spec, coeffs, BOUND) == refusal
-        assert outcome(derive_verdict, spec, coeffs, BOUND) == refusal, (spec, coeffs)
-
-
 REFUSED = ("_render_evidence", "_epsilon", "boundary_json")
 
 
@@ -248,21 +219,17 @@ def test_verdicts_render_their_boundary_only_when_printed(monkeypatch):
 def test_refusals_are_raised_by_derive_verdict(monkeypatch):
     # Every refusal is raised by derive_verdict itself, with the oracle's
     # type and message, while the evidence cannot be built: a bound below
-    # one, a cell that is negative, of the wrong length or not integers, a
-    # D that is not nef off the grid, and, on a patched member, a non-ample
-    # H and a degenerate degree on a cell that is otherwise Hyperbolic.  A
-    # cell given as an iterator is refused alike, though it is read twice.
+    # one, a cell that is negative, of the wrong length or not integers,
+    # and, on a patched member, a degenerate degree on a cell that is
+    # otherwise Hyperbolic.  A cell given as an iterator is refused alike,
+    # though it is read twice.
     import torhyp.classify as classify
 
     two = FamilySpec.make("2.0.1", l=2)
-    off = FamilySpec.make("3.1.1", b1=-1)
-    fan = build_family_fan(off)
-    not_nef = next(c for c in cells("3.1.1") if any(c) and not is_nef(surface_divisor(fan, c)))
     refusals = [(two, (3, 4), 0), (two, (-1, 2), BOUND), (two, (1, 2, 3), BOUND),
-                (two, (2.0, 3), BOUND), (off, not_nef, BOUND)]
+                (two, (2.0, 3), BOUND)]
     wants = [outcome(reference_verdict, *r) for r in refusals]
     assert wants[0] == ("ValueError", "the Markov bound must be at least 1, got 0")
-    assert wants[-1] == ("ValueError", "boundary profiles assume a nef divisor")
     m = compiled_member(two)
     assert derive_verdict(two, (3, 4), BOUND).outcome == "Hyperbolic"
 
@@ -271,7 +238,6 @@ def test_refusals_are_raised_by_derive_verdict(monkeypatch):
         return mask, faces, low, [0, *betas[1:]], pairings
 
     patches = [
-        (m._replace(ample=False), ("ValueError", "the degree normaliser must be ample")),
         (m._replace(numbers=degenerate),
          ("InternalInconsistencyError", "positive pairing with a degenerate degree")),
     ]

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,22 @@ def test_cones_from_collections_rejects_garbage():
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]
     with pytest.raises(FanGeometryError):
         generic_fan(rays, cones_from_collections(rays, [(0, 1)]))
+
+
+P3 = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["x", "x", "y", "z"], "'x' names both ray 0 and ray 1"),
+    (["D_2", "a", "b", "c"], "'D_2' names both ray 0 and ray 1"),
+    (["x", "y", "z"], "must list one string per ray"),
+    (["x", "y", "z", 4], "must list one string per ray"),
+], ids=["repeated", "alias-shadow", "short", "not-a-string"])
+def test_generic_fan_refuses_labels_that_do_not_name_one_ray_each(labels, message):
+    # The Python entry point checks labels as a fan file's are checked.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generic_fan(*P3, labels)
+    assert generic_fan(*P3, ["x", "y", "z", "D_4"]).label_index("D_4") == 3
 
 
 def test_primitive_relation_rejects_incomplete():

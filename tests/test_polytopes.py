@@ -329,9 +329,7 @@ def test_min_face_degenerate_b0():
 
 
 def test_boundary_profile_agrees_with_face_scan():
-    # 3.1.2 at b1 = -1 lies outside the reference domain: there the sum of
-    # the listed nef generators is not ample, so a face dimension read
-    # through it reports 0 for an edge.
+    # 3.1.2 at b1 = -1 lies outside the tables' domain.
     rng = random.Random(3)
     fan_cases = [
         family_fan("2.0.1", l=2),
