@@ -3,20 +3,21 @@
 A record holds every stored fact about one case: parameter names and the
 parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
-the Picard basis, the effective cone generators, the Markov moves (as
-characters in Z^3), the connected-sections configurations and the
-reference verdict table.  Parameter-dependent entries are functions of the
-parameters; the conditions choosing a table block, row or configuration
-group are integer intervals, per coefficient or per parameter (a box).
+the Picard basis, the Markov moves (as characters in Z^3), the
+connected-sections configurations and the reference verdict table.
+Parameter-dependent entries are functions of the parameters; the
+conditions choosing a table block, row or configuration group are integer
+intervals, per coefficient or per parameter (a box).
 
 Facts that follow from these are derived where they are used: the class
 map B is read off the rays and the Picard basis
 (``divisors.picard_basis``), the nef cone generators off the walls
-(``divisors.nef_generators``), surface classes and the ample reference
-class are combinations of those generators, the canonical class is the
-class of K = -sum D_rho, the Markov moves are the characters embedded by
-the ray matrix A, so they lie in ker B = im A, and the table coefficient
-names follow from the Picard rank.
+(``divisors.nef_generators``), the effective cone generators off the ray
+classes (``divisors.eff_generators``), surface classes and the ample
+reference class are combinations of the nef generators, the canonical
+class is the class of K = -sum D_rho, the Markov moves are the characters
+embedded by the ray matrix A, so they lie in ker B = im A, and the table
+coefficient names follow from the Picard rank.
 
 This module imports nothing from the package.
 """
@@ -130,6 +131,7 @@ class Case(NamedTuple):
     keyword arguments, requires and E' the parameter mapping.  The first
     block or configuration group whose box holds is chosen, so a printed
     union is a box after the boxes it excludes.  K gives the canonical class.
+    eff_ties names the printed one of two ray divisors on one effective ray.
     """
 
     params: tuple[str, ...]
@@ -140,10 +142,10 @@ class Case(NamedTuple):
     labels: tuple[str, ...]
     collections: tuple[tuple[int, ...], ...]
     pic_basis: tuple[str, ...]
-    eff: Callable[..., tuple[str, ...]]
     markov: Callable[..., list[Vec3]]  # a character delta per move A delta
     configs: tuple[tuple[Box, tuple[SectionConfig, ...]], ...]
     tables: tuple[TableBlock, ...]
+    eff_ties: tuple[str, ...] = ()
 
     def block_at(self, params: Params) -> TableBlock | None:
         """The first block whose domain holds; None leaves the cells Unlisted."""
@@ -167,7 +169,6 @@ _CASE_201 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1), (2, 3, 4)),
     pic_basis=("D_2", "D_3"),
-    eff=lambda **_: ("D_1", "D_3"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         (_box(l=_eq(0)), (SectionConfig("D_2+D_3", lambda p: {"D_2": 1, "D_3": 1}),)),
@@ -234,7 +235,7 @@ _CASE_202 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1, 2), (3, 4)),
     pic_basis=("D_3", "D_4"),
-    eff=lambda **_: ("D_2", "D_4"),
+    eff_ties=("D_2",),  # D_1 ~ D_2 at l1 = l2
     markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
     configs=(
         (_box(l1=_eq(0), l2=_eq(0)), (SectionConfig("D_3+D_4", lambda p: {"D_3": 1, "D_4": 1}),)),
@@ -304,7 +305,6 @@ _CASE_301 = Case(
     labels=("D_1", "D_2", "D_3", "D_4", "D_5", "D_6"),
     collections=((0, 1), (2, 3), (4, 5)),
     pic_basis=("D_1", "D_4", "D_6"),
-    eff=lambda **_: ("D_1", "D_3", "D_5"),
     markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
     configs=(
         (
@@ -383,7 +383,6 @@ _CASE_301 = Case(
 
 _CASE_302 = _CASE_301._replace(
     requires=_REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
-    eff=lambda r, a, b: ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6"),
     configs=(
         (
             _box(r=_eq(0), a=_eq(0)),
@@ -470,8 +469,7 @@ _CASE_302 = _CASE_301._replace(
 # unrestricted integers; the basis and the shape of the configuration list
 # are shared.  The tables cover nonnegative parameters only: below zero the
 # nef cone the walls cut out is not the printed one, so no block applies
-# there and such cells are Unlisted.  Where every twist is negative, D_z1
-# replaces the third effective generator.
+# there and such cells are Unlisted.
 
 
 def _five_collection_configs(zero: Box, z1: Box):
@@ -494,7 +492,6 @@ _FIVE_COLLECTION = dict(
 _ONE_TWIST = dict(
     _FIVE_COLLECTION,
     params=("b1",),
-    eff=lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     configs=_five_collection_configs(_box(b1=_eq(0)), _box(b1=_ge(2))),
 )
@@ -594,7 +591,7 @@ _CASE_313 = Case(
         (1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)
     ],
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"),
-    eff=lambda b1, c2: ("D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
+    eff_ties=("D_z2",),  # D_z1 ~ D_z2 at c2 = 0, b1 < 0
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(_box(b1=_eq(0), c2=_eq(0)), ()),
@@ -643,7 +640,6 @@ _CASE_314 = Case(
         (1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)
     ],
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"),
-    eff=lambda b1, b2: ("D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
     configs=_five_collection_configs(_box(b1=_eq(0), b2=_eq(0)), ()),

@@ -37,6 +37,7 @@ from .divisors import (
     canonical_divisor,
     character,
     divisor,
+    eff_generators,
     intersection_matrix,
     is_ample,
     is_nef,
@@ -140,7 +141,8 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> dict:
     """Pairings of E + K and degrees of H against the effective generators.
 
     alpha_i = (E+K) . D . F_i and beta_i = H . D . F_i over the effective
-    cone generators F_i.  When every alpha_i is at least one, epsilon is
+    cone generators F_i, which ``eff_generators`` reads off the ray
+    classes.  When every alpha_i is at least one, epsilon is
     min(alpha_i / beta_i) capped at one, which bounds 2g - 2 from below by
     epsilon times the degree for every movable curve class.
 
@@ -156,11 +158,10 @@ def positivity_certificate(d: TDivisor, e: TDivisor, h: TDivisor) -> dict:
         raise ValueError("the degree normaliser must be ample")
     fan = d.fan
     ek = (e + canonical_divisor(fan)).coeffs
-    record, params = family_record(fan)
     matrix = intersection_matrix(d)
     labels, alphas, betas = [], [], []
-    for label in record.eff(**params):
-        j = fan.label_index(label)
+    for g in eff_generators(fan):
+        j = g.coeffs.index(1)
         labels.append(fan.ray_labels[j])
         alphas.append(sum(x * m for x, m in zip(ek, matrix[j])))
         betas.append(sum(x * m for x, m in zip(h.coeffs, matrix[j])))
@@ -605,7 +606,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         return [degrees[w] for _, w in kept]
 
     levels = [list(zip(f, cs)) for f, _ in kept]
-    eff = [fan.label_index(lab) for lab in record.eff(**params)]
+    eff = [g.coeffs.index(1) for g in eff_generators(fan)]
     canonical = canonical_divisor(fan).coeffs
     # Per configuration: None where E' is not nef, else its (K - E').D.F_j
     # forms and the levels of E', which D must reach for D - E' to be nef.

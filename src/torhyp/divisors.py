@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from operator import index, mul
 from typing import Mapping, NamedTuple, Sequence
@@ -29,7 +28,7 @@ from .fans import (
     json_int,
     walls,
 )
-from .intlin import IntMat, solve_3x3, solve_exact
+from .intlin import IntMat, cone_rays, solve_3x3, solve_exact
 
 
 class _DivisorFields(NamedTuple):
@@ -256,38 +255,37 @@ def nef_generators(fan: Fan) -> tuple[TDivisor, ...]:
 
     A class is nef iff its degree on every wall curve is >= 0 (``is_nef``),
     an integer form on the class coordinates whose entries are the degrees
-    of the basis ray divisors.  An extremal ray of the cone these forms cut
-    out lies on two independent forms: in rank 3 it is the cross product
-    of two distinct forms, in rank 2 that of one form with (0, 0, 1).  A
-    candidate taken with the sign that is >= 0 on every form lies on two
-    independent forms that are >= 0 on the cone, so it spans an extremal
-    ray; a candidate of mixed sign is dropped.  The rays are made primitive
-    and sorted by their reversed class coordinates, the printed order.  A
-    cone of other than rank-many rays raises InternalInconsistencyError.
+    of the basis ray divisors.  The rays the forms cut out (``cone_rays``)
+    are sorted by their reversed class coordinates, the printed order; other
+    than rank-many rays raise InternalInconsistencyError.
     """
     basis = picard_basis(fan)
     units = [[int(i == s) for i in range(fan.nrays)] for s in basis.basis_rays]
     forms = list({f for f in zip(*(wall_degrees(fan, u) for u in units)) if any(f)})
-    if basis.rank == 2:
-        forms = [(*f, 0) for f in forms]
-    pairs = combinations(forms, 2) if basis.rank == 3 else ((f, (0, 0, 1)) for f in forms)
-    rays = set()
-    for (a, b, c), (x, y, z) in pairs:
-        u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
-        degrees = [p * u + q * v + s * w for p, q, s in forms]
-        if not (u or v or w) or min(degrees) < 0 < max(degrees):
-            continue
-        g = gcd(u, v, w) if min(degrees) >= 0 else -gcd(u, v, w)
-        rays.add((u // g, v // g, w // g)[:basis.rank])
+    rays = set(cone_rays(forms))
     if len(rays) != basis.rank:
         raise InternalInconsistencyError(
             f"expected {basis.rank} extremal rays of the nef cone, the walls give {len(rays)}")
     return tuple(divisor_from_class(fan, v) for v in sorted(rays, key=lambda v: v[::-1]))
 
 
-def eff_generators(fan: Fan) -> list[TDivisor]:
-    record, p = family_record(fan)
-    return [ray_divisor(fan, lab) for lab in record.eff(**p)]
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def eff_generators(fan: Fan) -> tuple[TDivisor, ...]:
+    """The extremal rays of the effective cone, each as a ray divisor, in
+    ray order.  The ray classes (the columns of B) generate the cone (Cox,
+    Little and Schenck, Toric Varieties, 15.1); the rays of its dual are its
+    facet normals and theirs are its rays.  A ray is the first ray divisor
+    whose primitive class lies on it, or the one ``eff_ties`` names there.
+    """
+    reduction = picard_basis(fan).reduction
+    try:
+        ties = [fan.label_index(lab) for lab in family_record(fan)[0].eff_ties]
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"effective cone tie: {exc}") from exc
+    classes = [tuple(x // gcd(*c) for x in c) for c in map(reduction.col, range(fan.nrays))]
+    chosen = {next(j for j in [*ties, *range(fan.nrays)] if classes[j] == ray)
+              for ray in cone_rays(list(set(cone_rays(list(set(classes))))))}
+    return tuple(ray_divisor(fan, fan.ray_labels[j]) for j in sorted(chosen))
 
 
 def nef_combination(fan: Fan, combo: Sequence[int]) -> TDivisor:

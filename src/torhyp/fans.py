@@ -27,10 +27,10 @@ Vec3 = tuple[int, int, int]
 
 CASE_IDS = tuple(CASES)
 # The size of every per-fan cache (fans, wall relations, Picard bases, nef
-# cone generators, Markov proofs, fiber counts, boundedness of normal sets,
-# the dense view of the triple products, compiled members): one entry per
-# family member in use; the criterion-1 grid has 186.  Intersection
-# matrices are not cached.
+# and effective cone generators, Markov proofs, fiber counts, boundedness of
+# normal sets, the dense view of the triple products, compiled members): one
+# entry per family member in use; the criterion-1 grid has 186.
+# Intersection matrices are not cached.
 FAN_CACHE_SIZE = 256
 
 
@@ -347,14 +347,14 @@ def generic_fan(rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]
         labels = [f"D_{i+1}" for i in range(len(rays_t))]
     elif (not isinstance(labels, (list, tuple)) or len(labels) != len(rays_t)
           or not all(isinstance(x, str) for x in labels)):
-        raise ValueError("fan JSON 'ray_labels' must list one string per ray")
+        raise ValueError("ray labels must list one string per ray")
     else:
         # Each label, and each alias D_k, must name its own ray.
         named: dict[str, int] = {}
         for i, label in enumerate(labels):
             for name in (label, f"D_{i + 1}"):
                 if (j := named.setdefault(name, i)) != i:
-                    raise ValueError(f"fan JSON 'ray_labels': {name!r} names both ray {j} and ray {i}")
+                    raise ValueError(f"ray label {name!r} names both ray {j} and ray {i}")
     fan = Fan(rays_t, cones_t, tuple(labels))
     failures = verify_smooth_complete(fan)
     if failures:

@@ -9,7 +9,9 @@ the algorithms favour clarity and exactness over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import combinations
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vec = tuple[int, ...]
 
@@ -145,3 +147,29 @@ def solve_3x3(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[Vec, int
     if det < 0:
         det, x, y, z = -det, -x, -y, -z
     return (x, y, z), det
+
+
+def cone_rays(forms: Sequence[Vec]) -> Iterator[Vec]:
+    """The primitive extremal rays of {x : <f, x> >= 0 for every form f} in
+    Z^2 or Z^3, possibly repeated.  Each lies on two independent forms (in
+    Z^2 on one), so it is the cross product of two distinct forms, or of
+    (f, 0) with (0, 0, 1), with the sign that is >= 0 on every form; a
+    candidate is dropped at its first form of each sign.  Forms in one
+    plane yield its normal, a line in the set; parallel forms yield nothing.
+    """
+    planar = bool(forms) and len(forms[0]) == 2
+    space = [(*f, 0) for f in forms] if planar else forms
+    pairs = ((f, (0, 0, 1)) for f in space) if planar else combinations(space, 2)
+    for (a, b, c), (x, y, z) in pairs:
+        u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
+        if not (u or v or w):
+            continue
+        sign = 0
+        for p, q, s in space:
+            degree = p * u + q * v + s * w
+            if degree * sign < 0:
+                break
+            sign = sign or degree
+        else:
+            g = gcd(u, v, w) if sign >= 0 else -gcd(u, v, w)
+            yield (u // g, v // g, w // g)[:3 - planar]

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .divisors import TDivisor, intersection_matrix, is_nef
 from .fans import FAN_CACHE_SIZE, Fan
-from .intlin import solve_3x3
+from .intlin import cone_rays, solve_3x3
 
 Vec3 = tuple[int, int, int]
 QVec3 = tuple[Fraction, Fraction, Fraction]
@@ -77,19 +77,11 @@ def offset_polytope(fan: Fan, rhs: Sequence[int]) -> HPolytope:
 def _bounded(normals: tuple[Vec3, ...]) -> bool:
     """Whether {<m, n_i> >= r_i} is bounded, which depends on the normals only.
 
-    The system is bounded iff its recession cone {<m, n_i> >= 0} is {0}: a
-    nonzero recession vector exists iff no triple of normals is
-    nonsingular (they lie in a plane) or some cross product of two normals,
-    up to sign, pairs nonnegatively with every normal.
+    The system is bounded iff its recession cone {<m, n_i> >= 0} is {0},
+    iff some normal triple is nonsingular and that cone has no extremal ray.
     """
     spanning = any(_dot(a, _cross(b, c)) for a, b, c in combinations(normals, 3))
-    return spanning and not any(
-        all(_dot(n, w) >= 0 for n in normals)
-        for u, v in combinations(normals, 2)
-        for c in [_cross(u, v)]
-        if c != (0, 0, 0)
-        for w in (c, (-c[0], -c[1], -c[2]))
-    )
+    return spanning and next(cone_rays(normals), None) is None
 
 
 def _cross(u, v) -> Vec3:

@@ -33,7 +33,9 @@ until the class was read off K.  ``PRINTED_BLOCKS`` and
 of the connected-sections configurations as printed, which the catalog
 stored as functions until it chose both by the first box that holds, and
 ``PRINTED_NEF`` the printed nef cone generators, which the catalog stored
-until ``divisors.nef_generators`` read them off the walls.
+until ``divisors.nef_generators`` read them off the walls, and
+``PRINTED_EFF`` the printed effective cone generators, which the catalog
+stored until ``divisors.eff_generators`` read them off the ray classes.
 """
 
 from functools import lru_cache
@@ -518,4 +520,22 @@ PRINTED_NEF = {
 PRINTED_NEF.update(dict.fromkeys(
     ("3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5"),
     lambda **_: [{"D_v1": 1}, {"D_z1": 1}, {"D_u1": 1, "D_z1": 1}],
+))
+
+# The printed effective cone generators per case, as ray labels in the
+# printed order; 3.1.1, 3.1.2 and 3.1.5 share theirs.
+PRINTED_EFF = {
+    "2.0.1": lambda **_: ("D_1", "D_3"),
+    "2.0.2": lambda **_: ("D_2", "D_4"),
+    "3.0.1": lambda **_: ("D_1", "D_3", "D_5"),
+    "3.0.2": lambda r, a, b: (
+        ("D_1", "D_3", "D_6") if a + b * r <= 0 else ("D_1", "D_3", "D_5", "D_6")),
+    "3.1.3": lambda b1, c2: (
+        "D_u1", "D_y1", "D_z1" if max(b1, c2) < 0 else "D_t1" if b1 >= c2 else "D_z2"),
+    "3.1.4": lambda b1, b2: (
+        "D_u1", "D_y1", "D_z1" if max(b1, b2) < 0 else "D_t1" if b1 >= b2 else "D_t2"),
+}
+PRINTED_EFF.update(dict.fromkeys(
+    ("3.1.1", "3.1.2", "3.1.5"),
+    lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
 ))

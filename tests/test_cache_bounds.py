@@ -43,6 +43,7 @@ def test_the_per_member_and_per_fan_caches_are_seen():
         "torhyp.fans.build_family_fan",
         "torhyp.divisors.picard_basis",
         "torhyp.divisors.nef_generators",
+        "torhyp.divisors.eff_generators",
         "torhyp.polytopes.intersection_tensor",
     } <= found
 

@@ -41,7 +41,7 @@ from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
 from torhyp.toric_ideal import FiberCertificate, InternalInconsistencyError
 
-from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, PRINTED_NEF, low_genus_entry
+from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, PRINTED_EFF, PRINTED_NEF, low_genus_entry
 
 
 def spec_of(case, **params):
@@ -540,8 +540,9 @@ def test_catalog_choices_hold_no_callable():
 # The catalog's lambdas by AST count: 122 before the table predicates and
 # row conditions were intervals, 94 before the block and configuration
 # conditions were boxes, 47 before the nef generators were read off the
-# walls, 42 since.  The ceiling keeps them from coming back.
-CATALOG_LAMBDA_CEILING = 42
+# walls, 42 before the effective generators were read off the ray classes,
+# 35 since.  The ceiling keeps them from coming back.
+CATALOG_LAMBDA_CEILING = 35
 
 
 def test_catalog_lambdas_stay_few():
@@ -588,6 +589,36 @@ def test_nef_generators_are_nef_and_the_printed_ones():
         assert [g.label_dict() for g in gens] == [g.label_dict() for g in printed], spec
         printed_domain += 1
     assert (checked, printed_domain) == (2394, 1995)
+
+
+def _eff_labels(spec):
+    return [next(iter(g.label_dict())) for g in eff_generators(build_family_fan(spec))]
+
+
+def test_eff_generators_are_the_printed_ones(monkeypatch):
+    # On every member with parameters in -7..9 the generators read off the
+    # ray classes are the printed ray divisors, in the printed order.
+    assert "eff" not in catalog_module.Case._fields
+    checked = 0
+    for spec in _members_in(range(-7, 10)):
+        assert _eff_labels(spec) == list(PRINTED_EFF[spec.case_id](**spec.as_dict())), spec
+        checked += 1
+    assert checked == 2394
+    # Neither tie is vacuous: without it, the first ray divisor of the tied
+    # pair is taken, not the printed one.
+    ties = [
+        ("2.0.2", spec_of("2.0.2", l1=2, l2=2), ["D_1", "D_4"]),
+        ("3.1.3", spec_of("3.1.3", b1=-2, c2=0), ["D_u1", "D_y1", "D_z1"]),
+    ]
+    for case, spec, untied in ties:
+        assert _eff_labels(spec) == list(PRINTED_EFF[case](**spec.as_dict()))
+        monkeypatch.setitem(CASES, case, CASES[case]._replace(eff_ties=()))
+        eff_generators.cache_clear()
+        try:
+            assert _eff_labels(spec) == untied, spec
+        finally:
+            monkeypatch.undo()
+            eff_generators.cache_clear()
 
 
 def test_table_row_orders_built_once():

@@ -355,11 +355,12 @@ def run_on_corrupt_record(capsys, monkeypatch, change, verb, *argv):
     caches that read the record are emptied before and after."""
     from torhyp.catalog import CASES
     from torhyp.classify import compiled_member
-    from torhyp.divisors import picard_basis
+    from torhyp.divisors import eff_generators, nef_generators, picard_basis
     from torhyp.fans import build_family_fan
     from torhyp.toric_ideal import _proven_candidate
 
-    caches = (build_family_fan, picard_basis, compiled_member, _proven_candidate)
+    caches = (build_family_fan, picard_basis, nef_generators, eff_generators, compiled_member,
+              _proven_candidate)
     monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(**change))
     for cache in caches:
         cache.cache_clear()
@@ -424,6 +425,8 @@ def test_corrupt_pic_basis_exit2(capsys, monkeypatch, pic_basis, argv):
     # The same cones, but (0, 1, 2) holds the collection (0, 1) and so is
     # no minimal non-face.
     {"collections": ((0, 1), (2, 3, 4), (0, 1, 2))},
+    # An effective cone tie label that names no ray.
+    {"eff_ties": ("D_9",)},
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.

@@ -195,7 +195,7 @@ def test_nef_generator_combos(fan):
 
 
 def rays_outside_eff_cone(fan):
-    """Ray labels whose class is no nonnegative combination of the printed
+    """Ray labels whose class is no nonnegative combination of the
     effective generators' classes, tried over every basis among them
     (Caratheodory)."""
     from itertools import combinations
@@ -214,13 +214,13 @@ def rays_outside_eff_cone(fan):
 
 
 def test_eff_generators_cover_all_rays(fan):
-    """Every ray divisor class decomposes nonnegatively over the printed
+    """Every ray divisor class decomposes nonnegatively over the
     effective generators."""
     assert rays_outside_eff_cone(fan) == []
 
 
 def test_eff_generators_generate_at_negative_twists():
-    # The ray classes generate the effective cone, so the printed
+    # The ray classes generate the effective cone, so the derived
     # generators do iff every ray class lies in their cone.  The criterion-1
     # grid has b1 = -1 in 3.1.1, 3.1.2 and 3.1.5; 3.1.3 and 3.1.4 are
     # added with both twists negative, of mixed sign, or zero.

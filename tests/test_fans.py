@@ -340,9 +340,11 @@ P3 = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0
     (["x", "y", "z", 4], "must list one string per ray"),
 ], ids=["repeated", "alias-shadow", "short", "not-a-string"])
 def test_generic_fan_refuses_labels_that_do_not_name_one_ray_each(labels, message):
-    # The Python entry point checks labels as a fan file's are checked.
-    with pytest.raises(ValueError, match=re.escape(message)):
+    # The Python entry point checks labels as a fan file's are checked, and
+    # the message names no JSON, which a Python caller never gave.
+    with pytest.raises(ValueError, match=re.escape(message)) as refusal:
         generic_fan(*P3, labels)
+    assert "JSON" not in str(refusal.value)
     assert generic_fan(*P3, ["x", "y", "z", "D_4"]).label_index("D_4") == 3
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torhyp.intlin import IntMat, UnderdeterminedSystemError, rational_rank, solve_3x3, solve_exact
+from torhyp.intlin import (
+    IntMat,
+    UnderdeterminedSystemError,
+    cone_rays,
+    rational_rank,
+    solve_3x3,
+    solve_exact,
+)
+from torhyp.polytopes import _bounded
 
 from oracles import det, identity, integer_kernel, mat_mul, smith_normal_form
 
@@ -178,3 +187,56 @@ def test_matrix_checks_its_shape():
     assert IntMat(rows=2, cols=1, entries=(3, 4)) == IntMat.from_rows([[3], [4]])
     with pytest.raises(ValueError, match="entry count does not match shape"):
         IntMat(2, 2, (1, 2, 3))
+
+
+@pytest.mark.parametrize("forms, rays", [
+    # The orthant of Z^3: the three unit rays.
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], {(1, 0, 0), (0, 1, 0), (0, 0, 1)}),
+    # The cone over a square, x3 >= |x1| and x3 >= |x2|: four rays.
+    ([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)],
+     {(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)}),
+    # A wedge of Z^2, x1 >= 0 and x1 + 2 x2 >= 0.
+    ([(1, 0), (1, 2)], {(0, 1), (2, -1)}),
+    # A redundant form and a repeated one change nothing.
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 0)],
+     {(1, 0, 0), (0, 1, 0), (0, 0, 1)}),
+], ids=["orthant", "square", "wedge", "redundant"])
+def test_cone_rays_of_pointed_cones(forms, rays):
+    assert set(cone_rays(forms)) == rays
+
+
+def test_cone_rays_of_forms_in_a_plane_is_its_normal():
+    # The set holds the line x1 = x2 = 0, so _bounded sees a recession line.
+    forms = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+    assert set(cone_rays(forms)) == {(0, 0, 1), (0, 0, -1)}
+    assert not _bounded(tuple(forms))
+
+
+def test_parallel_forms_give_no_ray():
+    # {x1 >= 0} holds a plane, yet no two forms are independent; this is why
+    # _bounded also asks for a nonsingular triple of normals.
+    forms = [(1, 0, 0), (2, 0, 0), (-1, 0, 0)]
+    assert list(cone_rays(forms)) == []
+    assert not _bounded(tuple(forms))
+
+
+def test_cone_rays_are_extremal_on_random_cones():
+    # Every ray yielded is primitive, in the cone and tight on two
+    # independent forms.  When the cone is pointed and full, its rays span
+    # Z^3, and the rays of the dual of the dual are its rays again, as
+    # divisors.eff_generators reads them.
+    rng = random.Random(32)
+    full = 0
+    for _ in range(300):
+        forms = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(3, 6))]
+        rays = set(cone_rays(forms))
+        for ray in rays:
+            degrees = [sum(f * x for f, x in zip(form, ray)) for form in forms]
+            assert min(degrees) >= 0 and math.gcd(*ray) == 1, (forms, ray)
+            tight = [form for form, d in zip(forms, degrees) if d == 0]
+            assert rational_rank(IntMat.from_rows(tight)) >= 2, (forms, ray)
+        pointed = rational_rank(IntMat.from_rows(forms)) == 3
+        if pointed and len(rays) >= 3 and rational_rank(IntMat.from_rows(rays)) == 3:
+            assert set(cone_rays(list(set(cone_rays(list(rays)))))) == rays, forms
+            full += 1
+    assert full >= 100
