@@ -5,7 +5,8 @@ parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
 the Picard basis, the Markov moves (as characters in Z^3), the
 connected-sections configurations and the reference verdict table.
-Parameter-dependent entries are functions of the parameters; the
+Requirements and configurations are stored as printed and read only here;
+the other parameter-dependent entries are functions of the parameters; the
 conditions choosing a table block, row or configuration group are integer
 intervals, per coefficient or per parameter (a box).
 
@@ -24,6 +25,7 @@ This module imports nothing from the package.
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 from typing import Callable, Mapping, NamedTuple
 
@@ -76,11 +78,40 @@ def _in(*vals):
 _ANY = (0, None)
 
 
+def _value(word: str, params: Params) -> int:
+    """A parameter of the case, or an integer; anything else is a ValueError."""
+    return params[word] if word in params else int(word)
+
+
+def satisfied(requirement: str, params: Params) -> bool:
+    """Whether a printed requirement "x >= y" or "x < y" holds; other text is a ValueError."""
+    x, op, y = requirement.split(" ")
+    if op not in (">=", "<"):
+        raise ValueError(f"no comparison {op!r}")
+    return (_value(x, params) >= _value(y, params)) == (op == ">=")
+
+
+_TERM = re.compile(r"([+-]?)(\d+|[a-z][a-z0-9]*)?(D_[A-Za-z0-9]+)")
+
+
 class SectionConfig(NamedTuple):
     """A listed auxiliary nef divisor E'; it splits the surface class as D = E + E'."""
 
-    name: str
-    eprime_coeffs: Callable[[Params], dict[str, int]]
+    name: str  # E' as printed, e.g. "D_6-bD_4"
+
+    def eprime_coeffs(self, params: Params) -> dict[str, int]:
+        """E' as label -> coefficient, read off the name: terms
+        [sign][coefficient]label, signed but the first, a coefficient digits
+        or a parameter, 1 if absent.  Any other name is a ValueError."""
+        coeffs = {}
+        for term in re.split(r"(?=[+-])", self.name):  # a sign starts every later term
+            match = _TERM.fullmatch(term)
+            if match is None or match[3] in coeffs:
+                raise ValueError(f"configuration name {self.name!r} does not read as E'")
+            sign, coeff, label = match.groups()
+            value = 1 if coeff is None else _value(coeff, params)
+            coeffs[label] = -value if sign == "-" else value
+        return coeffs
 
 
 class TableRow(NamedTuple):
@@ -117,6 +148,10 @@ class TableBlock(NamedTuple):
     param_rows: Callable[[Params], list[TableRow]] | None = None
 
 
+def _configs(*groups):  # (box, name, ...) groups
+    return tuple((box, tuple(map(SectionConfig, names))) for box, *names in groups)
+
+
 def _rows(hyp, nothyp, open_):
     rows = [TableRow(HYPERBOLIC, p) for p in hyp]
     rows += [TableRow(NOT_HYPERBOLIC, p) for p in nothyp]
@@ -127,17 +162,16 @@ def _rows(hyp, nothyp, open_):
 class Case(NamedTuple):
     """Everything stored about one case; see the module docstring.
 
-    The parameter-dependent entries rays ... markov take the parameters as
-    keyword arguments, requires and E' the parameter mapping.  The first
-    block or configuration group whose box holds is chosen, so a printed
-    union is a box after the boxes it excludes.  K gives the canonical class.
+    The parameter-dependent entries rays and markov take the parameters as
+    keyword arguments; requires holds the printed requirements ("x >= y" or
+    "x < y"), the first that fails naming the violation.  The first block or
+    configuration group whose box holds is chosen, so a printed union is a
+    box after the boxes it excludes.  K gives the canonical class.
     eff_ties names the printed one of two ray divisors on one effective ray.
     """
 
     params: tuple[str, ...]
-    # (predicate, message) pairs, checked in order; the first failing one
-    # names the violation.
-    requires: tuple[tuple[Callable[[Params], bool], str], ...]
+    requires: tuple[str, ...]
     rays: Callable[..., list[Vec3]]
     labels: tuple[str, ...]
     collections: tuple[tuple[int, ...], ...]
@@ -164,16 +198,13 @@ class Case(NamedTuple):
 
 _CASE_201 = Case(
     params=("l",),
-    requires=((lambda p: p["l"] >= 0, "l >= 0 required"),),
+    requires=("l >= 0",),
     rays=lambda l: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (l, -1, -1)],
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1), (2, 3, 4)),
     pic_basis=("D_2", "D_3"),
     markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    configs=(
-        (_box(l=_eq(0)), (SectionConfig("D_2+D_3", lambda p: {"D_2": 1, "D_3": 1}),)),
-        (_box(l=_ge(1)), (SectionConfig("D_2", lambda p: {"D_2": 1}),)),
-    ),
+    configs=_configs((_box(l=_eq(0)), "D_2+D_3"), (_box(l=_ge(1)), "D_2")),
     tables=(
         TableBlock(
             "l=0",
@@ -227,20 +258,14 @@ _CASE_201 = Case(
 
 _CASE_202 = Case(
     params=("l1", "l2"),
-    requires=(
-        (lambda p: p["l1"] >= 0, "l1 >= 0 required"),
-        (lambda p: p["l2"] >= p["l1"], "l2 >= l1 required"),
-    ),
+    requires=("l1 >= 0", "l2 >= l1"),
     rays=lambda l1, l2: [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (l1, l2, -1)],
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1, 2), (3, 4)),
     pic_basis=("D_3", "D_4"),
     eff_ties=("D_2",),  # D_1 ~ D_2 at l1 = l2
     markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
-    configs=(
-        (_box(l1=_eq(0), l2=_eq(0)), (SectionConfig("D_3+D_4", lambda p: {"D_3": 1, "D_4": 1}),)),
-        (_box(l2=_ge(1)), (SectionConfig("D_3", lambda p: {"D_3": 1}),)),
-    ),
+    configs=_configs((_box(l1=_eq(0), l2=_eq(0)), "D_3+D_4"), (_box(l2=_ge(1)), "D_3")),
     tables=(
         TableBlock(
             "l1=l2=0",
@@ -293,28 +318,18 @@ def _general_301_hyp_rows(p: Params) -> list[TableRow]:
     ]
 
 
-_REQUIRES_RA = (
-    (lambda p: p["r"] >= 0, "r >= 0 required"),
-    (lambda p: p["a"] >= 0, "a >= 0 required"),
-)
-
 _CASE_301 = Case(
     params=("r", "a", "b"),
-    requires=_REQUIRES_RA + ((lambda p: p["b"] >= 0, "b >= 0 required in case 3.0.1"),),
+    requires=("r >= 0", "a >= 0", "b >= 0"),
     rays=lambda r, a, b: [(1, 0, 0), (-1, r, a), (0, 1, 0), (0, -1, b), (0, 0, 1), (0, 0, -1)],
     labels=("D_1", "D_2", "D_3", "D_4", "D_5", "D_6"),
     collections=((0, 1), (2, 3), (4, 5)),
     pic_basis=("D_1", "D_4", "D_6"),
     markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
-    configs=(
-        (
-            _box(r=_eq(0), a=_eq(0), b=_eq(0)),
-            (SectionConfig("D_1+D_4+D_6", lambda p: {"D_1": 1, "D_4": 1, "D_6": 1}),),
-        ),
+    configs=_configs(
+        (_box(r=_eq(0), a=_eq(0), b=_eq(0)), "D_1+D_4+D_6"),
         # Past the first group b = 0 means r + a >= 1; past the second, b >= 1.
-        (_box(b=_eq(0)), (SectionConfig("D_4+D_6", lambda p: {"D_4": 1, "D_6": 1}),)),
-        (_box(r=_eq(0), a=_eq(0)), (SectionConfig("D_1+D_6", lambda p: {"D_1": 1, "D_6": 1}),)),
-        ((), (SectionConfig("D_6", lambda p: {"D_6": 1}),)),
+        (_box(b=_eq(0)), "D_4+D_6"), (_box(r=_eq(0), a=_eq(0)), "D_1+D_6"), ((), "D_6"),
     ),
     tables=(
         TableBlock(
@@ -382,15 +397,9 @@ _CASE_301 = Case(
 )
 
 _CASE_302 = _CASE_301._replace(
-    requires=_REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
-    configs=(
-        (
-            _box(r=_eq(0), a=_eq(0)),
-            (SectionConfig("D_1+D_6-bD_4", lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1}),),
-        ),
-        # r + a >= 1.
-        ((), (SectionConfig("D_6-bD_4", lambda p: {"D_4": -p["b"], "D_6": 1}),)),
-    ),
+    requires=("r >= 0", "a >= 0", "b < 0"),
+    # Past the first group r + a >= 1.
+    configs=_configs((_box(r=_eq(0), a=_eq(0)), "D_1+D_6-bD_4"), ((), "D_6-bD_4")),
     tables=(
         TableBlock(
             "(0,0)",
@@ -473,13 +482,7 @@ _CASE_302 = _CASE_301._replace(
 
 
 def _five_collection_configs(zero: Box, z1: Box):
-    return (
-        (zero, (
-            SectionConfig("D_u1+D_z1", lambda p: {"D_u1": 1, "D_z1": 1}),
-            SectionConfig("D_v1+D_z1", lambda p: {"D_v1": 1, "D_z1": 1}),
-        )),
-        (z1, (SectionConfig("D_z1", lambda p: {"D_z1": 1}),)),
-    )
+    return _configs((zero, "D_u1+D_z1", "D_v1+D_z1"), (z1, "D_z1"))
 
 
 _FIVE_COLLECTION = dict(

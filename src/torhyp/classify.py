@@ -612,7 +612,10 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     # forms and the levels of E', which D must reach for D - E' to be nef.
     configs, config_forms = [], []
     for config in applicable_configs(fan):
-        eprime = divisor(fan, config.eprime_coeffs(params))
+        try:
+            eprime = divisor(fan, config.eprime_coeffs(params))
+        except ValueError as exc:
+            raise InternalInconsistencyError(f"configuration {config.name!r}: {exc}") from None
         configs.append(CompiledConfig(config.name, eprime))
         if not configs[-1].nef:
             config_forms.append(None)

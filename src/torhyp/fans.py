@@ -20,7 +20,7 @@ from math import gcd
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import CASES, Case
+from .catalog import CASES, Case, satisfied
 from .intlin import solve_3x3
 
 Vec3 = tuple[int, int, int]
@@ -81,9 +81,13 @@ class FamilySpec(NamedTuple):
 
     def validate(self) -> None:
         p = self.as_dict()
-        for ok, violation in CASES[self.case_id].requires:
-            if not ok(p):
-                raise ParameterError(violation)
+        for requirement in CASES[self.case_id].requires:
+            try:
+                ok = satisfied(requirement, p)
+            except ValueError as exc:
+                raise InternalInconsistencyError(f"{requirement!r} in case {self.case_id}: {exc}") from None
+            if not ok:
+                raise ParameterError(f"{requirement} required in case {self.case_id}")
 
 
 class Fan(NamedTuple):

@@ -36,6 +36,10 @@ stored as functions until it chose both by the first box that holds, and
 until ``divisors.nef_generators`` read them off the walls, and
 ``PRINTED_EFF`` the printed effective cone generators, which the catalog
 stored until ``divisors.eff_generators`` read them off the ray classes.
+``PRINTED_EPRIME`` holds each configuration's E' as a function of the
+parameters, and ``PRINTED_REQUIRES`` each parameter requirement as a
+predicate with its former message; the catalog stored both as functions
+beside their printed text until it read the text itself.
 """
 
 from functools import lru_cache
@@ -539,3 +543,43 @@ PRINTED_EFF.update(dict.fromkeys(
     ("3.1.1", "3.1.2", "3.1.5"),
     lambda b1: ("D_u1", "D_y1", "D_t1" if b1 >= 0 else "D_z1"),
 ))
+
+# The E' of each connected-sections configuration per case, by its printed
+# name, as label -> coefficient; 3.1.1 - 3.1.5 share theirs.
+PRINTED_EPRIME = {
+    "2.0.1": {"D_2+D_3": lambda p: {"D_2": 1, "D_3": 1}, "D_2": lambda p: {"D_2": 1}},
+    "2.0.2": {"D_3+D_4": lambda p: {"D_3": 1, "D_4": 1}, "D_3": lambda p: {"D_3": 1}},
+    "3.0.1": {
+        "D_1+D_4+D_6": lambda p: {"D_1": 1, "D_4": 1, "D_6": 1},
+        "D_4+D_6": lambda p: {"D_4": 1, "D_6": 1},
+        "D_1+D_6": lambda p: {"D_1": 1, "D_6": 1},
+        "D_6": lambda p: {"D_6": 1},
+    },
+    "3.0.2": {
+        "D_1+D_6-bD_4": lambda p: {"D_1": 1, "D_4": -p["b"], "D_6": 1},
+        "D_6-bD_4": lambda p: {"D_4": -p["b"], "D_6": 1},
+    },
+}
+PRINTED_EPRIME.update(dict.fromkeys(("3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5"), {
+    "D_u1+D_z1": lambda p: {"D_u1": 1, "D_z1": 1},
+    "D_v1+D_z1": lambda p: {"D_v1": 1, "D_z1": 1},
+    "D_z1": lambda p: {"D_z1": 1},
+}))
+
+# The parameter requirements per case as (predicate, message) pairs in the
+# printed order, with the messages they raised before each named its case;
+# 3.1.1 - 3.1.5 have none.
+_REQUIRES_RA = (
+    (lambda p: p["r"] >= 0, "r >= 0 required"),
+    (lambda p: p["a"] >= 0, "a >= 0 required"),
+)
+PRINTED_REQUIRES = {
+    "2.0.1": ((lambda p: p["l"] >= 0, "l >= 0 required"),),
+    "2.0.2": (
+        (lambda p: p["l1"] >= 0, "l1 >= 0 required"),
+        (lambda p: p["l2"] >= p["l1"], "l2 >= l1 required"),
+    ),
+    "3.0.1": _REQUIRES_RA + ((lambda p: p["b"] >= 0, "b >= 0 required in case 3.0.1"),),
+    "3.0.2": _REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
+}
+PRINTED_REQUIRES.update(dict.fromkeys(("3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5"), ()))

@@ -26,7 +26,7 @@ from torhyp.classify import (
     sweep,
     table_lookup,
 )
-from torhyp.catalog import CASES, holds
+from torhyp.catalog import CASES, SectionConfig, holds, satisfied
 from torhyp.divisors import (
     ample_reference,
     canonical_divisor,
@@ -41,7 +41,15 @@ from torhyp.fans import FamilySpec, ParameterError, build_family_fan, family_fan
 from torhyp.polytopes import triple_intersection
 from torhyp.toric_ideal import FiberCertificate, InternalInconsistencyError
 
-from oracles import PRINTED_BLOCKS, PRINTED_CONFIGS, PRINTED_EFF, PRINTED_NEF, low_genus_entry
+from oracles import (
+    PRINTED_BLOCKS,
+    PRINTED_CONFIGS,
+    PRINTED_EFF,
+    PRINTED_EPRIME,
+    PRINTED_NEF,
+    PRINTED_REQUIRES,
+    low_genus_entry,
+)
 
 
 def spec_of(case, **params):
@@ -522,18 +530,19 @@ def _functions(x):
 
 
 def test_catalog_choices_hold_no_callable():
-    # Table blocks, with their rows and domains, and the boxes of the
-    # configuration groups are data.  The functions left there are the
-    # general 3.0.1 block's parameter-dependent rows and one E'
-    # coefficient function per configuration.
+    # Table blocks, with their rows and domains, the configuration groups
+    # and the parameter requirements are data.  The only function left
+    # there is the general 3.0.1 block's parameter-dependent rows; a
+    # configuration is its printed name alone.
     for record in CASES.values():
         for block in record.tables:
             assert _functions(block._replace(param_rows=None)) == 0, block.name
         for group, configs in record.configs:
             assert _functions(group) == 0, group
-            assert all(_functions(config) == 1 for config in configs), group
+            assert all(_functions(config) == 0 for config in configs), group
+        assert _functions(record.requires) == 0, record.requires
     assert "applies" not in catalog_module.TableBlock._fields
-    assert "applies" not in catalog_module.SectionConfig._fields
+    assert SectionConfig._fields == ("name",)
     assert not hasattr(classify_module, "_within")
 
 
@@ -541,8 +550,70 @@ def test_catalog_choices_hold_no_callable():
 # row conditions were intervals, 94 before the block and configuration
 # conditions were boxes, 47 before the nef generators were read off the
 # walls, 42 before the effective generators were read off the ray classes,
-# 35 since.  The ceiling keeps them from coming back.
-CATALOG_LAMBDA_CEILING = 35
+# 35 before E' and the parameter requirements were read off their printed
+# text, 15 since.  The ceiling keeps them from coming back.
+CATALOG_LAMBDA_CEILING = 15
+
+
+def test_catalog_text_reads_whole():
+    # Every configuration name reads whole as E', every label it names is a
+    # ray label of its case and every coefficient digits or a parameter of
+    # the case; every requirement compares parameters of its case or
+    # integers.  Reading at zeros checks the text, not the values.
+    for case, record in CASES.items():
+        zeros = dict.fromkeys(record.params, 0)
+        fan = build_family_fan(FamilySpec.make(case, **CRITERION_6_GRIDS[case][0]))
+        for _, configs in record.configs:
+            for config in configs:
+                for label in config.eprime_coeffs(zeros):
+                    fan.label_index(label)
+        for requirement in record.requires:
+            satisfied(requirement, zeros)
+
+
+@pytest.mark.parametrize("name", [
+    "", "D_2 + D_3", "+D_2", "-D_2", "D_2+", "D_2+-D_3", "D_2D_3", "D_2+D_2", "mD_2", "2*D_2",
+])
+def test_unreadable_configuration_names_refused(name):
+    with pytest.raises(ValueError):
+        SectionConfig(name).eprime_coeffs({"b": 1})
+
+
+@pytest.mark.parametrize("requirement", ["l >> 0", "m >= 0", "l >=", "l>=0", "l >= 0 0", ""])
+def test_unreadable_requirements_refused(requirement):
+    with pytest.raises(ValueError):
+        satisfied(requirement, {"l": 0})
+
+
+def test_catalog_text_is_the_printed_eprime_and_requirements():
+    # On every parameter vector in -7..9, refused ones included, every
+    # configuration name of the case reads as the printed E', and the
+    # first requirement that fails is the printed one that failed first:
+    # its text opens the former message and FamilySpec.make refuses the
+    # vector with the text and the case.
+    pairs = refused = vectors = 0
+    for case, record in CASES.items():
+        configs = [config for _, group in record.configs for config in group]
+        assert {config.name for config in configs} == set(PRINTED_EPRIME[case]), case
+        for vals in itertools.product(range(-7, 10), repeat=len(record.params)):
+            params = dict(zip(record.params, vals))
+            for config in configs:
+                printed = PRINTED_EPRIME[case][config.name](params)
+                assert config.eprime_coeffs(params) == printed, (case, params, config.name)
+                pairs += 1
+            failed = next((r for r in record.requires if not satisfied(r, params)), None)
+            former = next((m for ok, m in PRINTED_REQUIRES[case] if not ok(params)), None)
+            assert (failed and f"{failed} required") == (
+                former and former.removesuffix(f" in case {case}")), (case, params)
+            try:
+                FamilySpec.make(case, **params)
+                message = None
+            except ParameterError as exc:
+                message = str(exc)
+                refused += 1
+            assert message == (failed and f"{failed} required in case {case}"), (case, params)
+            vectors += 1
+    assert (pairs, vectors, refused) == (31977, 10761, 8367)
 
 
 def test_catalog_lambdas_stay_few():

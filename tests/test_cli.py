@@ -427,10 +427,27 @@ def test_corrupt_pic_basis_exit2(capsys, monkeypatch, pic_basis, argv):
     {"collections": ((0, 1), (2, 3, 4), (0, 1, 2))},
     # An effective cone tie label that names no ray.
     {"eff_ties": ("D_9",)},
+    # Requirements that do not read: no such comparison, no such
+    # parameter, no right-hand side.
+    {"requires": ("l >> 0",)},
+    {"requires": ("m >= 0",)},
+    {"requires": ("l >=",)},
 ])
 def test_corrupt_catalog_record_exit2(capsys, monkeypatch, change):
     # Corrupt encoded data is an internal inconsistency, not invalid input.
     code, data = run_on_corrupt_record(capsys, monkeypatch, change, "describe")
+    assert code == 2
+    assert set(data) == {"schema", "internal_error"}
+
+
+@pytest.mark.parametrize("name", ["D_9", "D_2 + D_3"], ids=["no-such-ray", "spaced"])
+def test_corrupt_configuration_name_exit2(capsys, monkeypatch, name):
+    # A configuration whose name names no ray, or does not read as E', is
+    # corrupt package data when a member is compiled.
+    from torhyp.catalog import SectionConfig
+
+    change = {"configs": (((), (SectionConfig(name),)),)}
+    code, data = run_on_corrupt_record(capsys, monkeypatch, change, "classify", "--coeffs", "3,4")
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
 

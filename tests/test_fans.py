@@ -107,15 +107,16 @@ def test_case_301_product_of_lines():
 
 
 def test_parameter_violations():
-    with pytest.raises(ParameterError):
+    # A violated requirement is named as printed, with its case.
+    with pytest.raises(ParameterError, match=r"^l2 >= l1 required in case 2\.0\.2$"):
         FamilySpec.make("2.0.2", l1=3, l2=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^l >= 0 required in case 2\.0\.1$"):
         FamilySpec.make("2.0.1", l=-1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^b < 0 required in case 3\.0\.2$"):
         FamilySpec.make("3.0.2", r=0, a=0, b=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^a >= 0 required in case 3\.0\.1$"):
         FamilySpec.make("3.0.1", r=0, a=-1, b=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^case 2\.0\.1 does not take parameter\(s\) l2$"):
         FamilySpec.make("2.0.1", l=1, l2=0)
 
 
