@@ -5,10 +5,11 @@ parameter domain, rays, ray labels and primitive collections (rays in the
 printed order, so divisor indices are stable across the whole package),
 the Picard basis, the Markov moves (as characters in Z^3), the
 connected-sections configurations and the reference verdict table.
-Requirements and configurations are stored as printed and read only here;
-the other parameter-dependent entries are functions of the parameters; the
-conditions choosing a table block, row or configuration group are integer
-intervals, per coefficient or per parameter (a box).
+The record holds no functions: rays, characters, requirements,
+configurations and the parameter-dependent table bounds are stored as
+printed and read only here; the conditions choosing a table block, row or
+configuration group are integer intervals, per coefficient or per
+parameter (a box).
 
 Facts that follow from these are derived where they are used: the class
 map B is read off the rays and the Picard basis
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import re
 from itertools import permutations
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 Params = Mapping[str, int]
-Vec3 = tuple[int, int, int]
 
 HYPERBOLIC = "Hyperbolic"
 NOT_HYPERBOLIC = "NotHyperbolic"
@@ -38,10 +38,10 @@ OPEN = "Open"
 
 
 # A condition is an integer interval (lo, hi), hi None where unbounded: per
-# coefficient in a table row's predicate, and per parameter in a box, the
-# (parameter, interval) pairs that must all hold; the box () always holds.
-# Coefficients are nonnegative, so _le(n) = (0, n) serves row predicates
-# only, and a printed set (_in) lists consecutive values.
+# coefficient in a table row's predicate, where a bound may be text such as
+# "4-a-r", and per parameter in a box, the (parameter, interval) pairs that
+# must all hold.  Coefficients are nonnegative, so _le(n) = (0, n) serves
+# row predicates only, and a printed set (_in) lists consecutive values.
 Interval = tuple[int, int | None]
 Box = tuple[tuple[str, Interval], ...]
 
@@ -78,9 +78,28 @@ def _in(*vals):
 _ANY = (0, None)
 
 
-def _value(word: str, params: Params) -> int:
-    """A parameter of the case, or an integer; anything else is a ValueError."""
-    return params[word] if word in params else int(word)
+def _terms(text: str, params: Params) -> dict[str, int]:
+    """Catalog text, ASCII, as label -> coefficient: a sum of terms
+    [sign][coefficient][label], a sign before every later term, a
+    coefficient digits or a parameter (1 if absent), a label a ray's D_ name
+    or none ("" sums the constants).  Any other text is a ValueError."""
+    coeffs: dict[str, int] = {}
+    for term in re.split(r"(?<=.)(?=[+-])", text):
+        match = re.fullmatch(r"([+-]?)(?:([0-9]+)|([a-z][a-z0-9]*))?(D_[A-Za-z0-9]+)?", term)
+        sign, digits, name, label = match.groups("") if match else ("",) * 4
+        value = int(digits) if digits else params.get(name) if name else 1
+        if not (digits or name or label) or value is None or label and label in coeffs:
+            raise ValueError(f"{text!r} does not read as catalog text")
+        coeffs[label] = coeffs.get(label, 0) + (-value if sign == "-" else value)
+    return coeffs
+
+
+def integers(text: str, params: Params, n: int = 3) -> tuple[int, ...]:
+    """The n comma-separated integers of text, such as "-1,r,a" or "4-a-r"."""
+    entries = [_terms(entry, params) for entry in text.split(",")]
+    if len(entries) != n or any(entry.keys() != {""} for entry in entries):
+        raise ValueError(f"{text!r} does not read as {n} integer(s)")
+    return tuple(entry[""] for entry in entries)
 
 
 def satisfied(requirement: str, params: Params) -> bool:
@@ -88,10 +107,7 @@ def satisfied(requirement: str, params: Params) -> bool:
     x, op, y = requirement.split(" ")
     if op not in (">=", "<"):
         raise ValueError(f"no comparison {op!r}")
-    return (_value(x, params) >= _value(y, params)) == (op == ">=")
-
-
-_TERM = re.compile(r"([+-]?)(\d+|[a-z][a-z0-9]*)?(D_[A-Za-z0-9]+)")
+    return (integers(x, params, 1) >= integers(y, params, 1)) == (op == ">=")
 
 
 class SectionConfig(NamedTuple):
@@ -100,17 +116,10 @@ class SectionConfig(NamedTuple):
     name: str  # E' as printed, e.g. "D_6-bD_4"
 
     def eprime_coeffs(self, params: Params) -> dict[str, int]:
-        """E' as label -> coefficient, read off the name: terms
-        [sign][coefficient]label, signed but the first, a coefficient digits
-        or a parameter, 1 if absent.  Any other name is a ValueError."""
-        coeffs = {}
-        for term in re.split(r"(?=[+-])", self.name):  # a sign starts every later term
-            match = _TERM.fullmatch(term)
-            if match is None or match[3] in coeffs:
-                raise ValueError(f"configuration name {self.name!r} does not read as E'")
-            sign, coeff, label = match.groups()
-            value = 1 if coeff is None else _value(coeff, params)
-            coeffs[label] = -value if sign == "-" else value
+        """E' read off the name: labelled terms, the first unsigned; other names are a ValueError."""
+        coeffs = _terms(self.name, params)
+        if "" in coeffs or self.name[:1] in "+-":
+            raise ValueError(f"configuration name {self.name!r} does not read as E'")
         return coeffs
 
 
@@ -123,13 +132,14 @@ class TableRow(NamedTuple):
     uncertain_permutation: bool = False
     cond: Box = ()
 
-    @property
-    def orders(self) -> tuple:
-        """The printed order first, then every other distinct order of a
-        permuted row; read once per row when a member's table is compiled."""
-        orders = dict.fromkeys(permutations(self.preds)) if self.permute else {}
-        orders.pop(self.preds, None)
-        return (self.preds, *orders)
+    def orders(self, params: Params) -> tuple:
+        """The printed order, text bounds read at the parameters, then every
+        other distinct order of a permuted row; read once per member."""
+        preds = tuple(tuple(integers(x, params, 1)[0] if isinstance(x, str) else x for x in p)
+                      for p in self.preds)
+        orders = dict.fromkeys(permutations(preds)) if self.permute else {}
+        orders.pop(preds, None)
+        return (preds, *orders)
 
 
 class TableBlock(NamedTuple):
@@ -144,8 +154,6 @@ class TableBlock(NamedTuple):
     # proviso governs its parameter-dependent threshold rows, so in this
     # block a not-hyperbolic match silences every hyperbolic row.
     hyp_yields_to_nothyp: bool = False
-    # Rows whose thresholds depend on the parameters, built once per member.
-    param_rows: Callable[[Params], list[TableRow]] | None = None
 
 
 def _configs(*groups):  # (box, name, ...) groups
@@ -162,21 +170,21 @@ def _rows(hyp, nothyp, open_):
 class Case(NamedTuple):
     """Everything stored about one case; see the module docstring.
 
-    The parameter-dependent entries rays and markov take the parameters as
-    keyword arguments; requires holds the printed requirements ("x >= y" or
-    "x < y"), the first that fails naming the violation.  The first block or
-    configuration group whose box holds is chosen, so a printed union is a
-    box after the boxes it excludes.  K gives the canonical class.
+    rays and markov hold each ray and each character as its printed entries
+    ("-1,r,a"); requires holds the printed requirements ("x >= y" or
+    "x < y"), the first that fails naming the violation.  The first block
+    or configuration group whose box holds is chosen, so a printed union is
+    a box after the boxes it excludes.  K gives the canonical class.
     eff_ties names the printed one of two ray divisors on one effective ray.
     """
 
     params: tuple[str, ...]
     requires: tuple[str, ...]
-    rays: Callable[..., list[Vec3]]
+    rays: tuple[str, ...]
     labels: tuple[str, ...]
     collections: tuple[tuple[int, ...], ...]
     pic_basis: tuple[str, ...]
-    markov: Callable[..., list[Vec3]]  # a character delta per move A delta
+    markov: tuple[str, ...]  # a character delta per move A delta
     configs: tuple[tuple[Box, tuple[SectionConfig, ...]], ...]
     tables: tuple[TableBlock, ...]
     eff_ties: tuple[str, ...] = ()
@@ -199,11 +207,11 @@ class Case(NamedTuple):
 _CASE_201 = Case(
     params=("l",),
     requires=("l >= 0",),
-    rays=lambda l: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (l, -1, -1)],
+    rays=("1,0,0", "-1,0,0", "0,1,0", "0,0,1", "l,-1,-1"),
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1), (2, 3, 4)),
     pic_basis=("D_2", "D_3"),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    markov=("1,0,0", "0,1,0", "0,0,1"),
     configs=_configs((_box(l=_eq(0)), "D_2+D_3"), (_box(l=_ge(1)), "D_2")),
     tables=(
         TableBlock(
@@ -259,12 +267,12 @@ _CASE_201 = Case(
 _CASE_202 = Case(
     params=("l1", "l2"),
     requires=("l1 >= 0", "l2 >= l1"),
-    rays=lambda l1, l2: [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (l1, l2, -1)],
+    rays=("1,0,0", "0,1,0", "-1,-1,0", "0,0,1", "l1,l2,-1"),
     labels=("D_1", "D_2", "D_3", "D_4", "D_5"),
     collections=((0, 1, 2), (3, 4)),
     pic_basis=("D_3", "D_4"),
     eff_ties=("D_2",),  # D_1 ~ D_2 at l1 = l2
-    markov=lambda **_: [(1, -1, 0), (0, 1, 0), (0, 0, 1)],
+    markov=("1,-1,0", "0,1,0", "0,0,1"),
     configs=_configs((_box(l1=_eq(0), l2=_eq(0)), "D_3+D_4"), (_box(l2=_ge(1)), "D_3")),
     tables=(
         TableBlock(
@@ -303,29 +311,14 @@ _CASE_202 = Case(
 # and the basis.
 
 
-def _general_301_hyp_rows(p: Params) -> list[TableRow]:
-    """Parameter-dependent hyperbolic thresholds of the general block.
-
-    The whole column is guarded by e, f >= 2, so the thresholds are
-    tightened to at least 2 coordinate-wise.
-    """
-    r, a, b = p["r"], p["a"], p["b"]
-    lo = lambda t: _ge(max(2, t))
-    return [
-        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(4 - b), lo(3))),
-        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(3 - b), lo(4))),
-        TableRow(HYPERBOLIC, (_ge(3 - a - r), lo(4 - b), lo(4))),
-    ]
-
-
 _CASE_301 = Case(
     params=("r", "a", "b"),
     requires=("r >= 0", "a >= 0", "b >= 0"),
-    rays=lambda r, a, b: [(1, 0, 0), (-1, r, a), (0, 1, 0), (0, -1, b), (0, 0, 1), (0, 0, -1)],
+    rays=("1,0,0", "-1,r,a", "0,1,0", "0,-1,b", "0,0,1", "0,0,-1"),
     labels=("D_1", "D_2", "D_3", "D_4", "D_5", "D_6"),
     collections=((0, 1), (2, 3), (4, 5)),
     pic_basis=("D_1", "D_4", "D_6"),
-    markov=lambda r, a, b: [(1, 0, 0), (0, 1, 0), (0, b, 1)],
+    markov=("1,0,0", "0,1,0", "0,b,1"),
     configs=_configs(
         (_box(r=_eq(0), a=_eq(0), b=_eq(0)), "D_1+D_4+D_6"),
         # Past the first group b = 0 means r + a >= 1; past the second, b >= 1.
@@ -378,7 +371,6 @@ _CASE_301 = Case(
             "general",
             (),
             hyp_yields_to_nothyp=True,
-            param_rows=_general_301_hyp_rows,
             rows=(
                 TableRow(NOT_HYPERBOLIC, (_le(0), _le(1), _ANY)),
                 TableRow(NOT_HYPERBOLIC, (_ANY, _ANY, _le(1))),
@@ -391,6 +383,16 @@ _CASE_301 = Case(
                 TableRow(NOT_HYPERBOLIC, (_eq(2), _eq(2), _ANY), cond=_box(r=_eq(0))),
                 TableRow(NOT_HYPERBOLIC, (_le(1), _eq(2), _ANY), cond=_box(r=_eq(1))),
                 TableRow(NOT_HYPERBOLIC, (_eq(0), _eq(2), _ANY), cond=_box(r=_eq(2))),
+                # The thresholds (4-a-r, 4-b, 3), (4-a-r, 3-b, 4) and (3-a-r, 4-b, 4),
+                # e and f at least 2: the whole column is guarded by e, f >= 2.
+                TableRow(HYPERBOLIC, (_ge("4-a-r"), _ge(4), _ge(3)), cond=_box(b=_eq(0))),
+                TableRow(HYPERBOLIC, (_ge("4-a-r"), _ge(3), _ge(3)), cond=_box(b=_eq(1))),
+                TableRow(HYPERBOLIC, (_ge("4-a-r"), _ge(2), _ge(3)), cond=_box(b=_ge(2))),
+                TableRow(HYPERBOLIC, (_ge("4-a-r"), _ge(3), _ge(4)), cond=_box(b=_eq(0))),
+                TableRow(HYPERBOLIC, (_ge("4-a-r"), _ge(2), _ge(4)), cond=_box(b=_ge(1))),
+                TableRow(HYPERBOLIC, (_ge("3-a-r"), _ge(4), _ge(4)), cond=_box(b=_eq(0))),
+                TableRow(HYPERBOLIC, (_ge("3-a-r"), _ge(3), _ge(4)), cond=_box(b=_eq(1))),
+                TableRow(HYPERBOLIC, (_ge("3-a-r"), _ge(2), _ge(4)), cond=_box(b=_ge(2))),
             ),
         ),
     ),
@@ -495,7 +497,7 @@ _FIVE_COLLECTION = dict(
 _ONE_TWIST = dict(
     _FIVE_COLLECTION,
     params=("b1",),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    markov=("1,0,0", "0,1,0", "0,0,1"),
     configs=_five_collection_configs(_box(b1=_eq(0)), _box(b1=_ge(2))),
 )
 
@@ -573,7 +575,7 @@ def _blocks_312():
 
 _CASE_311 = Case(
     **_ONE_TWIST,
-    rays=lambda b1: [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)],
+    rays=("1,0,0", "0,1,0", "-1,-1,b1", "-1,-1,b1+1", "0,0,1", "0,0,-1"),
     labels=("D_v1", "D_v2", "D_u1", "D_y1", "D_t1", "D_z1"),
     collections=((0, 1, 3), (3, 5), (4, 5), (2, 4), (0, 1, 2)),
     tables=_blocks_311(),
@@ -581,7 +583,7 @@ _CASE_311 = Case(
 
 _CASE_312 = Case(
     **_ONE_TWIST,
-    rays=lambda b1: [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
+    rays=("1,0,0", "-1,0,b1", "-1,-1,b1+1", "0,1,0", "0,0,1", "0,0,-1"),
     labels=("D_v1", "D_u1", "D_y1", "D_y2", "D_t1", "D_z1"),
     collections=((0, 2, 3), (2, 3, 5), (4, 5), (1, 4), (0, 1)),
     tables=_blocks_312(),
@@ -590,13 +592,11 @@ _CASE_312 = Case(
 _CASE_313 = Case(
     **_FIVE_COLLECTION,
     params=("b1", "c2"),
-    rays=lambda b1, c2: [
-        (1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)
-    ],
+    rays=("1,0,0", "-1,b1,c2", "-1,b1+1,c2", "0,1,0", "0,-1,-1", "0,0,1"),
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_z1", "D_z2"),
     eff_ties=("D_z2",),  # D_z1 ~ D_z2 at c2 = 0, b1 < 0
     collections=((0, 2), (2, 4, 5), (3, 4, 5), (1, 3), (0, 1)),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
+    markov=("1,0,0", "0,1,0", "0,1,-1"),
     configs=_five_collection_configs(_box(b1=_eq(0), c2=_eq(0)), ()),
     tables=(
         TableBlock(
@@ -639,12 +639,10 @@ _CASE_313 = Case(
 _CASE_314 = Case(
     **_FIVE_COLLECTION,
     params=("b1", "b2"),
-    rays=lambda b1, b2: [
-        (1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)
-    ],
+    rays=("1,0,0", "-1,b1,b2", "-1,b1+1,b2+1", "0,1,0", "0,0,1", "0,-1,-1"),
     labels=("D_v1", "D_u1", "D_y1", "D_t1", "D_t2", "D_z1"),
     collections=((0, 2), (2, 5), (3, 4, 5), (1, 3, 4), (0, 1)),
-    markov=lambda **_: [(1, 0, 0), (0, 1, 0), (0, 1, -1)],
+    markov=("1,0,0", "0,1,0", "0,1,-1"),
     configs=_five_collection_configs(_box(b1=_eq(0), b2=_eq(0)), ()),
     tables=(
         TableBlock(
@@ -690,7 +688,7 @@ _CASE_314 = Case(
 
 _CASE_315 = Case(
     **_ONE_TWIST,
-    rays=lambda b1: [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)],
+    rays=("1,0,0", "-1,-1,b1", "0,1,0", "-1,0,b1+1", "0,0,1", "0,0,-1"),
     labels=("D_v1", "D_u1", "D_u2", "D_y1", "D_t1", "D_z1"),
     collections=((0, 3), (3, 5), (4, 5), (1, 2, 4), (0, 1, 2)),
     tables=(

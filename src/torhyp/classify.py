@@ -507,8 +507,7 @@ class CompiledTable:
 def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
     if block is None:
         return CompiledTable(None, (), ())
-    rows = block.rows + tuple(block.param_rows(params) if block.param_rows else ())
-    rows = [(r, r.orders) for r in rows if holds(r.cond, params)]
+    rows = [(r, r.orders(params)) for r in block.rows if holds(r.cond, params)]
     orders = [order for _, row_orders in rows for order in row_orders]
 
     def admits(i: int) -> tuple[int, ...]:
@@ -568,7 +567,6 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     """
     fan = build_family_fan(spec)
     record, params = family_record(fan)
-    block = record.block_at(params)
     gens = nef_generators(fan)
     h = ample_reference(fan)
     # mats[a][rho][s] = N_a.D_rho.D_s, so _dot(x, mats[a][rho]) = X.N_a.D_rho,
@@ -608,21 +606,21 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     levels = [list(zip(f, cs)) for f, _ in kept]
     eff = [g.coeffs.index(1) for g in eff_generators(fan)]
     canonical = canonical_divisor(fan).coeffs
+    try:
+        table = _compile_table(record.block_at(params), params)
+        configs = [CompiledConfig(c.name, divisor(fan, c.eprime_coeffs(params)))
+                   for c in applicable_configs(fan)]
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from None
     # Per configuration: None where E' is not nef, else its (K - E').D.F_j
     # forms and the levels of E', which D must reach for D - E' to be nef.
-    configs, config_forms = [], []
-    for config in applicable_configs(fan):
-        try:
-            eprime = divisor(fan, config.eprime_coeffs(params))
-        except ValueError as exc:
-            raise InternalInconsistencyError(f"configuration {config.name!r}: {exc}") from None
-        configs.append(CompiledConfig(config.name, eprime))
-        if not configs[-1].nef:
+    config_forms = []
+    for config in configs:
+        if not config.nef:
             config_forms.append(None)
             continue
-        k_minus = tuple(k - e for k, e in zip(canonical, eprime.coeffs))
-        config_forms.append(([form(k_minus, j) for j in eff], floor(eprime.coeffs)))
-    table = _compile_table(block, params)
+        k_minus = tuple(k - e for k, e in zip(canonical, config.eprime.coeffs))
+        config_forms.append(([form(k_minus, j) for j in eff], floor(config.eprime.coeffs)))
     source, slots = _evaluator_source(
         r, table.index, [g.coeffs for g in gens], squares, offs, levels,
         [-k for k in floor(canonical)],

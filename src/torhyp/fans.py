@@ -20,7 +20,7 @@ from math import gcd
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import CASES, Case, satisfied
+from .catalog import CASES, Case, integers, satisfied
 from .intlin import solve_3x3
 
 Vec3 = tuple[int, int, int]
@@ -320,12 +320,12 @@ def build_family_fan(spec: FamilySpec) -> Fan:
     """
     spec.validate()
     record = CASES[spec.case_id]
-    rays, colls = tuple(record.rays(**spec.as_dict())), record.collections
     try:
-        fan = generic_fan(rays, cones_from_collections(rays, colls), record.labels)
-    except ValueError as exc:  # a FanGeometryError, or labels that do not fit the rays
+        rays = tuple(integers(ray, spec.as_dict()) for ray in record.rays)
+        fan = generic_fan(rays, cones_from_collections(rays, record.collections), record.labels)
+    except ValueError as exc:  # rays that do not read, a FanGeometryError, or unfit labels
         raise InternalInconsistencyError(f"case {spec.case_id}: {exc}") from exc
-    if minimal_nonfaces(fan) != {frozenset(c) for c in colls}:
+    if minimal_nonfaces(fan) != {frozenset(c) for c in record.collections}:
         raise InternalInconsistencyError(
             f"case {spec.case_id}: stored collections disagree with recomputed minimal non-faces"
         )

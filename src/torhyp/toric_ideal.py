@@ -29,6 +29,7 @@ from math import comb, gcd
 from operator import index, le, mul
 from typing import Callable, Collection, NamedTuple, Sequence
 
+from .catalog import integers
 from .divisors import TDivisor, character, divisor_from_class, is_nef, picard_basis
 from .fans import (
     FAN_CACHE_SIZE,
@@ -79,7 +80,10 @@ class FiberCertificate(NamedTuple):
 def _reference_characters(fan: Fan) -> tuple[Vec, ...]:
     """The catalog's characters of the reference moves, parameters substituted."""
     record, p = family_record(fan)
-    return tuple(map(tuple, record.markov(**p)))
+    try:
+        return tuple(integers(delta, p) for delta in record.markov)
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"case {fan.family.case_id}: {exc}") from None
 
 
 def _embed(fan: Fan, delta: Vec) -> Vec:

@@ -40,13 +40,17 @@ stored until ``divisors.eff_generators`` read them off the ray classes.
 parameters, and ``PRINTED_REQUIRES`` each parameter requirement as a
 predicate with its former message; the catalog stored both as functions
 beside their printed text until it read the text itself.
+``PRINTED_RAYS`` holds the rays of each case and
+``PRINTED_GENERAL_301_ROWS`` the parameter-dependent hyperbolic rows of
+the general 3.0.1 block, as the functions of the parameters the catalog
+stored until it kept rays and thresholds as their printed text.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from torhyp.catalog import HYPERBOLIC, NOT_HYPERBOLIC, OPEN
+from torhyp.catalog import HYPERBOLIC, NOT_HYPERBOLIC, OPEN, TableRow, _ge
 from torhyp.classify import (
     Verdict,
     applicable_configs,
@@ -583,3 +587,35 @@ PRINTED_REQUIRES = {
     "3.0.2": _REQUIRES_RA + ((lambda p: p["b"] < 0, "b < 0 required in case 3.0.2"),),
 }
 PRINTED_REQUIRES.update(dict.fromkeys(("3.1.1", "3.1.2", "3.1.3", "3.1.4", "3.1.5"), ()))
+
+# The rays per case in the printed order; 3.0.1 and 3.0.2 share theirs.
+PRINTED_RAYS = {
+    "2.0.1": lambda l: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (l, -1, -1)],
+    "2.0.2": lambda l1, l2: [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (l1, l2, -1)],
+    "3.0.1": lambda r, a, b: [(1, 0, 0), (-1, r, a), (0, 1, 0), (0, -1, b), (0, 0, 1), (0, 0, -1)],
+    "3.1.1": lambda b1: [(1, 0, 0), (0, 1, 0), (-1, -1, b1), (-1, -1, b1 + 1), (0, 0, 1), (0, 0, -1)],
+    "3.1.2": lambda b1: [(1, 0, 0), (-1, 0, b1), (-1, -1, b1 + 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
+    "3.1.3": lambda b1, c2: [
+        (1, 0, 0), (-1, b1, c2), (-1, b1 + 1, c2), (0, 1, 0), (0, -1, -1), (0, 0, 1)
+    ],
+    "3.1.4": lambda b1, b2: [
+        (1, 0, 0), (-1, b1, b2), (-1, b1 + 1, b2 + 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)
+    ],
+    "3.1.5": lambda b1: [(1, 0, 0), (-1, -1, b1), (0, 1, 0), (-1, 0, b1 + 1), (0, 0, 1), (0, 0, -1)],
+}
+PRINTED_RAYS["3.0.2"] = PRINTED_RAYS["3.0.1"]
+
+
+def PRINTED_GENERAL_301_ROWS(p):
+    """Parameter-dependent hyperbolic thresholds of the general block.
+
+    The whole column is guarded by e, f >= 2, so the thresholds are
+    tightened to at least 2 coordinate-wise.
+    """
+    r, a, b = p["r"], p["a"], p["b"]
+    lo = lambda t: _ge(max(2, t))
+    return [
+        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(4 - b), lo(3))),
+        TableRow(HYPERBOLIC, (_ge(4 - a - r), lo(3 - b), lo(4))),
+        TableRow(HYPERBOLIC, (_ge(3 - a - r), lo(4 - b), lo(4))),
+    ]

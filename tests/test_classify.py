@@ -26,10 +26,11 @@ from torhyp.classify import (
     sweep,
     table_lookup,
 )
-from torhyp.catalog import CASES, SectionConfig, holds, satisfied
+from torhyp.catalog import CASES, SectionConfig, holds, integers, satisfied
 from torhyp.divisors import (
     ample_reference,
     canonical_divisor,
+    character,
     class_of,
     divisor,
     eff_generators,
@@ -46,7 +47,10 @@ from oracles import (
     PRINTED_CONFIGS,
     PRINTED_EFF,
     PRINTED_EPRIME,
+    PRINTED_GENERAL_301_ROWS,
+    PRINTED_MARKOV,
     PRINTED_NEF,
+    PRINTED_RAYS,
     PRINTED_REQUIRES,
     low_genus_entry,
 )
@@ -374,9 +378,8 @@ def two_pass_lookups(spec, grid=GRID):
     block = CASES[spec.case_id].block_at(params)
     if block is None:
         return {c: (UNLISTED, (), None, False, False) for c in cells}
-    rows = list(block.rows)
-    if block.param_rows is not None:
-        rows += block.param_rows(params)
+    # Each row in its printed order, its text bounds read at the member.
+    rows = [r._replace(preds=r.orders(params)[0]) for r in block.rows]
     loose = [_row_cells(r, params, True, grid) for r in rows]
     strict = [_row_cells(r, params, not r.uncertain_permutation, grid) for r in rows]
     nothyp = set().union(*(s for r, s in zip(rows, loose) if r.outcome == NOT_HYPERBOLIC))
@@ -460,7 +463,7 @@ def test_table_lookup_matches_two_pass_reference():
 
 # Every threshold of the catalog is below 9, so these coordinates lie past
 # the last cut, where the compiled value index reads its last entry.  One
-# member per case with a table block (3.0.1 with its parameter rows).
+# member per case with a table block (3.0.1 with its text-bound rows).
 ABOVE_THE_CUTS = [*range(13), 10**6]
 ABOVE_THE_CUTS_MEMBERS = {
     "2.0.1": {"l": 0},
@@ -485,11 +488,12 @@ def test_table_lookup_above_the_last_cut(case):
 
 
 def test_table_predicates_and_conditions_are_intervals():
-    # Every row predicate is an integer interval (lo, hi) with hi None where
-    # it is unbounded.  Every row condition, block domain and configuration
-    # group is a box: (parameter, interval) pairs over distinct parameters
-    # of the case, none an interval without a lower bound.  The catalog
-    # stores no canonical class.
+    # Every row predicate, its text bounds read at each parameter vector in
+    # 0..4, is an integer interval (lo, hi) with hi None where it is
+    # unbounded.  Every row condition, block domain and configuration group
+    # is a box: (parameter, interval) pairs over distinct parameters of the
+    # case, none an interval without a lower bound.  The catalog stores no
+    # canonical class.
     def interval(x):
         return (
             type(x) is tuple and len(x) == 2 and type(x[0]) is int
@@ -510,16 +514,14 @@ def test_table_predicates_and_conditions_are_intervals():
             assert box(group, record.params) and configs, group
         for block in record.tables:
             assert box(block.domain, record.params), block.name
-            rows = list(block.rows)
-            if block.param_rows is not None:
+            for row in block.rows:
                 for values in itertools.product(range(5), repeat=len(record.params)):
-                    rows += block.param_rows(dict(zip(record.params, values)))
-            for row in rows:
-                assert len(row.preds) == len(record.coeff_names)
-                assert all(interval(pred) for pred in row.preds), row
+                    preds = row.orders(dict(zip(record.params, values)))[0]
+                    assert len(preds) == len(record.coeff_names)
+                    assert all(interval(pred) for pred in preds), row
                 assert box(row.cond, record.params), row
                 conds += len(row.cond)
-    assert conds == 12
+    assert conds == 20
 
 
 def _functions(x):
@@ -530,18 +532,14 @@ def _functions(x):
 
 
 def test_catalog_choices_hold_no_callable():
-    # Table blocks, with their rows and domains, the configuration groups
-    # and the parameter requirements are data.  The only function left
-    # there is the general 3.0.1 block's parameter-dependent rows; a
-    # configuration is its printed name alone.
-    for record in CASES.values():
-        for block in record.tables:
-            assert _functions(block._replace(param_rows=None)) == 0, block.name
-        for group, configs in record.configs:
-            assert _functions(group) == 0, group
-            assert all(_functions(config) == 0 for config in configs), group
-        assert _functions(record.requires) == 0, record.requires
+    # Every record is data, walked through every field and nested tuple:
+    # rays and characters, table blocks with their rows and domains, the
+    # configuration groups and the parameter requirements.  A configuration
+    # is its printed name alone, and no block builds rows of its own.
+    for case, record in CASES.items():
+        assert _functions(record) == 0, case
     assert "applies" not in catalog_module.TableBlock._fields
+    assert "param_rows" not in catalog_module.TableBlock._fields
     assert SectionConfig._fields == ("name",)
     assert not hasattr(classify_module, "_within")
 
@@ -551,15 +549,19 @@ def test_catalog_choices_hold_no_callable():
 # conditions were boxes, 47 before the nef generators were read off the
 # walls, 42 before the effective generators were read off the ray classes,
 # 35 before E' and the parameter requirements were read off their printed
-# text, 15 since.  The ceiling keeps them from coming back.
-CATALOG_LAMBDA_CEILING = 15
+# text, 15 before the rays, the characters and the general 3.0.1
+# thresholds were, 0 since.  The ceiling keeps them from coming back.
+CATALOG_LAMBDA_CEILING = 0
 
 
 def test_catalog_text_reads_whole():
     # Every configuration name reads whole as E', every label it names is a
     # ray label of its case and every coefficient digits or a parameter of
     # the case; every requirement compares parameters of its case or
-    # integers.  Reading at zeros checks the text, not the values.
+    # integers; every ray and character reads as three integers and every
+    # text bound of a table row as one.  Reading at zeros checks the text,
+    # not the values.
+    bounds = 0
     for case, record in CASES.items():
         zeros = dict.fromkeys(record.params, 0)
         fan = build_family_fan(FamilySpec.make(case, **CRITERION_6_GRIDS[case][0]))
@@ -569,20 +571,71 @@ def test_catalog_text_reads_whole():
                     fan.label_index(label)
         for requirement in record.requires:
             satisfied(requirement, zeros)
+        for text in record.rays + record.markov:
+            assert len(integers(text, zeros)) == 3, (case, text)
+        for block in record.tables:
+            for row in block.rows:
+                texts = [x for pred in row.preds for x in pred if isinstance(x, str)]
+                for text in texts:
+                    integers(text, zeros, 1)
+                bounds += len(texts)
+    assert bounds == 8  # the d-bounds of the general 3.0.1 block
 
 
 @pytest.mark.parametrize("name", [
     "", "D_2 + D_3", "+D_2", "-D_2", "D_2+", "D_2+-D_3", "D_2D_3", "D_2+D_2", "mD_2", "2*D_2",
+    "\u0662D_4", "1_0D_4", "D_2+1",
 ])
 def test_unreadable_configuration_names_refused(name):
     with pytest.raises(ValueError):
         SectionConfig(name).eprime_coeffs({"b": 1})
 
 
-@pytest.mark.parametrize("requirement", ["l >> 0", "m >= 0", "l >=", "l>=0", "l >= 0 0", ""])
+@pytest.mark.parametrize("requirement", [
+    "l >> 0", "m >= 0", "l >=", "l>=0", "l >= 0 0", "", "l >= 1_0", "l >= \u0661", "l >= D_1",
+])
 def test_unreadable_requirements_refused(requirement):
     with pytest.raises(ValueError):
         satisfied(requirement, {"l": 0})
+
+
+@pytest.mark.parametrize("text, n", [
+    ("1,q,0", 3), ("0,b", 3), ("1,0,0,0", 3), ("1,,0", 3), ("1;0;0", 3), ("b+,0,0", 3),
+    ("\u0663,0,0", 3), ("1_0,0,0", 3), ("D_1,0,0", 3), ("1,0,0 ", 3), ("4-a-z", 1), ("4-a,r", 1),
+])
+def test_unreadable_vectors_and_bounds_refused(text, n):
+    with pytest.raises(ValueError):
+        integers(text, {"a": 1, "b": 1, "r": 0}, n)
+
+
+def test_catalog_text_is_the_printed_rays_characters_and_rows():
+    # On every member with parameters in -7..9 the rays read off their text
+    # are the printed rays, each printed Markov move pulls back to the
+    # character read off its text, and the rows of the general 3.0.1 block
+    # that hold, their bounds read, are the printed parameter-dependent
+    # rows, so the block compiles to the same table.
+    checked = general = 0
+    for spec in _members_in(range(-7, 10)):
+        case, params = spec.case_id, spec.as_dict()
+        record, fan = CASES[case], build_family_fan(spec)
+        assert list(fan.rays) == PRINTED_RAYS[case](**params), spec
+        printed = [character(fan, m) for m in PRINTED_MARKOV[case](**params)]
+        assert printed == [integers(text, params) for text in record.markov], spec
+        checked += 1
+        block = record.block_at(params)
+        if block is None or block.name != "general":
+            continue
+        text_rows = [r for r in block.rows if any(isinstance(x, str) for p in r.preds for x in p)]
+        plain = tuple(r for r in block.rows if r not in text_rows)
+        read = [r._replace(preds=r.orders(params)[0], cond=())
+                for r in text_rows if holds(r.cond, params)]
+        assert read == PRINTED_GENERAL_301_ROWS(params), spec
+        table = classify_module._compile_table(block, params)
+        rows = plain + tuple(PRINTED_GENERAL_301_ROWS(params))
+        former = classify_module._compile_table(block._replace(rows=rows), params)
+        assert (table.index, table.rows) == (former.index, former.rows), spec
+        general += 1
+    assert (checked, general) == (2394, 549)
 
 
 def test_catalog_text_is_the_printed_eprime_and_requirements():
@@ -693,11 +746,17 @@ def test_eff_generators_are_the_printed_ones(monkeypatch):
 
 
 def test_table_row_orders_built_once():
-    rows = [row for record in CASES.values() for block in record.tables for row in block.rows]
-    for row in rows:
-        expected = set(itertools.permutations(row.preds)) if row.permute else {row.preds}
-        assert row.orders[0] == row.preds
-        assert len(row.orders) == len(set(row.orders)) and set(row.orders) == expected
+    # Read at zeros; only lower bounds are text in the catalog.
+    for record in CASES.values():
+        zeros = dict.fromkeys(record.params, 0)
+        for row in (row for block in record.tables for row in block.rows):
+            preds = tuple(
+                (integers(lo, zeros, 1)[0] if isinstance(lo, str) else lo, hi) for lo, hi in row.preds
+            )
+            expected = set(itertools.permutations(preds)) if row.permute else {preds}
+            orders = row.orders(zeros)
+            assert orders[0] == preds
+            assert len(orders) == len(set(orders)) and set(orders) == expected
 
 
 # Positivity certificates read from one intersection matrix, against the

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from torhyp.catalog import HYPERBOLIC, TableBlock, TableRow
 from torhyp.cli import main
 
 from test_classify import child_env
@@ -387,10 +388,11 @@ VERBS = [["describe"], ["markov", "--bound", "3"], ["classify", "--coeffs", "1,1
 ])
 @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
 def test_internal_inconsistency_exit2(capsys, monkeypatch, rows, argv):
-    # The class map is read off the rays, so stored ray rows that give no
+    # The class map is read off the rays, so stored rays that give no
     # smooth complete fan are corrupt package data, whichever verb reads
     # them first.
-    code, data = run_on_corrupt_record(capsys, monkeypatch, {"rays": lambda **_: rows}, *argv)
+    rays = tuple(",".join(map(str, row)) for row in rows)
+    code, data = run_on_corrupt_record(capsys, monkeypatch, {"rays": rays}, *argv)
     assert code == 2
     assert set(data) == {"schema", "internal_error"}
 
@@ -452,6 +454,32 @@ def test_corrupt_configuration_name_exit2(capsys, monkeypatch, name):
     assert set(data) == {"schema", "internal_error"}
 
 
+# Catalog text that does not read, with the verbs that read it: a ray
+# entry that is no parameter, a character of two entries, and a table
+# bound naming a parameter the case does not have.
+UNREADABLE_TEXT = [
+    ({"rays": ("1,0,0", "-1,0,0", "0,1,0", "0,0,1", "1,q,0")}, verb)
+    for verb in VERBS
+] + [
+    ({"markov": ("1,0,0", "0,b", "0,0,1")}, ["markov", "--bound", "3"]),
+    ({"markov": ("1,0,0", "0,b", "0,0,1")}, ["classify", "--coeffs", "3,4"]),
+    ({"tables": (TableBlock("all", (), (TableRow(HYPERBOLIC, (("4-a-z", None), (0, None))),)),)},
+     ["classify", "--coeffs", "3,4"]),
+]
+
+
+@pytest.mark.parametrize("change, argv", UNREADABLE_TEXT,
+                         ids=["ray-describe", "ray-markov", "ray-classify", "character-markov",
+                              "character-classify", "bound-classify"])
+def test_unreadable_catalog_text_exit2(capsys, monkeypatch, change, argv):
+    # Catalog text that does not read is corrupt package data: one JSON
+    # document naming the case, exit 2.
+    code, data = run_on_corrupt_record(capsys, monkeypatch, change, *argv)
+    assert code == 2
+    assert set(data) == {"schema", "internal_error"}
+    assert "case 2.0.1" in data["internal_error"]
+
+
 @pytest.mark.parametrize("member, wall, rays", [
     # A wall of form (-1, 0) on the basis (D_2, D_3) beside the unit forms:
     # the cone flattens to one ray.
@@ -495,7 +523,7 @@ def test_non_spanning_catalog_characters_fall_to_the_search(capsys, monkeypatch)
     classify = ["classify", "--case", "2.0.1", "--l", "3", "--coeffs", "3,4"]
     _, want = run_json(capsys, *classify)
     deltas = [(1, 0, 0), (0, 1, 0), (0, 0, 2)]
-    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=lambda **_: deltas))
+    monkeypatch.setitem(CASES, "2.0.1", CASES["2.0.1"]._replace(markov=("1,0,0", "0,1,0", "0,0,2")))
     caches = (_proven_candidate, compiled_member)
     for cache in caches:
         cache.cache_clear()
