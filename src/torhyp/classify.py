@@ -10,10 +10,11 @@ The reference tables record the sharper published classification; the
 comparator only demands that the two never contradict each other.
 
 Each family member is compiled once (``compiled_member``): its table
-block into bit masks (``CompiledTable``) and its verdict numbers, the
-cell's mask among them, into one generated integer function of the
-cell's nef coordinates (``_evaluator_source``), whose nef tests of D + K
-and D - E' read the levels of D on the wall curves (``fans.walls``).
+block into bit masks and the outcome of every mask a cell can reach
+(``_compile_table``), and its verdict numbers, the cell's mask among
+them, into one generated integer function of the cell's nef coordinates
+(``_evaluator_source``), whose nef tests of D + K and D - E' read the
+levels of D on the wall curves (``fans.walls``).
 ``derive_verdict`` decides a cell, and raises every refusal, from those
 numbers; the verdict keeps them and builds its evidence only when read.
 ``boundary_genus_profile``, ``positivity_certificate`` and ``table_lookup``
@@ -25,9 +26,10 @@ five-collection cases) are Unlisted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from math import gcd
-from operator import index, mul
+from operator import and_, index, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .catalog import CASES, HYPERBOLIC, NOT_HYPERBOLIC, OPEN, SectionConfig, TableBlock, holds, within
@@ -192,15 +194,18 @@ class TableOutcome(NamedTuple):
 
 
 def table_lookup(spec: FamilySpec, coeffs: Sequence[int]) -> TableOutcome:
-    """Verdict of the encoded reference tables for one cell, read from the
-    member's compiled block (``CompiledTable``).
+    """Verdict of the encoded reference tables for one cell: the outcome of
+    its row mask, taken over the member's compiled index (``_compile_table``).
 
     Cells matching rows with conflicting outcomes, and cells that every
     matching row reaches only through its unresolved permutation reading,
     come back as Ambiguous; cells matching nothing are Unlisted.
     """
     m = compiled_member(spec)
-    return m.table.lookup(_cell(spec.case_id, m.names, coeffs))
+    mask = -1
+    for admit, v in zip(m.index, _cell(spec.case_id, m.names, coeffs)):
+        mask &= admit[v] if v < len(admit) else admit[-1]
+    return m.outcomes[mask]
 
 
 # Verdict derivation.
@@ -315,7 +320,7 @@ def _positive(terms: Form, pure: set[str]) -> bool:
 
 
 def _mask_source(index: Sequence[Sequence[int]]) -> str:
-    """Source of a cell's row mask (``CompiledTable``): per coordinate a tuple
+    """Source of a cell's row mask (``_compile_table``): per coordinate a tuple
     of constants, cut before the run of entries equal to its last."""
     parts = []
     for i, admit in enumerate(index):
@@ -455,8 +460,23 @@ class CompiledConfig:
         return cert
 
 
-class CompiledTable:
-    """A member's table block with its rows as bit masks.
+def _mask_outcome(block: TableBlock, rows: Sequence[tuple], mask: int) -> TableOutcome:
+    """Outcome of a row mask over a block's compiled rows (``_compile_table``)."""
+    hits = [
+        (outcome, uncertain and not mask & printed)
+        for outcome, orders, printed, uncertain in rows
+        if mask & orders
+    ]
+    if block.hyp_yields_to_nothyp and any(o == NOT_HYPERBOLIC for o, _ in hits):
+        hits = [(o, u) for o, u in hits if o != HYPERBOLIC]
+    matched = tuple(dict.fromkeys(o for o, _ in hits))
+    ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
+    value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
+    return TableOutcome(value, matched, block.name, block.imported, ambiguous)
+
+
+def _compile_table(block: TableBlock | None, params: dict[str, int]) -> tuple[tuple, dict]:
+    """A member's table block as (index, outcomes), its rows as bit masks.
 
     Bit b stands for one coordinate order of one row; rows whose condition
     fails at the member's parameters are dropped.  index[i][v] has bit b
@@ -465,48 +485,14 @@ class CompiledTable:
     values up to one past coordinate i's largest threshold and a larger
     value reads its last entry.  A cell matches the orders whose bits
     survive the and over its coordinates; the member's ``numbers`` reads
-    that mask from its own copy of the tables, and ``lookup`` is its
-    oracle.  The outcome of each mask is kept in ``memo``, which holds at
-    most the product over the coordinates of their numbers of distinct
-    entries.  Each row is (outcome, the bits of its orders, the bit of its
+    that mask from its own copy of the index, and ``table_lookup`` is its
+    oracle.  ``outcomes`` maps every mask that an and of one entry per
+    coordinate reaches to its outcome; with no coordinates the mask is -1.
+    Each compiled row is (outcome, the bits of its orders, the bit of its
     printed order, whether a match through another order is unresolved).
     """
-
-    __slots__ = ("block", "index", "rows", "memo")
-
-    def __init__(self, block: TableBlock | None, index: tuple, rows: tuple) -> None:
-        self.block, self.index, self.rows = block, index, rows
-        self.memo: dict[int, TableOutcome] = {}
-
-    def lookup(self, coeffs: tuple[int, ...]) -> TableOutcome:
-        """Outcome of a cell of nonnegative ints."""
-        mask = -1
-        for admit, v in zip(self.index, coeffs):
-            mask &= admit[v] if v < len(admit) else admit[-1]
-        return self.memo.get(mask) or self.outcome(mask)
-
-    def outcome(self, mask: int) -> TableOutcome:
-        """Outcome of a row mask, kept in ``memo``."""
-        block = self.block
-        if block is None:
-            return self.memo.setdefault(mask, TableOutcome(UNLISTED, (), None, False, False))
-        hits = [
-            (outcome, uncertain and not mask & printed)
-            for outcome, orders, printed, uncertain in self.rows
-            if mask & orders
-        ]
-        if block.hyp_yields_to_nothyp and any(o == NOT_HYPERBOLIC for o, _ in hits):
-            hits = [(o, u) for o, u in hits if o != HYPERBOLIC]
-        matched = tuple(dict.fromkeys(o for o, _ in hits))
-        ambiguous = len(matched) > 1 or (bool(hits) and all(u for _, u in hits))
-        value = AMBIGUOUS if ambiguous else matched[0] if matched else UNLISTED
-        outcome = TableOutcome(value, matched, block.name, block.imported, ambiguous)
-        return self.memo.setdefault(mask, outcome)
-
-
-def _compile_table(block: TableBlock | None, params: dict[str, int]) -> CompiledTable:
     if block is None:
-        return CompiledTable(None, (), ())
+        return (), {-1: TableOutcome(UNLISTED, (), None, False, False)}
     rows = [(r, r.orders(params)) for r in block.rows if holds(r.cond, params)]
     orders = [order for _, row_orders in rows for order in row_orders]
 
@@ -524,7 +510,8 @@ def _compile_table(block: TableBlock | None, params: dict[str, int]) -> Compiled
         compiled.append((r.outcome, ((1 << n) - 1) << b, 1 << b, r.uncertain_permutation))
         b += n
     index = tuple(admits(i) for i in range(len(orders[0]) if orders else 0))
-    return CompiledTable(block, index, tuple(compiled))
+    masks = {reduce(and_, entries, -1) for entries in product(*map(set, index))}
+    return index, {mask: _mask_outcome(block, compiled, mask) for mask in masks}
 
 
 class CompiledMember(NamedTuple):
@@ -535,7 +522,7 @@ class CompiledMember(NamedTuple):
     (``_evaluator_source``; ``source`` keeps its text).  It returns None
     for a cell with a negative coordinate, and otherwise (mask, faces,
     low, degrees, pairings): the cell's row mask (the key of
-    ``table.memo``); the faces that ``boundary_json`` renders with
+    ``outcomes``); the faces that ``boundary_json`` renders with
     ``layout``, the big flag and then D^2.D_rho and the off-diagonal sum
     per distinct pair of ray forms; ``low``, the index of the first ray
     whose face carries a curve of genus at most one; and, only
@@ -547,7 +534,8 @@ class CompiledMember(NamedTuple):
     """
 
     names: tuple[str, ...]
-    table: CompiledTable
+    index: tuple[tuple[int, ...], ...]
+    outcomes: dict[int, TableOutcome]
     layout: tuple[tuple[str, int], ...]
     eff_labels: list[str]
     configs: tuple[CompiledConfig, ...]
@@ -607,7 +595,7 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
     eff = [g.coeffs.index(1) for g in eff_generators(fan)]
     canonical = canonical_divisor(fan).coeffs
     try:
-        table = _compile_table(record.block_at(params), params)
+        index, outcomes = _compile_table(record.block_at(params), params)
         configs = [CompiledConfig(c.name, divisor(fan, c.eprime_coeffs(params)))
                    for c in applicable_configs(fan)]
     except ValueError as exc:
@@ -622,13 +610,14 @@ def compiled_member(spec: FamilySpec) -> CompiledMember:
         k_minus = tuple(k - e for k, e in zip(canonical, config.eprime.coeffs))
         config_forms.append(([form(k_minus, j) for j in eff], floor(config.eprime.coeffs)))
     source, slots = _evaluator_source(
-        r, table.index, [g.coeffs for g in gens], squares, offs, levels,
+        r, index, [g.coeffs for g in gens], squares, offs, levels,
         [-k for k in floor(canonical)],
         [form(h.coeffs, j) for j in eff], eff, config_forms,
     )
     return CompiledMember(
         names=record.coeff_names,
-        table=table,
+        index=index,
+        outcomes=outcomes,
         layout=tuple(zip(fan.ray_labels, slots)),
         eff_labels=[fan.ray_labels[j] for j in eff],
         configs=tuple(configs),
@@ -663,7 +652,7 @@ def derive_verdict(
     if out is None:  # numbers refuses only the cells that _cell refuses
         _cell(spec.case_id, m.names, c)
     mask, faces, low, betas, pairings = out
-    table = m.table.memo.get(mask) or m.table.outcome(mask)
+    table = m.outcomes[mask]
     if betas is None:
         # The generator classes are independent (``nef_generators``), so
         # only the zero combination is the trivial class.
@@ -718,8 +707,6 @@ def sweep(
     bound: int = DEFAULT_MARKOV_BOUND,
 ) -> Iterable[dict]:
     """Derived and reference verdicts over a coefficient grid."""
-    from itertools import product
-
     names = CASES[spec.case_id].coeff_names
     for coeffs in product(coeff_range, repeat=len(names)):
         v = derive_verdict(spec, coeffs, bound)

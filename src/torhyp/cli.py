@@ -29,15 +29,26 @@ class CliError(Exception):
     pass
 
 
+def _integer(text: str) -> int:
+    """An integer as the catalog reads one: an optional sign, then ASCII
+    digits; ``int`` alone also reads other scripts' digits, underscores
+    and spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"invalid literal for an integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise CliError, so they end in one JSON document with
     exit 1 like every other invalid input; --help still prints and exits 0.
     An argument that starts with a minus and a digit is a value, as in
-    ``--coeffs -1,2`` or ``--range -1..1``: no flag looks like that."""
+    ``--coeffs -1,2`` or ``--range -1..1``: no flag looks like that.  Every
+    ``type=int`` flag reads its value with ``_integer``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-[0-9]")
+        self.register("type", int, _integer)
 
     def error(self, message):
         raise CliError(message)
@@ -96,7 +107,7 @@ def _divisor_from_flag(fan: _fans.Fan, text: str) -> _div.TDivisor:
 
 def _coeffs_from_flag(text: str) -> tuple[int, ...]:
     try:
-        coeffs = tuple(int(x) for x in text.split(","))
+        coeffs = tuple(map(_integer, text.split(",")))
     except ValueError:
         raise CliError("--coeffs wants a comma-separated integer list")
     return coeffs
@@ -233,7 +244,7 @@ def cmd_classify(args) -> dict:
 
 def _range_from_flag(text: str) -> range:
     try:
-        lo, hi = (int(x) for x in text.split(".."))
+        lo, hi = map(_integer, text.split(".."))
     except ValueError:
         raise CliError(f"--range wants LO..HI, e.g. 0..8, got {text!r}")
     return range(lo, hi + 1)

@@ -487,6 +487,32 @@ def test_table_lookup_above_the_last_cut(case):
         assert (t.value, t.matched, t.block, t.imported, t.ambiguous) == expected, coeffs
 
 
+def test_table_outcomes_are_the_reachable_masks():
+    # On every member with parameters in -7..9 a compiled table maps exactly
+    # the masks that an and of one index entry per coordinate reaches, each
+    # to the row-by-row oracle's outcome.  The grid takes every coordinate
+    # to the first value of each of its entries, so its cells reach them all.
+    members = masks = most = 0
+    for spec in _members_in(range(-7, 10)):
+        params = spec.as_dict()
+        index, outcomes = classify_module._compile_table(
+            CASES[spec.case_id].block_at(params), params)
+        firsts = {v for admit in index for v in map(admit.index, admit)} or {0}
+        reached = set()
+        for coeffs, expected in two_pass_lookups(spec, sorted(firsts)).items():
+            mask = -1
+            for admit, v in zip(index, coeffs):
+                mask &= admit[v] if v < len(admit) else admit[-1]
+            t = outcomes[mask]
+            assert (t.value, t.matched, t.block, t.imported, t.ambiguous) == expected, (
+                spec, coeffs
+            )
+            reached.add(mask)
+        assert set(outcomes) == reached, spec
+        members, masks, most = members + 1, masks + len(reached), max(most, len(reached))
+    assert (members, masks, most) == (2394, 15658, 45)
+
+
 def test_table_predicates_and_conditions_are_intervals():
     # Every row predicate, its text bounds read at each parameter vector in
     # 0..4, is an integer interval (lo, hi) with hi None where it is
@@ -613,7 +639,7 @@ def test_catalog_text_is_the_printed_rays_characters_and_rows():
     # are the printed rays, each printed Markov move pulls back to the
     # character read off its text, and the rows of the general 3.0.1 block
     # that hold, their bounds read, are the printed parameter-dependent
-    # rows, so the block compiles to the same table.
+    # rows, so the block compiles to the same index and outcomes.
     checked = general = 0
     for spec in _members_in(range(-7, 10)):
         case, params = spec.case_id, spec.as_dict()
@@ -630,10 +656,9 @@ def test_catalog_text_is_the_printed_rays_characters_and_rows():
         read = [r._replace(preds=r.orders(params)[0], cond=())
                 for r in text_rows if holds(r.cond, params)]
         assert read == PRINTED_GENERAL_301_ROWS(params), spec
-        table = classify_module._compile_table(block, params)
         rows = plain + tuple(PRINTED_GENERAL_301_ROWS(params))
         former = classify_module._compile_table(block._replace(rows=rows), params)
-        assert (table.index, table.rows) == (former.index, former.rows), spec
+        assert classify_module._compile_table(block, params) == former, spec
         general += 1
     assert (checked, general) == (2394, 549)
 

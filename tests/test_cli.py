@@ -791,6 +791,46 @@ def test_negative_leading_value_is_a_value(capsys, argv):
     assert data == {"schema": "torhyp/1", "error": "table coefficients are nonnegative"}
 
 
+# Each integer flag with "{}" where its value goes, on an input that answers
+# with any of 1, 10 and 3 there: every parameter flag on a member of a case
+# that takes it, --bound of each verb that takes it, --coeffs of classify
+# and faces, and either end of --range.
+PARAMETER_FLAG_MEMBERS = {
+    "2.0.1": {"l": 0}, "2.0.2": {"l1": 0, "l2": 10}, "3.0.1": {"r": 0, "a": 0, "b": 1},
+    "3.1.3": {"b1": 0, "c2": 1}, "3.1.4": {"b1": 1, "b2": 1},
+}
+INTEGER_FLAGS = [
+    *(["describe", "--case", case,
+       *(x for p, v in params.items() for x in (f"--{p}", "{}" if p == name else str(v)))]
+      for case, params in PARAMETER_FLAG_MEMBERS.items() for name in params),
+    *([verb, "--case", "2.0.1", "--l", "2", *extra, "--bound", "{}"] for verb, extra in [
+        ("markov", []), ("classify", ["--coeffs", "3,4"]), ("sweep", []),
+        ("connected-sections", ["--E", '{"class": [2, 2]}', "--Eprime", '{"class": [1, 0]}']),
+    ]),
+    ["classify", "--case", "2.0.1", "--l", "2", "--coeffs", "3,{}"],
+    ["faces", "--case", "2.0.1", "--l", "2", "--coeffs", "{},4"],
+    ["sweep", "--case", "2.0.1", "--l", "2", "--range", "{}..3"],
+    ["sweep", "--case", "2.0.1", "--l", "2", "--range", "0..{}"],
+]
+
+
+def _flag_id(argv):
+    flag, value = next((a, b) for a, b in zip(argv, argv[1:]) if "{}" in b)
+    return f"{argv[0]}:{argv[2]}:{flag}={value}"
+
+
+@pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=_flag_id)
+@pytest.mark.parametrize("value", ["١", "1_0", "٣"])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, value):
+    # An integer flag reads as the catalog reads an integer, an optional
+    # sign and then the digits 0-9; int() alone would read "١" as 1,
+    # "1_0" as 10 and "٣" as 3, and each input answers there.
+    code = main([arg.replace("{}", value) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert set(json.loads(captured.out)) == {"schema", "error"}
+
+
 def test_faces_refuses_both_coeffs_and_d(capsys):
     code, data = run_json(capsys, "faces", "--case", "2.0.1", "--l", "2", "--coeffs", "2,4",
                           "--D", '{"coeffs": {"D_2": 1}}')

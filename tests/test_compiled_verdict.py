@@ -8,8 +8,9 @@ and 10^40 (the generated evaluator has no width limit), and on members off
 the grid, at a negative twist or a parameter past the grid.  A Markov
 bound below one is refused on every cell, every refusal is raised by
 ``derive_verdict`` itself, a verdict builds its evidence and its boundary
-only when read, each bound's certificate is kept, and the evaluators'
-total size stays under a fixed ceiling.
+only when read, each bound's certificate is kept, a member's table
+outcomes are exactly the masks its cells reach, all decoded when it
+compiles, and the evaluators' total size stays under a fixed ceiling.
 """
 
 import ast
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from torhyp.catalog import CASES
 from torhyp.classify import (
     BOUNDS_KEPT,
     _epsilon,
@@ -139,19 +141,53 @@ def test_epsilon_is_the_capped_least_ratio(pairs):
     assert _epsilon(alphas, betas) == want
 
 
-def test_table_memo_stays_within_the_value_classes():
-    # Each cell's row mask is the and of one entry per coordinate, so a
-    # member's memo holds at most the product of its coordinates' distinct
-    # entries, however many cells and however large.
+def test_table_outcomes_are_the_masks_cells_reach():
+    # Each cell's row mask is the and of one entry per coordinate, and a
+    # coordinate's last entry stands for every larger value, so the cells
+    # below the longest index reach every mask a cell can: a member's
+    # outcomes hold exactly those masks, at most the product of its
+    # coordinates' numbers of distinct entries, and every cell, however
+    # large, reads its outcome there by the evaluator's mask.
     large = [0, 9, 12, 10**6]
     for case in CASE_IDS:
         for params in SWEEP_GRIDS[case]:
             spec = FamilySpec.make(case, **params)
-            for coeffs in cells(case) + list(itertools.product(large, repeat=len(cells(case)[0]))):
-                table_lookup(spec, coeffs)
-            table = compiled_member(spec).table
-            bound = prod(len(set(index)) for index in table.index)
-            assert len(table.memo) <= bound <= 13 ** len(table.index), (spec, len(table.memo))
+            m = compiled_member(spec)
+            below = range(max(map(len, m.index), default=1))
+            reached = set()
+            for coeffs in cells(case, below) + cells(case, large):
+                mask = m.numbers(*coeffs)[0]
+                assert table_lookup(spec, coeffs) is m.outcomes[mask], (spec, coeffs)
+                reached.add(mask)
+            assert set(m.outcomes) == reached, spec
+            bound = prod(len(set(index)) for index in m.index)
+            assert len(m.outcomes) <= bound <= 13 ** len(m.index), (spec, len(m.outcomes))
+
+
+def test_cells_decode_no_mask_after_the_compile(monkeypatch):
+    # Every outcome is decoded when the member compiles: deriving and
+    # looking up every cell of the 0..8 grid of a member compiled afresh
+    # decodes no mask, and its outcomes stay those of a fresh compile.
+    import torhyp.classify as classify
+
+    spec = FamilySpec.make("3.0.1", r=1, a=1, b=2)
+    compiled_member.cache_clear()
+    m = compiled_member(spec)
+    decode, decoded = classify._mask_outcome, []
+
+    def counted(block, rows, mask):
+        decoded.append(mask)
+        return decode(block, rows, mask)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(classify, "_mask_outcome", counted)
+        for coeffs in cells("3.0.1"):
+            derive_verdict(spec, coeffs, BOUND)
+            table_lookup(spec, coeffs)
+    assert decoded == []
+    params = spec.as_dict()
+    fresh = classify._compile_table(CASES["3.0.1"].block_at(params), params)
+    assert (m.index, m.outcomes) == fresh and len(m.outcomes) > 1
 
 
 def test_bound_below_one_is_refused_on_every_cell():
